@@ -128,19 +128,21 @@ class EffectiveModel:
                         fh.write(",".join(row) + "\n")
 
 
-def _rational_scale(v: np.ndarray, max_denominator: int) -> tuple[int, np.ndarray]:
-    """Smallest b <= max_denominator with b v (nearly) integer, plus b v."""
+def _rational_scale(v: np.ndarray,
+                    max_denominator: int) -> tuple[int, np.ndarray, bool]:
+    """Smallest b <= max_denominator with b v integer within 1e-9, b v rounded,
+    and True; without one, the b of the best bounded-denominator approximation
+    and False (the ray then samples round(b v)/b, not v)."""
     for b in range(1, max_denominator + 1):
         scaled = b * v
         if np.max(np.abs(scaled - np.round(scaled))) <= 1e-9:
-            return b, np.round(scaled)
-    # fall back to the best approximation by bounded-denominator rationals
+            return b, np.round(scaled), True
     best_b, best_err = 1, np.inf
     for b in range(1, max_denominator + 1):
         err = np.max(np.abs(b * v - np.round(b * v)))
         if err < best_err - 1e-15:
             best_b, best_err = b, err
-    return best_b, np.round(best_b * v)
+    return best_b, np.round(best_b * v), False
 
 
 def build_effective_model(lagrangian: LagrangianField,
@@ -154,7 +156,9 @@ def build_effective_model(lagrangian: LagrangianField,
     One metric table with horizon n_max serves every velocity: the ray for v
     is first scaled by the denominator b of v (so targets are integer points),
     then read at n = b, 2b, 4b, ... <= n_max.  Velocities whose doubling
-    sequence has fewer than two levels are flagged in the diagnostics.
+    sequence has fewer than two levels, or with no denominator b <=
+    max_denominator (the ray then samples a nearby rational velocity), are
+    flagged in the diagnostics.
     """
     d = lagrangian.dimension
     half_steps = int(round(v_box_half / v_step))
@@ -173,14 +177,14 @@ def build_effective_model(lagrangian: LagrangianField,
     diagnostics = []
     for idx in np.ndindex(values.shape):
         v = np.asarray([axis[i] for i in idx])
-        b, bv = _rational_scale(v, max_denominator)
+        b, bv, exact = _rational_scale(v, max_denominator)
         res = effective_metric(table, float(b), bv, n_max // b if b <= n_max else 1)
         lbar = res.limit / b
         values[idx] = lbar
         diagnostics.append({
             "v": v, "denominator": b, "ns": [n * b for n in res.ns],
             "gs": [g / b for g in res.gs], "limit": lbar,
-            "flagged": res.flagged or (n_max // b) < 2,
+            "flagged": res.flagged or (n_max // b) < 2 or not exact,
         })
     ltab = ConvexFunctionTable(v_axes, values, VELOCITY_DOMAIN)
     if p_box_half is None:

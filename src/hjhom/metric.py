@@ -13,6 +13,16 @@ must divide 1 so that integer space-time points are lattice points; the
 per-step cost then depends on the source node only through its residue class
 mod 1, which makes the cost arrays small periodic tiles.
 
+Each layer is relaxed without gathers: the previous layer is copied into a
++inf-padded frame that starts on a multiple of M = 1/dx, so a frame index's
+residue mod M is its position inside a block of M cells.  Reshaped to (B, M)
+in d = 1 or (B, M, B, M) in d = 2, the frame takes each offset's M^d cost
+tile by a broadcast add into one reused buffer, and the window of that
+buffer holding the real sources is min-ed into the target slice.  These are
+the same offsets, the same additions and the same minima as adding a
+gathered cost array to the layer, so every layer is bitwise-identical to the
+gather form (tests/test_metric.py keeps it as the reference).
+
 Values are reported on the cone |x| <= C t.  The table keeps every layer (for
 path backtracking) or only integer-time layers (to save memory on long
 horizons).
@@ -102,6 +112,9 @@ class MetricTable:
     layer_times: np.ndarray
     layers: list
     reaches: list
+    lagrangian: LagrangianField
+    offsets: np.ndarray          # (n, d) lattice steps, lexicographic
+    tiles: list                  # per-offset cost over source residues mod M
     provenance: dict = field(default_factory=dict)
 
     # -- lookups ---------------------------------------------------------
@@ -200,9 +213,6 @@ class MetricTable:
     @property
     def horizon(self) -> float:
         return float(self.layer_times[-1] * self.dt)
-
-    def cone_speed(self) -> float:
-        return self.cone.speed
 
     def lipschitz_estimate(self) -> float:
         """Measured spatial Lipschitz constant of m over the final cone layer."""
@@ -316,7 +326,7 @@ def compute_metric_table(lagrangian: LagrangianField, horizon: float,
         raise ConfigurationError("empty reachable set: enlarge vmax*dt/dx")
     tiles = _cost_tiles(lagrangian, offsets, big_m, dx, dt)
     s_max = int(np.max(np.abs(offsets)))
-    reach_final = s_max * n_layers
+    block_tiles = [tile.reshape((1, big_m) * d) for tile in tiles]
 
     keep_all = keep == "all"
     layer_times = [0]
@@ -326,18 +336,24 @@ def compute_metric_table(lagrangian: LagrangianField, horizon: float,
     prev = layers[0]
     prev_reach = 0
     for k in range(1, n_layers + 1):
-        new_reach = min(prev_reach + s_max, reach_final)
-        side = 2 * new_reach + 1
-        new = np.full((side,) * d, np.inf)
-        # residue index arrays for the source block [-prev_reach, prev_reach]
-        ax_idx = [np.mod(np.arange(-prev_reach, prev_reach + 1), big_m)] * d
-        for o, tile in zip(offsets, tiles):
-            cost = tile[np.ix_(*ax_idx)] if d > 1 else tile[ax_idx[0]]
-            cand = prev + cost
-            sl = tuple(
-                slice(new_reach - prev_reach + o[ax], new_reach + prev_reach + o[ax] + 1)
-                for ax in range(d))
-            np.minimum(new[sl], cand, out=new[sl])
+        n = 2 * prev_reach + 1
+        new_reach = prev_reach + s_max
+        new = np.full((2 * new_reach + 1,) * d, np.inf)
+        # frame cell i holds source j = i - a - prev_reach; a + prev_reach is
+        # a multiple of M, so j mod M is i's place in its block of M cells.
+        # The +inf padding lies outside `window`.
+        a = -prev_reach % big_m
+        blocks = -(-(a + n) // big_m)
+        inner = (slice(a, a + n),) * d
+        frame = np.full((blocks * big_m,) * d, np.inf)
+        frame[inner] = prev
+        buf = np.empty_like(frame)
+        window = buf[inner]
+        frame_b, buf_b = (f.reshape((blocks, big_m) * d) for f in (frame, buf))
+        for o, tile in zip(offsets, block_tiles):
+            np.add(frame_b, tile, out=buf_b)
+            sl = tuple(slice(s_max + c, s_max + c + n) for c in o)
+            np.minimum(new[sl], window, out=new[sl])
         if keep_all or (k % per_unit == 0) or k == n_layers:
             layer_times.append(k)
             layers.append(new)
@@ -347,13 +363,11 @@ def compute_metric_table(lagrangian: LagrangianField, horizon: float,
     return MetricTable(
         dt=dt, dx=dx, vmax=vmax, cone=cone, dimension=d,
         layer_times=np.asarray(layer_times), layers=layers, reaches=reaches,
+        lagrangian=lagrangian, offsets=offsets, tiles=tiles,
         provenance={
             "spec": lagrangian.spec.content_hash(),
             "quadrature": "midpoint-space/left-time",
             "keep": keep,
-            "_tiles": tiles,
-            "_offsets": offsets,
-            "_lagrangian": lagrangian,
         },
     )
 
@@ -374,9 +388,6 @@ def extract_minimizing_path(table: MetricTable, t: float, x) -> DiscretePath:
         raise UnreachableError(f"metric is +inf at ({t}, {x})")
 
     big_m = as_int_exact(1.0 / table.dx, "1/dx")
-    offsets = table.provenance["_offsets"]
-    tiles = table.provenance["_tiles"]
-
     nodes = [j.copy()]
     cur = j.copy()
     for k in range(k_final, 0, -1):
@@ -385,7 +396,7 @@ def extract_minimizing_path(table: MetricTable, t: float, x) -> DiscretePath:
         target_val = table.layers[k][tuple(cur + table.reaches[k])]
         best = None
         best_off = None
-        for o, tile in zip(offsets, tiles):
+        for o, tile in zip(table.offsets, table.tiles):
             src = cur - o
             if np.any(np.abs(src) > reach_prev):
                 continue
@@ -421,6 +432,17 @@ def speed_margin(table: MetricTable, targets) -> float:
     return table.vmax - worst
 
 
+def _pull_into_cone(z: np.ndarray, lim: float) -> np.ndarray:
+    """Integer point z stepped toward the origin, largest coordinate first,
+    until |z| <= lim (at most 8 steps per coordinate).  Modifies z."""
+    for _ in range(len(z) * 8):
+        if np.linalg.norm(z) <= lim + 1e-9:
+            break
+        i = int(np.argmax(np.abs(z)))
+        z[i] -= np.sign(z[i])
+    return z
+
+
 def round_into_cone(t: float, x, cone: Cone) -> tuple[int, np.ndarray]:
     """(ceil t, [x]) with half-ties toward 0, pulled toward the origin when
     plain rounding would exit the cone.  Requires t >= 1 and (t, x) in cone."""
@@ -430,14 +452,7 @@ def round_into_cone(t: float, x, cone: Cone) -> tuple[int, np.ndarray]:
     if not cone.contains(t, x):
         raise DomainError(f"({t}, {x}) outside the cone")
     tc = int(np.ceil(t - 1e-12))
-    xc = round_half_toward_zero(x)
-    lim = cone.speed * tc
-    for _ in range(len(xc) * 8):
-        if np.linalg.norm(xc) <= lim + 1e-9:
-            break
-        i = int(np.argmax(np.abs(xc)))
-        xc[i] -= np.sign(xc[i])
-    return tc, xc.astype(int)
+    return tc, _pull_into_cone(round_half_toward_zero(x), cone.speed * tc).astype(int)
 
 
 def metric_point(table: MetricTable, t: float, x, y) -> float:
@@ -457,10 +472,4 @@ def metric_point(table: MetricTable, t: float, x, y) -> float:
         return table.interpolate(t, y - xr)
     tc = int(np.ceil(t - 1e-12))
     z = round_half_toward_zero(y) - round_half_toward_zero(x)
-    lim = table.cone.speed * tc
-    for _ in range(len(z) * 8):
-        if np.linalg.norm(z) <= lim + 1e-9:
-            break
-        i = int(np.argmax(np.abs(z)))
-        z[i] -= np.sign(z[i])
-    return table.value_at(float(tc), z)
+    return table.value_at(float(tc), _pull_into_cone(z, table.cone.speed * tc))

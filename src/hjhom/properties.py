@@ -14,7 +14,7 @@ import numpy as np
 
 from .effective import EffectiveModel
 from .errors import DomainError
-from .metric import MetricTable, extract_minimizing_path
+from .metric import MetricTable, _pull_into_cone, extract_minimizing_path
 from .util import as_int_exact, round_half_toward_zero
 
 
@@ -107,13 +107,8 @@ def extract_approximate_geodesic(table: MetricTable, t: float, x) -> Approximate
     per_unit = as_int_exact(1.0 / table.dt, "1/dt")
     nodes = []
     for i in range(t_int + 1):
-        xi = round_half_toward_zero(path.nodes[i * per_unit])
-        lim = table.cone.speed * i
-        for _ in range(len(xi) * 8):
-            if np.linalg.norm(xi) <= lim + 1e-9:
-                break
-            j = int(np.argmax(np.abs(xi)))
-            xi[j] -= np.sign(xi[j])
+        xi = _pull_into_cone(round_half_toward_zero(path.nodes[i * per_unit]),
+                             table.cone.speed * i)
         nodes.append(np.concatenate(([i], xi)))
     nodes = np.asarray(nodes, dtype=int)
     nodes[-1, 1:] = np.round(x).astype(int)

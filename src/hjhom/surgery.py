@@ -42,14 +42,6 @@ class SpaceTimePath2D:
         return self.nodes[:, 1:]
 
 
-def embed_path(path: DiscretePath) -> SpaceTimePath2D:
-    if path.nodes.shape[1] != 2:
-        raise DomainError("surgery requires d = 2 paths")
-    n = len(path.nodes)
-    times = np.arange(n) * path.dt
-    return SpaceTimePath2D(path.dt, np.column_stack([times, path.nodes]))
-
-
 def cyclic_shift(path: SpaceTimePath2D, c: float) -> SpaceTimePath2D:
     """Rotate the increment sequence by time c.
 
@@ -171,9 +163,6 @@ def path_surgery(gamma: DiscretePath, table: MetricTable) -> SurgeryResult:
     of the result is re-evaluated along the new polyline (cyclic shifts move
     base points, and the running cost is position-dependent).
     """
-    lagr = table.provenance.get("_lagrangian")
-    if lagr is None:
-        raise DomainError("table lacks the Lagrangian needed to cost paths")
     if gamma.nodes.shape[1] != 2:
         raise DomainError("surgery requires d = 2")
     steps = len(gamma.nodes) - 1
@@ -227,7 +216,7 @@ def path_surgery(gamma: DiscretePath, table: MetricTable) -> SurgeryResult:
     second_half = second_half + delta2 / half
     incs = np.vstack([first_half, second_half])
     nodes = np.vstack([[0.0, 0.0], np.cumsum(incs, axis=0)])
-    cost = float(np.sum(gamma.dt * lagr(
+    cost = float(np.sum(gamma.dt * table.lagrangian(
         np.mod((nodes[:-1] + nodes[1:]) / 2.0, 1.0), incs / gamma.dt)))
     new_path = DiscretePath(dt=gamma.dt, nodes=nodes, cost=cost)
 

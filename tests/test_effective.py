@@ -3,6 +3,7 @@ import pytest
 
 from hjhom import build_lagrangian, compute_metric_table, cosine_spec
 from hjhom.effective import (
+    _rational_scale,
     build_effective_model,
     cell_problem_oracle,
     effective_hamiltonian_quadrature_1d,
@@ -178,3 +179,18 @@ def test_diagnostics_csv_export(tmp_path):
     lines = diag.read_text().splitlines()
     assert lines[1] == "v1,n,g_n,gap"
     assert len(lines) > 5
+
+
+def test_rational_scale_reports_inexact_velocity():
+    b, _, exact = _rational_scale(np.array([0.25, -0.5]), 8)
+    assert (b, exact) == (4, True)
+    b, bv, exact = _rational_scale(np.array([0.3]), 8)
+    assert (b, bv.tolist(), exact) == (3, [1.0], False)   # 1/3, not 0.3
+
+
+def test_inexact_velocity_ray_is_flagged():
+    model = build_effective_model(FREE, v_box_half=0.3, v_step=0.3, n_max=8,
+                                  dt=0.25, dx=0.25, vmax=3.0, max_denominator=8)
+    flags = {round(float(rec["v"][0]), 6): rec["flagged"]
+             for rec in model.diagnostics}
+    assert flags == {-0.3: True, 0.0: False, 0.3: True}

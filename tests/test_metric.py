@@ -40,6 +40,39 @@ def brute_metric(lagrangian, n_steps, dt, dx, vmax):
     return vals
 
 
+def gather_kernel_layers(table, n_layers, keep):
+    """The gather form of the metric DP, kept as the bitwise reference.
+
+    Every layer gathers a full cost array from the residue tiles, adds it to
+    the previous layer and min-es it into the shifted target slice.  Returns
+    (layer_times, layers, reaches) as compute_metric_table stores them.
+    """
+    d = table.dimension
+    big_m = round(1.0 / table.dx)
+    per_unit = round(1.0 / table.dt)
+    s_max = int(np.max(np.abs(table.offsets)))
+    reach_final = s_max * n_layers
+    layer_times, layers, reaches = [0], [np.zeros((1,) * d)], [0]
+    prev, prev_reach = layers[0], 0
+    for k in range(1, n_layers + 1):
+        new_reach = min(prev_reach + s_max, reach_final)
+        new = np.full((2 * new_reach + 1,) * d, np.inf)
+        ax_idx = [np.mod(np.arange(-prev_reach, prev_reach + 1), big_m)] * d
+        for o, tile in zip(table.offsets, table.tiles):
+            cost = tile[np.ix_(*ax_idx)] if d > 1 else tile[ax_idx[0]]
+            cand = prev + cost
+            sl = tuple(
+                slice(new_reach - prev_reach + o[ax], new_reach + prev_reach + o[ax] + 1)
+                for ax in range(d))
+            np.minimum(new[sl], cand, out=new[sl])
+        if keep == "all" or k % per_unit == 0 or k == n_layers:
+            layer_times.append(k)
+            layers.append(new)
+            reaches.append(new_reach)
+        prev, prev_reach = new, new_reach
+    return layer_times, layers, reaches
+
+
 FREE = build_lagrangian(cosine_spec(1, 1.0))
 OSC = build_lagrangian(cosine_spec(1, 2.0, (1.0, (1,))))
 FREE2 = build_lagrangian(cosine_spec(2, 1.0))
@@ -214,3 +247,31 @@ def test_csv_export_roundtrip(tmp_path):
     assert lines[0].startswith("# schema=hjhom.metric.v1")
     assert lines[1] == "k,z1,value"
     assert any(line.startswith("2,0.0,") for line in lines)
+
+
+# (d, M = 1/dx, step radius s = vmax dt / dx, layers at dt = 1/4, keep):
+# s below and above M; reaches from under M (first layers) to many times M
+EQUIVALENCE_CASES = [
+    (1, 2, 1.0, 24, "all"), (1, 3, 2.0, 24, "integers"),
+    (1, 6, 2.0, 24, "all"), (1, 8, 3.0, 24, "integers"),
+    (1, 2, 5.0, 8, "integers"), (1, 3, 7.0, 8, "all"),
+    (1, 6, 9.0, 8, "integers"), (1, 8, 11.0, 8, "all"),
+    (2, 2, 1.5, 16, "all"), (2, 3, 1.5, 16, "integers"),
+    (2, 6, 2.5, 12, "all"), (2, 8, 2.5, 12, "integers"),
+    (2, 2, 3.0, 4, "integers"), (2, 3, 4.5, 4, "all"),
+    (2, 6, 7.0, 4, "integers"), (2, 8, 9.0, 4, "all"),
+]
+
+
+@pytest.mark.parametrize("d,big_m,s,n_layers,keep", EQUIVALENCE_CASES)
+def test_frame_kernel_bitwise_equals_gather_kernel(d, big_m, s, n_layers, keep):
+    lagr = OSC if d == 1 else OSC2
+    dt, dx = 0.25, 1.0 / big_m
+    table = compute_metric_table(lagr, horizon=n_layers * dt, dt=dt, dx=dx,
+                                 vmax=s * dx / dt, keep=keep)
+    times, layers, reaches = gather_kernel_layers(table, n_layers, keep)
+    assert table.layer_times.tolist() == times
+    assert table.reaches == reaches
+    assert reaches[-1] >= 3 * big_m
+    for got, want in zip(table.layers, layers):
+        assert np.array_equal(got, want)
