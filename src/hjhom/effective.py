@@ -22,8 +22,8 @@ from .legendre import (
     LagrangianField,
     legendre_transform,
 )
-from .metric import MetricTable, compute_metric_table, default_speed_cap
-from .util import format_float
+from .metric import MetricTable, _offsets, compute_metric_table, default_speed_cap
+from .util import format_float, grid_points
 
 
 @dataclass
@@ -91,8 +91,7 @@ class EffectiveModel:
     def hamiltonian_bar(self, p) -> float:
         """Exact grid conjugate max_v p . v - Lbar(v) at an arbitrary p."""
         p = np.atleast_1d(np.asarray(p, dtype=float))
-        mesh = np.meshgrid(*self.lagrangian_table.axes, indexing="ij")
-        nodes = np.stack([m.ravel() for m in mesh], axis=-1)
+        nodes = grid_points(self.lagrangian_table.axes)
         return float(np.max(nodes @ p - self.lagrangian_table.values.ravel()))
 
     def flat_piece_radius_estimate(self) -> float:
@@ -212,7 +211,7 @@ def cell_problem_oracle(spec_or_lagrangian, p, t_long: float = 128.0,
     iteration (minimum over periodic lattice paths of cost minus p times
     displacement) and returns -w(T, 0)/T.  The torus lattice and the roll
     update are deliberately separate from the cone-table DP so the two
-    routes stay independent.
+    routes stay independent; only the offset enumeration is shared.
     """
     if isinstance(spec_or_lagrangian, LagrangianField):
         lagr = spec_or_lagrangian
@@ -229,17 +228,10 @@ def cell_problem_oracle(spec_or_lagrangian, p, t_long: float = 128.0,
     if n_steps < 4:
         raise ConfigurationError("t_long too small for the torus iteration")
 
-    s = vmax * dt / dx
-    s_int = int(np.floor(s + 1e-9))
-    rng = np.arange(-s_int, s_int + 1)
-    mesh = np.meshgrid(*[rng] * d, indexing="ij")
-    offs = np.stack([m.ravel() for m in mesh], axis=-1)
-    offs = offs[np.linalg.norm(offs, axis=1) <= s + 1e-9]
-
     # per-offset cost over torus nodes i: dt L((i + o/2) dx mod 1, o dx/dt) - p . o dx
-    base = np.stack(np.meshgrid(*[np.arange(big_m)] * d, indexing="ij"), axis=-1)
+    base = grid_points([np.arange(big_m)] * d).reshape((big_m,) * d + (d,))
     shifted = []
-    for o in offs:
+    for o in _offsets(d, vmax * dt / dx):
         mid = np.mod((base + o / 2.0) * dx, 1.0)
         vel = o * dx / dt
         cost = dt * lagr(mid, np.broadcast_to(vel, mid.shape)) - float(p @ (o * dx))

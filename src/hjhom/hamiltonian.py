@@ -16,6 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DomainError
+from .util import grid_points, multilinear
 
 FAMILY_QUADRATIC = "quadratic_minus_potential"
 
@@ -89,19 +90,11 @@ class TabulatedPotential:
         object.__setattr__(self, "values", v)
 
     def __call__(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        n = self.values.shape[0]
-        u = np.mod(x, 1.0) * n
-        i0 = np.floor(u).astype(int) % n
-        w = u - np.floor(u)
-        out = np.zeros(x.shape[:-1])
-        for corner in np.ndindex(*(2,) * self.dimension):
-            idx = tuple((i0[..., ax] + corner[ax]) % n for ax in range(self.dimension))
-            weight = np.ones(x.shape[:-1])
-            for ax in range(self.dimension):
-                weight = weight * (w[..., ax] if corner[ax] else 1.0 - w[..., ax])
-            out += weight * self.values[idx]
-        return out
+        # node n of the wrap-padded table repeats node 0: np.mod(x, 1) * n
+        # can round up to n
+        u = np.mod(np.asarray(x, dtype=float), 1.0) * self.values.shape[0]
+        i0 = np.floor(u)
+        return multilinear(np.pad(self.values, (0, 1), mode="wrap"), i0.astype(int), u - i0)
 
     def shifted(self, delta: float) -> "TabulatedPotential":
         return TabulatedPotential(self.dimension, self.values + delta)
@@ -193,16 +186,12 @@ def normalize(spec: HamiltonianSpec) -> tuple[HamiltonianSpec, float]:
 
 def torus_grid(dimension: int, n: int = TORUS_GRID_POINTS) -> np.ndarray:
     """All nodes j/n of the torus verification grid, shape (n^d, d)."""
-    axes = [np.arange(n) / n] * dimension
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=-1)
+    return grid_points([np.arange(n) / n] * dimension)
 
 
 def momentum_grid(dimension: int, half_width: float = MOMENTUM_BOX,
                   n: int = MOMENTUM_GRID_POINTS) -> np.ndarray:
-    axes = [np.linspace(-half_width, half_width, n)] * dimension
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=-1)
+    return grid_points([np.linspace(-half_width, half_width, n)] * dimension)
 
 
 def check_normalized(spec: HamiltonianSpec, n: int = TORUS_GRID_POINTS) -> float:

@@ -19,6 +19,7 @@ from .hamiltonian import (
     HamiltonianSpec,
     evaluate_hamiltonian,
 )
+from .util import box_cell, format_float, grid_points, multilinear
 
 MOMENTUM_DOMAIN = "momentum-domain"
 VELOCITY_DOMAIN = "velocity-domain"
@@ -81,46 +82,19 @@ class ConvexFunctionTable:
             pts = pts.reshape(1)
         if pts.shape[-1] != self.dimension:
             raise DomainError("query dimension mismatch")
-        clamped = np.zeros(pts.shape[:-1], dtype=bool)
-        idx0 = []
-        weights = []
-        for ax, nodes in enumerate(self.axes):
-            lo, hi = nodes[0], nodes[-1]
-            q = pts[..., ax]
-            out = (q < lo) | (q > hi)
-            if out.any():
-                if not clamp:
-                    raise DomainError("query outside table box")
-                clamped |= out
-                q = np.clip(q, lo, hi)
-            step = nodes[1] - nodes[0] if len(nodes) > 1 else 1.0
-            u = (q - lo) / step
-            i0 = np.clip(np.floor(u).astype(int), 0, max(len(nodes) - 2, 0))
-            idx0.append(i0)
-            weights.append(u - i0)
-        out_vals = np.zeros(pts.shape[:-1])
-        for corner in np.ndindex(*(2,) * self.dimension):
-            w = np.ones(pts.shape[:-1])
-            idx = []
-            for ax in range(self.dimension):
-                n_ax = len(self.axes[ax])
-                i = np.minimum(idx0[ax] + corner[ax], n_ax - 1)
-                idx.append(i)
-                w = w * (weights[ax] if corner[ax] else 1.0 - weights[ax])
-            out_vals += w * self.values[tuple(idx)]
-        return out_vals, clamped
+        i0, w, clamped = box_cell(self.axes, pts)
+        if not clamp and clamped.any():
+            raise DomainError("query outside table box")
+        return multilinear(self.values, i0, w), clamped
 
     def to_csv(self, path) -> None:
         """Node coordinates plus value, one row per node (debug export)."""
-        from .util import format_float
-        mesh = np.meshgrid(*self.axes, indexing="ij")
         with open(path, "w") as fh:
             cols = [f"v{i+1}" for i in range(self.dimension)]
             fh.write(f"# schema=hjhom.table.v1 units={self.units}\n")
             fh.write(",".join(cols + ["value"]) + "\n")
-            flat = [m.ravel() for m in mesh] + [self.values.ravel()]
-            for row in zip(*flat):
-                fh.write(",".join(format_float(c) for c in row) + "\n")
+            for node, val in zip(grid_points(self.axes), self.values.ravel()):
+                fh.write(",".join(format_float(c) for c in (*node, val)) + "\n")
 
 
 def uniform_axes(box, resolution) -> tuple[np.ndarray, ...]:
@@ -189,7 +163,10 @@ class LagrangianField:
         self.closed_form = closed_form
         self._x_nodes = x_nodes          # torus nodes per axis (count)
         self._v_axes = v_axes
-        self._table = table              # shape (nx,)*d + (nv per v-axis)
+        # shape (nx + 1,)*d + (nv per v-axis): node nx repeats node 0, since
+        # np.mod(x, 1) * nx can round up to nx
+        self._table = None if table is None else np.pad(
+            table, [(0, 1)] * len(v_axes) + [(0, 0)] * len(v_axes), mode="wrap")
 
     @property
     def dimension(self) -> int:
@@ -214,46 +191,13 @@ class LagrangianField:
         return float(self._table.min())
 
     def _interp(self, x, v):
-        d = self.dimension
-        nx = self._x_nodes
+        # torus axes wrap through the padded node; velocity axes clamp
         x, v = np.broadcast_arrays(x, v)
-        u = np.mod(x, 1.0) * nx
-        i0 = np.floor(u).astype(int) % nx
-        wx = u - np.floor(u)
-        out = None
-        for corner in np.ndindex(*(2,) * d):
-            idx = tuple((i0[..., ax] + corner[ax]) % nx for ax in range(d))
-            w = np.ones(x.shape[:-1])
-            for ax in range(d):
-                w = w * (wx[..., ax] if corner[ax] else 1.0 - wx[..., ax])
-            sub = self._table[idx]  # (..., v-grid shape)
-            vals = _interp_v(sub, self._v_axes, v)
-            out = vals * w if out is None else out + vals * w
-        return out
-
-
-def _interp_v(sub, axes, v):
-    """Multilinear interpolation of sub[..., v-grid] at trailing points v."""
-    d = len(axes)
-    idx0 = []
-    weights = []
-    for ax, nodes in enumerate(axes):
-        q = np.clip(v[..., ax], nodes[0], nodes[-1])
-        step = nodes[1] - nodes[0]
-        u = (q - nodes[0]) / step
-        i0 = np.clip(np.floor(u).astype(int), 0, len(nodes) - 2)
-        idx0.append(i0)
-        weights.append(u - i0)
-    lead = tuple(np.indices(v.shape[:-1]))
-    out = np.zeros(v.shape[:-1])
-    for corner in np.ndindex(*(2,) * d):
-        w = np.ones(v.shape[:-1])
-        idx = []
-        for ax in range(d):
-            idx.append(idx0[ax] + corner[ax])
-            w = w * (weights[ax] if corner[ax] else 1.0 - weights[ax])
-        out += w * sub[lead + tuple(idx)]
-    return out
+        u = np.mod(x, 1.0) * self._x_nodes
+        ix = np.floor(u)
+        iv, wv, _ = box_cell(self._v_axes, v)
+        return multilinear(self._table, np.concatenate([ix.astype(int), iv], axis=-1),
+                           np.concatenate([u - ix, wv], axis=-1))
 
 
 def build_lagrangian(spec: HamiltonianSpec,
@@ -274,13 +218,10 @@ def build_lagrangian(spec: HamiltonianSpec,
     p_half = max(spec.momentum_cap * 1.5 if np.isfinite(spec.momentum_cap) else 8.0, 8.0)
     p_axes = uniform_axes([(-p_half, p_half)] * d, 129)
     nx = x_resolution
-    x_nodes_axes = [np.arange(nx) / nx] * d
-    mesh = np.meshgrid(*x_nodes_axes, indexing="ij")
-    xs = np.stack([m.ravel() for m in mesh], axis=-1)
+    xs = grid_points([np.arange(nx) / nx] * d)
     v_axes = uniform_axes(v_box, v_resolution)
     table = np.empty((nx,) * d + tuple(len(a) for a in v_axes))
-    pm = np.meshgrid(*p_axes, indexing="ij")
-    pmat = np.stack([m.ravel() for m in pm], axis=-1)
+    pmat = grid_points(p_axes)
     for flat_i, x in enumerate(xs):
         hv = evaluate_hamiltonian(spec, np.broadcast_to(x, pmat.shape), pmat)
         f = ConvexFunctionTable(p_axes, hv.reshape([len(a) for a in p_axes]), MOMENTUM_DOMAIN)

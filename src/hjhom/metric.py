@@ -36,7 +36,13 @@ import numpy as np
 
 from .errors import ConfigurationError, DomainError, UnreachableError
 from .legendre import LagrangianField
-from .util import as_int_exact, format_float, round_half_toward_zero
+from .util import (
+    as_int_exact,
+    format_float,
+    grid_points,
+    multilinear,
+    round_half_toward_zero,
+)
 
 
 @dataclass(frozen=True)
@@ -120,12 +126,14 @@ class MetricTable:
     # -- lookups ---------------------------------------------------------
 
     def _layer_index(self, t: float) -> int:
-        k = as_int_exact(t / self.dt, "t/dt")
+        return self._layer_pos(as_int_exact(t / self.dt, "t/dt"))
+
+    def _layer_pos(self, k: int) -> int:
         times = self.layer_times
         pos = np.searchsorted(times, k)
         if pos >= len(times) or times[pos] != k:
             raise ConfigurationError(
-                f"layer t={t} not stored (mode without full layers?)")
+                f"layer k={k} not stored (mode without full layers?)")
         return int(pos)
 
     def value_at(self, t: float, z) -> float:
@@ -143,38 +151,11 @@ class MetricTable:
         k = t / self.dt
         kr = round(k)
         if abs(k - kr) < 1e-9:
-            return self._interp_space(int(kr), z)
+            return float(self._interp_layer(self._layer_pos(int(kr)), z)[0])
         k0 = int(np.floor(k))
         w = k - k0
-        return (1 - w) * self._interp_space(k0, z) + w * self._interp_space(k0 + 1, z)
-
-    def _interp_space(self, k: int, z) -> float:
-        pos = np.searchsorted(self.layer_times, k)
-        if pos >= len(self.layer_times) or self.layer_times[pos] != k:
-            raise ConfigurationError(f"layer k={k} not stored")
-        pos = int(pos)
-        z = np.atleast_1d(np.asarray(z, dtype=float))
-        arr = self.layers[pos]
-        reach = self.reaches[pos]
-        u = z / self.dx + reach
-        i0 = np.floor(u).astype(int)
-        w = u - i0
-        d = self.dimension
-        side = 2 * reach + 1
-        if np.any(i0 < -1) or np.any(i0 > side - 1):
-            return np.inf
-        total = 0.0
-        for corner in np.ndindex(*(2,) * d):
-            idx = i0 + np.asarray(corner)
-            wt = 1.0
-            for ax in range(d):
-                wt *= w[ax] if corner[ax] else 1.0 - w[ax]
-            if wt == 0.0:
-                continue
-            if np.any(idx < 0) or np.any(idx >= side):
-                return np.inf
-            total += wt * arr[tuple(idx)]
-        return float(total)
+        a, b = (self._interp_layer(self._layer_pos(j), z)[0] for j in (k0, k0 + 1))
+        return float((1 - w) * a + w * b)
 
     def interpolate_many(self, t: float, Z: np.ndarray) -> np.ndarray:
         """Vectorized multilinear interpolation at one stored layer time.
@@ -182,33 +163,13 @@ class MetricTable:
         Z has shape (n, d) in physical coordinates; queries outside the
         reachable box return +inf (the DP value there), not a clamp.
         """
-        pos = self._layer_index(t)
-        arr = self.layers[pos]
-        reach = self.reaches[pos]
-        d = self.dimension
-        Z = np.asarray(Z, dtype=float).reshape(-1, d)
-        u = Z / self.dx + reach
+        return self._interp_layer(self._layer_index(t), Z)
+
+    def _interp_layer(self, pos: int, Z) -> np.ndarray:
+        u = np.asarray(Z, dtype=float).reshape(-1, self.dimension) / self.dx
+        u += self.reaches[pos]
         i0 = np.floor(u).astype(int)
-        w = u - i0
-        side = 2 * reach + 1
-        out = np.zeros(len(Z))
-        oob = np.zeros(len(Z), dtype=bool)
-        for corner in np.ndindex(*(2,) * d):
-            idx = i0 + np.asarray(corner)
-            wt = np.ones(len(Z))
-            for ax in range(d):
-                wt *= w[:, ax] if corner[ax] else 1.0 - w[:, ax]
-            inside = np.all((idx >= 0) & (idx < side), axis=1)
-            active = (wt > 0)
-            bad = active & ~inside
-            oob |= bad
-            take = active & inside
-            if take.any():
-                flat = np.ravel_multi_index([idx[take, ax] for ax in range(d)],
-                                            (side,) * d)
-                out[take] += wt[take] * arr.ravel()[flat]
-        out[oob] = np.inf
-        return out
+        return multilinear(self.layers[pos], i0, u - i0)
 
     @property
     def horizon(self) -> float:
@@ -220,6 +181,8 @@ class MetricTable:
         arr, reach = self.layers[k], self.reaches[k]
         t = self.layer_times[k] * self.dt
         lim = self.cone.speed * t
+        pos = grid_points([np.arange(-reach, reach + 1)] * self.dimension) * self.dx
+        in_cone = (np.linalg.norm(pos, axis=-1) <= lim).reshape(arr.shape)
         worst = 0.0
         for ax in range(self.dimension):
             a = np.moveaxis(arr, ax, 0)
@@ -227,12 +190,7 @@ class MetricTable:
                 diff = np.abs(a[1:] - a[:-1]) / self.dx
             finite = np.isfinite(diff)
             # keep only pairs inside the cone
-            idxs = np.moveaxis(
-                np.stack(np.meshgrid(*[np.arange(2 * reach + 1)] * self.dimension,
-                                     indexing="ij")), 0, -1) - reach
-            pos = idxs * self.dx
-            inside = np.linalg.norm(pos, axis=-1) <= lim
-            inside = np.moveaxis(inside, ax, 0)
+            inside = np.moveaxis(in_cone, ax, 0)
             mask = finite & inside[1:] & inside[:-1]
             if mask.any():
                 worst = max(worst, float(diff[mask].max()))
@@ -276,9 +234,7 @@ class MetricTable:
 def _offsets(dimension: int, step_radius: float) -> np.ndarray:
     """Integer vectors o with |o| <= step_radius, lexicographically sorted."""
     s = int(np.floor(step_radius + 1e-9))
-    rng = np.arange(-s, s + 1)
-    mesh = np.meshgrid(*[rng] * dimension, indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=-1)
+    pts = grid_points([np.arange(-s, s + 1)] * dimension)
     keep = np.linalg.norm(pts, axis=1) <= step_radius + 1e-9
     return pts[keep]
 
@@ -291,7 +247,7 @@ def _cost_tiles(lagrangian: LagrangianField, offsets: np.ndarray,
     the step from source w (residue r) to w + o dx.
     """
     d = offsets.shape[1]
-    res = np.stack(np.meshgrid(*[np.arange(big_m)] * d, indexing="ij"), axis=-1)
+    res = grid_points([np.arange(big_m)] * d).reshape((big_m,) * d + (d,))
     tiles = []
     for o in offsets:
         mid = np.mod((2 * res + o) , 2 * big_m) / (2.0 * big_m)
@@ -377,7 +333,6 @@ def extract_minimizing_path(table: MetricTable, t: float, x) -> DiscretePath:
     smallest increment.  Requires a table built with keep="all"."""
     if table.provenance.get("keep") != "all":
         raise ConfigurationError("path extraction requires keep='all' table")
-    d = table.dimension
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if not table.cone.contains(t, x):
         raise DomainError(f"({t}, {x}) outside the cone")
@@ -387,33 +342,25 @@ def extract_minimizing_path(table: MetricTable, t: float, x) -> DiscretePath:
     if not np.isfinite(value):
         raise UnreachableError(f"metric is +inf at ({t}, {x})")
 
+    # cand holds the sums the DP min-ed into the target, so the table value
+    # is their first minimum: the lexicographically smallest such increment
     big_m = as_int_exact(1.0 / table.dx, "1/dx")
-    nodes = [j.copy()]
-    cur = j.copy()
+    offsets = table.offsets
+    tiles = np.stack(table.tiles)
+    rows = np.arange(len(offsets))
+    nodes = [j]
+    cur = j
     for k in range(k_final, 0, -1):
-        arr_prev = table.layers[k - 1]
-        reach_prev = table.reaches[k - 1]
-        target_val = table.layers[k][tuple(cur + table.reaches[k])]
-        best = None
-        best_off = None
-        for o, tile in zip(table.offsets, table.tiles):
-            src = cur - o
-            if np.any(np.abs(src) > reach_prev):
-                continue
-            pv = arr_prev[tuple(src + reach_prev)]
-            if not np.isfinite(pv):
-                continue
-            r = tuple(np.mod(src, big_m)) if d > 1 else (int(np.mod(src[0], big_m)),)
-            cand = pv + tile[r]
-            if cand == target_val:
-                best_off = o
-                break
-            if best is None or cand < best:
-                best, best_off = cand, o
-        if best_off is None:
+        reach = table.reaches[k - 1]
+        src = cur - offsets
+        inside = np.all(np.abs(src) <= reach, axis=1)
+        prev = table.layers[k - 1][tuple(np.clip(src + reach, 0, 2 * reach).T)]
+        cand = np.where(inside, prev + tiles[(rows,) + tuple(np.mod(src, big_m).T)], np.inf)
+        best = int(np.argmin(cand))
+        if not np.isfinite(cand[best]):
             raise UnreachableError("backtracking found no predecessor")
-        cur = cur - best_off
-        nodes.append(cur.copy())
+        cur = src[best]
+        nodes.append(cur)
     nodes.reverse()
     pts = np.asarray(nodes, dtype=float) * table.dx
     return DiscretePath(dt=table.dt, nodes=pts, cost=float(value))

@@ -21,7 +21,7 @@ from .effective import EffectiveModel
 from .errors import ConfigurationError, DomainError
 from .legendre import LagrangianField
 from .metric import MetricTable
-from .util import format_float, golden_minimize
+from .util import box_cell, format_float, golden_minimize, grid_points, multilinear
 
 
 @dataclass
@@ -142,10 +142,7 @@ def solve_oscillatory(u0: InitialData, lagrangian: LagrangianField,
     for i, y in enumerate(targets):
         lo = np.ceil((y - radius) / eps).astype(int)
         hi = np.floor((y + radius) / eps).astype(int)
-        axes = [np.arange(l, h + 1) for l, h in zip(lo, hi)]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        js = np.stack([m.ravel() for m in mesh], axis=-1)
-        xs = js * eps
+        xs = grid_points([np.arange(l, h + 1) for l, h in zip(lo, hi)]) * eps
         keep = np.linalg.norm(xs - y, axis=1) <= radius + 1e-12
         xs = xs[keep]
         mvals = table.interpolate_many(big_t, (y - xs) / eps)
@@ -153,7 +150,13 @@ def solve_oscillatory(u0: InitialData, lagrangian: LagrangianField,
         k = int(np.argmin(obj))
         best = obj[k]
         if refine:
-            best = min(best, _refine_point(u0, table, big_t, eps, y, xs[k], radius))
+            def objective(pt):
+                if np.linalg.norm(pt - y) > radius:
+                    return np.inf
+                return float(u0(pt) + eps * table.interpolate_many(big_t, (y - pt) / eps)[0])
+
+            best = min(best, _golden_refine(objective, xs[k], objective(xs[k]),
+                                            eps, -np.inf, np.inf))
         values[i] = best + t * shift
     return SolutionField(
         t=t, points=targets, values=values, eps=eps,
@@ -162,23 +165,21 @@ def solve_oscillatory(u0: InitialData, lagrangian: LagrangianField,
                     "shift": shift, "refined": int(refine)})
 
 
-def _refine_point(u0, table, big_t, eps, y, x0, radius):
-    """Per-axis golden-section passes around the discrete argmin."""
+def _golden_refine(objective, x0, best, step, lo, hi):
+    """Two passes of per-axis golden search around x0, axis ax on
+    [max(lo, x_ax - step), min(hi, x_ax + step)] at pass time; an axis moves
+    only when it lowers ``best``.  step, lo, hi broadcast over the axes.
+    Returns the lowest value found."""
     x = np.array(x0, dtype=float)
-
-    def objective(pt):
-        if np.linalg.norm(pt - y) > radius:
-            return np.inf
-        return float(u0(pt) + eps * table.interpolate_many(big_t, ((y - pt) / eps)[None, :])[0])
-
-    best = objective(x)
+    step, lo, hi, _ = np.broadcast_arrays(step, lo, hi, x)
     for _ in range(2):
         for ax in range(len(x)):
             def g(s, ax=ax):
                 pt = x.copy()
                 pt[ax] = s
                 return objective(pt)
-            s_opt, val = golden_minimize(g, x[ax] - eps, x[ax] + eps, iters=24)
+            s_opt, val = golden_minimize(g, max(lo[ax], x[ax] - step[ax]),
+                                         min(hi[ax], x[ax] + step[ax]), iters=24)
             if val < best:
                 best = val
                 x[ax] = s_opt
@@ -193,8 +194,7 @@ def solve_effective(u0: InitialData, model: EffectiveModel, t: float,
     ltab = model.lagrangian_table
     d = ltab.dimension
     shift = model.provenance.get("shift", 0.0)
-    mesh = np.meshgrid(*ltab.axes, indexing="ij")
-    vgrid = np.stack([m.ravel() for m in mesh], axis=-1)
+    vgrid = grid_points(ltab.axes)
     lvals = ltab.values.ravel()
     targets = np.asarray(targets, dtype=float).reshape(-1, d)
     values = np.empty(len(targets))
@@ -206,24 +206,11 @@ def solve_effective(u0: InitialData, model: EffectiveModel, t: float,
         k = int(np.argmin(obj))
         best = obj[k]
         if refine:
-            v = vgrid[k].copy()
-
             def objective(vv):
                 lv, clamped = ltab.interpolate(vv[None, :])
                 return float(u0((y - t * vv)[None, :])[0] + t * lv[0])
 
-            for _ in range(2):
-                for ax in range(d):
-                    def g(s, ax=ax):
-                        vv = v.copy()
-                        vv[ax] = s
-                        return objective(vv)
-                    lo = max(v_lo[ax], v[ax] - v_step[ax])
-                    hi = min(v_hi[ax], v[ax] + v_step[ax])
-                    s_opt, val = golden_minimize(g, lo, hi, iters=24)
-                    if val < best:
-                        best = val
-                        v[ax] = s_opt
+            best = _golden_refine(objective, vgrid[k], best, v_step, v_lo, v_hi)
         values[i] = best + t * shift
     return SolutionField(
         t=t, points=targets, values=values, eps=0.0,
@@ -256,9 +243,8 @@ def solve_fd_oracle(u0: InitialData, spec, eps: float, t: float, targets,
     lo = targets.min(axis=0) - speed * t - box_margin
     hi = targets.max(axis=0) + speed * t + box_margin
     axes = [np.arange(l, hh + h, h) for l, hh in zip(lo, hi)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack(mesh, axis=-1)
-    u = u0(pts.reshape(-1, d)).reshape(pts.shape[:-1])
+    nodes = grid_points(axes)
+    u = u0(nodes).reshape(tuple(len(a) for a in axes))
     dt_fd = cfl * h / (alpha * d)
     n_steps = int(np.ceil(t / dt_fd))
     if n_steps < 1:
@@ -266,7 +252,7 @@ def solve_fd_oracle(u0: InitialData, spec, eps: float, t: float, targets,
     dt_fd = t / n_steps
     if dt_fd > cfl * h / (alpha * d) + 1e-15:
         raise ConfigurationError("CFL violation after rounding to the horizon")
-    xov = np.mod(pts / eps, 1.0).reshape(-1, d)
+    xov = np.mod(nodes / eps, 1.0)
     for _ in range(n_steps):
         up = np.pad(u, 1, mode="edge")
         grads = []
@@ -284,33 +270,11 @@ def solve_fd_oracle(u0: InitialData, spec, eps: float, t: float, targets,
         grad = np.stack(grads, axis=-1).reshape(-1, d)
         ham = evaluate_hamiltonian(spec, xov, grad).reshape(u.shape)
         u = u - dt_fd * ham + dt_fd * alpha * visc
-    interp_axes = axes
-    vals = _grid_interp(u, interp_axes, targets)
-    vals = vals + t * spec.normalization_shift
+    i0, w, _ = box_cell(axes, targets)  # the box covers every target
+    vals = multilinear(u, i0, w) + t * spec.normalization_shift
     return SolutionField(
         t=t, points=targets, values=vals, eps=eps,
         provenance={"spec": spec.content_hash(), "scheme": "lax-friedrichs",
                     "h": h, "dt_fd": dt_fd, "alpha": alpha,
                     "shift": spec.normalization_shift})
 
-
-def _grid_interp(u, axes, points):
-    d = len(axes)
-    out = np.zeros(len(points))
-    i0s, ws = [], []
-    for ax in range(d):
-        nodes = axes[ax]
-        q = np.clip(points[:, ax], nodes[0], nodes[-1])
-        step = nodes[1] - nodes[0]
-        t = (q - nodes[0]) / step
-        i0 = np.clip(np.floor(t).astype(int), 0, len(nodes) - 2)
-        i0s.append(i0)
-        ws.append(t - i0)
-    for corner in np.ndindex(*(2,) * d):
-        w = np.ones(len(points))
-        idx = []
-        for ax in range(d):
-            idx.append(i0s[ax] + corner[ax])
-            w = w * (ws[ax] if corner[ax] else 1.0 - ws[ax])
-        out += w * u[tuple(idx)]
-    return out

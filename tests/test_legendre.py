@@ -136,3 +136,12 @@ def test_interpolate_clamps_and_reports():
     vals, clamped = f.interpolate(np.array([[0.25], [3.0]]))
     assert vals[0] == pytest.approx(0.0625, abs=0.2)
     assert not clamped[0] and clamped[1]
+
+
+def test_interpolate_exact_node_next_to_inf_is_finite():
+    # the zero-weight corner is +inf outside the effective domain; 0 * inf
+    # must not turn the node value into nan
+    f = ConvexFunctionTable((np.array([0., 1., 2.]),), np.array([0., 1., np.inf]),
+                            VELOCITY_DOMAIN)
+    vals, clamped = f.interpolate([[1.0]])
+    assert vals[0] == 1.0 and not clamped[0]

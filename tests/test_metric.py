@@ -275,3 +275,57 @@ def test_frame_kernel_bitwise_equals_gather_kernel(d, big_m, s, n_layers, keep):
     assert reaches[-1] >= 3 * big_m
     for got, want in zip(table.layers, layers):
         assert np.array_equal(got, want)
+
+
+def loop_backtrack(table, t, x):
+    """The per-offset loop form of path backtracking, kept as the reference:
+    the first offset whose sum equals the table value, else the first
+    minimum.  Returns (lattice nodes, cost)."""
+    big_m = round(1.0 / table.dx)
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    cur = np.round(x / table.dx).astype(int)
+    nodes = [cur.copy()]
+    for k in range(round(t / table.dt), 0, -1):
+        arr_prev, reach_prev = table.layers[k - 1], table.reaches[k - 1]
+        target_val = table.layers[k][tuple(cur + table.reaches[k])]
+        best = best_off = None
+        for o, tile in zip(table.offsets, table.tiles):
+            src = cur - o
+            if np.any(np.abs(src) > reach_prev):
+                continue
+            pv = arr_prev[tuple(src + reach_prev)]
+            if not np.isfinite(pv):
+                continue
+            cand = pv + tile[tuple(np.mod(src, big_m))]
+            if cand == target_val:
+                best_off = o
+                break
+            if best is None or cand < best:
+                best, best_off = cand, o
+        cur = cur - best_off
+        nodes.append(cur.copy())
+    nodes.reverse()
+    return np.asarray(nodes), table.value_at(t, x)
+
+
+# (lagrangian, horizon, dt, dx, vmax, targets); every case backtracks through
+# steps where several increments reach the minimum
+BACKTRACK_CASES = [
+    (FREE, 1.0, 0.25, 0.25, 4.0, [(1.0, 2.0), (1.0, 0.0), (0.75, -1.25)]),
+    (OSC, 2.0, 0.125, 0.125, 6.0, [(1.0, 2.0), (2.0, 3.0), (1.0, -1.0), (2.0, 0.375)]),
+    (FREE2, 1.0, 0.25, 0.25, 4.0, [(1.0, (1.0, 0.5)), (1.0, (0.0, 0.0))]),
+    (OSC2, 2.0, 0.25, 0.125, 4.0, [(1.0, (1.0, -0.5)), (2.0, (2.5, 1.25)),
+                                   (1.5, (-0.625, 0.0))]),
+]
+
+
+@pytest.mark.parametrize("case", range(len(BACKTRACK_CASES)))
+def test_vectorised_backtracking_equals_loop(case):
+    lagr, horizon, dt, dx, vmax, targets = BACKTRACK_CASES[case]
+    table = compute_metric_table(lagr, horizon=horizon, dt=dt, dx=dx, vmax=vmax)
+    for t, x in targets:
+        path = extract_minimizing_path(table, t, x)
+        nodes, cost = loop_backtrack(table, t, x)
+        assert np.array_equal(path.nodes, nodes * dx)
+        assert path.cost == cost
+        assert path.recompute_cost(lagr) == pytest.approx(cost, abs=1e-10)
