@@ -16,13 +16,6 @@ EXIT_RESOLUTION = 3
 EXIT_PROPERTY = 4
 
 
-def _add_common(sub):
-    sub.add_argument("--config", required=True, help="key=value config file")
-    sub.add_argument("--out", required=True, help="output directory")
-    sub.add_argument("--threads", type=int, default=1)
-    sub.add_argument("--verbose", action="store_true")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hjhom",
@@ -35,12 +28,20 @@ def build_parser() -> argparse.ArgumentParser:
         ("metric", "build and export a metric table"),
     ]:
         sub = subs.add_parser(name, help=help_text)
-        _add_common(sub)
+        sub.add_argument("--config", required=True, help="key=value config file")
+        sub.add_argument("--out", required=True, help="output directory")
+        sub.add_argument("--threads", type=int, default=1,
+                         help="worker threads for the rate eps sweep; other commands take 1")
+        sub.add_argument("--verbose", action="store_true")
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    if args.threads < 1 or (args.threads > 1 and args.command != "rate"):
+        print(f"config error: --threads {args.threads}: {args.command} takes "
+              f"{'at least 1' if args.command == 'rate' else 'only 1'}", file=sys.stderr)
+        return EXIT_CONFIG
     try:
         cfg = parse_config(args.config)
         if args.command == "effective":
@@ -52,8 +53,8 @@ def main(argv=None) -> int:
             run_metric(cfg, args.out, verbose=args.verbose)
         elif args.command == "properties":
             checks = run_property_suite(cfg, args.out, verbose=args.verbose)
-            if not all(c.passed for c in checks):
-                failed = [c.name for c in checks if not c.passed]
+            failed = [c.name for c in checks if not c.passed]
+            if failed:
                 print(f"property checks failed: {', '.join(failed)}",
                       file=sys.stderr)
                 return EXIT_PROPERTY

@@ -27,10 +27,8 @@ class Config:
     entries: dict = field(default_factory=dict)   # key -> (value str, line)
     path: str = "<memory>"
 
-    def has(self, key: str) -> bool:
-        return key in self.entries
-
-    def _raw(self, key: str, default=None, required: bool = False) -> str | None:
+    def get_str(self, key: str, default=None, required: bool = False) -> str | None:
+        """The raw value string of key; every typed getter reads through it."""
         if key in self.entries:
             return self.entries[key][0]
         if required:
@@ -40,90 +38,66 @@ class Config:
     def _line(self, key: str) -> int:
         return self.entries[key][1]
 
-    def get_str(self, key: str, default=None, required=False):
-        return self._raw(key, default, required)
+    def _typed(self, key: str, default, required: bool, parse, noun: str):
+        """key's value through ``parse``; a value it rejects is reported with
+        its line."""
+        raw = self.get_str(key, None, required)
+        if raw is None:
+            return default
+        try:
+            return parse(raw)
+        except ValueError:
+            raise ConfigError(
+                f"{self.path}:{self._line(key)}: {key} = {raw!r} is not {noun}")
+
+    def _chunks(self, key: str, default, parse, noun: str):
+        """Each non-empty ';'-separated chunk of key's value through ``parse``;
+        a chunk it rejects is reported with the key's line."""
+        raw = self.get_str(key)
+        if raw is None:
+            return default
+        out = []
+        for chunk in filter(None, (c.strip() for c in raw.split(";"))):
+            try:
+                out.append(parse(chunk))
+            except ValueError:
+                raise ConfigError(f"{self.path}:{self._line(key)}: bad {noun} {chunk!r}")
+        return out
 
     def get_float(self, key: str, default=None, required=False):
-        raw = self._raw(key, None, required)
-        if raw is None:
-            return default
-        try:
-            return float(raw)
-        except ValueError:
-            raise ConfigError(
-                f"{self.path}:{self._line(key)}: {key} = {raw!r} is not a number")
+        return self._typed(key, default, required, float, "a number")
 
     def get_int(self, key: str, default=None, required=False):
-        raw = self._raw(key, None, required)
-        if raw is None:
-            return default
-        try:
-            return int(raw)
-        except ValueError:
-            raise ConfigError(
-                f"{self.path}:{self._line(key)}: {key} = {raw!r} is not an integer")
+        return self._typed(key, default, required, int, "an integer")
 
     def get_floats(self, key: str, default=None):
-        raw = self._raw(key)
-        if raw is None:
-            return default
-        try:
-            return [float(tok) for tok in raw.split(",") if tok.strip()]
-        except ValueError:
-            raise ConfigError(
-                f"{self.path}:{self._line(key)}: {key} = {raw!r} is not a comma list")
+        return self._typed(key, default, False,
+                           lambda raw: [float(t) for t in raw.split(",") if t.strip()],
+                           "a comma list")
 
     def get_terms(self, key: str):
         """Semicolon-separated "amplitude,k1,...,kd" tuples."""
-        raw = self._raw(key)
-        if raw is None:
-            return []
-        out = []
-        for chunk in raw.split(";"):
-            chunk = chunk.strip()
-            if not chunk:
-                continue
-            toks = [t.strip() for t in chunk.split(",")]
-            try:
-                amp = float(toks[0])
-                k = tuple(int(t) for t in toks[1:])
-            except (ValueError, IndexError):
-                raise ConfigError(
-                    f"{self.path}:{self._line(key)}: bad potential term {chunk!r}")
-            if not k:
-                raise ConfigError(
-                    f"{self.path}:{self._line(key)}: term {chunk!r} lacks a wave vector")
-            out.append((amp, k))
-        return out
+        return self._chunks(key, [], _term, "potential term")
 
     def get_vectors(self, key: str, default=None):
         """Semicolon-separated comma-vectors, e.g. "0,0; 0.5,0"."""
-        raw = self._raw(key)
-        if raw is None:
-            return default
-        out = []
-        for chunk in raw.split(";"):
-            chunk = chunk.strip()
-            if not chunk:
-                continue
-            try:
-                out.append([float(t) for t in chunk.split(",")])
-            except ValueError:
-                raise ConfigError(
-                    f"{self.path}:{self._line(key)}: bad vector {chunk!r}")
-        return out
+        return self._chunks(key, default, lambda c: [float(t) for t in c.split(",")],
+                            "vector")
+
+
+def _term(chunk: str) -> tuple:
+    amp, *k = chunk.split(",")
+    if not k:
+        raise ValueError("no wave vector")
+    return float(amp), tuple(int(c) for c in k)
 
 
 def parse_config_text(text: str, path: str = "<memory>") -> Config:
     entries = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
+        stripped = line.split("#", 1)[0].strip()   # a comment runs to the line end
+        if not stripped:
             continue
-        if "#" in stripped:
-            stripped = stripped.split("#", 1)[0].strip()
-            if not stripped:
-                continue
         if "=" not in stripped:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
         key, _, value = stripped.partition("=")

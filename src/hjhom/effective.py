@@ -15,15 +15,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, DomainError
-from .hamiltonian import FAMILY_QUADRATIC, HamiltonianSpec
 from .legendre import (
     VELOCITY_DOMAIN,
     ConvexFunctionTable,
     LagrangianField,
+    build_lagrangian,
     legendre_transform,
 )
 from .metric import MetricTable, _offsets, compute_metric_table, default_speed_cap
-from .util import format_float, grid_points
+from .util import grid_points, write_rows
 
 
 @dataclass
@@ -40,28 +40,20 @@ class EffectiveMetricResult:
         return np.asarray(self.gs) - self.limit
 
 
-def effective_metric(table, t: float, x, n_max: int) -> EffectiveMetricResult:
+def effective_metric(table: MetricTable, t: float, x,
+                     n_max: int) -> EffectiveMetricResult:
     """g_n = n^{-1} m(n t, 0, n x) for doubling n, with the two-level
     Richardson extrapolant 2 g_{2n} - g_n as the limit.
 
-    ``table`` is a MetricTable or a callable horizon -> MetricTable.  If the
-    available horizon cannot reach n_max, a partial result is returned with
-    ``flagged`` set.
+    If the table's horizon cannot reach n_max, a partial result is returned
+    with ``flagged`` set.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    if callable(table):
-        table = table(n_max * t)
     if not table.cone.contains(t, x):
         raise DomainError(f"({t}, {x}) outside the table cone")
-    ns = []
-    n = 1
-    flagged = False
-    while n <= n_max:
-        if n * t > table.horizon + 1e-9:
-            flagged = True
-            break
-        ns.append(n)
-        n *= 2
+    doubling = [2**i for i in range(int(n_max).bit_length())]   # 1, 2, 4, ... <= n_max
+    ns = [n for n in doubling if n * t <= table.horizon + 1e-9]
+    flagged = len(ns) < len(doubling)
     if not ns:
         raise ConfigurationError("table horizon does not even cover n = 1")
     gs = [table.interpolate(n * t, n * x) / n for n in ns]
@@ -110,21 +102,14 @@ class EffectiveModel:
                   for i in range(len(vs)) if vs[i] > vs[i0]]
         return float(min(chords))
 
-    def to_csv(self, lbar_path, hbar_path, diag_path=None) -> None:
+    def to_csv(self, lbar_path, hbar_path, diag_path) -> None:
         self.lagrangian_table.to_csv(lbar_path)
         self.hamiltonian_table.to_csv(hbar_path)
-        if diag_path is not None:
-            with open(diag_path, "w") as fh:
-                d = self.lagrangian_table.dimension
-                fh.write("# schema=hjhom.effective-diagnostics.v1\n")
-                cols = [f"v{i+1}" for i in range(d)] + ["n", "g_n", "gap"]
-                fh.write(",".join(cols) + "\n")
-                for rec in self.diagnostics:
-                    for n, g in zip(rec["ns"], rec["gs"]):
-                        row = [format_float(c) for c in rec["v"]]
-                        row += [str(n), format_float(g),
-                                format_float(g - rec["limit"])]
-                        fh.write(",".join(row) + "\n")
+        cols = [f"v{i+1}" for i in range(self.lagrangian_table.dimension)]
+        rows = [(*rec["v"], n, g, g - rec["limit"]) for rec in self.diagnostics
+                for n, g in zip(rec["ns"], rec["gs"])]
+        write_rows(diag_path, ["# schema=hjhom.effective-diagnostics.v1",
+                               ",".join(cols + ["n", "g_n", "gap"])], rows, ",")
 
 
 def _rational_scale(v: np.ndarray,
@@ -132,13 +117,11 @@ def _rational_scale(v: np.ndarray,
     """Smallest b <= max_denominator with b v integer within 1e-9, b v rounded,
     and True; without one, the b of the best bounded-denominator approximation
     and False (the ray then samples round(b v)/b, not v)."""
-    for b in range(1, max_denominator + 1):
-        scaled = b * v
-        if np.max(np.abs(scaled - np.round(scaled))) <= 1e-9:
-            return b, np.round(scaled), True
     best_b, best_err = 1, np.inf
     for b in range(1, max_denominator + 1):
         err = np.max(np.abs(b * v - np.round(b * v)))
+        if err <= 1e-9:
+            return b, np.round(b * v), True
         if err < best_err - 1e-15:
             best_b, best_err = b, err
     return best_b, np.round(best_b * v), False
@@ -148,8 +131,7 @@ def build_effective_model(lagrangian: LagrangianField,
                           v_box_half: float, v_step: float, n_max: int,
                           dt: float, dx: float, vmax: float | None = None,
                           p_box_half: float | None = None, p_step: float = 0.125,
-                          max_denominator: int = 8,
-                          table: MetricTable | None = None) -> EffectiveModel:
+                          max_denominator: int = 8) -> EffectiveModel:
     """Sample Lbar(v) on a symmetric velocity grid and conjugate it to Hbar.
 
     One metric table with horizon n_max serves every velocity: the ray for v
@@ -165,12 +147,8 @@ def build_effective_model(lagrangian: LagrangianField,
     v_axes = (axis,) * d
     if vmax is None:
         vmax = default_speed_cap(lagrangian, float(np.linalg.norm([v_box_half] * d)))
-    if table is None:
-        table = compute_metric_table(lagrangian, horizon=float(n_max), dt=dt, dx=dx,
-                                     vmax=vmax, keep="integers")
-    elif table.horizon + 1e-9 < n_max:
-        raise ConfigurationError(
-            f"supplied table horizon {table.horizon} < n_max = {n_max}")
+    table = compute_metric_table(lagrangian, horizon=float(n_max), dt=dt, dx=dx,
+                                 vmax=vmax, keep="integers")
 
     values = np.empty((len(axis),) * d)
     diagnostics = []
@@ -213,10 +191,9 @@ def cell_problem_oracle(spec_or_lagrangian, p, t_long: float = 128.0,
     update are deliberately separate from the cone-table DP so the two
     routes stay independent; only the offset enumeration is shared.
     """
-    if isinstance(spec_or_lagrangian, LagrangianField):
-        lagr = spec_or_lagrangian
-    else:
-        lagr = _oracle_lagrangian(spec_or_lagrangian)
+    lagr = spec_or_lagrangian
+    if not isinstance(lagr, LagrangianField):
+        lagr = build_lagrangian(lagr)
     d = lagr.dimension
     p = np.atleast_1d(np.asarray(p, dtype=float))
     if p.shape != (d,):
@@ -255,35 +232,29 @@ def cell_problem_oracle(spec_or_lagrangian, p, t_long: float = 128.0,
     return est
 
 
-def _oracle_lagrangian(spec: HamiltonianSpec) -> LagrangianField:
-    if spec.family != FAMILY_QUADRATIC or np.isfinite(spec.momentum_cap):
-        from .legendre import build_lagrangian
-        return build_lagrangian(spec)
-    return LagrangianField(spec, closed_form=True)
-
-
 # ---------------------------------------------------------------------------
 # One-dimensional quadrature / bisection oracle.
 
-def flat_piece_radius_1d(potential, n_quad: int = 8192) -> float:
+def _torus_values(potential) -> np.ndarray:
+    """V at the 8192 quadrature nodes j / 8192 of the unit torus."""
+    return np.atleast_1d(potential((np.arange(8192) / 8192)[:, None]))
+
+
+def flat_piece_radius_1d(potential) -> float:
     """p0 = integral over the torus of sqrt(V - min V); H-bar = -min V on |p| <= p0."""
-    xs = np.arange(n_quad) / n_quad
-    vals = np.atleast_1d(potential(xs[:, None]))
+    vals = _torus_values(potential)
     vmin = vals.min()
     return float(np.mean(np.sqrt(np.maximum(vals - vmin, 0.0))))
 
 
-def effective_hamiltonian_quadrature_1d(potential, p: float,
-                                        n_quad: int = 8192,
-                                        tol: float = 1e-10) -> float:
-    """Solve |p| = integral sqrt(h + V(x)) dx for h by bisection (d = 1).
+def effective_hamiltonian_quadrature_1d(potential, p: float) -> float:
+    """Solve |p| = integral sqrt(h + V(x)) dx for h by bisection to 1e-10 (d = 1).
 
     Below the flat-piece radius the answer is -min V.  The integrand is
     smooth and periodic for h > -min V, so the uniform-grid mean converges
     rapidly.
     """
-    xs = np.arange(n_quad) / n_quad
-    vals = np.atleast_1d(potential(xs[:, None]))
+    vals = _torus_values(potential)
     vmin = float(vals.min())
     p_abs = abs(float(p))
 
@@ -301,6 +272,6 @@ def effective_hamiltonian_quadrature_1d(potential, p: float,
             lo = mid
         else:
             hi = mid
-        if hi - lo < tol:
+        if hi - lo < 1e-10:
             break
     return 0.5 * (lo + hi)

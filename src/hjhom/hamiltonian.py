@@ -133,9 +133,6 @@ class HamiltonianSpec:
         if not self.momentum_cap > 0:
             raise DomainError("momentum_cap must be positive")
 
-    def potential_values(self, x) -> np.ndarray:
-        return self.potential(x)
-
     def describe(self) -> str:
         return (
             f"{self.family}:d={self.dimension}:V[{self.potential.describe()}]"
@@ -157,7 +154,7 @@ def evaluate_hamiltonian(spec: HamiltonianSpec, x, p):
     if not (np.isfinite(x).all() and np.isfinite(p).all()):
         raise DomainError("non-finite x or p")
     psq = np.sum(p * p, axis=-1)
-    val = psq - spec.potential_values(x)
+    val = psq - spec.potential(x)
     if np.isfinite(spec.momentum_cap):
         capped = np.sqrt(psq) >= spec.momentum_cap
         val = np.where(capped, psq, val)
@@ -189,11 +186,6 @@ def torus_grid(dimension: int, n: int = TORUS_GRID_POINTS) -> np.ndarray:
     return grid_points([np.arange(n) / n] * dimension)
 
 
-def momentum_grid(dimension: int, half_width: float = MOMENTUM_BOX,
-                  n: int = MOMENTUM_GRID_POINTS) -> np.ndarray:
-    return grid_points([np.linspace(-half_width, half_width, n)] * dimension)
-
-
 def check_normalized(spec: HamiltonianSpec, n: int = TORUS_GRID_POINTS) -> float:
     """max over the torus grid of H(x, 0); <= -1 for a normalized spec."""
     xs = torus_grid(spec.dimension, n)
@@ -201,20 +193,18 @@ def check_normalized(spec: HamiltonianSpec, n: int = TORUS_GRID_POINTS) -> float
     return float(np.max(evaluate_hamiltonian(spec, xs, zeros)))
 
 
-def check_convexity_in_p(spec: HamiltonianSpec, half_width: float = MOMENTUM_BOX,
-                         n: int = MOMENTUM_GRID_POINTS,
-                         torus_n: int = 8) -> float:
+def check_convexity_in_p(spec: HamiltonianSpec) -> float:
     """Worst midpoint-convexity defect of H(x, .) along axis momentum lines.
 
     Returns max over grid x and momentum nodes of
     2 H(x, mid) - H(x, p) - H(x, q) for axis-adjacent p, q; <= 0 up to
     roundoff when H(x, .) is convex on the box.
     """
-    xs = torus_grid(spec.dimension, torus_n)
+    xs = torus_grid(spec.dimension, 8)
     worst = -np.inf
-    line = np.linspace(-half_width, half_width, n)
+    line = np.linspace(-MOMENTUM_BOX, MOMENTUM_BOX, MOMENTUM_GRID_POINTS)
     for axis in range(spec.dimension):
-        p = np.zeros((n, spec.dimension))
+        p = np.zeros((len(line), spec.dimension))
         p[:, axis] = line
         vals = np.stack([evaluate_hamiltonian(spec, x[None, :], p) for x in xs])
         defect = 2.0 * vals[:, 1:-1] - vals[:, :-2] - vals[:, 2:]
@@ -222,14 +212,14 @@ def check_convexity_in_p(spec: HamiltonianSpec, half_width: float = MOMENTUM_BOX
     return worst
 
 
-def check_coercivity(spec: HamiltonianSpec, half_width: float = MOMENTUM_BOX,
-                     n: int = MOMENTUM_GRID_POINTS) -> float:
+def check_coercivity(spec: HamiltonianSpec) -> float:
     """Smallest grid radius beyond which min_x H(x, p) >= |p|^2 / 2.
 
     For the quadratic family the analytic answer is sqrt(2 max V); returns
     +inf if the bound still fails at the box edge.
     """
-    ps = momentum_grid(spec.dimension, half_width, n)
+    ps = grid_points([np.linspace(-MOMENTUM_BOX, MOMENTUM_BOX, MOMENTUM_GRID_POINTS)]
+                     * spec.dimension)
     radii = np.linalg.norm(ps, axis=-1)
     xs = torus_grid(spec.dimension, 8)
     hmin = np.full(len(ps), np.inf)
@@ -243,12 +233,11 @@ def check_coercivity(spec: HamiltonianSpec, half_width: float = MOMENTUM_BOX,
     return r if r < radii.max() - 1e-12 else np.inf
 
 
-def check_periodicity(spec: HamiltonianSpec, rng: np.random.Generator,
-                      samples: int = 64) -> float:
-    """max |H(x + e_j, p) - H(x, p)| over random samples; 0 by construction."""
+def check_periodicity(spec: HamiltonianSpec, rng: np.random.Generator) -> float:
+    """max |H(x + e_j, p) - H(x, p)| over 64 random samples; 0 by construction."""
     d = spec.dimension
-    xs = rng.uniform(-2, 2, size=(samples, d))
-    ps = rng.uniform(-4, 4, size=(samples, d))
+    xs = rng.uniform(-2, 2, size=(64, d))
+    ps = rng.uniform(-4, 4, size=(64, d))
     worst = 0.0
     for j in range(d):
         e = np.zeros(d)
@@ -271,10 +260,6 @@ def _as_points(a, d: int, name: str) -> np.ndarray:
 
 
 # Convenience constructors used throughout tests and the harness.
-
-def constant_potential(dimension: int, value: float = 1.0) -> CosinePotential:
-    return CosinePotential(dimension, value)
-
 
 def cosine_spec(dimension: int, a0: float, *terms) -> HamiltonianSpec:
     """Spec with V = a0 + sum amp cos(2 pi k . x); terms are (amp, k) pairs."""

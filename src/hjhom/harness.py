@@ -19,7 +19,12 @@ from .config import Config, ConfigError, spec_from_config
 from .effective import build_effective_model, cell_problem_oracle
 from .errors import ResolutionError
 from .legendre import build_lagrangian
-from .metric import compute_metric_table, default_speed_cap, extract_minimizing_path
+from .metric import (
+    compute_metric_table,
+    default_speed_cap,
+    extract_minimizing_path,
+    metric_point,
+)
 from .properties import (
     check_linear_growth,
     check_subadditivity,
@@ -37,7 +42,7 @@ from .solver import (
     zero_data,
 )
 from .surgery import path_surgery, surgery_csv
-from .util import format_float
+from .util import format_float, write_rows
 
 
 def u0_from_config(cfg: Config, dimension: int) -> InitialData:
@@ -75,8 +80,6 @@ def target_set(dimension: int, count: int, radius: float) -> np.ndarray:
             vec[0] = r * np.cos(ang)
             vec[1] = r * np.sin(ang)
             pts.append(vec)
-            if len(pts) == count:
-                return np.asarray(pts)
     return np.asarray(pts[:count])
 
 
@@ -91,11 +94,25 @@ def _grids(cfg: Config, lagrangian, max_ratio: float):
     return dt, dx, vmax
 
 
-def _write_dat(path, rows, header: str) -> None:
-    with open(path, "w") as fh:
-        fh.write(f"# {header}\n")
-        for a, b in rows:
-            fh.write(f"{format_float(a)} {format_float(b)}\n")
+def _effective_model(cfg: Config, lagr, v_box: float, v_step: float,
+                     dt: float, dx: float, vmax: float):
+    """The effective model from the effective.* keys.  v_box is the
+    command's resolved effective.v_box, v_step its effective.v_step default,
+    vmax the effective.vmax default."""
+    return build_effective_model(
+        lagr, v_box_half=v_box, v_step=cfg.get_float("effective.v_step", v_step),
+        n_max=cfg.get_int("effective.n_max", 8), dt=dt, dx=dx,
+        vmax=cfg.get_float("effective.vmax", vmax),
+        p_box_half=cfg.get_float("effective.p_box"),
+        p_step=cfg.get_float("effective.p_step", 0.125),
+        max_denominator=cfg.get_int("effective.max_denominator", 8))
+
+
+def _profile(table) -> list:
+    """(first-axis node, value) rows of a ConvexFunctionTable on the line
+    through the middle node of the other axes."""
+    mid = tuple(len(a) // 2 for a in table.axes[1:])
+    return [(a, table.values[(i,) + mid]) for i, a in enumerate(table.axes[0])]
 
 
 # ---------------------------------------------------------------------------
@@ -110,17 +127,14 @@ def run_metric(cfg: Config, out_dir, verbose: bool = False):
     os.makedirs(out_dir, exist_ok=True)
     table.to_csv(os.path.join(out_dir, "metric.csv"))
     # profile figure: m(T, z) along the first axis
-    rows = []
     k = int(round(horizon))
-    reach = table.cone.speed * k
-    z = np.zeros(spec.dimension)
-    for j in range(-int(reach / dx), int(reach / dx) + 1):
-        z[0] = j * dx
-        val = table.interpolate(float(k), z)
-        if np.isfinite(val):
-            rows.append((j * dx, val))
-    _write_dat(os.path.join(out_dir, "metric_profile.dat"),
-               rows, f"z1 m({k},0,z) profile")
+    n = int(table.cone.speed * k / dx)
+    z = np.zeros((2 * n + 1, spec.dimension))
+    z[:, 0] = np.arange(-n, n + 1) * dx
+    rows = [(a, m) for a, m in zip(z[:, 0], table.interpolate_many(float(k), z))
+            if np.isfinite(m)]
+    write_rows(os.path.join(out_dir, "metric_profile.dat"),
+               [f"# z1 m({k},0,z) profile"], rows, " ")
     if verbose:
         print(f"metric table: horizon {horizon}, {len(table.layer_times)} layers")
     return table
@@ -130,29 +144,16 @@ def run_effective(cfg: Config, out_dir, verbose: bool = False):
     spec, _ = spec_from_config(cfg)
     lagr = build_lagrangian(spec)
     v_box = cfg.get_float("effective.v_box", 4.0)
-    v_step = cfg.get_float("effective.v_step", 0.25)
-    n_max = cfg.get_int("effective.n_max", 8)
     dt, dx, vmax = _grids(cfg, lagr, v_box * np.sqrt(spec.dimension))
-    model = build_effective_model(
-        lagr, v_box_half=v_box, v_step=v_step, n_max=n_max, dt=dt, dx=dx,
-        vmax=vmax, p_box_half=cfg.get_float("effective.p_box"),
-        p_step=cfg.get_float("effective.p_step", 0.125),
-        max_denominator=cfg.get_int("effective.max_denominator", 8))
+    model = _effective_model(cfg, lagr, v_box, 0.25, dt, dx, vmax)
     os.makedirs(out_dir, exist_ok=True)
     model.to_csv(os.path.join(out_dir, "lbar.csv"),
                  os.path.join(out_dir, "hbar.csv"),
                  os.path.join(out_dir, "effective_diagnostics.csv"))
-    axis = model.hamiltonian_table.axes[0]
-    hrows = []
-    for i, p in enumerate(axis):
-        idx = (i,) + tuple(len(a) // 2 for a in model.hamiltonian_table.axes[1:])
-        hrows.append((p, model.hamiltonian_table.values[idx]))
-    _write_dat(os.path.join(out_dir, "hbar.dat"), hrows, "p1 Hbar(p1,0,...)")
-    lrows = []
-    for i, v in enumerate(model.lagrangian_table.axes[0]):
-        idx = (i,) + tuple(len(a) // 2 for a in model.lagrangian_table.axes[1:])
-        lrows.append((v, model.lagrangian_table.values[idx]))
-    _write_dat(os.path.join(out_dir, "lbar.dat"), lrows, "v1 Lbar(v1,0,...)")
+    write_rows(os.path.join(out_dir, "hbar.dat"), ["# p1 Hbar(p1,0,...)"],
+               _profile(model.hamiltonian_table), " ")
+    write_rows(os.path.join(out_dir, "lbar.dat"), ["# v1 Lbar(v1,0,...)"],
+               _profile(model.lagrangian_table), " ")
     if verbose:
         print(f"effective model: {len(model.diagnostics)} velocity rays")
     return model
@@ -174,8 +175,6 @@ def run_rate_sweep(cfg: Config, out_dir, threads: int = 1,
     u0 = u0_from_config(cfg, d)
 
     v_box = cfg.get_float("effective.v_box", radius / t + 2.0)
-    v_step = cfg.get_float("effective.v_step", 0.25)
-    n_max = cfg.get_int("effective.n_max", 8)
     max_ratio = max(v_box * np.sqrt(d), radius / t + u0.lipschitz)
     dt, dx, vmax = _grids(cfg, lagr, max_ratio)
 
@@ -184,11 +183,7 @@ def run_rate_sweep(cfg: Config, out_dir, threads: int = 1,
                                  keep="integers")
     # reference effective solution from the double-resolution model; its
     # speed cap covers the velocity box corners, not just the sweep targets
-    vmax_ref = cfg.get_float("effective.vmax", vmax)
-    model_ref = build_effective_model(
-        lagr, v_box_half=v_box, v_step=v_step, n_max=n_max,
-        dt=dt / 2, dx=dx / 2, vmax=vmax_ref,
-        max_denominator=cfg.get_int("effective.max_denominator", 8))
+    model_ref = _effective_model(cfg, lagr, v_box, 0.25, dt / 2, dx / 2, vmax)
     u_bar = solve_effective(u0, model_ref, t, targets)
 
     def sup_error(eps):
@@ -257,12 +252,10 @@ def run_property_suite(cfg: Config, out_dir, verbose: bool = False):
                                 2 * dx * lip, worst <= 2 * dx * lip))
 
     # periodicity: integer translations must reproduce values exactly
-    from .metric import metric_point
     per_worst = 0.0
-    for k, z in list(table.integer_cone_points())[:50]:
-        base = table.value_at(float(k), z.astype(float))
+    for k, z, base in zip(*(a[:50] for a in table.integer_cone())):
         shifted = metric_point(table, float(k), np.ones(d), np.ones(d) + z)
-        per_worst = max(per_worst, abs(base - shifted))
+        per_worst = max(per_worst, abs(float(base) - shifted))
     checks.append(PropertyCheck("periodicity_max_dev", per_worst, 0.0,
                                 per_worst == 0.0))
 
@@ -296,12 +289,8 @@ def run_property_suite(cfg: Config, out_dir, verbose: bool = False):
     # oracle agreement on the configured momentum sample
     p_sample = cfg.get_vectors("oracle.p_sample", [[0.0] * d])
     if p_sample:
-        v_box = cfg.get_float("effective.v_box", 2.5)
-        model = build_effective_model(
-            lagr, v_box_half=v_box,
-            v_step=cfg.get_float("effective.v_step", 0.5),
-            n_max=cfg.get_int("effective.n_max", 8), dt=dt, dx=dx,
-            vmax=cfg.get_float("effective.vmax", vmax))
+        model = _effective_model(cfg, lagr, cfg.get_float("effective.v_box", 2.5), 0.5,
+                                 dt, dx, vmax)
         tol = cfg.get_float("oracle.tol", 0.05)
         worst_dev = 0.0
         for p in p_sample:
@@ -356,12 +345,9 @@ def run_property_suite(cfg: Config, out_dir, verbose: bool = False):
                                     rate >= 0.95))
 
     os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "properties.csv"), "w") as fh:
-        fh.write("# schema=hjhom.properties.v1\n")
-        fh.write("check,value,threshold,passed\n")
-        for c in checks:
-            fh.write(f"{c.name},{format_float(c.value)},"
-                     f"{format_float(c.threshold)},{int(c.passed)}\n")
+    write_rows(os.path.join(out_dir, "properties.csv"),
+               ["# schema=hjhom.properties.v1", "check,value,threshold,passed"],
+               [(c.name, c.value, c.threshold, int(c.passed)) for c in checks], ",")
     if surgery_rows:
         surgery_csv(surgery_rows, os.path.join(out_dir, "surgery.csv"))
     if verbose:

@@ -19,7 +19,7 @@ from .hamiltonian import (
     HamiltonianSpec,
     evaluate_hamiltonian,
 )
-from .util import box_cell, format_float, grid_points, multilinear
+from .util import box_cell, grid_points, multilinear, write_rows
 
 MOMENTUM_DOMAIN = "momentum-domain"
 VELOCITY_DOMAIN = "velocity-domain"
@@ -70,12 +70,11 @@ class ConvexFunctionTable:
                 worst = max(worst, float(defect[finite].max()))
         return worst
 
-    def interpolate(self, points, clamp: bool = True):
+    def interpolate(self, points):
         """Multilinear interpolation at points of shape (..., d).
 
-        Out-of-box queries are clamped to the box when ``clamp`` (reported via
-        the second return value), never extrapolated.
-        Returns (values, clamped_mask).
+        Out-of-box queries are clamped to the box (reported via the second
+        return value), never extrapolated.  Returns (values, clamped_mask).
         """
         pts = np.asarray(points, dtype=float)
         if pts.ndim == 0:
@@ -83,30 +82,21 @@ class ConvexFunctionTable:
         if pts.shape[-1] != self.dimension:
             raise DomainError("query dimension mismatch")
         i0, w, clamped = box_cell(self.axes, pts)
-        if not clamp and clamped.any():
-            raise DomainError("query outside table box")
         return multilinear(self.values, i0, w), clamped
 
     def to_csv(self, path) -> None:
         """Node coordinates plus value, one row per node (debug export)."""
-        with open(path, "w") as fh:
-            cols = [f"v{i+1}" for i in range(self.dimension)]
-            fh.write(f"# schema=hjhom.table.v1 units={self.units}\n")
-            fh.write(",".join(cols + ["value"]) + "\n")
-            for node, val in zip(grid_points(self.axes), self.values.ravel()):
-                fh.write(",".join(format_float(c) for c in (*node, val)) + "\n")
+        cols = [f"v{i+1}" for i in range(self.dimension)] + ["value"]
+        write_rows(path, [f"# schema=hjhom.table.v1 units={self.units}", ",".join(cols)],
+                   ((*node, val) for node, val in zip(grid_points(self.axes),
+                                                      self.values.ravel())), ",")
 
 
-def uniform_axes(box, resolution) -> tuple[np.ndarray, ...]:
-    """Axes for a box ((lo, hi), ...) at the given per-axis node counts."""
-    if np.isscalar(resolution):
-        resolution = [int(resolution)] * len(box)
-    axes = []
-    for (lo, hi), n in zip(box, resolution):
-        if n < 2 or hi <= lo:
-            raise DomainError("each axis needs at least 2 nodes and hi > lo")
-        axes.append(np.linspace(lo, hi, int(n)))
-    return tuple(axes)
+def uniform_axes(box, resolution: int) -> tuple[np.ndarray, ...]:
+    """Axes for a box ((lo, hi), ...) with ``resolution`` nodes per axis."""
+    if resolution < 2 or any(hi <= lo for lo, hi in box):
+        raise DomainError("each axis needs at least 2 nodes and hi > lo")
+    return tuple(np.linspace(lo, hi, int(resolution)) for lo, hi in box)
 
 
 def legendre_transform(f: ConvexFunctionTable, out_box, out_resolution) -> ConvexFunctionTable:
@@ -181,16 +171,7 @@ class LagrangianField:
         if v.ndim == 0:
             v = v.reshape(1)
         if self.closed_form:
-            return np.sum(v * v, axis=-1) / 4.0 + self.spec.potential_values(x)
-        return self._interp(x, v)
-
-    def minimum_bound(self) -> float:
-        """Lower bound for L over all (x, v); >= 1 once the spec is normalized."""
-        if self.closed_form:
-            return self.spec.potential.coefficient_lower_bound()
-        return float(self._table.min())
-
-    def _interp(self, x, v):
+            return np.sum(v * v, axis=-1) / 4.0 + self.spec.potential(x)
         # torus axes wrap through the padded node; velocity axes clamp
         x, v = np.broadcast_arrays(x, v)
         u = np.mod(x, 1.0) * self._x_nodes
@@ -198,6 +179,12 @@ class LagrangianField:
         iv, wv, _ = box_cell(self._v_axes, v)
         return multilinear(self._table, np.concatenate([ix.astype(int), iv], axis=-1),
                            np.concatenate([u - ix, wv], axis=-1))
+
+    def minimum_bound(self) -> float:
+        """Lower bound for L over all (x, v); >= 1 once the spec is normalized."""
+        if self.closed_form:
+            return self.spec.potential.coefficient_lower_bound()
+        return float(self._table.min())
 
 
 def build_lagrangian(spec: HamiltonianSpec,

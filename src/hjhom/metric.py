@@ -42,6 +42,7 @@ from .util import (
     grid_points,
     multilinear,
     round_half_toward_zero,
+    write_rows,
 )
 
 
@@ -51,9 +52,10 @@ class Cone:
 
     speed: float
 
-    def contains(self, t, x, tol: float = 1e-9) -> bool:
+    def contains(self, t, x) -> bool:
+        """Membership with tolerance 1e-9."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        return bool(t >= -tol and np.linalg.norm(x) <= self.speed * t + tol)
+        return bool(t >= -1e-9 and np.linalg.norm(x) <= self.speed * t + 1e-9)
 
 
 def default_speed_cap(lagrangian: LagrangianField, max_ratio: float,
@@ -80,11 +82,6 @@ class DiscretePath:
     dt: float
     nodes: np.ndarray  # (n+1, d)
     cost: float
-    quadrature: str = "midpoint-space/left-time"
-
-    @property
-    def duration(self) -> float:
-        return self.dt * (len(self.nodes) - 1)
 
     def increments(self) -> np.ndarray:
         return np.diff(self.nodes, axis=0)
@@ -177,58 +174,63 @@ class MetricTable:
 
     def lipschitz_estimate(self) -> float:
         """Measured spatial Lipschitz constant of m over the final cone layer."""
-        k = len(self.layer_times) - 1
-        arr, reach = self.layers[k], self.reaches[k]
-        t = self.layer_times[k] * self.dt
-        lim = self.cone.speed * t
-        pos = grid_points([np.arange(-reach, reach + 1)] * self.dimension) * self.dx
-        in_cone = (np.linalg.norm(pos, axis=-1) <= lim).reshape(arr.shape)
+        arr, in_cone = self._cone_cells(len(self.layer_times) - 1, 1)
         worst = 0.0
         for ax in range(self.dimension):
             a = np.moveaxis(arr, ax, 0)
             with np.errstate(invalid="ignore"):
                 diff = np.abs(a[1:] - a[:-1]) / self.dx
-            finite = np.isfinite(diff)
-            # keep only pairs inside the cone
+            # keep only finite pairs inside the cone
             inside = np.moveaxis(in_cone, ax, 0)
-            mask = finite & inside[1:] & inside[:-1]
+            mask = np.isfinite(diff) & inside[1:] & inside[:-1]
             if mask.any():
                 worst = max(worst, float(diff[mask].max()))
         return worst
 
-    def integer_cone_points(self):
-        """Iterate (k, z) with k integer time, z integer point, inside cone."""
+    def _cone_cells(self, pos: int, step: int):
+        """Stored layer pos at the points z = i step dx (i integer), as a view,
+        and the mask of those inside the cone |z| <= C t (tolerance 1e-9)."""
+        reach = self.reaches[pos]
+        m = reach // step
+        z = np.arange(-m, m + 1) * step * self.dx
+        sq = 0.0
+        for ax in range(self.dimension):
+            sq = sq + (z * z).reshape((-1,) + (1,) * (self.dimension - 1 - ax))
+        lim = self.cone.speed * (self.layer_times[pos] * self.dt)
+        view = self.layers[pos][(slice(reach - m * step, None, step),) * self.dimension]
+        return view, np.sqrt(sq) <= lim + 1e-9
+
+    def integer_cone(self):
+        """Integer cone points (k, z) at integer times k >= 1 and the table
+        values there (+inf where unreachable), as arrays k (n,), z (n, d) and
+        values (n,): layer by layer, z lexicographic within a layer."""
+        big_m = as_int_exact(1.0 / self.dx, "1/dx")
+        parts = [(np.zeros(0, int), np.zeros((0, self.dimension), int), np.zeros(0))]
         for pos, k in enumerate(self.layer_times):
             t = k * self.dt
             if abs(t - round(t)) > 1e-9 or round(t) == 0:
                 continue
-            reach = self.reaches[pos]
-            m = int(np.floor(reach * self.dx + 1e-9))
-            for j in np.ndindex(*(2 * m + 1,) * self.dimension):
-                z = np.asarray(j) - m
-                if np.linalg.norm(z) <= self.cone.speed * t + 1e-9:
-                    yield int(round(t)), z
+            view, in_cone = self._cone_cells(pos, big_m)
+            z = np.argwhere(in_cone) - self.reaches[pos] // big_m
+            parts.append((np.full(len(z), int(round(t))), z, view[in_cone]))
+        return tuple(np.concatenate(a) for a in zip(*parts))
 
     def to_csv(self, path) -> None:
-        """Cone-restricted export: k, z_1..z_d, value."""
-        with open(path, "w") as fh:
-            fh.write(
-                "# schema=hjhom.metric.v1 "
-                f"dt={format_float(self.dt)} dx={format_float(self.dx)} "
-                f"vmax={format_float(self.vmax)} cone={format_float(self.cone.speed)} "
-                f"spec={self.provenance.get('spec', '?')}\n")
-            cols = ["k"] + [f"z{i+1}" for i in range(self.dimension)] + ["value"]
-            fh.write(",".join(cols) + "\n")
+        """Cone-restricted export: k, z_1..z_d, value; rows are made one layer
+        at a time."""
+        def rows():
             for pos, k in enumerate(self.layer_times):
-                arr, reach = self.layers[pos], self.reaches[pos]
-                t = k * self.dt
-                lim = self.cone.speed * t
-                for j in np.ndindex(arr.shape):
-                    z = (np.asarray(j) - reach) * self.dx
-                    if np.linalg.norm(z) <= lim + 1e-9 and np.isfinite(arr[j]):
-                        row = [str(int(k))] + [format_float(c) for c in z]
-                        row.append(format_float(arr[j]))
-                        fh.write(",".join(row) + "\n")
+                arr, in_cone = self._cone_cells(pos, 1)
+                keep = in_cone & np.isfinite(arr)
+                z = (np.argwhere(keep) - self.reaches[pos]) * self.dx
+                yield from ((int(k), *zz, v) for zz, v in zip(z, arr[keep]))
+
+        cols = ["k"] + [f"z{i+1}" for i in range(self.dimension)] + ["value"]
+        write_rows(path, [
+            "# schema=hjhom.metric.v1 "
+            f"dt={format_float(self.dt)} dx={format_float(self.dx)} "
+            f"vmax={format_float(self.vmax)} cone={format_float(self.cone.speed)} "
+            f"spec={self.provenance.get('spec', '?')}", ",".join(cols)], rows(), ",")
 
 
 def _offsets(dimension: int, step_radius: float) -> np.ndarray:

@@ -3,7 +3,11 @@
 f(t, x) = m(t, 0, x) restricted to integer space-time points in the cone is
 checked for subadditivity, linear growth and the approximate-geodesic
 property; the gap f - m-bar is fitted against a logarithmic envelope.
-These are measurements: every constant is reported, none is assumed.
+These are measurements: every constant is reported, none is assumed.  The
+integer cone points and their values come from one enumeration,
+``MetricTable.integer_cone``; a check with nothing to measure (too few
+points, no sampled pair under the horizon) raises DomainError rather than
+passing.
 """
 
 from __future__ import annotations
@@ -35,28 +39,20 @@ class ApproximateGeodesic:
         return np.diff(self.nodes, axis=0)
 
 
-def _integer_cone_table(table: MetricTable):
-    pts = []
-    vals = []
-    for k, z in table.integer_cone_points():
-        v = table.value_at(float(k), z.astype(float))
-        if np.isfinite(v):
-            pts.append((k, tuple(int(c) for c in z)))
-            vals.append(v)
-    return pts, np.asarray(vals)
-
-
 def check_subadditivity(table: MetricTable, sample_size: int = 1000,
                         rng: np.random.Generator | None = None) -> float:
     """max over sampled cone pairs of f(z + w) - f(z) - f(w).
 
     The discrete DP concatenates paths through the shared integer node, so
-    violations beyond float roundoff indicate a corrupted table.
+    violations beyond float roundoff indicate a corrupted table.  A table
+    where no sampled pair fits under the horizon raises DomainError.
     """
     if rng is None:
         rng = np.random.default_rng(0)
-    pts, _ = _integer_cone_table(table)
-    if len(pts) < 2:
+    ks, zs, vals = table.integer_cone()
+    finite = np.isfinite(vals)
+    ks, zs, vals = ks[finite], zs[finite], vals[finite]
+    if len(ks) < 2:
         raise DomainError("table has too few integer cone points")
     horizon_k = int(round(table.horizon))
     worst = -np.inf
@@ -64,33 +60,32 @@ def check_subadditivity(table: MetricTable, sample_size: int = 1000,
     attempts = 0
     while tried < sample_size and attempts < 50 * sample_size:
         attempts += 1
-        (k1, z1) = pts[int(rng.integers(len(pts)))]
-        (k2, z2) = pts[int(rng.integers(len(pts)))]
-        if k1 + k2 > horizon_k:
+        i1 = int(rng.integers(len(ks)))
+        i2 = int(rng.integers(len(ks)))
+        k = int(ks[i1] + ks[i2])
+        zs_sum = zs[i1] + zs[i2]
+        if k > horizon_k or not table.cone.contains(k, zs_sum):
             continue
-        zs = np.asarray(z1) + np.asarray(z2)
-        if not table.cone.contains(k1 + k2, zs):
-            continue
-        fz = table.value_at(float(k1), np.asarray(z1, dtype=float))
-        fw = table.value_at(float(k2), np.asarray(z2, dtype=float))
-        fzw = table.value_at(float(k1 + k2), zs.astype(float))
+        fzw = table.value_at(float(k), zs_sum.astype(float))
         if not np.isfinite(fzw):
             continue
-        worst = max(worst, fzw - fz - fw)
+        worst = max(worst, fzw - vals[i1] - vals[i2])
         tried += 1
+    if tried == 0:
+        raise DomainError("no sampled cone pair fits under the table horizon")
     return float(worst)
 
 
 def check_linear_growth(table: MetricTable) -> float:
     """Smallest K >= 1 with K^{-1}|z| - K <= f(z) <= K|z| + K on the cone,
-    |z| the Euclidean norm of the space-time point."""
-    pts, vals = _integer_cone_table(table)
-    k_req = 1.0
-    for (k, z), f in zip(pts, vals):
-        norm = float(np.linalg.norm((k,) + z))
-        k_req = max(k_req, f / (norm + 1.0))
-        k_req = max(k_req, (-f + np.sqrt(f * f + 4.0 * norm)) / 2.0)
-    return float(k_req)
+    |z| the Euclidean norm of the space-time point.  The points are integer,
+    so every norm is exact."""
+    ks, zs, f = table.integer_cone()
+    finite = np.isfinite(f)
+    f = f[finite]
+    norm = np.linalg.norm(np.column_stack([ks, zs])[finite], axis=1)
+    return float(np.concatenate(
+        ([1.0], f / (norm + 1.0), (-f + np.sqrt(f * f + 4.0 * norm)) / 2.0)).max())
 
 
 def extract_approximate_geodesic(table: MetricTable, t: float, x) -> ApproximateGeodesic:

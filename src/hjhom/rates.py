@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError
-from .util import format_float
+from .util import format_float, write_rows
 
 
 @dataclass
@@ -33,27 +33,23 @@ class RateReport:
         return self.beta_drop_largest - self.beta
 
     def to_csv(self, path, extra_header: str = "") -> None:
-        with open(path, "w") as fh:
-            fh.write(
-                "# schema=hjhom.rate.v1 "
-                f"t={format_float(self.t)} beta={format_float(self.beta)} "
-                f"prefactor={format_float(self.prefactor)} "
-                f"residual={format_float(self.residual)} "
-                f"beta_drop_largest={format_float(self.beta_drop_largest)} "
-                f"logfit_C={format_float(self.log_fit.get('C', 0.0))} "
-                f"logfit_C2={format_float(self.log_fit.get('C2', 0.0))} "
-                f"logfit_residual={format_float(self.log_fit.get('residual', 0.0))}"
-                f"{' ' + extra_header if extra_header else ''}\n")
-            fh.write("eps,sup_error\n")
-            for e, err in zip(self.eps, self.errors):
-                fh.write(f"{format_float(e)},{format_float(err)}\n")
+        write_rows(path, [
+            "# schema=hjhom.rate.v1 "
+            f"t={format_float(self.t)} beta={format_float(self.beta)} "
+            f"prefactor={format_float(self.prefactor)} "
+            f"residual={format_float(self.residual)} "
+            f"beta_drop_largest={format_float(self.beta_drop_largest)} "
+            f"logfit_C={format_float(self.log_fit.get('C', 0.0))} "
+            f"logfit_C2={format_float(self.log_fit.get('C2', 0.0))} "
+            f"logfit_residual={format_float(self.log_fit.get('residual', 0.0))}"
+            f"{' ' + extra_header if extra_header else ''}", "eps,sup_error"],
+            zip(self.eps, self.errors), ",")
 
     def to_plot_data(self, path) -> None:
         """Two-column gnuplot data: log10(eps), log10(error)."""
-        with open(path, "w") as fh:
-            fh.write("# log10(eps) log10(sup_error)\n")
-            for e, err in zip(self.eps, self.errors):
-                fh.write(f"{format_float(np.log10(e))} {format_float(np.log10(err))}\n")
+        write_rows(path, ["# log10(eps) log10(sup_error)"],
+                   ((np.log10(e), np.log10(err)) for e, err in zip(self.eps, self.errors)),
+                   " ")
 
 
 def fit_rate(eps, errors, t: float = 1.0) -> RateReport:

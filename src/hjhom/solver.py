@@ -21,7 +21,8 @@ from .effective import EffectiveModel
 from .errors import ConfigurationError, DomainError
 from .legendre import LagrangianField
 from .metric import MetricTable
-from .util import box_cell, format_float, golden_minimize, grid_points, multilinear
+from .util import (box_cell, format_float, golden_minimize, grid_points, multilinear,
+                   write_rows)
 
 
 @dataclass
@@ -43,11 +44,11 @@ class InitialData:
         return InitialData(lambda x, _f=self.evaluator: _f(x) + c,
                            self.lipschitz, f"{self.family}+const", self.dimension)
 
-    def check_lipschitz(self, rng: np.random.Generator, samples: int = 256,
-                        box: float = 8.0) -> float:
-        """max ratio |u0(x)-u0(y)| / |x-y| on random pairs; <= lipschitz."""
-        a = rng.uniform(-box, box, size=(samples, self.dimension))
-        b = rng.uniform(-box, box, size=(samples, self.dimension))
+    def check_lipschitz(self, rng: np.random.Generator) -> float:
+        """max ratio |u0(x)-u0(y)| / |x-y| on 256 random pairs in [-8, 8]^d;
+        <= lipschitz."""
+        a = rng.uniform(-8.0, 8.0, size=(256, self.dimension))
+        b = rng.uniform(-8.0, 8.0, size=(256, self.dimension))
         num = np.abs(self(a) - self(b))
         den = np.linalg.norm(a - b, axis=1)
         keep = den > 1e-12
@@ -104,22 +105,18 @@ class SolutionField:
         return worst
 
     def to_csv(self, path) -> None:
-        d = self.points.shape[1]
-        with open(path, "w") as fh:
-            fh.write(
-                "# schema=hjhom.solution.v1 "
-                f"t={format_float(self.t)} eps={format_float(self.eps)} "
-                + " ".join(f"{k}={v}" for k, v in sorted(self.provenance.items())
-                           if not k.startswith("_")) + "\n")
-            fh.write(",".join([f"y{i+1}" for i in range(d)] + ["value"]) + "\n")
-            for pt, val in zip(self.points, self.values):
-                fh.write(",".join([format_float(c) for c in pt]
-                                  + [format_float(val)]) + "\n")
+        cols = [f"y{i+1}" for i in range(self.points.shape[1])] + ["value"]
+        write_rows(path, [
+            "# schema=hjhom.solution.v1 "
+            f"t={format_float(self.t)} eps={format_float(self.eps)} "
+            + " ".join(f"{k}={v}" for k, v in sorted(self.provenance.items())
+                       if not k.startswith("_")), ",".join(cols)],
+            ((*pt, val) for pt, val in zip(self.points, self.values)), ",")
 
 
 def solve_oscillatory(u0: InitialData, lagrangian: LagrangianField,
                       eps: float, t: float, targets,
-                      table: MetricTable, refine: bool = True) -> SolutionField:
+                      table: MetricTable) -> SolutionField:
     """Representation-formula solution at scale eps on the target set.
 
     The table must cover horizon t/eps; the minimization runs over x in
@@ -148,21 +145,20 @@ def solve_oscillatory(u0: InitialData, lagrangian: LagrangianField,
         mvals = table.interpolate_many(big_t, (y - xs) / eps)
         obj = u0(xs) + eps * mvals
         k = int(np.argmin(obj))
-        best = obj[k]
-        if refine:
-            def objective(pt):
-                if np.linalg.norm(pt - y) > radius:
-                    return np.inf
-                return float(u0(pt) + eps * table.interpolate_many(big_t, (y - pt) / eps)[0])
 
-            best = min(best, _golden_refine(objective, xs[k], objective(xs[k]),
-                                            eps, -np.inf, np.inf))
+        def objective(pt):
+            if np.linalg.norm(pt - y) > radius:
+                return np.inf
+            return float(u0(pt) + eps * table.interpolate_many(big_t, (y - pt) / eps)[0])
+
+        best = min(obj[k], _golden_refine(objective, xs[k], objective(xs[k]),
+                                          eps, -np.inf, np.inf))
         values[i] = best + t * shift
     return SolutionField(
         t=t, points=targets, values=values, eps=eps,
         provenance={"spec": lagrangian.spec.content_hash(),
                     "dt": table.dt, "dx": table.dx, "vmax": table.vmax,
-                    "shift": shift, "refined": int(refine)})
+                    "shift": shift})
 
 
 def _golden_refine(objective, x0, best, step, lo, hi):
@@ -187,7 +183,7 @@ def _golden_refine(objective, x0, best, step, lo, hi):
 
 
 def solve_effective(u0: InitialData, model: EffectiveModel, t: float,
-                    targets, refine: bool = True) -> SolutionField:
+                    targets) -> SolutionField:
     """Inf-convolution u-bar(t, y) = min_x u0(x) + t Lbar((y - x)/t)."""
     if t <= 0:
         raise DomainError("t must be positive")
@@ -204,29 +200,27 @@ def solve_effective(u0: InitialData, model: EffectiveModel, t: float,
     for i, y in enumerate(targets):
         obj = u0(y - t * vgrid) + t * lvals
         k = int(np.argmin(obj))
-        best = obj[k]
-        if refine:
-            def objective(vv):
-                lv, clamped = ltab.interpolate(vv[None, :])
-                return float(u0((y - t * vv)[None, :])[0] + t * lv[0])
 
-            best = _golden_refine(objective, vgrid[k], best, v_step, v_lo, v_hi)
+        def objective(vv):
+            lv, _ = ltab.interpolate(vv[None, :])
+            return float(u0((y - t * vv)[None, :])[0] + t * lv[0])
+
+        best = _golden_refine(objective, vgrid[k], obj[k], v_step, v_lo, v_hi)
         values[i] = best + t * shift
     return SolutionField(
         t=t, points=targets, values=values, eps=0.0,
         provenance={"spec": model.provenance.get("spec"), "shift": shift,
-                    "n_max": model.provenance.get("n_max"),
-                    "refined": int(refine)})
+                    "n_max": model.provenance.get("n_max")})
 
 
 def solve_fd_oracle(u0: InitialData, spec, eps: float, t: float, targets,
-                    points_per_eps: int = 64, cfl: float = 0.45,
+                    points_per_eps: int = 64,
                     box_margin: float = 1.0) -> SolutionField:
     """Monotone Lax-Friedrichs solution of the oscillatory problem (oracle).
 
     Central Hamiltonian evaluation with artificial viscosity alpha = max
-    |D_p H| per axis; CFL keeps the scheme monotone.  The box is sized so
-    boundary influence (finite speed) cannot reach the targets.
+    |D_p H| per axis; CFL number 0.45 keeps the scheme monotone.  The box is
+    sized so boundary influence (finite speed) cannot reach the targets.
     """
     from .hamiltonian import evaluate_hamiltonian
 
@@ -245,12 +239,12 @@ def solve_fd_oracle(u0: InitialData, spec, eps: float, t: float, targets,
     axes = [np.arange(l, hh + h, h) for l, hh in zip(lo, hi)]
     nodes = grid_points(axes)
     u = u0(nodes).reshape(tuple(len(a) for a in axes))
-    dt_fd = cfl * h / (alpha * d)
+    dt_fd = 0.45 * h / (alpha * d)
     n_steps = int(np.ceil(t / dt_fd))
     if n_steps < 1:
         raise ConfigurationError("CFL produced no time steps")
     dt_fd = t / n_steps
-    if dt_fd > cfl * h / (alpha * d) + 1e-15:
+    if dt_fd > 0.45 * h / (alpha * d) + 1e-15:
         raise ConfigurationError("CFL violation after rounding to the horizon")
     xov = np.mod(nodes / eps, 1.0)
     for _ in range(n_steps):

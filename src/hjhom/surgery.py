@@ -6,17 +6,24 @@ cross after suitable cyclic shifts; splicing at the crossing produces a path
 through (t, x) whose extra cost witnesses 2 m(t, 0, x) <= m(2t, 0, 2x) + C.
 The winding-number argument guarantees a crossing exists on the continuous
 shift family, so failure of the grid search is treated as under-resolution.
+
+Every cyclic shift (``cyclic_shift``, the shifts ``find_crossing`` scores,
+the splice in ``path_surgery``) rotates increments through one routine,
+``_rolled_increments``.  The crossing search scores every shift pair as one distance array and picks
+what a walk over the pairs in scan order would pick.  The spliced path is
+costed from its own increments (not from differences of its nodes), with
+the table's quadrature.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, ResolutionError
 from .metric import DiscretePath, MetricTable
-from .util import as_int_exact, format_float
+from .util import as_int_exact, write_rows
 
 
 @dataclass
@@ -54,19 +61,26 @@ def cyclic_shift(path: SpaceTimePath2D, c: float) -> SpaceTimePath2D:
         raise DomainError("shift must lie in [0, t]")
     m_float = c / path.dt
     m = int(round(m_float))
-    snapped = abs(m_float - m) > 1e-9
-    out = path.nodes[:1].copy()
-    inc = np.roll(path.increments(), -m, axis=0)
-    out = np.vstack([out, out[0] + np.cumsum(inc, axis=0)])
-    out[:, 0] = path.nodes[:, 0]
-    return SpaceTimePath2D(path.dt, out, snapped=snapped)
+    out = np.column_stack([path.nodes[:, 0], _shifted_spatial(path, m)])
+    return SpaceTimePath2D(path.dt, out, snapped=abs(m_float - m) > 1e-9)
+
+
+def _rolled_increments(nodes: np.ndarray, m: int) -> np.ndarray:
+    """Increments of a uniformly stepped polyline, rotated left by m steps."""
+    return np.roll(np.diff(nodes, axis=0), -m, axis=0)
 
 
 def _shifted_spatial(path: SpaceTimePath2D, m: int) -> np.ndarray:
     """Spatial nodes of the cyclic shift by m steps, keeping the start."""
-    inc = np.roll(np.diff(path.nodes[:, 1:], axis=0), -m, axis=0)
     start = path.nodes[0, 1:]
+    inc = _rolled_increments(path.nodes[:, 1:], m)
     return np.vstack([start, start + np.cumsum(inc, axis=0)])
+
+
+def _walk(start: int, end: int, n: int) -> list:
+    """Shifts 0..n in scan order: start, then toward end, then away."""
+    up, down = list(range(start + 1, n + 1)), list(range(start - 1, -1, -1))
+    return [start] + (up + down if end >= start else down + up)
 
 
 @dataclass
@@ -78,70 +92,42 @@ class Crossing:
     separation: float
 
 
-def find_crossing(eta1: SpaceTimePath2D, eta2: SpaceTimePath2D,
-                  shift_grid: int | None = None,
-                  tolerance: float | None = None) -> Crossing:
+def find_crossing(eta1: SpaceTimePath2D, eta2: SpaceTimePath2D) -> Crossing:
     """Search shift pairs (c1, c2) for a time s where the shifted paths meet.
 
     The scan starts from the half-space-extremal shifts (third coordinate
     argmax of eta1, argmin of eta2) and walks toward the opposite extremal
     configuration, scoring each pair by the minimum spatial separation over
-    common times.  No pair within tolerance after the full scan raises a
-    resolution error.
+    common times.  All pairs are scored at once; the pick is the first pair
+    in scan order whose separation is <= 1e-12, otherwise the first
+    minimum.  A best separation above the longest step raises a resolution
+    error.
     """
     if eta1.steps != eta2.steps or abs(eta1.dt - eta2.dt) > 1e-12:
         raise DomainError("paths must share the time lattice")
     n = eta1.steps
-    stride = 1
-    if shift_grid is not None and shift_grid < n:
-        stride = max(1, n // shift_grid)
-    if tolerance is None:
-        step1 = np.linalg.norm(np.diff(eta1.spatial(), axis=0), axis=1).max()
-        step2 = np.linalg.norm(np.diff(eta2.spatial(), axis=0), axis=1).max()
-        tolerance = max(step1, step2) + 1e-9
-
-    shifted1 = {m: _shifted_spatial(eta1, m) for m in range(0, n + 1, stride)}
-    shifted2 = {m: _shifted_spatial(eta2, m) for m in range(0, n + 1, stride)}
+    tolerance = max(np.linalg.norm(np.diff(eta.spatial(), axis=0), axis=1).max()
+                    for eta in (eta1, eta2)) + 1e-9
 
     third1 = eta1.nodes[:, 2]
     third2 = eta2.nodes[:, 2]
-    start1, end1 = int(np.argmax(third1)), int(np.argmin(third1))
-    start2, end2 = int(np.argmin(third2)), int(np.argmax(third2))
-
-    def walk(start, end, keys):
-        keys = sorted(keys)
-        si = min(range(len(keys)), key=lambda i: abs(keys[i] - start))
-        order = [keys[si]]
-        left = keys[:si][::-1]
-        right = keys[si + 1:]
-        toward = right if end >= start else left
-        away = left if end >= start else right
-        order += toward + away
-        return order
-
-    best = None
-    for m1 in walk(start1, end1, shifted1.keys()):
-        a1 = shifted1[m1]
-        for m2 in walk(start2, end2, shifted2.keys()):
-            diff = a1 - shifted2[m2]
-            dist = np.linalg.norm(diff, axis=1)
-            j = int(np.argmin(dist))
-            if best is None or dist[j] < best[0]:
-                mid = 0.5 * (a1[j] + shifted2[m2][j])
-                best = (float(dist[j]), m1, m2, j, mid)
-                if best[0] <= 1e-12:
-                    break
-        else:
-            continue
-        break
-    sep, m1, m2, j, mid = best
+    order1 = _walk(int(np.argmax(third1)), int(np.argmin(third1)), n)
+    order2 = _walk(int(np.argmin(third2)), int(np.argmax(third2)), n)
+    a1 = np.stack([_shifted_spatial(eta1, m) for m in order1])
+    a2 = np.stack([_shifted_spatial(eta2, m) for m in order2])
+    dist = np.linalg.norm(a1[:, None] - a2[None, :], axis=-1)   # (m1, m2, s)
+    score = dist.min(axis=-1).ravel()
+    hits = np.flatnonzero(score <= 1e-12)
+    i1, i2 = divmod(int(hits[0]) if len(hits) else int(np.argmin(score)), n + 1)
+    j = int(np.argmin(dist[i1, i2]))
+    sep = float(dist[i1, i2, j])
     if sep > tolerance:
         raise ResolutionError(
             f"no crossing within tolerance {tolerance:.3g} (best {sep:.3g}); "
             "refine the time lattice")
-    witness = np.concatenate(([j * eta1.dt], mid))
-    return Crossing(c1=m1 * eta1.dt, c2=m2 * eta2.dt, s=j * eta1.dt,
-                    witness=witness, separation=sep)
+    witness = np.concatenate(([j * eta1.dt], 0.5 * (a1[i1, j] + a2[i2, j])))
+    return Crossing(c1=order1[i1] * eta1.dt, c2=order2[i2] * eta2.dt,
+                    s=j * eta1.dt, witness=witness, separation=sep)
 
 
 @dataclass
@@ -150,7 +136,6 @@ class SurgeryResult:
     gap: float                   # cost(path) - cost(input minimizer)
     lemma_gap: float             # 2 m(t,0,x) - m(2t,0,2x) from the table
     crossing: Crossing | None
-    diagnostic_nodes: np.ndarray = field(default_factory=lambda: np.empty((0, 3)))
 
 
 def path_surgery(gamma: DiscretePath, table: MetricTable) -> SurgeryResult:
@@ -203,10 +188,8 @@ def path_surgery(gamma: DiscretePath, table: MetricTable) -> SurgeryResult:
     m1 = int(round(crossing.c1 / gamma.dt))
     m2 = int(round(crossing.c2 / gamma.dt))
     j = int(round(crossing.s / gamma.dt))
-    inc1 = np.diff(g1, axis=0)
-    inc2 = np.diff(g2, axis=0)
-    rolled1 = np.roll(inc1, -m1, axis=0)
-    rolled2 = np.roll(inc2, -m2, axis=0)
+    rolled1 = _rolled_increments(g1, m1)
+    rolled2 = _rolled_increments(g2, m2)
     first_half = np.vstack([rolled2[:j], rolled1[j:]])
     second_half = np.vstack([rolled2[j:], rolled1[:j]])
     # distribute the residual so the path passes through x and ends at 2x
@@ -219,28 +202,18 @@ def path_surgery(gamma: DiscretePath, table: MetricTable) -> SurgeryResult:
     cost = float(np.sum(gamma.dt * table.lagrangian(
         np.mod((nodes[:-1] + nodes[1:]) / 2.0, 1.0), incs / gamma.dt)))
     new_path = DiscretePath(dt=gamma.dt, nodes=nodes, cost=cost)
-
-    # segment-boundary diagnostic chain (<= 9 nodes)
-    bounds = sorted({0, j, half, half + (half - j), steps})
-    diag = np.column_stack([np.asarray(bounds) * gamma.dt,
-                            nodes[np.asarray(bounds)]])
     return SurgeryResult(path=new_path, gap=cost - gamma.cost,
-                         lemma_gap=lemma_gap, crossing=crossing,
-                         diagnostic_nodes=diag)
+                         lemma_gap=lemma_gap, crossing=crossing)
 
 
 def surgery_csv(results, path) -> None:
     """Diagnostic dump: t, x, lemma gap, crossing shifts, costs."""
-    with open(path, "w") as fh:
-        fh.write("# schema=hjhom.surgery.v1\n")
-        fh.write("t,x1,x2,lemma_gap,surgery_gap,c1,c2,s,cost_before,cost_after\n")
-        for t, x, res in results:
-            c = res.crossing
-            row = [format_float(t), format_float(x[0]), format_float(x[1]),
-                   format_float(res.lemma_gap), format_float(res.gap),
-                   format_float(c.c1 if c else 0.0),
-                   format_float(c.c2 if c else 0.0),
-                   format_float(c.s if c else 0.0),
-                   format_float(res.path.cost - res.gap),
-                   format_float(res.path.cost)]
-            fh.write(",".join(row) + "\n")
+    rows = []
+    for t, x, res in results:
+        c = res.crossing
+        shifts = (c.c1, c.c2, c.s) if c else (0.0, 0.0, 0.0)
+        rows.append((t, x[0], x[1], res.lemma_gap, res.gap, *shifts,
+                     res.path.cost - res.gap, res.path.cost))
+    write_rows(path, ["# schema=hjhom.surgery.v1",
+                      "t,x1,x2,lemma_gap,surgery_gap,c1,c2,s,cost_before,cost_after"],
+               rows, ",")

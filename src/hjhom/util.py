@@ -1,5 +1,9 @@
-"""Small shared helpers: deterministic formatting, rounding, golden search,
-product grids and multilinear interpolation."""
+"""Small shared helpers: deterministic formatting, the one CSV/.dat writer,
+rounding, golden search, product grids and multilinear interpolation.
+
+Every file hjhom writes goes through ``write_rows``: header lines verbatim,
+then one line per row with numbers in ``format_float``'s shortest
+round-trip form, so identical runs write identical bytes."""
 
 from __future__ import annotations
 
@@ -13,6 +17,17 @@ def format_float(x) -> str:
     if isinstance(x, (int, np.integer)):
         return str(int(x))
     return repr(float(x))
+
+
+def write_rows(path, head, rows, sep: str) -> None:
+    """Write the ``head`` lines, then one line per row: its cells (strings as
+    they are, numbers through format_float) joined by ``sep``."""
+    with open(path, "w") as fh:
+        for line in head:
+            fh.write(line + "\n")
+        for row in rows:
+            fh.write(sep.join(c if isinstance(c, str) else format_float(c)
+                              for c in row) + "\n")
 
 
 def round_half_toward_zero(x):
@@ -44,10 +59,10 @@ def golden_minimize(fun, lo: float, hi: float, iters: int = 40) -> tuple[float, 
     return xm, fun(xm)
 
 
-def as_int_exact(x: float, name: str, tol: float = 1e-9) -> int:
-    """Cast to int, requiring |x - round(x)| <= tol."""
+def as_int_exact(x: float, name: str) -> int:
+    """Cast to int, requiring |x - round(x)| <= 1e-9."""
     r = round(float(x))
-    if abs(float(x) - r) > tol:
+    if abs(float(x) - r) > 1e-9:
         from .errors import ConfigurationError
         raise ConfigurationError(f"{name} = {x} is not an integer")
     return int(r)

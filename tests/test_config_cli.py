@@ -162,3 +162,37 @@ seed = 0
     lines = (out / "properties.csv").read_text().splitlines()
     assert lines[1] == "check,value,threshold,passed"
     assert all(line.endswith(",1") for line in lines[2:])
+
+
+METRIC_CFG = """
+dimension = 1
+potential.a0 = 1.0
+grid.dt = 0.25
+grid.dx = 0.25
+grid.vmax = 3.0
+metric.horizon = 1.0
+effective.v_box = 1.0
+effective.v_step = 0.5
+effective.n_max = 2
+"""
+
+
+@pytest.mark.parametrize("command, threads", [
+    ("rate", "0"), ("rate", "-2"), ("metric", "0"),
+    ("effective", "2"), ("properties", "2"), ("metric", "4"),
+])
+def test_cli_rejects_threads_it_would_ignore(tmp_path, capsys, command, threads):
+    cfg = _write(tmp_path, "t.cfg", METRIC_CFG)
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out),
+                 "--threads", threads]) == EXIT_CONFIG
+    assert f"--threads {threads}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["metric", "effective"])
+def test_cli_accepts_one_thread_everywhere(tmp_path, command):
+    cfg = _write(tmp_path, "t.cfg", METRIC_CFG)
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out),
+                 "--threads", "1"]) == EXIT_OK

@@ -59,19 +59,6 @@ def test_partial_result_flagged_on_short_horizon():
     assert res.ns == [1, 2]
 
 
-def test_effective_metric_accepts_builder():
-    built = []
-
-    def builder(horizon):
-        built.append(horizon)
-        return compute_metric_table(FREE, horizon=horizon, dt=0.25, dx=0.25,
-                                    vmax=4.0, keep="integers")
-
-    res = effective_metric(builder, 1.0, 2.0, 4)
-    assert built == [4.0]
-    assert res.limit == pytest.approx(2.0, abs=1e-12)
-
-
 def test_homogeneity_of_limit():
     table = compute_metric_table(OSC, horizon=8.0, dt=0.125, dx=0.125, vmax=4.0,
                                  keep="integers")

@@ -131,3 +131,41 @@ seed = 0
             "surgery_success_rate"} <= names
     assert all(c.passed for c in checks), [c for c in checks if not c.passed]
     assert (tmp_path / "out" / "surgery.csv").exists()
+
+
+def test_property_suite_reads_every_effective_key(tmp_path, monkeypatch):
+    # effective.max_denominator, p_box and p_step reach the model, as in the
+    # effective and rate commands
+    import hjhom.harness as harness
+
+    built = []
+
+    def spy(*args, **kwargs):
+        built.append(build_effective_model(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(harness, "build_effective_model", spy)
+    cfg = parse_config_text("""
+dimension = 1
+potential.a0 = 1.0
+grid.dt = 0.25
+grid.dx = 0.25
+grid.vmax = 4.0
+metric.horizon = 2.0
+properties.sample_size = 20
+oracle.p_sample = 0.5
+oracle.t_long = 8.0
+effective.v_box = 1.0
+effective.v_step = 0.5
+effective.n_max = 2
+effective.max_denominator = 1
+effective.p_box = 1.0
+effective.p_step = 0.25
+""")
+    run_property_suite(cfg, str(tmp_path / "out"))
+    model = built[0]
+    assert model.provenance["max_denominator"] == 1
+    flags = {float(rec["v"][0]): rec["flagged"] for rec in model.diagnostics}
+    assert flags[0.5] and flags[-0.5] and not flags[1.0]
+    np.testing.assert_array_equal(model.hamiltonian_table.axes[0],
+                                  np.linspace(-1.0, 1.0, 9))

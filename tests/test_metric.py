@@ -132,8 +132,8 @@ def test_subadditivity_equality_free_case():
 
 def test_values_nonnegative_and_at_least_t():
     table = compute_metric_table(OSC, horizon=2.0, dt=0.25, dx=0.25, vmax=4.0)
-    for k, z in table.integer_cone_points():
-        assert table.value_at(float(k), z.astype(float)) >= k - 1e-12
+    ks, _, vals = table.integer_cone()
+    assert len(ks) and np.all(vals >= ks - 1e-12)
 
 
 def test_configuration_errors():
@@ -329,3 +329,35 @@ def test_vectorised_backtracking_equals_loop(case):
         assert np.array_equal(path.nodes, nodes * dx)
         assert path.cost == cost
         assert path.recompute_cost(lagr) == pytest.approx(cost, abs=1e-10)
+
+
+def _csv_per_cell(table, path):
+    """Reference: the cone export with a norm test per cell."""
+    from hjhom.util import format_float
+    with open(path, "w") as fh:
+        fh.write(
+            "# schema=hjhom.metric.v1 "
+            f"dt={format_float(table.dt)} dx={format_float(table.dx)} "
+            f"vmax={format_float(table.vmax)} cone={format_float(table.cone.speed)} "
+            f"spec={table.provenance.get('spec', '?')}\n")
+        cols = ["k"] + [f"z{i+1}" for i in range(table.dimension)] + ["value"]
+        fh.write(",".join(cols) + "\n")
+        for pos, k in enumerate(table.layer_times):
+            arr, reach = table.layers[pos], table.reaches[pos]
+            lim = table.cone.speed * (k * table.dt)
+            for j in np.ndindex(arr.shape):
+                z = (np.asarray(j) - reach) * table.dx
+                if np.linalg.norm(z) <= lim + 1e-9 and np.isfinite(arr[j]):
+                    row = [str(int(k))] + [format_float(c) for c in z]
+                    fh.write(",".join(row + [format_float(arr[j])]) + "\n")
+
+
+@pytest.mark.parametrize("lagr, kw", [
+    (OSC, dict(horizon=2.0, dt=0.25, dx=0.125, vmax=3.0, cone=Cone(2.0))),
+    (OSC2, dict(horizon=1.5, dt=0.25, dx=0.25, vmax=4.0, cone=Cone(3.0))),
+])
+def test_csv_export_matches_per_cell_reference(tmp_path, lagr, kw):
+    table = compute_metric_table(lagr, **kw)
+    table.to_csv(tmp_path / "a.csv")
+    _csv_per_cell(table, tmp_path / "b.csv")
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()

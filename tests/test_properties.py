@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hjhom import build_lagrangian, compute_metric_table, cosine_spec
+from hjhom import Cone, DomainError, build_lagrangian, compute_metric_table, cosine_spec
 from hjhom.effective import build_effective_model
 from hjhom.properties import (
     check_linear_growth,
@@ -120,3 +120,58 @@ def test_gap_envelope_nonnegative_oscillatory():
     # f >= f-bar pointwise up to extrapolation tolerance
     assert rep.min_gap >= -0.06
     assert np.isfinite(rep.envelope_constant)
+
+
+OSC2 = build_lagrangian(cosine_spec(2, 3.0, (1.0, (1, 0)), (1.0, (0, 1))))
+
+
+def _integer_cone_points(table):
+    """Reference: the cone enumerated point by point, layer by layer."""
+    for pos, k in enumerate(table.layer_times):
+        t = k * table.dt
+        if abs(t - round(t)) > 1e-9 or round(t) == 0:
+            continue
+        m = int(np.floor(table.reaches[pos] * table.dx + 1e-9))
+        for j in np.ndindex(*(2 * m + 1,) * table.dimension):
+            z = np.asarray(j) - m
+            if np.linalg.norm(z) <= table.cone.speed * t + 1e-9:
+                yield int(round(t)), z
+
+
+def _linear_growth_loop(table):
+    """Reference: K from per-point norms over the finite cone values."""
+    k_req = 1.0
+    for k, z in _integer_cone_points(table):
+        f = table.value_at(float(k), z.astype(float))
+        if not np.isfinite(f):
+            continue
+        norm = float(np.linalg.norm((k,) + tuple(int(c) for c in z)))
+        k_req = max(k_req, f / (norm + 1.0))
+        k_req = max(k_req, (-f + np.sqrt(f * f + 4.0 * norm)) / 2.0)
+    return float(k_req)
+
+
+@pytest.mark.parametrize("lagr, kw", [
+    (OSC, dict(horizon=4.0, dt=0.25, dx=0.25, vmax=4.0)),
+    (OSC, dict(horizon=3.0, dt=0.125, dx=0.0625, vmax=5.0, keep="integers")),
+    (OSC, dict(horizon=3.0, dt=0.5, dx=1 / 3, vmax=3.0, cone=Cone(2.5))),
+    (OSC2, dict(horizon=3.0, dt=0.25, dx=0.25, vmax=4.0)),
+    (OSC2, dict(horizon=2.0, dt=0.25, dx=0.125, vmax=3.0, cone=Cone(2.2),
+                keep="integers")),
+])
+def test_integer_cone_and_growth_match_pointwise_reference(lagr, kw):
+    table = compute_metric_table(lagr, **kw)
+    ks, zs, vals = table.integer_cone()
+    ref = list(_integer_cone_points(table))
+    assert ks.tolist() == [k for k, _ in ref]
+    assert zs.tolist() == [z.tolist() for _, z in ref]
+    want = [table.value_at(float(k), z.astype(float)) for k, z in ref]
+    np.testing.assert_array_equal(vals, want)
+    assert check_linear_growth(table) == _linear_growth_loop(table)
+
+
+def test_subadditivity_raises_when_no_pair_fits():
+    # horizon 1: every pair of cone points has k1 + k2 = 2 > 1
+    table = free_table(horizon=1.0)
+    with pytest.raises(DomainError, match="no sampled cone pair"):
+        check_subadditivity(table, sample_size=50)

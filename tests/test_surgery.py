@@ -3,12 +3,14 @@ import pytest
 
 from hjhom import (
     DomainError,
+    ResolutionError,
     build_lagrangian,
     compute_metric_table,
     cosine_spec,
     extract_minimizing_path,
 )
 from hjhom.surgery import (
+    Crossing,
     SpaceTimePath2D,
     cyclic_shift,
     find_crossing,
@@ -144,3 +146,100 @@ def test_surgery_csv(tmp_path):
     lines = out.read_text().splitlines()
     assert lines[1].startswith("t,x1,x2,")
     assert len(lines) == 4
+
+
+def _find_crossing_walk(eta1, eta2):
+    """Reference: the scan as a walk over shift pairs, stopping at the first
+    pair within 1e-12, else keeping the first strict minimum."""
+    n = eta1.steps
+    step1 = np.linalg.norm(np.diff(eta1.spatial(), axis=0), axis=1).max()
+    step2 = np.linalg.norm(np.diff(eta2.spatial(), axis=0), axis=1).max()
+    tolerance = max(step1, step2) + 1e-9
+
+    def shifted(path, m):
+        inc = np.roll(np.diff(path.nodes[:, 1:], axis=0), -m, axis=0)
+        start = path.nodes[0, 1:]
+        return np.vstack([start, start + np.cumsum(inc, axis=0)])
+
+    shifted1 = {m: shifted(eta1, m) for m in range(n + 1)}
+    shifted2 = {m: shifted(eta2, m) for m in range(n + 1)}
+    third1, third2 = eta1.nodes[:, 2], eta2.nodes[:, 2]
+    start1, end1 = int(np.argmax(third1)), int(np.argmin(third1))
+    start2, end2 = int(np.argmin(third2)), int(np.argmax(third2))
+
+    def walk(start, end, keys):
+        keys = sorted(keys)
+        si = min(range(len(keys)), key=lambda i: abs(keys[i] - start))
+        left, right = keys[:si][::-1], keys[si + 1:]
+        return [keys[si]] + (right + left if end >= start else left + right)
+
+    best = None
+    for m1 in walk(start1, end1, shifted1.keys()):
+        a1 = shifted1[m1]
+        for m2 in walk(start2, end2, shifted2.keys()):
+            dist = np.linalg.norm(a1 - shifted2[m2], axis=1)
+            j = int(np.argmin(dist))
+            if best is None or dist[j] < best[0]:
+                mid = 0.5 * (a1[j] + shifted2[m2][j])
+                best = (float(dist[j]), m1, m2, j, mid)
+                if best[0] <= 1e-12:
+                    break
+        else:
+            continue
+        break
+    sep, m1, m2, j, mid = best
+    if sep > tolerance:
+        raise ResolutionError("no crossing")
+    return Crossing(c1=m1 * eta1.dt, c2=m2 * eta2.dt, s=j * eta1.dt,
+                    witness=np.concatenate(([j * eta1.dt], mid)), separation=sep)
+
+
+def _crossing_or_error(eta1, eta2, fn):
+    try:
+        return fn(eta1, eta2)
+    except ResolutionError:
+        return None
+
+
+def _random_pairs():
+    rng = np.random.default_rng(5)
+    for case in range(60):
+        n = int(rng.integers(1, 13))
+        dt = 0.25
+        times = np.arange(n + 1) * dt
+        if case % 3 == 0:
+            # dyadic steps: exact crossings and tied separations
+            inc1 = rng.integers(-2, 3, size=(n, 2)) * 0.5
+            inc2 = rng.integers(-2, 3, size=(n, 2)) * 0.5
+        else:
+            inc1 = rng.uniform(-1, 1, size=(n, 2))
+            inc2 = rng.uniform(-1, 1, size=(n, 2))
+        a = 0.0 if case % 5 == 0 else float(rng.uniform(0, 1.5))
+        nodes1 = np.vstack([[a, 0.0], [a, 0.0] + np.cumsum(inc1, axis=0)])
+        nodes2 = np.vstack([[0.0, 0.0], np.cumsum(inc2, axis=0)])
+        if case % 7 == 0:
+            nodes2 = nodes1.copy()      # identical paths: every pair ties at 0
+        yield (SpaceTimePath2D(dt, np.column_stack([times, nodes1])),
+               SpaceTimePath2D(dt, np.column_stack([times, nodes2])))
+    # straight lines meeting at one node, and a = 0 with constant paths
+    s = np.arange(9) * 0.25
+    yield (SpaceTimePath2D(0.25, np.column_stack([s, 1 - s / 2, 0 * s])),
+           SpaceTimePath2D(0.25, np.column_stack([s, s / 2, 0 * s])))
+    yield (SpaceTimePath2D(0.25, np.column_stack([s, 0 * s, 0 * s])),
+           SpaceTimePath2D(0.25, np.column_stack([s, 0 * s, 0 * s])))
+
+
+def test_find_crossing_matches_walk_reference():
+    exact = errors = 0
+    for eta1, eta2 in _random_pairs():
+        got = _crossing_or_error(eta1, eta2, find_crossing)
+        want = _crossing_or_error(eta1, eta2, _find_crossing_walk)
+        assert (got is None) == (want is None)
+        if want is None:
+            errors += 1
+            continue
+        exact += want.separation == 0.0
+        assert (got.c1, got.c2, got.s, got.separation) == \
+            (want.c1, want.c2, want.s, want.separation)
+        np.testing.assert_array_equal(got.witness, want.witness)
+    assert exact >= 10 and errors >= 1
