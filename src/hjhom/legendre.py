@@ -142,7 +142,7 @@ class LagrangianField:
     For the quadratic family with inactive momentum cap the closed form
     L(x, v) = |v|^2 / 4 + V(x) is used; otherwise L is tabulated per torus
     grid point by numerical conjugation and interpolated multilinearly in
-    (x, v).
+    (x, v); a velocity outside the tabulated box raises DomainError.
     """
 
     def __init__(self, spec: HamiltonianSpec, closed_form: bool,
@@ -172,11 +172,14 @@ class LagrangianField:
             v = v.reshape(1)
         if self.closed_form:
             return np.sum(v * v, axis=-1) / 4.0 + self.spec.potential(x)
-        # torus axes wrap through the padded node; velocity axes clamp
+        # torus axes wrap through the padded node; velocity axes end at the box
         x, v = np.broadcast_arrays(x, v)
         u = np.mod(x, 1.0) * self._x_nodes
         ix = np.floor(u)
-        iv, wv, _ = box_cell(self._v_axes, v)
+        iv, wv, clamped = box_cell(self._v_axes, v)
+        if clamped.any():
+            raise DomainError("velocity outside the tabulated box " + " x ".join(
+                f"[{a[0]:g}, {a[-1]:g}]" for a in self._v_axes) + " of L")
         return multilinear(self._table, np.concatenate([ix.astype(int), iv], axis=-1),
                            np.concatenate([u - ix, wv], axis=-1))
 

@@ -2,13 +2,14 @@
 
 The oscillatory solution comes from the control representation
     u_eps(t, y) = inf over |x - y| <= C t of u0(x) + eps m(t/eps, x/eps, y/eps),
-with x restricted to eps Z^d so the metric reduction to the origin-based
-table is exact, then refined by golden section on the interpolated
-objective.  The effective solution is the same inf-convolution with t Lbar
-((y - x)/t).  Both re-add the normalization shift t * a.  The
-Lax-Friedrichs oracle solves the oscillatory PDE directly on a grid that
-resolves the eps-scale; it is a cross-check only and never feeds the rate
-measurements.
+with x first restricted to eps Z^d so the metric reduction to the
+origin-based table is exact.  The effective solution is the same
+inf-convolution with t Lbar((y - x)/t), first over the Lbar grid.  Both then
+refine every target at once by one array golden search on the interpolated
+objective, each target bitwise its one-target search, and re-add the
+normalization shift t * a.  The Lax-Friedrichs oracle solves the
+oscillatory PDE directly on a grid that resolves the eps-scale; it is a
+cross-check only and never feeds the rate measurements.
 """
 
 from __future__ import annotations
@@ -35,10 +36,8 @@ class InitialData:
     dimension: int
 
     def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        single = x.ndim == 1
-        vals = self.evaluator(np.atleast_2d(x))
-        return float(vals[0]) if single else vals
+        """Values at the rows of x (n, d)."""
+        return self.evaluator(np.atleast_2d(np.asarray(x, dtype=float)))
 
     def shifted(self, c: float) -> "InitialData":
         return InitialData(lambda x, _f=self.evaluator: _f(x) + c,
@@ -61,8 +60,11 @@ def cone_data(dimension: int, scale: float = 1.0) -> InitialData:
 
 
 def affine_data(p) -> InitialData:
+    # not x @ p: BLAS rounds a row differently alone than in a batch, and a
+    # point's value must not depend on the points evaluated with it
     p = np.atleast_1d(np.asarray(p, dtype=float))
-    return InitialData(lambda x: x @ p, float(np.linalg.norm(p)), "affine", len(p))
+    return InitialData(lambda x: np.sum(x * p, axis=1), float(np.linalg.norm(p)),
+                       "affine", len(p))
 
 
 def zero_data(dimension: int) -> InitialData:
@@ -109,8 +111,8 @@ class SolutionField:
         write_rows(path, [
             "# schema=hjhom.solution.v1 "
             f"t={format_float(self.t)} eps={format_float(self.eps)} "
-            + " ".join(f"{k}={v}" for k, v in sorted(self.provenance.items())
-                       if not k.startswith("_")), ",".join(cols)],
+            + " ".join(f"{k}={v}" for k, v in sorted(self.provenance.items())),
+            ",".join(cols)],
             ((*pt, val) for pt, val in zip(self.points, self.values)), ",")
 
 
@@ -120,8 +122,8 @@ def solve_oscillatory(u0: InitialData, lagrangian: LagrangianField,
     """Representation-formula solution at scale eps on the target set.
 
     The table must cover horizon t/eps; the minimization runs over x in
-    eps Z^d inside the cone ball |x - y| <= C t, then golden refinement
-    moves x continuously using the spatially interpolated table.
+    eps Z^d inside the cone ball |x - y| <= C t, then one golden refinement
+    of all targets moves x continuously using the spatially interpolated table.
     """
     if not 0 < eps <= 1:
         raise DomainError("eps must lie in (0, 1]")
@@ -135,25 +137,23 @@ def solve_oscillatory(u0: InitialData, lagrangian: LagrangianField,
     shift = lagrangian.spec.normalization_shift
     radius = table.cone.speed * t
     targets = np.asarray(targets, dtype=float).reshape(-1, d)
-    values = np.empty(len(targets))
+    x0 = np.empty_like(targets)
+    coarse = np.empty(len(targets))
     for i, y in enumerate(targets):
         lo = np.ceil((y - radius) / eps).astype(int)
         hi = np.floor((y + radius) / eps).astype(int)
         xs = grid_points([np.arange(l, h + 1) for l, h in zip(lo, hi)]) * eps
-        keep = np.linalg.norm(xs - y, axis=1) <= radius + 1e-12
-        xs = xs[keep]
-        mvals = table.interpolate_many(big_t, (y - xs) / eps)
-        obj = u0(xs) + eps * mvals
+        xs = xs[np.linalg.norm(xs - y, axis=1) <= radius + 1e-12]
+        obj = u0(xs) + eps * table.interpolate_many(big_t, (y - xs) / eps)
         k = int(np.argmin(obj))
+        x0[i], coarse[i] = xs[k], obj[k]
 
-        def objective(pt):
-            if np.linalg.norm(pt - y) > radius:
-                return np.inf
-            return float(u0(pt) + eps * table.interpolate_many(big_t, (y - pt) / eps)[0])
+    def objective(pts):
+        vals = u0(pts) + eps * table.interpolate_many(big_t, (targets - pts) / eps)
+        return np.where(np.linalg.norm(pts - targets, axis=1) > radius, np.inf, vals)
 
-        best = min(obj[k], _golden_refine(objective, xs[k], objective(xs[k]),
-                                          eps, -np.inf, np.inf))
-        values[i] = best + t * shift
+    refined = _golden_refine(objective, x0, objective(x0), eps, -np.inf, np.inf)
+    values = np.where(refined < coarse, refined, coarse) + t * shift
     return SolutionField(
         t=t, points=targets, values=values, eps=eps,
         provenance={"spec": lagrangian.spec.content_hash(),
@@ -162,23 +162,23 @@ def solve_oscillatory(u0: InitialData, lagrangian: LagrangianField,
 
 
 def _golden_refine(objective, x0, best, step, lo, hi):
-    """Two passes of per-axis golden search around x0, axis ax on
-    [max(lo, x_ax - step), min(hi, x_ax + step)] at pass time; an axis moves
-    only when it lowers ``best``.  step, lo, hi broadcast over the axes.
-    Returns the lowest value found."""
+    """Two passes of per-axis golden search around all rows of x0 (n, d) at once:
+    axis ax of a row on [max(lo, x_ax - step), min(hi, x_ax + step)] at pass time,
+    moved only where it lowers that row's ``best`` (n,).  step, lo, hi broadcast
+    over the axes; objective maps (n, d) to (n,).  Returns the lowest values."""
     x = np.array(x0, dtype=float)
-    step, lo, hi, _ = np.broadcast_arrays(step, lo, hi, x)
+    step, lo, hi = (np.broadcast_to(a, x.shape[1:]) for a in (step, lo, hi))
     for _ in range(2):
-        for ax in range(len(x)):
+        for ax in range(x.shape[1]):
             def g(s, ax=ax):
-                pt = x.copy()
-                pt[ax] = s
-                return objective(pt)
-            s_opt, val = golden_minimize(g, max(lo[ax], x[ax] - step[ax]),
-                                         min(hi[ax], x[ax] + step[ax]), iters=24)
-            if val < best:
-                best = val
-                x[ax] = s_opt
+                pts = x.copy()
+                pts[:, ax] = s
+                return objective(pts)
+            s_opt, val = golden_minimize(g, np.maximum(lo[ax], x[:, ax] - step[ax]),
+                                         np.minimum(hi[ax], x[:, ax] + step[ax]), 24)
+            lower = val < best
+            best = np.where(lower, val, best)
+            x[lower, ax] = s_opt[lower]
     return best
 
 
@@ -191,22 +191,19 @@ def solve_effective(u0: InitialData, model: EffectiveModel, t: float,
     d = ltab.dimension
     shift = model.provenance.get("shift", 0.0)
     vgrid = grid_points(ltab.axes)
-    lvals = ltab.values.ravel()
     targets = np.asarray(targets, dtype=float).reshape(-1, d)
-    values = np.empty(len(targets))
-    v_lo = np.asarray([a[0] for a in ltab.axes])
-    v_hi = np.asarray([a[-1] for a in ltab.axes])
-    v_step = np.asarray([a[1] - a[0] for a in ltab.axes])
-    for i, y in enumerate(targets):
-        obj = u0(y - t * vgrid) + t * lvals
-        k = int(np.argmin(obj))
+    obj = u0((targets[:, None, :] - t * vgrid).reshape(-1, d)).reshape(-1, len(vgrid))
+    obj += t * ltab.values.ravel()
+    k = np.argmin(obj, axis=1)
 
-        def objective(vv):
-            lv, _ = ltab.interpolate(vv[None, :])
-            return float(u0((y - t * vv)[None, :])[0] + t * lv[0])
+    def objective(vv):
+        lv, _ = ltab.interpolate(vv)
+        return u0(targets - t * vv) + t * lv
 
-        best = _golden_refine(objective, vgrid[k], obj[k], v_step, v_lo, v_hi)
-        values[i] = best + t * shift
+    axes = ltab.axes
+    values = _golden_refine(objective, vgrid[k], obj[np.arange(len(targets)), k],
+                            [a[1] - a[0] for a in axes], [a[0] for a in axes],
+                            [a[-1] for a in axes]) + t * shift
     return SolutionField(
         t=t, points=targets, values=values, eps=0.0,
         provenance={"spec": model.provenance.get("spec"), "shift": shift,

@@ -39,22 +39,22 @@ def round_half_toward_zero(x):
     return np.sign(x) * mag + 0.0  # +0.0 normalizes -0.0
 
 
-def golden_minimize(fun, lo: float, hi: float, iters: int = 40) -> tuple[float, float]:
-    """Golden-section minimum of a scalar function on [lo, hi]."""
+def golden_minimize(fun, lo, hi, iters: int) -> tuple[np.ndarray, np.ndarray]:
+    """Golden-section minima on [lo, hi], one search per array element.  ``fun``
+    maps one point per element to its value and is called once per iteration;
+    each element's result is bitwise that of a search over it alone."""
     phi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = float(lo), float(hi)
+    a, b = np.array(lo, dtype=float), np.array(hi, dtype=float)
     c = b - phi * (b - a)
     d = a + phi * (b - a)
     fc, fd = fun(c), fun(d)
     for _ in range(iters):
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - phi * (b - a)
-            fc = fun(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + phi * (b - a)
-            fd = fun(d)
+        left = fc <= fd            # keep [a, d]: d <- c, new c; else [c, b]
+        a, b = np.where(left, a, c), np.where(left, d, b)
+        new = np.where(left, b - phi * (b - a), a + phi * (b - a))
+        f_new = fun(new)
+        c, d = np.where(left, new, d), np.where(left, c, new)
+        fc, fd = np.where(left, f_new, fd), np.where(left, fc, f_new)
     xm = (a + b) / 2.0
     return xm, fun(xm)
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from hjhom import DomainError, build_lagrangian, cosine_spec, legendre_transform
-from hjhom.hamiltonian import HamiltonianSpec
+from hjhom.hamiltonian import HamiltonianSpec, normalize
 from hjhom.legendre import (
     MOMENTUM_DOMAIN,
     VELOCITY_DOMAIN,
@@ -129,6 +129,22 @@ def test_numerical_lagrangian_matches_closed_form():
     want = np.sum(vs * vs, axis=-1) / 4 + pot(xs)
     got = lagr(xs, vs)
     np.testing.assert_allclose(got, want, atol=2e-2)
+
+
+def test_tabulated_lagrangian_raises_outside_velocity_box():
+    # a0 = 3, amplitude 2, cap 50: the tabulated L used to clamp v = 10 and
+    # v = 20 to the box edge and return L(0.3, 8) = 18.15 for both
+    raw = cosine_spec(1, 3.0, (2.0, (1,)))
+    spec, _ = normalize(HamiltonianSpec(1, raw.potential, momentum_cap=50.0))
+    lagr = build_lagrangian(spec)
+    assert not lagr.closed_form
+    x = np.array([0.3])
+    assert lagr(x, np.array([8.0])) == pytest.approx(18.38, abs=0.3)  # box edge
+    for v in (10.0, 20.0, -8.5):
+        with pytest.raises(DomainError, match=r"\[-8, 8\]"):
+            lagr(x, np.array([v]))
+    with pytest.raises(DomainError):  # one bad row is enough
+        lagr(np.zeros((3, 1)), np.array([[0.0], [1.0], [9.0]]))
 
 
 def test_interpolate_clamps_and_reports():
