@@ -16,7 +16,6 @@ from .errors import (
 from .hamiltonian import (
     CosinePotential,
     HamiltonianSpec,
-    TabulatedPotential,
     cosine_spec,
     evaluate_hamiltonian,
     normalize,
@@ -35,8 +34,6 @@ from .metric import (
     default_speed_cap,
     extract_minimizing_path,
     metric_point,
-    round_into_cone,
-    speed_margin,
 )
 from .effective import (
     EffectiveModel,
@@ -66,7 +63,6 @@ from .properties import (
 )
 from .surgery import (
     SpaceTimePath2D,
-    cyclic_shift,
     find_crossing,
     path_surgery,
 )

@@ -3,8 +3,9 @@
 Grammar (one entry per line):
     key = value          # trailing comments allowed
 Blank lines and lines starting with '#' are ignored.  Keys are dotted
-lowercase words.  Values are scalars, comma-separated lists, or
-semicolon-separated tuples (potential terms: "amp,k1,...,kd; amp,k1,...").
+lowercase words from ``KNOWN_KEYS``; any other key is an error, so a typo
+never falls back to a default.  Values are scalars, comma-separated lists,
+or semicolon-separated tuples (potential terms: "amp,k1,...,kd; amp,k1,...").
 Parse errors carry 1-based line numbers.
 """
 
@@ -20,6 +21,20 @@ from .hamiltonian import CosinePotential, HamiltonianSpec, normalize
 
 class ConfigError(ConfigurationError):
     """Malformed configuration file; message carries the line number."""
+
+
+# every key the package reads; the README key table lists the same set
+KNOWN_KEYS = frozenset({
+    "dimension", "family", "potential.a0", "potential.terms", "momentum_cap",
+    "grid.dt", "grid.dx", "grid.vmax", "metric.horizon",
+    "effective.v_box", "effective.v_step", "effective.n_max", "effective.p_box",
+    "effective.p_step", "effective.vmax", "effective.max_denominator",
+    "sweep.eps", "sweep.t", "targets.count", "probe.eps",
+    "u0.family", "u0.scale", "u0.p", "u0.bumps",
+    "oracle.p_sample", "oracle.t_long", "oracle.vmax", "oracle.tol",
+    "properties.sample_size", "properties.surgery_samples",
+    "properties.surgery_t", "properties.directions", "seed",
+})
 
 
 @dataclass
@@ -105,6 +120,8 @@ def parse_config_text(text: str, path: str = "<memory>") -> Config:
         value = value.strip()
         if not key or any(ch.isspace() for ch in key):
             raise ConfigError(f"{path}:{lineno}: malformed key {key!r}")
+        if key not in KNOWN_KEYS:
+            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         if key in entries:
             raise ConfigError(f"{path}:{lineno}: duplicate key {key!r} "
                               f"(first at line {entries[key][1]})")

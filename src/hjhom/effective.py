@@ -35,10 +35,6 @@ class EffectiveMetricResult:
     gs: list
     flagged: bool = False
 
-    @property
-    def gaps(self) -> np.ndarray:
-        return np.asarray(self.gs) - self.limit
-
 
 def effective_metric(table: MetricTable, t: float, x,
                      n_max: int) -> EffectiveMetricResult:

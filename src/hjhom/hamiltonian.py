@@ -1,8 +1,7 @@
 """Periodic convex Hamiltonian families H(x, p) = |p|^2 - V(x).
 
-The potential V is Z^d-periodic, given either as a finite cosine series
-    V(x) = a0 + sum_i a_i cos(2 pi k_i . x),   k_i integer wave vectors,
-or as a table of values on the unit torus with multilinear interpolation.
+The potential V is Z^d-periodic, a finite cosine series
+    V(x) = a0 + sum_i a_i cos(2 pi k_i . x),   k_i integer wave vectors.
 A working Hamiltonian is "normalized" when H(x, 0) = -V(x) <= -1 everywhere,
 which makes the dual running cost L >= 1.  Momentum capping replaces H by
 |p|^2 beyond a configurable radius; the default (inf) never activates.
@@ -16,15 +15,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DomainError
-from .util import grid_points, multilinear
 
 FAMILY_QUADRATIC = "quadratic_minus_potential"
-
-# Default verification grids: torus nodes per axis, momentum box half-width
-# and nodes per axis.
-TORUS_GRID_POINTS = 64
-MOMENTUM_BOX = 8.0
-MOMENTUM_GRID_POINTS = 65
 
 
 @dataclass(frozen=True)
@@ -72,45 +64,6 @@ class CosinePotential:
 
 
 @dataclass(frozen=True)
-class TabulatedPotential:
-    """Values on a uniform torus grid, multilinearly interpolated.
-
-    ``values`` has shape (n,) * dimension; node j sits at j / n.  Multilinear
-    interpolation keeps min/max at the nodes, so grid scans of bounds are
-    exact for this family.
-    """
-
-    dimension: int
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.ndim != self.dimension:
-            raise DomainError("values array rank must equal dimension")
-        object.__setattr__(self, "values", v)
-
-    def __call__(self, x) -> np.ndarray:
-        # node n of the wrap-padded table repeats node 0: np.mod(x, 1) * n
-        # can round up to n
-        u = np.mod(np.asarray(x, dtype=float), 1.0) * self.values.shape[0]
-        i0 = np.floor(u)
-        return multilinear(np.pad(self.values, (0, 1), mode="wrap"), i0.astype(int), u - i0)
-
-    def shifted(self, delta: float) -> "TabulatedPotential":
-        return TabulatedPotential(self.dimension, self.values + delta)
-
-    def coefficient_lower_bound(self) -> float:
-        return float(self.values.min())
-
-    def upper_bound(self) -> float:
-        return float(self.values.max())
-
-    def describe(self) -> str:
-        h = hashlib.sha256(np.ascontiguousarray(self.values).tobytes()).hexdigest()[:16]
-        return f"tab:d={self.dimension}:n={self.values.shape[0]}:{h}"
-
-
-@dataclass(frozen=True)
 class HamiltonianSpec:
     """A periodic convex Hamiltonian H(x, p) = |p|^2 - V(x) with reductions.
 
@@ -120,7 +73,7 @@ class HamiltonianSpec:
     """
 
     dimension: int
-    potential: CosinePotential | TabulatedPotential
+    potential: CosinePotential
     family: str = FAMILY_QUADRATIC
     normalization_shift: float = 0.0
     momentum_cap: float = np.inf
@@ -166,9 +119,8 @@ def normalize(spec: HamiltonianSpec) -> tuple[HamiltonianSpec, float]:
 
     Returns (normalized spec, shift); solving with the normalized spec and
     adding +t*shift to every value reproduces solutions of the input spec.
-    The required raise is computed from the potential's exact lower bound
-    (cosine coefficient bound, or the node minimum for tabulated potentials),
-    so the postcondition holds without tolerance.
+    The required raise is computed from the cosine coefficient bound
+    a0 - sum |a_i| <= min V, so the postcondition holds without tolerance.
     """
     delta = max(0.0, 1.0 - spec.potential.coefficient_lower_bound())
     if delta == 0.0:
@@ -179,73 +131,6 @@ def normalize(spec: HamiltonianSpec) -> tuple[HamiltonianSpec, float]:
         normalization_shift=spec.normalization_shift - delta,
     )
     return out, -delta
-
-
-def torus_grid(dimension: int, n: int = TORUS_GRID_POINTS) -> np.ndarray:
-    """All nodes j/n of the torus verification grid, shape (n^d, d)."""
-    return grid_points([np.arange(n) / n] * dimension)
-
-
-def check_normalized(spec: HamiltonianSpec, n: int = TORUS_GRID_POINTS) -> float:
-    """max over the torus grid of H(x, 0); <= -1 for a normalized spec."""
-    xs = torus_grid(spec.dimension, n)
-    zeros = np.zeros_like(xs)
-    return float(np.max(evaluate_hamiltonian(spec, xs, zeros)))
-
-
-def check_convexity_in_p(spec: HamiltonianSpec) -> float:
-    """Worst midpoint-convexity defect of H(x, .) along axis momentum lines.
-
-    Returns max over grid x and momentum nodes of
-    2 H(x, mid) - H(x, p) - H(x, q) for axis-adjacent p, q; <= 0 up to
-    roundoff when H(x, .) is convex on the box.
-    """
-    xs = torus_grid(spec.dimension, 8)
-    worst = -np.inf
-    line = np.linspace(-MOMENTUM_BOX, MOMENTUM_BOX, MOMENTUM_GRID_POINTS)
-    for axis in range(spec.dimension):
-        p = np.zeros((len(line), spec.dimension))
-        p[:, axis] = line
-        vals = np.stack([evaluate_hamiltonian(spec, x[None, :], p) for x in xs])
-        defect = 2.0 * vals[:, 1:-1] - vals[:, :-2] - vals[:, 2:]
-        worst = max(worst, float(defect.max()))
-    return worst
-
-
-def check_coercivity(spec: HamiltonianSpec) -> float:
-    """Smallest grid radius beyond which min_x H(x, p) >= |p|^2 / 2.
-
-    For the quadratic family the analytic answer is sqrt(2 max V); returns
-    +inf if the bound still fails at the box edge.
-    """
-    ps = grid_points([np.linspace(-MOMENTUM_BOX, MOMENTUM_BOX, MOMENTUM_GRID_POINTS)]
-                     * spec.dimension)
-    radii = np.linalg.norm(ps, axis=-1)
-    xs = torus_grid(spec.dimension, 8)
-    hmin = np.full(len(ps), np.inf)
-    for x in xs:
-        hmin = np.minimum(hmin, evaluate_hamiltonian(spec, np.broadcast_to(x, ps.shape), ps))
-    ok = hmin >= 0.5 * radii**2 - 1e-12
-    bad = radii[~ok]
-    if bad.size == 0:
-        return 0.0
-    r = float(bad.max())
-    return r if r < radii.max() - 1e-12 else np.inf
-
-
-def check_periodicity(spec: HamiltonianSpec, rng: np.random.Generator) -> float:
-    """max |H(x + e_j, p) - H(x, p)| over 64 random samples; 0 by construction."""
-    d = spec.dimension
-    xs = rng.uniform(-2, 2, size=(64, d))
-    ps = rng.uniform(-4, 4, size=(64, d))
-    worst = 0.0
-    for j in range(d):
-        e = np.zeros(d)
-        e[j] = 1.0
-        worst = max(worst, float(np.max(np.abs(
-            evaluate_hamiltonian(spec, xs + e, ps) - evaluate_hamiltonian(spec, xs, ps)
-        ))))
-    return worst
 
 
 def _as_points(a, d: int, name: str) -> np.ndarray:
@@ -259,7 +144,7 @@ def _as_points(a, d: int, name: str) -> np.ndarray:
     return a
 
 
-# Convenience constructors used throughout tests and the harness.
+# Convenience constructor for library use.
 
 def cosine_spec(dimension: int, a0: float, *terms) -> HamiltonianSpec:
     """Spec with V = a0 + sum amp cos(2 pi k . x); terms are (amp, k) pairs."""

@@ -25,12 +25,7 @@ from .metric import (
     extract_minimizing_path,
     metric_point,
 )
-from .properties import (
-    check_linear_growth,
-    check_subadditivity,
-    extract_approximate_geodesic,
-    gap_vs_log_envelope,
-)
+from .properties import check_linear_growth, check_subadditivity, gap_vs_log_envelope
 from .rates import RateReport, fit_rate
 from .solver import (
     InitialData,
@@ -88,9 +83,7 @@ def _grids(cfg: Config, lagrangian, max_ratio: float):
     dx = cfg.get_float("grid.dx", 0.125)
     vmax = cfg.get_float("grid.vmax")
     if vmax is None:
-        vmax = default_speed_cap(lagrangian, max_ratio,
-                                 c1=cfg.get_float("cone.c1"),
-                                 c2=cfg.get_float("cone.c2", 2.0))
+        vmax = default_speed_cap(lagrangian, max_ratio)
     return dt, dx, vmax
 
 
@@ -121,9 +114,9 @@ def run_metric(cfg: Config, out_dir, verbose: bool = False):
     spec, _ = spec_from_config(cfg)
     lagr = build_lagrangian(spec)
     horizon = cfg.get_float("metric.horizon", 4.0)
-    dt, dx, vmax = _grids(cfg, lagr, cfg.get_float("metric.max_ratio", 2.0))
+    dt, dx, vmax = _grids(cfg, lagr, 2.0)
     table = compute_metric_table(lagr, horizon=horizon, dt=dt, dx=dx, vmax=vmax,
-                                 keep=cfg.get_str("metric.keep", "all"))
+                                 keep="all")
     os.makedirs(out_dir, exist_ok=True)
     table.to_csv(os.path.join(out_dir, "metric.csv"))
     # profile figure: m(T, z) along the first axis
@@ -170,7 +163,7 @@ def run_rate_sweep(cfg: Config, out_dir, threads: int = 1,
     eps_list = sorted(set(eps_list), reverse=True)
     t = cfg.get_float("sweep.t", 1.0)
     count = cfg.get_int("targets.count", 33)
-    radius = cfg.get_float("targets.radius", 2.0 * t)
+    radius = 2.0 * t
     targets = target_set(d, count, radius)
     u0 = u0_from_config(cfg, d)
 
@@ -239,7 +232,7 @@ def run_property_suite(cfg: Config, out_dir, verbose: bool = False):
     d = spec.dimension
     rng = np.random.default_rng(cfg.get_int("seed", 0))
     horizon = cfg.get_float("metric.horizon", 8.0)
-    dt, dx, vmax = _grids(cfg, lagr, cfg.get_float("metric.max_ratio", 3.0))
+    dt, dx, vmax = _grids(cfg, lagr, 3.0)
     table = compute_metric_table(lagr, horizon=horizon, dt=dt, dx=dx, vmax=vmax,
                                  keep="all")
     checks: list[PropertyCheck] = []
@@ -262,29 +255,6 @@ def run_property_suite(cfg: Config, out_dir, verbose: bool = False):
     k_growth = check_linear_growth(table)
     checks.append(PropertyCheck("linear_growth_K", k_growth, np.inf,
                                 np.isfinite(k_growth)))
-    if cfg.get_int("properties.refine", 0):
-        half = compute_metric_table(lagr, horizon=horizon, dt=dt / 2, dx=dx / 2,
-                                    vmax=vmax, keep="integers")
-        k_half = check_linear_growth(half)
-        checks.append(PropertyCheck("linear_growth_K_mesh_drift",
-                                    abs(k_half - k_growth), 0.1 * k_growth,
-                                    abs(k_half - k_growth) <= 0.1 * k_growth))
-
-    geo_x = cfg.get_floats("properties.geodesic_x", [])
-    if geo_x:
-        defects = []
-        for xval in geo_x:
-            x = np.zeros(d)
-            x[0] = xval
-            tt = max(1.0, np.ceil(abs(xval) / (table.cone.speed * 0.9)))
-            if tt > table.horizon or not table.cone.contains(tt, x):
-                continue
-            defects.append(extract_approximate_geodesic(table, tt, x).defect)
-        if len(defects) >= 2:
-            lo = max(max(defects[:len(defects) // 2]), 0.05)
-            hi = max(defects[len(defects) // 2:])
-            checks.append(PropertyCheck("geodesic_defect_growth", hi, 1.25 * lo,
-                                        hi <= 1.25 * lo))
 
     # oracle agreement on the configured momentum sample
     p_sample = cfg.get_vectors("oracle.p_sample", [[0.0] * d])

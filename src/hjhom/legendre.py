@@ -57,19 +57,6 @@ class ConvexFunctionTable:
     def dimension(self) -> int:
         return len(self.axes)
 
-    def convexity_defect(self) -> float:
-        """Worst second-difference violation along axis lines (<= 0 is convex)."""
-        worst = -np.inf
-        v = self.values
-        for ax in range(v.ndim):
-            vv = np.moveaxis(v, ax, 0)
-            with np.errstate(invalid="ignore"):
-                defect = 2.0 * vv[1:-1] - vv[:-2] - vv[2:]
-            finite = np.isfinite(defect)
-            if finite.any():
-                worst = max(worst, float(defect[finite].max()))
-        return worst
-
     def interpolate(self, points):
         """Multilinear interpolation at points of shape (..., d).
 
@@ -182,12 +169,6 @@ class LagrangianField:
                 f"[{a[0]:g}, {a[-1]:g}]" for a in self._v_axes) + " of L")
         return multilinear(self._table, np.concatenate([ix.astype(int), iv], axis=-1),
                            np.concatenate([u - ix, wv], axis=-1))
-
-    def minimum_bound(self) -> float:
-        """Lower bound for L over all (x, v); >= 1 once the spec is normalized."""
-        if self.closed_form:
-            return self.spec.potential.coefficient_lower_bound()
-        return float(self._table.min())
 
 
 def build_lagrangian(spec: HamiltonianSpec,

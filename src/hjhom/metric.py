@@ -58,44 +58,31 @@ class Cone:
         return bool(t >= -1e-9 and np.linalg.norm(x) <= self.speed * t + 1e-9)
 
 
-def default_speed_cap(lagrangian: LagrangianField, max_ratio: float,
-                      c1: float | None = None, c2: float = 2.0) -> float:
-    """Speed cap vmax = c1 + c2 * max|x|/t from the minimizer Lipschitz bound.
-
-    c1 defaults to 4 sqrt(max V), generous enough that minimizers for targets
-    with |x|/t <= max_ratio stay strictly inside the cap.
-    """
-    if c1 is None:
-        c1 = 4.0 * np.sqrt(max(lagrangian.spec.potential.upper_bound(), 0.0))
-    return float(c1 + c2 * max_ratio)
+def default_speed_cap(lagrangian: LagrangianField, max_ratio: float) -> float:
+    """Speed cap vmax = 4 sqrt(max V) + 2 max|x|/t from the minimizer Lipschitz
+    bound, generous enough that minimizers for targets with |x|/t <= max_ratio
+    stay strictly inside the cap."""
+    c1 = 4.0 * np.sqrt(max(lagrangian.spec.potential.upper_bound(), 0.0))
+    return float(c1 + 2.0 * max_ratio)
 
 
 @dataclass
 class DiscretePath:
-    """Uniformly time-stepped polyline with its running cost.
-
-    cost uses the same quadrature as the metric table (midpoint in space,
-    left endpoint in time), so a backtracked minimizer's cost reproduces the
-    table value exactly.
-    """
+    """Uniformly time-stepped polyline with its running cost."""
 
     dt: float
     nodes: np.ndarray  # (n+1, d)
     cost: float
 
-    def increments(self) -> np.ndarray:
-        return np.diff(self.nodes, axis=0)
 
-    def max_speed(self) -> float:
-        if len(self.nodes) < 2:
-            return 0.0
-        return float(np.max(np.linalg.norm(self.increments(), axis=1)) / self.dt)
-
-    def recompute_cost(self, lagrangian: LagrangianField) -> float:
-        inc = self.increments()
-        mids = np.mod((self.nodes[:-1] + self.nodes[1:]) / 2.0, 1.0)
-        vals = lagrangian(mids, inc / self.dt)
-        return float(np.sum(self.dt * vals))
+def path_cost(lagrangian: LagrangianField, dt: float, nodes: np.ndarray,
+              incs: np.ndarray) -> float:
+    """Running cost of the polyline through ``nodes`` (n+1, d) with step
+    increments ``incs`` (n, d), under the table's quadrature (midpoint in
+    space, left endpoint in time): a backtracked minimizer called with
+    np.diff(nodes, axis=0) reproduces its table value up to roundoff."""
+    mids = np.mod((nodes[:-1] + nodes[1:]) / 2.0, 1.0)
+    return float(np.sum(dt * lagrangian(mids, incs / dt)))
 
 
 @dataclass
@@ -368,19 +355,6 @@ def extract_minimizing_path(table: MetricTable, t: float, x) -> DiscretePath:
     return DiscretePath(dt=table.dt, nodes=pts, cost=float(value))
 
 
-def speed_margin(table: MetricTable, targets) -> float:
-    """vmax minus the largest speed used by minimizers to the given targets.
-
-    A positive margin verifies the speed cap never binds for these targets
-    (the boundary-attainment check of the cap design).
-    """
-    worst = 0.0
-    for t, x in targets:
-        path = extract_minimizing_path(table, t, x)
-        worst = max(worst, path.max_speed())
-    return table.vmax - worst
-
-
 def _pull_into_cone(z: np.ndarray, lim: float) -> np.ndarray:
     """Integer point z stepped toward the origin, largest coordinate first,
     until |z| <= lim (at most 8 steps per coordinate).  Modifies z."""
@@ -390,18 +364,6 @@ def _pull_into_cone(z: np.ndarray, lim: float) -> np.ndarray:
         i = int(np.argmax(np.abs(z)))
         z[i] -= np.sign(z[i])
     return z
-
-
-def round_into_cone(t: float, x, cone: Cone) -> tuple[int, np.ndarray]:
-    """(ceil t, [x]) with half-ties toward 0, pulled toward the origin when
-    plain rounding would exit the cone.  Requires t >= 1 and (t, x) in cone."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if t < 1.0 - 1e-12:
-        raise DomainError("round_into_cone requires t >= 1")
-    if not cone.contains(t, x):
-        raise DomainError(f"({t}, {x}) outside the cone")
-    tc = int(np.ceil(t - 1e-12))
-    return tc, _pull_into_cone(round_half_toward_zero(x), cone.speed * tc).astype(int)
 
 
 def metric_point(table: MetricTable, t: float, x, y) -> float:

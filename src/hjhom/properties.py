@@ -35,9 +35,6 @@ class ApproximateGeodesic:
     defect: float
     step_bound: float
 
-    def increments(self) -> np.ndarray:
-        return np.diff(self.nodes, axis=0)
-
 
 def check_subadditivity(table: MetricTable, sample_size: int = 1000,
                         rng: np.random.Generator | None = None) -> float:
@@ -131,9 +128,6 @@ class GapEnvelopeReport:
     samples: list = field(default_factory=list)   # (direction, scale, |z|, gap)
     envelope_constant: float = 0.0
     min_gap: float = 0.0
-
-    def max_gap(self) -> float:
-        return max((g for *_, g in self.samples), default=0.0)
 
 
 def gap_vs_log_envelope(table: MetricTable, model: EffectiveModel,

@@ -28,10 +28,6 @@ class RateReport:
     beta_drop_largest: float
     log_fit: dict = field(default_factory=dict)
 
-    @property
-    def beta_stability(self) -> float:
-        return self.beta_drop_largest - self.beta
-
     def to_csv(self, path, extra_header: str = "") -> None:
         write_rows(path, [
             "# schema=hjhom.rate.v1 "

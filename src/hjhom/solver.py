@@ -22,8 +22,7 @@ from .effective import EffectiveModel
 from .errors import ConfigurationError, DomainError
 from .legendre import LagrangianField
 from .metric import MetricTable
-from .util import (box_cell, format_float, golden_minimize, grid_points, multilinear,
-                   write_rows)
+from .util import box_cell, golden_minimize, grid_points, multilinear
 
 
 @dataclass
@@ -38,20 +37,6 @@ class InitialData:
     def __call__(self, x):
         """Values at the rows of x (n, d)."""
         return self.evaluator(np.atleast_2d(np.asarray(x, dtype=float)))
-
-    def shifted(self, c: float) -> "InitialData":
-        return InitialData(lambda x, _f=self.evaluator: _f(x) + c,
-                           self.lipschitz, f"{self.family}+const", self.dimension)
-
-    def check_lipschitz(self, rng: np.random.Generator) -> float:
-        """max ratio |u0(x)-u0(y)| / |x-y| on 256 random pairs in [-8, 8]^d;
-        <= lipschitz."""
-        a = rng.uniform(-8.0, 8.0, size=(256, self.dimension))
-        b = rng.uniform(-8.0, 8.0, size=(256, self.dimension))
-        num = np.abs(self(a) - self(b))
-        den = np.linalg.norm(a - b, axis=1)
-        keep = den > 1e-12
-        return float(np.max(num[keep] / den[keep]))
 
 
 def cone_data(dimension: int, scale: float = 1.0) -> InitialData:
@@ -96,25 +81,6 @@ class SolutionField:
     eps: float                         # 0 for the effective solution
     provenance: dict = field(default_factory=dict)
 
-    def lipschitz_measured(self) -> float:
-        """max slope between consecutive target points (diagnostic)."""
-        worst = 0.0
-        for i in range(len(self.points)):
-            for j in range(i + 1, len(self.points)):
-                den = np.linalg.norm(self.points[i] - self.points[j])
-                if den > 1e-12:
-                    worst = max(worst, abs(self.values[i] - self.values[j]) / den)
-        return worst
-
-    def to_csv(self, path) -> None:
-        cols = [f"y{i+1}" for i in range(self.points.shape[1])] + ["value"]
-        write_rows(path, [
-            "# schema=hjhom.solution.v1 "
-            f"t={format_float(self.t)} eps={format_float(self.eps)} "
-            + " ".join(f"{k}={v}" for k, v in sorted(self.provenance.items())),
-            ",".join(cols)],
-            ((*pt, val) for pt, val in zip(self.points, self.values)), ",")
-
 
 def solve_oscillatory(u0: InitialData, lagrangian: LagrangianField,
                       eps: float, t: float, targets,
@@ -149,8 +115,7 @@ def solve_oscillatory(u0: InitialData, lagrangian: LagrangianField,
         x0[i], coarse[i] = xs[k], obj[k]
 
     def objective(pts):
-        vals = u0(pts) + eps * table.interpolate_many(big_t, (targets - pts) / eps)
-        return np.where(np.linalg.norm(pts - targets, axis=1) > radius, np.inf, vals)
+        return u0(pts) + eps * table.interpolate_many(big_t, (targets - pts) / eps)
 
     refined = _golden_refine(objective, x0, objective(x0), eps, -np.inf, np.inf)
     values = np.where(refined < coarse, refined, coarse) + t * shift

@@ -7,12 +7,12 @@ through (t, x) whose extra cost witnesses 2 m(t, 0, x) <= m(2t, 0, 2x) + C.
 The winding-number argument guarantees a crossing exists on the continuous
 shift family, so failure of the grid search is treated as under-resolution.
 
-Every cyclic shift (``cyclic_shift``, the shifts ``find_crossing`` scores,
-the splice in ``path_surgery``) rotates increments through one routine,
-``_rolled_increments``.  The crossing search scores every shift pair as one distance array and picks
-what a walk over the pairs in scan order would pick.  The spliced path is
-costed from its own increments (not from differences of its nodes), with
-the table's quadrature.
+Every cyclic shift (the shifts ``find_crossing`` scores, the splice in
+``path_surgery``) rotates increments through one routine,
+``_rolled_increments``.  The crossing search scores every shift pair as one
+distance array and picks what a walk over the pairs in scan order would
+pick.  The spliced path is costed by ``metric.path_cost`` from its own
+increments (not from differences of its nodes).
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ResolutionError
-from .metric import DiscretePath, MetricTable
+from .metric import DiscretePath, MetricTable, path_cost
 from .util import as_int_exact, write_rows
 
 
@@ -32,37 +32,13 @@ class SpaceTimePath2D:
 
     dt: float
     nodes: np.ndarray            # (n+1, 3), column 0 is time
-    snapped: bool = False        # a requested shift was snapped to the lattice
 
     @property
     def steps(self) -> int:
         return len(self.nodes) - 1
 
-    @property
-    def duration(self) -> float:
-        return self.dt * self.steps
-
-    def increments(self) -> np.ndarray:
-        return np.diff(self.nodes, axis=0)
-
     def spatial(self) -> np.ndarray:
         return self.nodes[:, 1:]
-
-
-def cyclic_shift(path: SpaceTimePath2D, c: float) -> SpaceTimePath2D:
-    """Rotate the increment sequence by time c.
-
-    The output keeps the input's starting point (so c = 0 and c = t are the
-    identity), runs over the same uniform time lattice, and preserves the
-    increment multiset as a cyclic sequence; the total displacement is
-    unchanged.  Off-lattice c is snapped, with the flag set.
-    """
-    if not 0 <= c <= path.duration + 1e-9:
-        raise DomainError("shift must lie in [0, t]")
-    m_float = c / path.dt
-    m = int(round(m_float))
-    out = np.column_stack([path.nodes[:, 0], _shifted_spatial(path, m)])
-    return SpaceTimePath2D(path.dt, out, snapped=abs(m_float - m) > 1e-9)
 
 
 def _rolled_increments(nodes: np.ndarray, m: int) -> np.ndarray:
@@ -199,8 +175,7 @@ def path_surgery(gamma: DiscretePath, table: MetricTable) -> SurgeryResult:
     second_half = second_half + delta2 / half
     incs = np.vstack([first_half, second_half])
     nodes = np.vstack([[0.0, 0.0], np.cumsum(incs, axis=0)])
-    cost = float(np.sum(gamma.dt * table.lagrangian(
-        np.mod((nodes[:-1] + nodes[1:]) / 2.0, 1.0), incs / gamma.dt)))
+    cost = path_cost(table.lagrangian, gamma.dt, nodes, incs)
     new_path = DiscretePath(dt=gamma.dt, nodes=nodes, cost=cost)
     return SurgeryResult(path=new_path, gap=cost - gamma.cost,
                          lemma_gap=lemma_gap, crossing=crossing)

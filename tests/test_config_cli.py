@@ -1,8 +1,14 @@
+import importlib.util
+import pathlib
+import re
+import sys
+
 import numpy as np
 import pytest
 
 from hjhom import ConfigError, parse_config_text, spec_from_config
 from hjhom.cli import EXIT_CONFIG, EXIT_OK, main
+from hjhom.config import KNOWN_KEYS
 
 GOOD = """
 # oscillatory 1-d family
@@ -196,3 +202,60 @@ def test_cli_accepts_one_thread_everywhere(tmp_path, command):
     out = tmp_path / "out"
     assert main([command, "--config", cfg, "--out", str(out),
                  "--threads", "1"]) == EXIT_OK
+
+
+# -- the key registry -----------------------------------------------------------
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+
+# a typo, and keys outside the format
+@pytest.mark.parametrize("line", [
+    "grid.dxx = 0.1", "metric.keep = integers", "cone.c1 = 8.0", "cone.c2 = 2.0",
+    "metric.max_ratio = 2.0", "targets.radius = 2.0", "properties.refine = 1",
+    "properties.geodesic_x = 1.0, 2.0",
+])
+def test_cli_unknown_key_exit_code(tmp_path, capsys, line):
+    cfg = _write(tmp_path, "typo.cfg", METRIC_CFG + line + "\n")
+    out = tmp_path / "out"
+    assert main(["metric", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    lineno = len(METRIC_CFG.splitlines()) + 1
+    key = line.split(" =")[0]
+    assert f"typo.cfg:{lineno}: unknown key {key!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _workload_configs():
+    spec = importlib.util.spec_from_file_location("_workloads", ROOT / "perfbench/workloads.py")
+    mod = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = mod
+    try:
+        spec.loader.exec_module(mod)
+    finally:
+        del sys.modules[spec.name]
+    return {name: w.config_text(0) for name, w in mod.WORKLOADS.items()}
+
+
+def test_shipped_and_workload_configs_parse():
+    texts = {p.name: p.read_text() for p in sorted((ROOT / "configs").glob("*.cfg"))}
+    assert len(texts) == 4
+    texts.update(_workload_configs())
+    assert len(texts) == 8
+    for name, text in texts.items():
+        cfg = parse_config_text(text, name)
+        spec_from_config(cfg)
+
+
+def test_key_registry_matches_readme_and_getters():
+    # the README key table, KNOWN_KEYS and the keys src/ reads are one set
+    readme = (ROOT / "README.md").read_text()
+    blocks = readme.split("## Configuration format", 1)[1].split("\n\n")
+    table = next(b for b in blocks if b.startswith("| key |"))
+    documented = set()
+    for row in table.splitlines()[2:]:
+        documented.update(re.findall(r"`([a-z0-9_.]+)`", row.split("|")[1]))
+    read = set()
+    for path in (ROOT / "src/hjhom").glob("*.py"):
+        read.update(re.findall(r"\bget_\w+\(\s*\"([a-z0-9_.]+)\"", path.read_text()))
+    assert documented == KNOWN_KEYS
+    assert read == KNOWN_KEYS

@@ -96,11 +96,20 @@ def test_empty_grid_rejected():
         legendre_transform(f, [(-1, 1)], 5)
 
 
+def convexity_defect(values):
+    """Worst second difference 2 f_i - f_{i-1} - f_{i+1} of a 1-d table
+    (<= 0 is convex)."""
+    return float((2.0 * values[1:-1] - values[:-2] - values[2:]).max())
+
+
 def test_convexity_defect_detects_nonconvex():
     f = table_1d(lambda p: -(p**2))
-    assert f.convexity_defect() > 0
+    assert convexity_defect(f.values) > 0
     g = table_1d(lambda p: p**2)
-    assert g.convexity_defect() <= 1e-12
+    assert convexity_defect(g.values) <= 1e-12
+    # a conjugate is convex whatever its source
+    for src in (f, g):
+        assert convexity_defect(legendre_transform(src, [(-2.0, 2.0)], 33).values) <= 1e-12
 
 
 def test_closed_form_lagrangian_values():
@@ -113,8 +122,10 @@ def test_closed_form_lagrangian_values():
 
 
 def test_lagrangian_lower_bound_after_normalization():
-    lagr = build_lagrangian(cosine_spec(1, 2.0, (1.0, (1,))))
-    assert lagr.minimum_bound() >= 1.0
+    lagr = build_lagrangian(normalize(cosine_spec(1, 0.0, (1.0, (1,))))[0])
+    xs = (np.arange(64) / 64)[:, None, None]
+    vs = np.linspace(-4.0, 4.0, 33)[None, :, None]
+    assert lagr(xs, vs).min() >= 1.0 - 1e-12
 
 
 def test_numerical_lagrangian_matches_closed_form():

@@ -11,6 +11,7 @@ from hjhom import (
 from hjhom.effective import build_effective_model
 from hjhom.metric import MetricTable
 from hjhom.solver import (
+    InitialData,
     affine_data,
     bump_data,
     cone_data,
@@ -34,11 +35,20 @@ def hopf_lax_free_abs(t, y):
     return abs(y) if abs(y) >= 2 * t else y * y / (4 * t) + t
 
 
+def max_slope(points, values):
+    """max |v_i - v_j| / |p_i - p_j| over all pairs of distinct points."""
+    num = np.abs(values[:, None] - values[None, :])
+    den = np.linalg.norm(points[:, None] - points[None, :], axis=-1)
+    off = den > 1e-12
+    return float(np.max(num[off] / den[off]))
+
+
 def test_initial_data_lipschitz_certificates():
     rng = np.random.default_rng(3)
     for data in (cone_data(1), affine_data([0.7]), zero_data(2),
                  bump_data(1, [(1.0, [0.0], 1.0), (-0.5, [2.0], 0.5)])):
-        assert data.check_lipschitz(rng) <= data.lipschitz + 1e-9
+        pts = rng.uniform(-8.0, 8.0, size=(256, data.dimension))
+        assert max_slope(pts, data(pts)) <= data.lipschitz + 1e-9
 
 
 def test_zero_data_gives_time():
@@ -89,7 +99,7 @@ def test_horizon_error_names_required_t():
 def test_comparison_monotonicity():
     table = free_table()
     lo = cone_data(1)
-    hi = lo.shifted(0.7)
+    hi = InitialData(lambda x: lo.evaluator(x) + 0.7, lo.lipschitz, "cone+const", 1)
     ys = [[-1.5], [0.0], [0.5], [2.0]]
     a = solve_oscillatory(lo, FREE, eps=0.25, t=1.0, targets=ys, table=table)
     b = solve_oscillatory(hi, FREE, eps=0.25, t=1.0, targets=ys, table=table)
@@ -103,14 +113,11 @@ def test_finite_propagation():
     base = cone_data(1)
     radius = table.cone.speed * 1.0
     far = bump_data(1, [(-3.0, [radius + 3.0], 0.5)])
-    pert = base.shifted(0.0)
     pert_far = lambda x: base.evaluator(x) + far.evaluator(x)  # noqa: E731
-    from hjhom.solver import InitialData
     moved = InitialData(pert_far, base.lipschitz + far.lipschitz, "combo", 1)
     a = solve_oscillatory(base, FREE, eps=0.25, t=1.0, targets=[[0.0]], table=table)
     b = solve_oscillatory(moved, FREE, eps=0.25, t=1.0, targets=[[0.0]], table=table)
     assert a.values[0] == b.values[0]
-    del pert
 
 
 def test_effective_constant_data():
@@ -180,7 +187,7 @@ def test_uniform_lipschitz_across_eps():
     lips = []
     for eps in (0.25, 0.125, 0.0625):
         sol = solve_oscillatory(cone_data(1), lagr, eps, 1.0, ys, table=table)
-        lips.append(sol.lipschitz_measured())
+        lips.append(max_slope(sol.points, sol.values))
     bound = cone_data(1).lipschitz + 0.5
     assert max(lips) <= bound
     assert max(lips) - min(lips) <= 0.2
@@ -199,18 +206,6 @@ def test_normalization_shift_identity_machine_precision():
     a = solve_oscillatory(cone_data(1), lagr_raw, 0.25, 1.0, ys, table=table_raw)
     b = solve_oscillatory(cone_data(1), lagr_n, 0.25, 1.0, ys, table=table_n)
     np.testing.assert_allclose(a.values, b.values, rtol=0, atol=1e-12)
-
-
-def test_solution_csv(tmp_path):
-    table = free_table()
-    sol = solve_oscillatory(zero_data(1), FREE, eps=0.25, t=1.0,
-                            targets=[[0.0], [1.0]], table=table)
-    out = tmp_path / "sol.csv"
-    sol.to_csv(out)
-    lines = out.read_text().splitlines()
-    assert lines[0].startswith("# schema=hjhom.solution.v1")
-    assert lines[1] == "y1,value"
-    assert len(lines) == 4
 
 
 # --- the batched refinement against the per-target loops it replaced ------

@@ -12,7 +12,7 @@ from hjhom import (
 from hjhom.surgery import (
     Crossing,
     SpaceTimePath2D,
-    cyclic_shift,
+    _shifted_spatial,
     find_crossing,
     path_surgery,
     surgery_csv,
@@ -30,37 +30,31 @@ def wiggly_path(n=16, dt=0.25, seed=0):
     return SpaceTimePath2D(dt, np.column_stack([times, nodes]))
 
 
+# the cyclic shift by m steps that find_crossing scores
+
 def test_cyclic_shift_identity_cases():
     path = wiggly_path()
-    for c in (0.0, path.duration):
-        out = cyclic_shift(path, c)
-        np.testing.assert_allclose(out.nodes, path.nodes, atol=1e-12)
-        assert not out.snapped
+    for m in (0, path.steps):
+        np.testing.assert_allclose(_shifted_spatial(path, m), path.spatial(), atol=1e-12)
 
 
 def test_cyclic_shift_straight_line_invariant():
     times = np.arange(9) * 0.5
     nodes = np.column_stack([times, 2.0 * times, -1.0 * times])
     path = SpaceTimePath2D(0.5, nodes)
-    out = cyclic_shift(path, 1.5)
-    np.testing.assert_allclose(out.nodes, nodes, atol=1e-12)
+    np.testing.assert_allclose(_shifted_spatial(path, 3), nodes[:, 1:], atol=1e-12)
 
 
 def test_cyclic_shift_preserves_increment_multiset():
     path = wiggly_path(n=12)
-    out = cyclic_shift(path, 4 * path.dt)
-    a = path.increments()
-    b = out.increments()
+    out = _shifted_spatial(path, 4)
+    a = np.diff(path.spatial(), axis=0)
+    b = np.diff(out, axis=0)
     np.testing.assert_allclose(np.vstack([a[4:], a[:4]]), b, atol=1e-12)
-    # endpoint displacement unchanged
-    np.testing.assert_allclose(out.nodes[-1] - out.nodes[0],
-                               path.nodes[-1] - path.nodes[0], atol=1e-12)
-
-
-def test_cyclic_shift_snaps_off_lattice():
-    path = wiggly_path()
-    out = cyclic_shift(path, 0.3)
-    assert out.snapped
+    # start and endpoint displacement unchanged
+    np.testing.assert_array_equal(out[0], path.spatial()[0])
+    np.testing.assert_allclose(out[-1] - out[0],
+                               path.spatial()[-1] - path.spatial()[0], atol=1e-12)
 
 
 def test_find_crossing_symmetric_straight_lines():
@@ -120,7 +114,8 @@ def test_path_surgery_oscillatory_sample():
     np.testing.assert_allclose(path.nodes[0], [0.0, 0.0], atol=1e-9)
     np.testing.assert_allclose(path.nodes[k_mid], x, atol=1e-6)
     np.testing.assert_allclose(path.nodes[-1], 2 * x, atol=1e-6)
-    assert path.max_speed() <= table.vmax + 0.5
+    speeds = np.linalg.norm(np.diff(path.nodes, axis=0), axis=1) / path.dt
+    assert speeds.max() <= table.vmax + 0.5
     # witness inequality: 2 m(t,0,x) <= cost(new path) = m(2t,0,2x) + gap
     assert 2 * table.value_at(t, x) <= path.cost + 1e-6
     assert res.gap >= -1e-9
