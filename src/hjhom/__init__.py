@@ -1,6 +1,6 @@
 """Periodic Hamilton-Jacobi homogenization laboratory.
 
-Pipeline: Hamiltonian family -> Lagrangian (Legendre transform) -> lattice
+Pipeline: Hamiltonian -> Lagrangian (its closed-form Legendre dual) -> lattice
 metric problem -> homogenized metric / effective Hamiltonian -> oscillatory
 and effective solvers -> convergence-rate measurements and structural
 property checks.

@@ -13,8 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .errors import ConfigurationError
 from .hamiltonian import CosinePotential, HamiltonianSpec, normalize
 
@@ -25,7 +23,7 @@ class ConfigError(ConfigurationError):
 
 # every key the package reads; the README key table lists the same set
 KNOWN_KEYS = frozenset({
-    "dimension", "family", "potential.a0", "potential.terms", "momentum_cap",
+    "dimension", "potential.a0", "potential.terms",
     "grid.dt", "grid.dx", "grid.vmax", "metric.horizon",
     "effective.v_box", "effective.v_step", "effective.n_max", "effective.p_box",
     "effective.p_step", "effective.vmax", "effective.max_denominator",
@@ -50,8 +48,9 @@ class Config:
             raise ConfigError(f"{self.path}: missing required key {key!r}")
         return default
 
-    def _line(self, key: str) -> int:
-        return self.entries[key][1]
+    def where(self, key: str) -> str:
+        """The "path:line" of a key that is set, for error messages."""
+        return f"{self.path}:{self.entries[key][1]}"
 
     def _typed(self, key: str, default, required: bool, parse, noun: str):
         """key's value through ``parse``; a value it rejects is reported with
@@ -63,7 +62,7 @@ class Config:
             return parse(raw)
         except ValueError:
             raise ConfigError(
-                f"{self.path}:{self._line(key)}: {key} = {raw!r} is not {noun}")
+                f"{self.where(key)}: {key} = {raw!r} is not {noun}")
 
     def _chunks(self, key: str, default, parse, noun: str):
         """Each non-empty ';'-separated chunk of key's value through ``parse``;
@@ -76,7 +75,7 @@ class Config:
             try:
                 out.append(parse(chunk))
             except ValueError:
-                raise ConfigError(f"{self.path}:{self._line(key)}: bad {noun} {chunk!r}")
+                raise ConfigError(f"{self.where(key)}: bad {noun} {chunk!r}")
         return out
 
     def get_float(self, key: str, default=None, required=False):
@@ -141,20 +140,11 @@ def parse_config(path) -> Config:
 def spec_from_config(cfg: Config) -> tuple[HamiltonianSpec, float]:
     """Build and normalize the Hamiltonian spec; returns (spec, shift)."""
     d = cfg.get_int("dimension", required=True)
-    family = cfg.get_str("family", "quadratic_minus_potential")
     a0 = cfg.get_float("potential.a0", 0.0)
     terms = cfg.get_terms("potential.terms")
     for _, k in terms:
         if len(k) != d:
             raise ConfigError(
-                f"{cfg.path}:{cfg._line('potential.terms')}: wave vector {k} "
+                f"{cfg.where('potential.terms')}: wave vector {k} "
                 f"has {len(k)} components, expected {d}")
-    cap_raw = cfg.get_str("momentum_cap", "inf")
-    cap = np.inf if cap_raw in ("inf", "") else float(cap_raw)
-    spec = HamiltonianSpec(
-        dimension=d,
-        potential=CosinePotential(d, a0, tuple((a, k) for a, k in terms)),
-        family=family,
-        momentum_cap=cap,
-    )
-    return normalize(spec)
+    return normalize(HamiltonianSpec(d, CosinePotential(d, a0, tuple(terms))))

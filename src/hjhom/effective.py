@@ -19,7 +19,6 @@ from .legendre import (
     VELOCITY_DOMAIN,
     ConvexFunctionTable,
     LagrangianField,
-    build_lagrangian,
     legendre_transform,
 )
 from .metric import MetricTable, _offsets, compute_metric_table, default_speed_cap
@@ -175,10 +174,9 @@ def build_effective_model(lagrangian: LagrangianField,
     )
 
 
-def cell_problem_oracle(spec_or_lagrangian, p, t_long: float = 128.0,
+def cell_problem_oracle(lagrangian: LagrangianField, p, t_long: float = 128.0,
                         dt: float = 0.125, dx: float = 0.125,
-                        vmax: float = 6.0, tol: float = 0.05,
-                        return_diagnostics: bool = False):
+                        vmax: float = 6.0) -> float:
     """Independent H-bar estimate from the shifted-momentum torus problem.
 
     Solves w_t + H(x, p + D_x w) = 0, w(0, .) = 0 on the unit torus by value
@@ -187,10 +185,7 @@ def cell_problem_oracle(spec_or_lagrangian, p, t_long: float = 128.0,
     update are deliberately separate from the cone-table DP so the two
     routes stay independent; only the offset enumeration is shared.
     """
-    lagr = spec_or_lagrangian
-    if not isinstance(lagr, LagrangianField):
-        lagr = build_lagrangian(lagr)
-    d = lagr.dimension
+    d = lagrangian.dimension
     p = np.atleast_1d(np.asarray(p, dtype=float))
     if p.shape != (d,):
         raise DomainError(f"p must have {d} components")
@@ -207,25 +202,16 @@ def cell_problem_oracle(spec_or_lagrangian, p, t_long: float = 128.0,
     for o in _offsets(d, vmax * dt / dx):
         mid = np.mod((base + o / 2.0) * dx, 1.0)
         vel = o * dx / dt
-        cost = dt * lagr(mid, np.broadcast_to(vel, mid.shape)) - float(p @ (o * dx))
+        cost = dt * lagrangian(mid, np.broadcast_to(vel, mid.shape)) - float(p @ (o * dx))
         shifted.append((tuple(int(c) for c in o), cost))
 
     w = np.zeros((big_m,) * d)
-    half_value = None
-    for k in range(1, n_steps + 1):
+    for _ in range(n_steps):
         new = np.full_like(w, np.inf)
         for o, cost in shifted:
             np.minimum(new, np.roll(w + cost, o, axis=tuple(range(d))), out=new)
         w = new
-        if k == n_steps // 2:
-            half_value = w[(0,) * d]
-    est = -w[(0,) * d] / (n_steps * dt)
-    est_half = -half_value / ((n_steps // 2) * dt)
-    flagged = abs(est - est_half) > tol
-    if return_diagnostics:
-        return est, {"half_estimate": est_half, "flagged": flagged,
-                     "t_long": n_steps * dt}
-    return est
+    return -w[(0,) * d] / (n_steps * dt)
 
 
 # ---------------------------------------------------------------------------

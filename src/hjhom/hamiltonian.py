@@ -1,10 +1,9 @@
-"""Periodic convex Hamiltonian families H(x, p) = |p|^2 - V(x).
+"""The periodic convex Hamiltonian H(x, p) = |p|^2 - V(x).
 
 The potential V is Z^d-periodic, a finite cosine series
     V(x) = a0 + sum_i a_i cos(2 pi k_i . x),   k_i integer wave vectors.
 A working Hamiltonian is "normalized" when H(x, 0) = -V(x) <= -1 everywhere,
-which makes the dual running cost L >= 1.  Momentum capping replaces H by
-|p|^2 beyond a configurable radius; the default (inf) never activates.
+which makes the dual running cost L = |v|^2 / 4 + V >= 1.
 """
 
 from __future__ import annotations
@@ -15,8 +14,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DomainError
-
-FAMILY_QUADRATIC = "quadratic_minus_potential"
 
 
 @dataclass(frozen=True)
@@ -68,28 +65,22 @@ class HamiltonianSpec:
     """A periodic convex Hamiltonian H(x, p) = |p|^2 - V(x) with reductions.
 
     ``normalization_shift`` is the constant to add back as +t*shift to every
-    solution computed with this working Hamiltonian.  ``momentum_cap`` forces
-    H(x, p) = |p|^2 for |p| >= cap; the default never activates.
+    solution computed with this working Hamiltonian.
     """
 
     dimension: int
     potential: CosinePotential
-    family: str = FAMILY_QUADRATIC
     normalization_shift: float = 0.0
-    momentum_cap: float = np.inf
 
     def __post_init__(self):
-        if self.family != FAMILY_QUADRATIC:
-            raise DomainError(f"unknown Hamiltonian family {self.family!r}")
         if self.potential.dimension != self.dimension:
             raise DomainError("potential dimension mismatch")
-        if not self.momentum_cap > 0:
-            raise DomainError("momentum_cap must be positive")
 
     def describe(self) -> str:
+        # literal family and cap fields keep the spec= hash in metric.csv stable
         return (
-            f"{self.family}:d={self.dimension}:V[{self.potential.describe()}]"
-            f":shift={self.normalization_shift!r}:cap={self.momentum_cap!r}"
+            f"quadratic_minus_potential:d={self.dimension}:V[{self.potential.describe()}]"
+            f":shift={self.normalization_shift!r}:cap=inf"
         )
 
     def content_hash(self) -> str:
@@ -97,7 +88,7 @@ class HamiltonianSpec:
 
 
 def evaluate_hamiltonian(spec: HamiltonianSpec, x, p):
-    """H(x mod 1, p), with the cap H = |p|^2 enforced for |p| >= momentum_cap.
+    """H(x, p) = |p|^2 - V(x); V is periodic, so x need not lie in [0, 1)^d.
 
     x, p: arrays of shape (..., d) (or scalars when d == 1).  Broadcasts.
     """
@@ -106,11 +97,7 @@ def evaluate_hamiltonian(spec: HamiltonianSpec, x, p):
     p = _as_points(p, d, "p")
     if not (np.isfinite(x).all() and np.isfinite(p).all()):
         raise DomainError("non-finite x or p")
-    psq = np.sum(p * p, axis=-1)
-    val = psq - spec.potential(x)
-    if np.isfinite(spec.momentum_cap):
-        capped = np.sqrt(psq) >= spec.momentum_cap
-        val = np.where(capped, psq, val)
+    val = np.sum(p * p, axis=-1) - spec.potential(x)
     return val if val.shape else float(val)
 
 

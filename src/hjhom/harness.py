@@ -230,6 +230,15 @@ def run_property_suite(cfg: Config, out_dir, verbose: bool = False):
     spec, _ = spec_from_config(cfg)
     lagr = build_lagrangian(spec)
     d = spec.dimension
+    # keys a branch below would skip are errors, not silent no-ops
+    p_sample = cfg.get_vectors("oracle.p_sample", [[0.0] * d])
+    directions = cfg.get_vectors("properties.directions")
+    if directions and not p_sample:
+        raise ConfigError(f"{cfg.where('properties.directions')}: properties.directions "
+                          "needs a non-empty oracle.p_sample")
+    for key in ("properties.surgery_samples", "properties.surgery_t"):
+        if d != 2 and cfg.get_str(key) is not None:
+            raise ConfigError(f"{cfg.where(key)}: {key} needs dimension = 2, not {d}")
     rng = np.random.default_rng(cfg.get_int("seed", 0))
     horizon = cfg.get_float("metric.horizon", 8.0)
     dt, dx, vmax = _grids(cfg, lagr, 3.0)
@@ -257,7 +266,6 @@ def run_property_suite(cfg: Config, out_dir, verbose: bool = False):
                                 np.isfinite(k_growth)))
 
     # oracle agreement on the configured momentum sample
-    p_sample = cfg.get_vectors("oracle.p_sample", [[0.0] * d])
     if p_sample:
         model = _effective_model(cfg, lagr, cfg.get_float("effective.v_box", 2.5), 0.5,
                                  dt, dx, vmax)
@@ -272,7 +280,6 @@ def run_property_suite(cfg: Config, out_dir, verbose: bool = False):
         checks.append(PropertyCheck("oracle_agreement", worst_dev, tol,
                                     worst_dev <= tol))
 
-        directions = cfg.get_vectors("properties.directions")
         if directions:
             rep = gap_vs_log_envelope(table, model, directions)
             checks.append(PropertyCheck("gap_min", rep.min_gap, -0.06,

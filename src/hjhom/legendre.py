@@ -1,10 +1,11 @@
-"""Discrete Legendre-Fenchel transform and the running-cost field L(x, v).
+"""Discrete Legendre-Fenchel transform and the running cost L(x, v).
 
 The transform of a grid function f is g(v) = max over grid nodes p of
 p . v - f(p), computed one axis at a time (each sweep is a direct O(N^2)
 maximization; the multidimensional conjugate factorizes across axes).  This
 is exact for the piecewise-linear interpolation of f, because a supremum of
-affine functions over a segment is attained at its endpoints.
+affine functions over a segment is attained at its endpoints.  The running
+cost needs no transform: L = |v|^2 / 4 + V is the closed-form dual of H.
 """
 
 from __future__ import annotations
@@ -14,11 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .hamiltonian import (
-    FAMILY_QUADRATIC,
-    HamiltonianSpec,
-    evaluate_hamiltonian,
-)
+from .hamiltonian import HamiltonianSpec
 from .util import box_cell, grid_points, multilinear, write_rows
 
 MOMENTUM_DOMAIN = "momentum-domain"
@@ -124,26 +121,11 @@ def legendre_transform(f: ConvexFunctionTable, out_box, out_resolution) -> Conve
 
 
 class LagrangianField:
-    """Running cost L(x, v) dual to a Hamiltonian spec.
+    """Running cost L(x, v) = |v|^2 / 4 + V(x), the Legendre dual of
+    H(x, p) = |p|^2 - V(x) in closed form."""
 
-    For the quadratic family with inactive momentum cap the closed form
-    L(x, v) = |v|^2 / 4 + V(x) is used; otherwise L is tabulated per torus
-    grid point by numerical conjugation and interpolated multilinearly in
-    (x, v); a velocity outside the tabulated box raises DomainError.
-    """
-
-    def __init__(self, spec: HamiltonianSpec, closed_form: bool,
-                 x_nodes: np.ndarray | None = None,
-                 v_axes: tuple[np.ndarray, ...] | None = None,
-                 table: np.ndarray | None = None):
+    def __init__(self, spec: HamiltonianSpec):
         self.spec = spec
-        self.closed_form = closed_form
-        self._x_nodes = x_nodes          # torus nodes per axis (count)
-        self._v_axes = v_axes
-        # shape (nx + 1,)*d + (nv per v-axis): node nx repeats node 0, since
-        # np.mod(x, 1) * nx can round up to nx
-        self._table = None if table is None else np.pad(
-            table, [(0, 1)] * len(v_axes) + [(0, 0)] * len(v_axes), mode="wrap")
 
     @property
     def dimension(self) -> int:
@@ -157,45 +139,9 @@ class LagrangianField:
             x = x.reshape(1)
         if v.ndim == 0:
             v = v.reshape(1)
-        if self.closed_form:
-            return np.sum(v * v, axis=-1) / 4.0 + self.spec.potential(x)
-        # torus axes wrap through the padded node; velocity axes end at the box
-        x, v = np.broadcast_arrays(x, v)
-        u = np.mod(x, 1.0) * self._x_nodes
-        ix = np.floor(u)
-        iv, wv, clamped = box_cell(self._v_axes, v)
-        if clamped.any():
-            raise DomainError("velocity outside the tabulated box " + " x ".join(
-                f"[{a[0]:g}, {a[-1]:g}]" for a in self._v_axes) + " of L")
-        return multilinear(self._table, np.concatenate([ix.astype(int), iv], axis=-1),
-                           np.concatenate([u - ix, wv], axis=-1))
+        return np.sum(v * v, axis=-1) / 4.0 + self.spec.potential(x)
 
 
-def build_lagrangian(spec: HamiltonianSpec,
-                     v_box=None, v_resolution: int = 65,
-                     x_resolution: int = 32) -> LagrangianField:
-    """Construct L for a (normalized) spec.
-
-    Closed form for the quadratic family with inactive cap; otherwise a
-    per-torus-node numerical transform over the momentum verification box.
-    ``v_box`` bounds the tabulated velocity domain (callers supply the speed
-    cap from the minimizer Lipschitz bound).
-    """
-    if spec.family == FAMILY_QUADRATIC and not np.isfinite(spec.momentum_cap):
-        return LagrangianField(spec, closed_form=True)
-    d = spec.dimension
-    if v_box is None:
-        v_box = [(-8.0, 8.0)] * d
-    p_half = max(spec.momentum_cap * 1.5 if np.isfinite(spec.momentum_cap) else 8.0, 8.0)
-    p_axes = uniform_axes([(-p_half, p_half)] * d, 129)
-    nx = x_resolution
-    xs = grid_points([np.arange(nx) / nx] * d)
-    v_axes = uniform_axes(v_box, v_resolution)
-    table = np.empty((nx,) * d + tuple(len(a) for a in v_axes))
-    pmat = grid_points(p_axes)
-    for flat_i, x in enumerate(xs):
-        hv = evaluate_hamiltonian(spec, np.broadcast_to(x, pmat.shape), pmat)
-        f = ConvexFunctionTable(p_axes, hv.reshape([len(a) for a in p_axes]), MOMENTUM_DOMAIN)
-        g = legendre_transform(f, v_box, v_resolution)
-        table[np.unravel_index(flat_i, (nx,) * d)] = g.values
-    return LagrangianField(spec, closed_form=False, x_nodes=nx, v_axes=v_axes, table=table)
+def build_lagrangian(spec: HamiltonianSpec) -> LagrangianField:
+    """The running cost of a (normalized) spec."""
+    return LagrangianField(spec)

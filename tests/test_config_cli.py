@@ -170,6 +170,23 @@ seed = 0
     assert all(line.endswith(",1") for line in lines[2:])
 
 
+# d = 1: no surgery; an empty p_sample: no oracle, hence no gap envelope
+@pytest.mark.parametrize("lines, key", [
+    (["oracle.p_sample =", "properties.directions = 0.0; 1.0",
+      "properties.surgery_samples = 3"], "properties.directions"),
+    (["properties.surgery_samples = 3"], "properties.surgery_samples"),
+    (["properties.surgery_t = 2.0"], "properties.surgery_t"),
+])
+def test_cli_properties_rejects_keys_it_would_skip(tmp_path, capsys, lines, key):
+    text = "dimension = 1\npotential.a0 = 1.0\ngrid.dt = 0.25\ngrid.dx = 0.25\n"
+    cfg = _write(tmp_path, "skip.cfg", text + "\n".join(lines) + "\n")
+    out = tmp_path / "out"
+    assert main(["properties", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    lineno = 5 + next(i for i, line in enumerate(lines) if line.startswith(key))
+    assert f"skip.cfg:{lineno}: {key} needs" in capsys.readouterr().err
+    assert not out.exists()
+
+
 METRIC_CFG = """
 dimension = 1
 potential.a0 = 1.0
@@ -209,11 +226,12 @@ def test_cli_accepts_one_thread_everywhere(tmp_path, command):
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
-# a typo, and keys outside the format
+# a typo, and keys outside the format (H = |p|^2 - V has no family or cap)
 @pytest.mark.parametrize("line", [
     "grid.dxx = 0.1", "metric.keep = integers", "cone.c1 = 8.0", "cone.c2 = 2.0",
     "metric.max_ratio = 2.0", "targets.radius = 2.0", "properties.refine = 1",
-    "properties.geodesic_x = 1.0, 2.0",
+    "properties.geodesic_x = 1.0, 2.0", "family = quadratic_minus_potential",
+    "momentum_cap = 50",
 ])
 def test_cli_unknown_key_exit_code(tmp_path, capsys, line):
     cfg = _write(tmp_path, "typo.cfg", METRIC_CFG + line + "\n")

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from hjhom import DomainError, cosine_spec, evaluate_hamiltonian, normalize
-from hjhom.hamiltonian import HamiltonianSpec
 from hjhom.util import grid_points
 
 
@@ -47,12 +46,6 @@ def test_evaluate_cosine_potential():
     assert evaluate_hamiltonian(spec, 0.5, 1.0) == pytest.approx(0.0, abs=1e-12)
 
 
-def test_momentum_cap_forces_pure_quadratic():
-    spec = HamiltonianSpec(1, cosine_spec(1, 2.0).potential, momentum_cap=3.0)
-    assert evaluate_hamiltonian(spec, 0.2, 4.0) == 16.0
-    assert evaluate_hamiltonian(spec, 0.2, 2.0) == 4.0 - 2.0
-
-
 def test_nonfinite_arguments_rejected():
     spec = cosine_spec(1, 1.0)
     with pytest.raises(DomainError):
@@ -94,13 +87,6 @@ def test_normalized_invariant_on_grid():
 def test_convexity_in_momentum():
     spec, _ = normalize(cosine_spec(1, 2.0, (1.0, (1,))))
     assert convexity_defect_in_p(spec) <= 1e-10
-
-
-def test_finite_cap_breaks_convexity_inside_box():
-    # the hard switch to |p|^2 jumps upward at the cap radius, so the
-    # default configuration keeps the cap out of the verification box
-    spec = HamiltonianSpec(1, cosine_spec(1, 2.0).potential, momentum_cap=4.0)
-    assert convexity_defect_in_p(spec) > 0.0
 
 
 def test_coercivity_radius():

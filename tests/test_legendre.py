@@ -1,8 +1,14 @@
 import numpy as np
 import pytest
 
-from hjhom import DomainError, build_lagrangian, cosine_spec, legendre_transform
-from hjhom.hamiltonian import HamiltonianSpec, normalize
+from hjhom import (
+    DomainError,
+    build_lagrangian,
+    cosine_spec,
+    evaluate_hamiltonian,
+    legendre_transform,
+    normalize,
+)
 from hjhom.legendre import (
     MOMENTUM_DOMAIN,
     VELOCITY_DOMAIN,
@@ -114,11 +120,24 @@ def test_convexity_defect_detects_nonconvex():
 
 def test_closed_form_lagrangian_values():
     lagr = build_lagrangian(cosine_spec(1, 1.0))
-    assert lagr.closed_form
     assert lagr(np.array([0.0]), np.array([2.0])) == pytest.approx(2.0)
     assert lagr(np.array([0.7]), np.array([0.0])) == pytest.approx(1.0)
     lagr2 = build_lagrangian(cosine_spec(1, 2.0, (1.0, (1,))))
     assert lagr2(np.array([0.0]), np.array([2.0])) == pytest.approx(4.0)
+
+
+def test_lagrangian_is_legendre_transform_of_hamiltonian():
+    # conjugating H(x, .) on a momentum grid reproduces L(x, .) = |v|^2/4 + V(x)
+    spec = cosine_spec(1, 2.0, (1.0, (1,)))
+    lagr = build_lagrangian(spec)
+    p_axes = uniform_axes([(-8.0, 8.0)], 129)
+    for x in (0.0, 0.25, 0.5, 0.7):
+        hv = evaluate_hamiltonian(spec, np.full((129, 1), x), p_axes[0][:, None])
+        g = legendre_transform(ConvexFunctionTable(p_axes, hv, MOMENTUM_DOMAIN),
+                               [(-4.0, 4.0)], 65)
+        assert not g.boundary_attained.any()
+        want = lagr(np.array([x]), g.axes[0][:, None])
+        np.testing.assert_allclose(g.values, want, atol=2e-2)
 
 
 def test_lagrangian_lower_bound_after_normalization():
@@ -126,36 +145,6 @@ def test_lagrangian_lower_bound_after_normalization():
     xs = (np.arange(64) / 64)[:, None, None]
     vs = np.linspace(-4.0, 4.0, 33)[None, :, None]
     assert lagr(xs, vs).min() >= 1.0 - 1e-12
-
-
-def test_numerical_lagrangian_matches_closed_form():
-    # a finite cap forces the tabulated route; far from the cap the closed
-    # form still holds
-    pot = cosine_spec(1, 2.0, (1.0, (1,))).potential
-    spec = HamiltonianSpec(1, pot, momentum_cap=7.5)
-    lagr = build_lagrangian(spec, v_box=[(-4, 4)], v_resolution=65, x_resolution=16)
-    assert not lagr.closed_form
-    xs = np.array([[0.0], [0.25], [0.5]])
-    vs = np.array([[0.0], [1.0], [-2.0]])
-    want = np.sum(vs * vs, axis=-1) / 4 + pot(xs)
-    got = lagr(xs, vs)
-    np.testing.assert_allclose(got, want, atol=2e-2)
-
-
-def test_tabulated_lagrangian_raises_outside_velocity_box():
-    # a0 = 3, amplitude 2, cap 50: the tabulated L used to clamp v = 10 and
-    # v = 20 to the box edge and return L(0.3, 8) = 18.15 for both
-    raw = cosine_spec(1, 3.0, (2.0, (1,)))
-    spec, _ = normalize(HamiltonianSpec(1, raw.potential, momentum_cap=50.0))
-    lagr = build_lagrangian(spec)
-    assert not lagr.closed_form
-    x = np.array([0.3])
-    assert lagr(x, np.array([8.0])) == pytest.approx(18.38, abs=0.3)  # box edge
-    for v in (10.0, 20.0, -8.5):
-        with pytest.raises(DomainError, match=r"\[-8, 8\]"):
-            lagr(x, np.array([v]))
-    with pytest.raises(DomainError):  # one bad row is enough
-        lagr(np.zeros((3, 1)), np.array([[0.0], [1.0], [9.0]]))
 
 
 def test_interpolate_clamps_and_reports():
