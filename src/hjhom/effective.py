@@ -181,9 +181,12 @@ def cell_problem_oracle(lagrangian: LagrangianField, p, t_long: float = 128.0,
 
     Solves w_t + H(x, p + D_x w) = 0, w(0, .) = 0 on the unit torus by value
     iteration (minimum over periodic lattice paths of cost minus p times
-    displacement) and returns -w(T, 0)/T.  The torus lattice and the roll
-    update are deliberately separate from the cone-table DP so the two
-    routes stay independent; only the offset enumeration is shared.
+    displacement) and returns -w(T, 0)/T.  Each step is one gather: node i
+    takes the minimum over offsets o of w + cost at its source node i - o
+    (mod 1), through a precomputed (offsets, nodes) source index and the
+    matching cost.  The torus lattice and this gather are deliberately
+    separate from the cone-table DP so the two routes stay independent; only
+    the offset enumeration is shared.
     """
     d = lagrangian.dimension
     p = np.atleast_1d(np.asarray(p, dtype=float))
@@ -196,22 +199,28 @@ def cell_problem_oracle(lagrangian: LagrangianField, p, t_long: float = 128.0,
     if n_steps < 4:
         raise ConfigurationError("t_long too small for the torus iteration")
 
-    # per-offset cost over torus nodes i: dt L((i + o/2) dx mod 1, o dx/dt) - p . o dx
+    # per-offset cost over torus nodes i: dt L((i + o/2) dx mod 1, o dx/dt) - p . o dx,
+    # read at the source node of each target node
     base = grid_points([np.arange(big_m)] * d).reshape((big_m,) * d + (d,))
-    shifted = []
+    node = np.arange(big_m**d).reshape((big_m,) * d)
+    axes = tuple(range(d))
+    src, cost = [], []
     for o in _offsets(d, vmax * dt / dx):
         mid = np.mod((base + o / 2.0) * dx, 1.0)
         vel = o * dx / dt
-        cost = dt * lagrangian(mid, np.broadcast_to(vel, mid.shape)) - float(p @ (o * dx))
-        shifted.append((tuple(int(c) for c in o), cost))
+        c = dt * lagrangian(mid, np.broadcast_to(vel, mid.shape)) - float(p @ (o * dx))
+        shift = tuple(int(k) for k in o)
+        src.append(np.roll(node, shift, axis=axes).ravel())
+        cost.append(np.roll(c, shift, axis=axes).ravel())
+    src, cost = np.stack(src), np.stack(cost)
 
-    w = np.zeros((big_m,) * d)
+    w = np.zeros(big_m**d)
+    buf = np.empty_like(cost)
     for _ in range(n_steps):
-        new = np.full_like(w, np.inf)
-        for o, cost in shifted:
-            np.minimum(new, np.roll(w + cost, o, axis=tuple(range(d))), out=new)
-        w = new
-    return -w[(0,) * d] / (n_steps * dt)
+        np.take(w, src, out=buf, mode="clip")   # in range; clip skips a buffer copy
+        np.add(buf, cost, out=buf)
+        np.min(buf, axis=0, out=w)
+    return -w[0] / (n_steps * dt)
 
 
 # ---------------------------------------------------------------------------

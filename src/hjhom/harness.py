@@ -226,6 +226,13 @@ class PropertyCheck:
     passed: bool
 
 
+# the keys run_property_suite reads only for a non-empty oracle.p_sample
+ORACLE_KEYS = ("properties.directions", "oracle.t_long", "oracle.vmax", "oracle.tol",
+               "effective.v_box", "effective.v_step", "effective.n_max",
+               "effective.p_box", "effective.p_step", "effective.vmax",
+               "effective.max_denominator")
+
+
 def run_property_suite(cfg: Config, out_dir, verbose: bool = False):
     spec, _ = spec_from_config(cfg)
     lagr = build_lagrangian(spec)
@@ -233,9 +240,9 @@ def run_property_suite(cfg: Config, out_dir, verbose: bool = False):
     # keys a branch below would skip are errors, not silent no-ops
     p_sample = cfg.get_vectors("oracle.p_sample", [[0.0] * d])
     directions = cfg.get_vectors("properties.directions")
-    if directions and not p_sample:
-        raise ConfigError(f"{cfg.where('properties.directions')}: properties.directions "
-                          "needs a non-empty oracle.p_sample")
+    for key in ORACLE_KEYS:
+        if not p_sample and cfg.get_str(key) is not None:
+            raise ConfigError(f"{cfg.where(key)}: {key} needs a non-empty oracle.p_sample")
     for key in ("properties.surgery_samples", "properties.surgery_t"):
         if d != 2 and cfg.get_str(key) is not None:
             raise ConfigError(f"{cfg.where(key)}: {key} needs dimension = 2, not {d}")

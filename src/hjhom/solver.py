@@ -180,12 +180,14 @@ def solve_fd_oracle(u0: InitialData, spec, eps: float, t: float, targets,
                     box_margin: float = 1.0) -> SolutionField:
     """Monotone Lax-Friedrichs solution of the oscillatory problem (oracle).
 
-    Central Hamiltonian evaluation with artificial viscosity alpha = max
-    |D_p H| per axis; CFL number 0.45 keeps the scheme monotone.  The box is
-    sized so boundary influence (finite speed) cannot reach the targets.
+    Central Hamiltonian evaluation H = |grad u|^2 - V(x/eps) with artificial
+    viscosity alpha = max |D_p H| per axis; CFL number 0.45 keeps the scheme
+    monotone.  The box is sized so boundary influence (finite speed) cannot
+    reach the targets.  V is evaluated once at the nodes; u lives inside one
+    buffer with an edge-copied ghost layer, and each step updates it through
+    preallocated grid buffers.  A state that turns non-finite stays non-finite,
+    so one check after the loop raises DomainError.
     """
-    from .hamiltonian import evaluate_hamiltonian
-
     d = spec.dimension
     if d > 2:
         raise ConfigurationError("FD oracle supports d <= 2")
@@ -200,7 +202,7 @@ def solve_fd_oracle(u0: InitialData, spec, eps: float, t: float, targets,
     hi = targets.max(axis=0) + speed * t + box_margin
     axes = [np.arange(l, hh + h, h) for l, hh in zip(lo, hi)]
     nodes = grid_points(axes)
-    u = u0(nodes).reshape(tuple(len(a) for a in axes))
+    shape = tuple(len(a) for a in axes)
     dt_fd = 0.45 * h / (alpha * d)
     n_steps = int(np.ceil(t / dt_fd))
     if n_steps < 1:
@@ -208,24 +210,44 @@ def solve_fd_oracle(u0: InitialData, spec, eps: float, t: float, targets,
     dt_fd = t / n_steps
     if dt_fd > 0.45 * h / (alpha * d) + 1e-15:
         raise ConfigurationError("CFL violation after rounding to the horizon")
-    xov = np.mod(nodes / eps, 1.0)
+    v_nodes = spec.potential(np.mod(nodes / eps, 1.0)).reshape(shape)
+
+    def part(ax, sl):
+        """Slice sl along axis ax of the ghosted buffer, interior elsewhere."""
+        return tuple(sl if i == ax else slice(1, -1) for i in range(d))
+
+    up = np.empty(tuple(n + 2 for n in shape))
+    u = up[(slice(1, -1),) * d]
+    u[...] = u0(nodes).reshape(shape)
+    ghosts = [(part(ax, 0), part(ax, 1), part(ax, -1), part(ax, -2)) for ax in range(d)]
+    stencil = [(up[part(ax, slice(2, None))], up[part(ax, slice(0, -2))])
+               for ax in range(d)]
+    two_u, grad, ham, visc, tmp = (np.empty(shape) for _ in range(5))
     for _ in range(n_steps):
-        up = np.pad(u, 1, mode="edge")
-        grads = []
-        visc = np.zeros_like(u)
-        ctr = tuple(slice(1, -1) for _ in range(d))
-        for ax in range(d):
-            sl_p = list(ctr)
-            sl_m = list(ctr)
-            sl_p[ax] = slice(2, None)
-            sl_m[ax] = slice(0, -2)
-            fwd = up[tuple(sl_p)]
-            bwd = up[tuple(sl_m)]
-            grads.append((fwd - bwd) / (2 * h))
-            visc += (fwd - 2 * u + bwd) / (2 * h)
-        grad = np.stack(grads, axis=-1).reshape(-1, d)
-        ham = evaluate_hamiltonian(spec, xov, grad).reshape(u.shape)
-        u = u - dt_fd * ham + dt_fd * alpha * visc
+        for lo_g, lo_i, hi_g, hi_i in ghosts:
+            up[lo_g] = up[lo_i]
+            up[hi_g] = up[hi_i]
+        np.multiply(2, u, out=two_u)
+        for ax, (fwd, bwd) in enumerate(stencil):
+            np.subtract(fwd, bwd, out=grad)
+            np.divide(grad, 2 * h, out=grad)
+            if ax == 0:
+                np.multiply(grad, grad, out=ham)
+            else:
+                np.multiply(grad, grad, out=grad)
+                np.add(ham, grad, out=ham)
+            np.subtract(fwd, two_u, out=tmp)
+            np.add(tmp, bwd, out=tmp)
+            np.divide(tmp, 2 * h, out=tmp)
+            # the viscosity sum starts from +0.0, which turns a -0.0 term into +0.0
+            np.add(visc if ax else 0.0, tmp, out=visc)
+        np.subtract(ham, v_nodes, out=ham)
+        np.multiply(dt_fd, ham, out=ham)
+        np.subtract(u, ham, out=ham)
+        np.multiply(dt_fd * alpha, visc, out=visc)
+        np.add(ham, visc, out=u)
+    if not np.isfinite(u).all():
+        raise DomainError("non-finite x or p")
     i0, w, _ = box_cell(axes, targets)  # the box covers every target
     vals = multilinear(u, i0, w) + t * spec.normalization_shift
     return SolutionField(
@@ -233,4 +255,3 @@ def solve_fd_oracle(u0: InitialData, spec, eps: float, t: float, targets,
         provenance={"spec": spec.content_hash(), "scheme": "lax-friedrichs",
                     "h": h, "dt_fd": dt_fd, "alpha": alpha,
                     "shift": spec.normalization_shift})
-

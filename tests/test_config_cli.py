@@ -170,12 +170,23 @@ seed = 0
     assert all(line.endswith(",1") for line in lines[2:])
 
 
-# d = 1: no surgery; an empty p_sample: no oracle, hence no gap envelope
+# d = 1: no surgery; an empty p_sample: no oracle, hence no gap envelope and
+# no effective model
 @pytest.mark.parametrize("lines, key", [
     (["oracle.p_sample =", "properties.directions = 0.0; 1.0",
       "properties.surgery_samples = 3"], "properties.directions"),
     (["properties.surgery_samples = 3"], "properties.surgery_samples"),
     (["properties.surgery_t = 2.0"], "properties.surgery_t"),
+    (["oracle.p_sample =", "oracle.tol = 0.001", "effective.v_box = 9.0"], "oracle.tol"),
+    (["oracle.p_sample =", "oracle.t_long = 16.0"], "oracle.t_long"),
+    (["oracle.p_sample =", "oracle.vmax = 4.0"], "oracle.vmax"),
+    (["oracle.p_sample =", "effective.v_box = 9.0"], "effective.v_box"),
+    (["oracle.p_sample =", "effective.v_step = 0.5"], "effective.v_step"),
+    (["oracle.p_sample =", "effective.n_max = 4"], "effective.n_max"),
+    (["oracle.p_sample =", "effective.p_box = 2.0"], "effective.p_box"),
+    (["oracle.p_sample =", "effective.p_step = 0.25"], "effective.p_step"),
+    (["oracle.p_sample =", "effective.vmax = 4.0"], "effective.vmax"),
+    (["oracle.p_sample =", "effective.max_denominator = 4"], "effective.max_denominator"),
 ])
 def test_cli_properties_rejects_keys_it_would_skip(tmp_path, capsys, lines, key):
     text = "dimension = 1\npotential.a0 = 1.0\ngrid.dt = 0.25\ngrid.dx = 0.25\n"

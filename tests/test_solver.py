@@ -3,6 +3,7 @@ import pytest
 
 from hjhom import (
     ConfigurationError,
+    DomainError,
     build_lagrangian,
     compute_metric_table,
     cosine_spec,
@@ -161,6 +162,17 @@ def test_fd_oracle_zero_data():
     sol = solve_fd_oracle(zero_data(1), spec, eps=0.25, t=0.5,
                           targets=[[0.0]], points_per_eps=32)
     assert sol.values[0] == pytest.approx(0.5, abs=0.02)
+
+
+def test_fd_oracle_non_finite_state_raises():
+    # +inf on x > 0.3: the state goes non-finite and stays so, whenever the
+    # solver checks it
+    inf_right = InitialData(lambda x: np.where(x[:, 0] > 0.3, np.inf, 0.0), 0.0,
+                            "inf-right", 1)
+    with np.errstate(invalid="ignore", over="ignore"):
+        with pytest.raises(DomainError, match="non-finite"):
+            solve_fd_oracle(inf_right, cosine_spec(1, 1.0), eps=0.5, t=0.25,
+                            targets=[[0.0]], points_per_eps=8)
 
 
 def test_fd_vs_representation_small():
