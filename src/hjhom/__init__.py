@@ -20,12 +20,7 @@ from .hamiltonian import (
     evaluate_hamiltonian,
     normalize,
 )
-from .legendre import (
-    ConvexFunctionTable,
-    LagrangianField,
-    build_lagrangian,
-    legendre_transform,
-)
+from .legendre import ConvexFunctionTable, LagrangianField, build_lagrangian, conjugate
 from .metric import (
     Cone,
     DiscretePath,

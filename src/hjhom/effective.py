@@ -15,12 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, DomainError
-from .legendre import (
-    VELOCITY_DOMAIN,
-    ConvexFunctionTable,
-    LagrangianField,
-    legendre_transform,
-)
+from .legendre import VELOCITY_DOMAIN, ConvexFunctionTable, LagrangianField, conjugate
 from .metric import MetricTable, _offsets, compute_metric_table, default_speed_cap
 from .util import grid_points, write_rows
 
@@ -62,12 +57,14 @@ def effective_metric(table: MetricTable, t: float, x,
 
 @dataclass
 class EffectiveModel:
-    """Homogenized Lagrangian / Hamiltonian tables with ray diagnostics."""
+    """Homogenized Lagrangian table with ray diagnostics; Hbar is its conjugate.
+
+    shift: the spec's normalization shift, re-added by the effective solver.
+    """
 
     lagrangian_table: ConvexFunctionTable
-    hamiltonian_table: ConvexFunctionTable
     diagnostics: list = field(default_factory=list)
-    provenance: dict = field(default_factory=dict)
+    shift: float = 0.0
 
     def lagrangian_bar(self, v) -> float:
         val, clamped = self.lagrangian_table.interpolate(np.atleast_1d(v))
@@ -77,9 +74,7 @@ class EffectiveModel:
 
     def hamiltonian_bar(self, p) -> float:
         """Exact grid conjugate max_v p . v - Lbar(v) at an arbitrary p."""
-        p = np.atleast_1d(np.asarray(p, dtype=float))
-        nodes = grid_points(self.lagrangian_table.axes)
-        return float(np.max(nodes @ p - self.lagrangian_table.values.ravel()))
+        return float(conjugate(self.lagrangian_table, p)[0])
 
     def flat_piece_radius_estimate(self) -> float:
         """Subderivative of Lbar at v = 0 from chord slopes (d = 1).
@@ -97,9 +92,8 @@ class EffectiveModel:
                   for i in range(len(vs)) if vs[i] > vs[i0]]
         return float(min(chords))
 
-    def to_csv(self, lbar_path, hbar_path, diag_path) -> None:
+    def to_csv(self, lbar_path, diag_path) -> None:
         self.lagrangian_table.to_csv(lbar_path)
-        self.hamiltonian_table.to_csv(hbar_path)
         cols = [f"v{i+1}" for i in range(self.lagrangian_table.dimension)]
         rows = [(*rec["v"], n, g, g - rec["limit"]) for rec in self.diagnostics
                 for n, g in zip(rec["ns"], rec["gs"])]
@@ -125,9 +119,8 @@ def _rational_scale(v: np.ndarray,
 def build_effective_model(lagrangian: LagrangianField,
                           v_box_half: float, v_step: float, n_max: int,
                           dt: float, dx: float, vmax: float | None = None,
-                          p_box_half: float | None = None, p_step: float = 0.125,
                           max_denominator: int = 8) -> EffectiveModel:
-    """Sample Lbar(v) on a symmetric velocity grid and conjugate it to Hbar.
+    """Sample Lbar(v) on a symmetric velocity grid.
 
     One metric table with horizon n_max serves every velocity: the ray for v
     is first scaled by the denominator b of v (so targets are integer points),
@@ -150,28 +143,16 @@ def build_effective_model(lagrangian: LagrangianField,
     for idx in np.ndindex(values.shape):
         v = np.asarray([axis[i] for i in idx])
         b, bv, exact = _rational_scale(v, max_denominator)
-        res = effective_metric(table, float(b), bv, n_max // b if b <= n_max else 1)
+        res = effective_metric(table, float(b), bv, n_max // b)
         lbar = res.limit / b
         values[idx] = lbar
         diagnostics.append({
             "v": v, "denominator": b, "ns": [n * b for n in res.ns],
             "gs": [g / b for g in res.gs], "limit": lbar,
-            "flagged": res.flagged or (n_max // b) < 2 or not exact,
+            "flagged": res.flagged or not exact,
         })
-    ltab = ConvexFunctionTable(v_axes, values, VELOCITY_DOMAIN)
-    if p_box_half is None:
-        p_box_half = v_box_half / 2.0 + 1.0
-    p_n = 2 * int(round(p_box_half / p_step)) + 1
-    htab = legendre_transform(ltab, [(-p_box_half, p_box_half)] * d, p_n)
-    return EffectiveModel(
-        lagrangian_table=ltab, hamiltonian_table=htab, diagnostics=diagnostics,
-        provenance={
-            "spec": lagrangian.spec.content_hash(), "n_max": n_max,
-            "dt": dt, "dx": dx, "vmax": vmax, "v_step": v_step,
-            "v_box_half": v_box_half, "max_denominator": max_denominator,
-            "shift": lagrangian.spec.normalization_shift,
-        },
-    )
+    return EffectiveModel(ConvexFunctionTable(v_axes, values, VELOCITY_DOMAIN),
+                          diagnostics, lagrangian.spec.normalization_shift)
 
 
 def cell_problem_oracle(lagrangian: LagrangianField, p, t_long: float = 128.0,

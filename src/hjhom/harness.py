@@ -18,13 +18,8 @@ import numpy as np
 from .config import Config, ConfigError, spec_from_config
 from .effective import build_effective_model, cell_problem_oracle
 from .errors import ResolutionError
-from .legendre import build_lagrangian
-from .metric import (
-    compute_metric_table,
-    default_speed_cap,
-    extract_minimizing_path,
-    metric_point,
-)
+from .legendre import MOMENTUM_DOMAIN, ConvexFunctionTable, build_lagrangian, conjugate
+from .metric import compute_metric_table, default_speed_cap, extract_minimizing_path
 from .properties import check_linear_growth, check_subadditivity, gap_vs_log_envelope
 from .rates import RateReport, fit_rate
 from .solver import (
@@ -37,7 +32,7 @@ from .solver import (
     zero_data,
 )
 from .surgery import path_surgery, surgery_csv
-from .util import format_float, write_rows
+from .util import format_float, grid_points, write_rows
 
 
 def u0_from_config(cfg: Config, dimension: int) -> InitialData:
@@ -96,9 +91,18 @@ def _effective_model(cfg: Config, lagr, v_box: float, v_step: float,
         lagr, v_box_half=v_box, v_step=cfg.get_float("effective.v_step", v_step),
         n_max=cfg.get_int("effective.n_max", 8), dt=dt, dx=dx,
         vmax=cfg.get_float("effective.vmax", vmax),
-        p_box_half=cfg.get_float("effective.p_box"),
-        p_step=cfg.get_float("effective.p_step", 0.125),
         max_denominator=cfg.get_int("effective.max_denominator", 8))
+
+
+def _reject(cfg: Config, keys, needs: str) -> None:
+    """A set key a command would skip is an error, not a silent no-op."""
+    for key in keys:
+        if cfg.get_str(key) is not None:
+            raise ConfigError(f"{cfg.where(key)}: {key} needs {needs}")
+
+
+# the keys that shape only the Hbar table of the effective command
+HBAR_KEYS = ("effective.p_box", "effective.p_step")
 
 
 def _profile(table) -> list:
@@ -137,14 +141,23 @@ def run_effective(cfg: Config, out_dir, verbose: bool = False):
     spec, _ = spec_from_config(cfg)
     lagr = build_lagrangian(spec)
     v_box = cfg.get_float("effective.v_box", 4.0)
+    # the momentum grid of the written Hbar table
+    p_box = cfg.get_float("effective.p_box", v_box / 2.0 + 1.0)
+    p_half = int(round(p_box / cfg.get_float("effective.p_step", 0.125)))
+    if p_half < 1:
+        raise ConfigError("effective.p_box must be at least effective.p_step / 2")
+    p_axes = (np.linspace(-p_box, p_box, 2 * p_half + 1),) * spec.dimension
     dt, dx, vmax = _grids(cfg, lagr, v_box * np.sqrt(spec.dimension))
     model = _effective_model(cfg, lagr, v_box, 0.25, dt, dx, vmax)
+    hbar = conjugate(model.lagrangian_table, grid_points(p_axes))
+    htab = ConvexFunctionTable(p_axes, hbar.reshape([len(a) for a in p_axes]),
+                               MOMENTUM_DOMAIN)
     os.makedirs(out_dir, exist_ok=True)
     model.to_csv(os.path.join(out_dir, "lbar.csv"),
-                 os.path.join(out_dir, "hbar.csv"),
                  os.path.join(out_dir, "effective_diagnostics.csv"))
+    htab.to_csv(os.path.join(out_dir, "hbar.csv"))
     write_rows(os.path.join(out_dir, "hbar.dat"), ["# p1 Hbar(p1,0,...)"],
-               _profile(model.hamiltonian_table), " ")
+               _profile(htab), " ")
     write_rows(os.path.join(out_dir, "lbar.dat"), ["# v1 Lbar(v1,0,...)"],
                _profile(model.lagrangian_table), " ")
     if verbose:
@@ -154,6 +167,7 @@ def run_effective(cfg: Config, out_dir, verbose: bool = False):
 
 def run_rate_sweep(cfg: Config, out_dir, threads: int = 1,
                    verbose: bool = False) -> RateReport:
+    _reject(cfg, HBAR_KEYS, "the effective command")
     spec, _ = spec_from_config(cfg)
     lagr = build_lagrangian(spec)
     d = spec.dimension
@@ -229,23 +243,21 @@ class PropertyCheck:
 # the keys run_property_suite reads only for a non-empty oracle.p_sample
 ORACLE_KEYS = ("properties.directions", "oracle.t_long", "oracle.vmax", "oracle.tol",
                "effective.v_box", "effective.v_step", "effective.n_max",
-               "effective.p_box", "effective.p_step", "effective.vmax",
-               "effective.max_denominator")
+               "effective.vmax", "effective.max_denominator")
 
 
 def run_property_suite(cfg: Config, out_dir, verbose: bool = False):
     spec, _ = spec_from_config(cfg)
     lagr = build_lagrangian(spec)
     d = spec.dimension
-    # keys a branch below would skip are errors, not silent no-ops
     p_sample = cfg.get_vectors("oracle.p_sample", [[0.0] * d])
     directions = cfg.get_vectors("properties.directions")
-    for key in ORACLE_KEYS:
-        if not p_sample and cfg.get_str(key) is not None:
-            raise ConfigError(f"{cfg.where(key)}: {key} needs a non-empty oracle.p_sample")
-    for key in ("properties.surgery_samples", "properties.surgery_t"):
-        if d != 2 and cfg.get_str(key) is not None:
-            raise ConfigError(f"{cfg.where(key)}: {key} needs dimension = 2, not {d}")
+    _reject(cfg, HBAR_KEYS, "the effective command")
+    if not p_sample:
+        _reject(cfg, ORACLE_KEYS, "a non-empty oracle.p_sample")
+    if d != 2:
+        _reject(cfg, ("properties.surgery_samples", "properties.surgery_t"),
+                f"dimension = 2, not {d}")
     rng = np.random.default_rng(cfg.get_int("seed", 0))
     horizon = cfg.get_float("metric.horizon", 8.0)
     dt, dx, vmax = _grids(cfg, lagr, 3.0)
@@ -259,14 +271,6 @@ def run_property_suite(cfg: Config, out_dir, verbose: bool = False):
     lip = table.lipschitz_estimate()
     checks.append(PropertyCheck("subadditivity_max_violation", worst,
                                 2 * dx * lip, worst <= 2 * dx * lip))
-
-    # periodicity: integer translations must reproduce values exactly
-    per_worst = 0.0
-    for k, z, base in zip(*(a[:50] for a in table.integer_cone())):
-        shifted = metric_point(table, float(k), np.ones(d), np.ones(d) + z)
-        per_worst = max(per_worst, abs(float(base) - shifted))
-    checks.append(PropertyCheck("periodicity_max_dev", per_worst, 0.0,
-                                per_worst == 0.0))
 
     k_growth = check_linear_growth(table)
     checks.append(PropertyCheck("linear_growth_K", k_growth, np.inf,

@@ -1,11 +1,10 @@
-"""Discrete Legendre-Fenchel transform and the running cost L(x, v).
+"""Grid Legendre-Fenchel conjugate and the running cost L(x, v).
 
-The transform of a grid function f is g(v) = max over grid nodes p of
-p . v - f(p), computed one axis at a time (each sweep is a direct O(N^2)
-maximization; the multidimensional conjugate factorizes across axes).  This
-is exact for the piecewise-linear interpolation of f, because a supremum of
-affine functions over a segment is attained at its endpoints.  The running
-cost needs no transform: L = |v|^2 / 4 + V is the closed-form dual of H.
+The conjugate of a grid function f is g(p) = max over grid nodes v of
+p . v - f(v), a direct maximization over every node.  This is exact for the
+piecewise-linear interpolation of f, because a supremum of affine functions
+over a cell is attained at its corners.  The running cost needs no
+transform: L = |v|^2 / 4 + V is the closed-form dual of H.
 """
 
 from __future__ import annotations
@@ -21,8 +20,6 @@ from .util import box_cell, grid_points, multilinear, write_rows
 MOMENTUM_DOMAIN = "momentum-domain"
 VELOCITY_DOMAIN = "velocity-domain"
 
-_DUAL = {MOMENTUM_DOMAIN: VELOCITY_DOMAIN, VELOCITY_DOMAIN: MOMENTUM_DOMAIN}
-
 
 @dataclass
 class ConvexFunctionTable:
@@ -32,22 +29,18 @@ class ConvexFunctionTable:
     values: array of shape (len(axis) for each axis); +inf marks nodes
         outside the effective domain.
     units: "momentum-domain" or "velocity-domain".
-    boundary_attained: optional bool array; True where a conjugation that
-        produced this table attained its max on the source grid boundary
-        (a sign the source box should be enlarged).
     """
 
     axes: tuple[np.ndarray, ...]
     values: np.ndarray
     units: str
-    boundary_attained: np.ndarray | None = None
 
     def __post_init__(self):
         self.axes = tuple(np.asarray(a, dtype=float) for a in self.axes)
         self.values = np.asarray(self.values, dtype=float)
         if self.values.shape != tuple(len(a) for a in self.axes):
             raise DomainError("values shape does not match axes")
-        if self.units not in _DUAL:
+        if self.units not in (MOMENTUM_DOMAIN, VELOCITY_DOMAIN):
             raise DomainError(f"unknown units tag {self.units!r}")
 
     @property
@@ -76,48 +69,19 @@ class ConvexFunctionTable:
                                                       self.values.ravel())), ",")
 
 
-def uniform_axes(box, resolution: int) -> tuple[np.ndarray, ...]:
-    """Axes for a box ((lo, hi), ...) with ``resolution`` nodes per axis."""
-    if resolution < 2 or any(hi <= lo for lo, hi in box):
-        raise DomainError("each axis needs at least 2 nodes and hi > lo")
-    return tuple(np.linspace(lo, hi, int(resolution)) for lo, hi in box)
+def conjugate(table: ConvexFunctionTable, points) -> np.ndarray:
+    """g(p) = max over the table's nodes v of p . v - f(v), at each row p of
+    points (n, d).
 
-
-def legendre_transform(f: ConvexFunctionTable, out_box, out_resolution) -> ConvexFunctionTable:
-    """g(v) = max over grid nodes p of p . v - f(p), on a new grid.
-
-    Output nodes whose maximizing chain touches the source-grid boundary are
-    flagged in ``boundary_attained`` so callers can enlarge the source box.
+    Rows are maximized one at a time, so each value is that of a one-point
+    call; a matrix product over all rows at once may round differently.
     """
-    if any(len(a) == 0 for a in f.axes) or f.values.size == 0:
-        raise DomainError("empty source grid")
-    if not np.isfinite(f.values).any():
-        raise DomainError("source table has no finite values")
-    out_axes = uniform_axes(out_box, out_resolution)
-    if len(out_axes) != f.dimension:
-        raise DomainError("output box dimension mismatch")
-
-    # Sweep axes last-to-first.  Invariant: after sweeping axis ax, array
-    # `h` has source axes 0..ax-1 and output axes ax..d-1, and equals
-    # max over p_ax..p_d of sum_j>=ax p_j v_j - f.
-    h = -f.values
-    flags = np.zeros_like(h, dtype=bool)
-    d = f.dimension
-    for ax in reversed(range(d)):
-        p = f.axes[ax]
-        v = out_axes[ax]
-        h_moved = np.moveaxis(h, ax, -1)  # (..., P)
-        fl_moved = np.moveaxis(flags, ax, -1)
-        scores = h_moved[..., :, None] + p[:, None] * v[None, :]  # (..., P, Q)
-        arg = np.nanargmax(np.where(np.isnan(scores), -np.inf, scores), axis=-2)
-        new_h = np.take_along_axis(scores, arg[..., None, :], axis=-2)[..., 0, :]
-        prev_fl = np.take_along_axis(
-            np.broadcast_to(fl_moved[..., :, None], scores.shape), arg[..., None, :], axis=-2
-        )[..., 0, :]
-        new_fl = prev_fl | (arg == 0) | (arg == len(p) - 1)
-        h = np.moveaxis(new_h, -1, ax)
-        flags = np.moveaxis(new_fl, -1, ax)
-    return ConvexFunctionTable(out_axes, h, _DUAL[f.units], boundary_attained=flags)
+    nodes = grid_points(table.axes)
+    values = table.values.ravel()
+    if not np.isfinite(values).any():
+        raise DomainError("table has no finite values")
+    pts = np.asarray(points, dtype=float).reshape(-1, table.dimension)
+    return np.array([np.max(nodes @ p - values) for p in pts])
 
 
 class LagrangianField:

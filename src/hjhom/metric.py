@@ -131,15 +131,8 @@ class MetricTable:
         return float(self.layers[k][tuple(j + reach)])
 
     def interpolate(self, t: float, z) -> float:
-        """Multilinear in space at a stored layer time; linear between layers."""
-        k = t / self.dt
-        kr = round(k)
-        if abs(k - kr) < 1e-9:
-            return float(self._interp_layer(self._layer_pos(int(kr)), z)[0])
-        k0 = int(np.floor(k))
-        w = k - k0
-        a, b = (self._interp_layer(self._layer_pos(j), z)[0] for j in (k0, k0 + 1))
-        return float((1 - w) * a + w * b)
+        """Multilinear in space at a stored layer time; any other t raises."""
+        return float(self._interp_layer(self._layer_index(t), z)[0])
 
     def interpolate_many(self, t: float, Z: np.ndarray) -> np.ndarray:
         """Vectorized multilinear interpolation at one stored layer time.

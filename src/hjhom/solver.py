@@ -154,7 +154,7 @@ def solve_effective(u0: InitialData, model: EffectiveModel, t: float,
         raise DomainError("t must be positive")
     ltab = model.lagrangian_table
     d = ltab.dimension
-    shift = model.provenance.get("shift", 0.0)
+    shift = model.shift
     vgrid = grid_points(ltab.axes)
     targets = np.asarray(targets, dtype=float).reshape(-1, d)
     obj = u0((targets[:, None, :] - t * vgrid).reshape(-1, d)).reshape(-1, len(vgrid))
@@ -171,8 +171,7 @@ def solve_effective(u0: InitialData, model: EffectiveModel, t: float,
                             [a[-1] for a in axes]) + t * shift
     return SolutionField(
         t=t, points=targets, values=values, eps=0.0,
-        provenance={"spec": model.provenance.get("spec"), "shift": shift,
-                    "n_max": model.provenance.get("n_max")})
+        provenance={"shift": shift})
 
 
 def solve_fd_oracle(u0: InitialData, spec, eps: float, t: float, targets,

@@ -198,6 +198,53 @@ def test_cli_properties_rejects_keys_it_would_skip(tmp_path, capsys, lines, key)
     assert not out.exists()
 
 
+# the momentum grid shapes only the Hbar table that the effective command
+# writes; rate and properties would drop it, with or without an oracle sample
+@pytest.mark.parametrize("command, lines, key", [
+    ("properties", ["effective.p_box = 2.0"], "effective.p_box"),
+    ("properties", ["oracle.p_sample = 0.5", "effective.p_step = 0.25"], "effective.p_step"),
+    ("rate", ["sweep.eps = 0.5", "effective.p_box = 2.0"], "effective.p_box"),
+])
+def test_cli_rejects_hbar_grid_outside_effective(tmp_path, capsys, command, lines, key):
+    text = "dimension = 1\npotential.a0 = 1.0\ngrid.dt = 0.25\ngrid.dx = 0.25\n"
+    cfg = _write(tmp_path, "hbar.cfg", text + "\n".join(lines) + "\n")
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    lineno = 5 + next(i for i, line in enumerate(lines) if line.startswith(key))
+    assert f"hbar.cfg:{lineno}: {key} needs the effective command" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_effective_hbar_grid_from_keys(tmp_path):
+    cfg = _write(tmp_path, "e.cfg", """
+dimension = 1
+potential.a0 = 1.0
+grid.dt = 0.25
+grid.dx = 0.25
+grid.vmax = 4.0
+effective.v_box = 1.0
+effective.v_step = 0.5
+effective.n_max = 2
+effective.p_box = 1.0
+effective.p_step = 0.25
+""")
+    out = tmp_path / "out"
+    assert main(["effective", "--config", cfg, "--out", str(out)]) == EXIT_OK
+    rows = (out / "hbar.csv").read_text().splitlines()
+    assert rows[:2] == ["# schema=hjhom.table.v1 units=momentum-domain", "v1,value"]
+    np.testing.assert_array_equal([float(r.split(",")[0]) for r in rows[2:]],
+                                  np.linspace(-1.0, 1.0, 9))
+
+
+def test_cli_effective_rejects_momentum_grid_without_nodes(tmp_path, capsys):
+    cfg = _write(tmp_path, "e.cfg", "dimension = 1\npotential.a0 = 1.0\n"
+                 "effective.p_box = 0.05\neffective.p_step = 0.25\n")
+    out = tmp_path / "out"
+    assert main(["effective", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    assert "effective.p_box must be at least" in capsys.readouterr().err
+    assert not out.exists()
+
+
 METRIC_CFG = """
 dimension = 1
 potential.a0 = 1.0

@@ -152,8 +152,8 @@ def test_cell_oracle_oscillatory_matches_quadrature():
 def test_diagnostics_csv_export(tmp_path):
     model = build_effective_model(FREE, v_box_half=1.0, v_step=0.5, n_max=4,
                                   dt=0.25, dx=0.25, vmax=3.0)
-    lbar, hbar, diag = (tmp_path / n for n in ("lbar.csv", "hbar.csv", "diag.csv"))
-    model.to_csv(lbar, hbar, diag)
+    lbar, diag = tmp_path / "lbar.csv", tmp_path / "diag.csv"
+    model.to_csv(lbar, diag)
     assert lbar.read_text().startswith("# schema=hjhom.table.v1")
     lines = diag.read_text().splitlines()
     assert lines[1] == "v1,n,g_n,gap"

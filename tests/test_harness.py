@@ -126,16 +126,15 @@ seed = 0
 """)
     checks = run_property_suite(cfg, str(tmp_path / "out"))
     names = {c.name for c in checks}
-    assert {"subadditivity_max_violation", "periodicity_max_dev",
-            "linear_growth_K", "oracle_agreement", "lemma_gap_max",
+    assert {"subadditivity_max_violation", "linear_growth_K", "oracle_agreement", "lemma_gap_max",
             "surgery_success_rate"} <= names
     assert all(c.passed for c in checks), [c for c in checks if not c.passed]
     assert (tmp_path / "out" / "surgery.csv").exists()
 
 
 def test_property_suite_reads_every_effective_key(tmp_path, monkeypatch):
-    # effective.max_denominator, p_box and p_step reach the model, as in the
-    # effective and rate commands
+    # effective.max_denominator reaches the model, as in the effective and
+    # rate commands
     import hjhom.harness as harness
 
     built = []
@@ -159,13 +158,7 @@ effective.v_box = 1.0
 effective.v_step = 0.5
 effective.n_max = 2
 effective.max_denominator = 1
-effective.p_box = 1.0
-effective.p_step = 0.25
 """)
     run_property_suite(cfg, str(tmp_path / "out"))
-    model = built[0]
-    assert model.provenance["max_denominator"] == 1
-    flags = {float(rec["v"][0]): rec["flagged"] for rec in model.diagnostics}
+    flags = {float(rec["v"][0]): rec["flagged"] for rec in built[0].diagnostics}
     assert flags[0.5] and flags[-0.5] and not flags[1.0]
-    np.testing.assert_array_equal(model.hamiltonian_table.axes[0],
-                                  np.linspace(-1.0, 1.0, 9))

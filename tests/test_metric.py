@@ -245,6 +245,20 @@ def test_periodicity_of_metric_exact():
         assert metric_point(table, 1.0, k, k + 1.0) == table.value_at(1.0, 1.0)
 
 
+def test_interpolate_reads_stored_layers_only():
+    # a time between layers, or a layer the table did not keep, is an error,
+    # not a blend of the neighbouring layers
+    table = compute_metric_table(OSC, horizon=2.0, dt=0.25, dx=0.25, vmax=4.0)
+    assert table.interpolate(1.25, 0.5) == table.value_at(1.25, 0.5)
+    with pytest.raises(ConfigurationError):
+        table.interpolate(1.1, 0.5)
+    kept = compute_metric_table(OSC, horizon=2.0, dt=0.25, dx=0.25, vmax=4.0,
+                                keep="integers")
+    assert kept.interpolate(2.0, 0.5) == table.interpolate(2.0, 0.5)
+    with pytest.raises(ConfigurationError):
+        kept.interpolate(1.5, 0.5)
+
+
 def test_integer_layers_mode_saves_paths_error():
     table = compute_metric_table(FREE, horizon=2.0, dt=0.25, dx=0.25, vmax=4.0,
                                  keep="integers")

@@ -306,7 +306,7 @@ def reference_effective(u0, model, t, targets):
             return float(u0((y - t * vv)[None, :])[0] + t * lv[0])
 
         best = reference_refine(objective, vgrid[k], obj[k], v_step, v_lo, v_hi)
-        values[i] = best + t * model.provenance.get("shift", 0.0)
+        values[i] = best + t * model.shift
     return values
 
 
