@@ -28,7 +28,6 @@ from .metric import (
     compute_metric_table,
     default_speed_cap,
     extract_minimizing_path,
-    metric_point,
 )
 from .effective import (
     EffectiveModel,

@@ -26,7 +26,7 @@ KNOWN_KEYS = frozenset({
     "dimension", "potential.a0", "potential.terms",
     "grid.dt", "grid.dx", "grid.vmax", "metric.horizon",
     "effective.v_box", "effective.v_step", "effective.n_max", "effective.p_box",
-    "effective.p_step", "effective.vmax", "effective.max_denominator",
+    "effective.p_step", "effective.vmax",
     "sweep.eps", "sweep.t", "targets.count", "probe.eps",
     "u0.family", "u0.scale", "u0.p", "u0.bumps",
     "oracle.p_sample", "oracle.t_long", "oracle.vmax", "oracle.tol",

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ConfigurationError, DomainError
 from .legendre import VELOCITY_DOMAIN, ConvexFunctionTable, LagrangianField, conjugate
-from .metric import MetricTable, _offsets, compute_metric_table, default_speed_cap
+from .metric import MetricTable, _offsets, compute_metric_table
 from .util import grid_points, write_rows
 
 
@@ -101,13 +101,15 @@ class EffectiveModel:
                                ",".join(cols + ["n", "g_n", "gap"])], rows, ",")
 
 
-def _rational_scale(v: np.ndarray,
-                    max_denominator: int) -> tuple[int, np.ndarray, bool]:
-    """Smallest b <= max_denominator with b v integer within 1e-9, b v rounded,
-    and True; without one, the b of the best bounded-denominator approximation
-    and False (the ray then samples round(b v)/b, not v)."""
+MAX_DENOMINATOR = 8
+
+
+def _rational_scale(v: np.ndarray) -> tuple[int, np.ndarray, bool]:
+    """Smallest b <= MAX_DENOMINATOR with b v integer within 1e-9, b v
+    rounded, and True; without one, the b of the best bounded-denominator
+    approximation and False (the ray then samples round(b v)/b, not v)."""
     best_b, best_err = 1, np.inf
-    for b in range(1, max_denominator + 1):
+    for b in range(1, MAX_DENOMINATOR + 1):
         err = np.max(np.abs(b * v - np.round(b * v)))
         if err <= 1e-9:
             return b, np.round(b * v), True
@@ -118,23 +120,21 @@ def _rational_scale(v: np.ndarray,
 
 def build_effective_model(lagrangian: LagrangianField,
                           v_box_half: float, v_step: float, n_max: int,
-                          dt: float, dx: float, vmax: float | None = None,
-                          max_denominator: int = 8) -> EffectiveModel:
+                          dt: float, dx: float, vmax: float) -> EffectiveModel:
     """Sample Lbar(v) on a symmetric velocity grid.
 
     One metric table with horizon n_max serves every velocity: the ray for v
     is first scaled by the denominator b of v (so targets are integer points),
     then read at n = b, 2b, 4b, ... <= n_max.  Velocities whose doubling
     sequence has fewer than two levels, or with no denominator b <=
-    max_denominator (the ray then samples a nearby rational velocity), are
-    flagged in the diagnostics.
+    MAX_DENOMINATOR (the ray then samples a nearby rational velocity), are
+    flagged in the diagnostics; a denominator above n_max raises
+    ConfigurationError.
     """
     d = lagrangian.dimension
     half_steps = int(round(v_box_half / v_step))
     axis = np.arange(-half_steps, half_steps + 1) * v_step
     v_axes = (axis,) * d
-    if vmax is None:
-        vmax = default_speed_cap(lagrangian, float(np.linalg.norm([v_box_half] * d)))
     table = compute_metric_table(lagrangian, horizon=float(n_max), dt=dt, dx=dx,
                                  vmax=vmax, keep="integers")
 
@@ -142,12 +142,12 @@ def build_effective_model(lagrangian: LagrangianField,
     diagnostics = []
     for idx in np.ndindex(values.shape):
         v = np.asarray([axis[i] for i in idx])
-        b, bv, exact = _rational_scale(v, max_denominator)
+        b, bv, exact = _rational_scale(v)
         res = effective_metric(table, float(b), bv, n_max // b)
         lbar = res.limit / b
         values[idx] = lbar
         diagnostics.append({
-            "v": v, "denominator": b, "ns": [n * b for n in res.ns],
+            "v": v, "ns": [n * b for n in res.ns],
             "gs": [g / b for g in res.gs], "limit": lbar,
             "flagged": res.flagged or not exact,
         })

@@ -90,8 +90,7 @@ def _effective_model(cfg: Config, lagr, v_box: float, v_step: float,
     return build_effective_model(
         lagr, v_box_half=v_box, v_step=cfg.get_float("effective.v_step", v_step),
         n_max=cfg.get_int("effective.n_max", 8), dt=dt, dx=dx,
-        vmax=cfg.get_float("effective.vmax", vmax),
-        max_denominator=cfg.get_int("effective.max_denominator", 8))
+        vmax=cfg.get_float("effective.vmax", vmax))
 
 
 def _reject(cfg: Config, keys, needs: str) -> None:
@@ -243,7 +242,7 @@ class PropertyCheck:
 # the keys run_property_suite reads only for a non-empty oracle.p_sample
 ORACLE_KEYS = ("properties.directions", "oracle.t_long", "oracle.vmax", "oracle.tol",
                "effective.v_box", "effective.v_step", "effective.n_max",
-               "effective.vmax", "effective.max_denominator")
+               "effective.vmax")
 
 
 def run_property_suite(cfg: Config, out_dir, verbose: bool = False):

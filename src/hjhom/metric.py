@@ -30,7 +30,7 @@ horizons).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,7 +41,6 @@ from .util import (
     format_float,
     grid_points,
     multilinear,
-    round_half_toward_zero,
     write_rows,
 )
 
@@ -105,7 +104,6 @@ class MetricTable:
     lagrangian: LagrangianField
     offsets: np.ndarray          # (n, d) lattice steps, lexicographic
     tiles: list                  # per-offset cost over source residues mod M
-    provenance: dict = field(default_factory=dict)
 
     # -- lookups ---------------------------------------------------------
 
@@ -210,7 +208,7 @@ class MetricTable:
             "# schema=hjhom.metric.v1 "
             f"dt={format_float(self.dt)} dx={format_float(self.dx)} "
             f"vmax={format_float(self.vmax)} cone={format_float(self.cone.speed)} "
-            f"spec={self.provenance.get('spec', '?')}", ",".join(cols)], rows(), ",")
+            f"spec={self.lagrangian.spec.content_hash()}", ",".join(cols)], rows(), ",")
 
 
 def _offsets(dimension: int, step_radius: float) -> np.ndarray:
@@ -301,24 +299,20 @@ def compute_metric_table(lagrangian: LagrangianField, horizon: float,
     return MetricTable(
         dt=dt, dx=dx, vmax=vmax, cone=cone, dimension=d,
         layer_times=np.asarray(layer_times), layers=layers, reaches=reaches,
-        lagrangian=lagrangian, offsets=offsets, tiles=tiles,
-        provenance={
-            "spec": lagrangian.spec.content_hash(),
-            "quadrature": "midpoint-space/left-time",
-            "keep": keep,
-        },
-    )
+        lagrangian=lagrangian, offsets=offsets, tiles=tiles)
 
 
 def extract_minimizing_path(table: MetricTable, t: float, x) -> DiscretePath:
     """Backtrack argmin choices from (t, x); ties take the lexicographically
-    smallest increment.  Requires a table built with keep="all"."""
-    if table.provenance.get("keep") != "all":
-        raise ConfigurationError("path extraction requires keep='all' table")
+    smallest increment.  Requires every layer 0..t/dt to be stored, as
+    keep="all" stores them."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if not table.cone.contains(t, x):
         raise DomainError(f"({t}, {x}) outside the cone")
     k_final = as_int_exact(t / table.dt, "t/dt")
+    if table._layer_pos(k_final) != k_final:
+        raise ConfigurationError(
+            f"path extraction needs every layer up to k={k_final} (keep='all')")
     j = np.asarray([as_int_exact(c / table.dx, "x/dx") for c in x])
     value = table.value_at(t, x)
     if not np.isfinite(value):
@@ -358,22 +352,3 @@ def _pull_into_cone(z: np.ndarray, lim: float) -> np.ndarray:
         z[i] -= np.sign(z[i])
     return z
 
-
-def metric_point(table: MetricTable, t: float, x, y) -> float:
-    """m(t, x, y) reduced to the origin-based table.
-
-    Integer x translates exactly: m(t, x, y) = m(t, 0, y - x), interpolated
-    on the table.  Otherwise both endpoints are rounded to integers (ties
-    toward 0, pulled into the cone) and the value at (ceil t, [y] - [x]) is
-    returned, following the constant-error rounding reduction.
-    """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    if not table.cone.contains(t, y - x):
-        raise DomainError(f"(t, y-x) = ({t}, {y - x}) outside the cone")
-    xr = np.round(x)
-    if np.max(np.abs(x - xr)) < 1e-9:
-        return table.interpolate(t, y - xr)
-    tc = int(np.ceil(t - 1e-12))
-    z = round_half_toward_zero(y) - round_half_toward_zero(x)
-    return table.value_at(float(tc), _pull_into_cone(z, table.cone.speed * tc))

@@ -73,12 +73,10 @@ def bump_data(dimension: int, bumps) -> InitialData:
 
 @dataclass
 class SolutionField:
-    """Solution values on a target set, with provenance for reproducibility."""
+    """Solution values on a target set; the FD oracle also records its grid
+    step h, time step dt_fd and viscosity alpha in provenance."""
 
-    t: float
-    points: np.ndarray
     values: np.ndarray
-    eps: float                         # 0 for the effective solution
     provenance: dict = field(default_factory=dict)
 
 
@@ -119,11 +117,7 @@ def solve_oscillatory(u0: InitialData, lagrangian: LagrangianField,
 
     refined = _golden_refine(objective, x0, objective(x0), eps, -np.inf, np.inf)
     values = np.where(refined < coarse, refined, coarse) + t * shift
-    return SolutionField(
-        t=t, points=targets, values=values, eps=eps,
-        provenance={"spec": lagrangian.spec.content_hash(),
-                    "dt": table.dt, "dx": table.dx, "vmax": table.vmax,
-                    "shift": shift})
+    return SolutionField(values)
 
 
 def _golden_refine(objective, x0, best, step, lo, hi):
@@ -154,7 +148,6 @@ def solve_effective(u0: InitialData, model: EffectiveModel, t: float,
         raise DomainError("t must be positive")
     ltab = model.lagrangian_table
     d = ltab.dimension
-    shift = model.shift
     vgrid = grid_points(ltab.axes)
     targets = np.asarray(targets, dtype=float).reshape(-1, d)
     obj = u0((targets[:, None, :] - t * vgrid).reshape(-1, d)).reshape(-1, len(vgrid))
@@ -168,10 +161,8 @@ def solve_effective(u0: InitialData, model: EffectiveModel, t: float,
     axes = ltab.axes
     values = _golden_refine(objective, vgrid[k], obj[np.arange(len(targets)), k],
                             [a[1] - a[0] for a in axes], [a[0] for a in axes],
-                            [a[-1] for a in axes]) + t * shift
-    return SolutionField(
-        t=t, points=targets, values=values, eps=0.0,
-        provenance={"shift": shift})
+                            [a[-1] for a in axes]) + t * model.shift
+    return SolutionField(values)
 
 
 def solve_fd_oracle(u0: InitialData, spec, eps: float, t: float, targets,
@@ -249,8 +240,4 @@ def solve_fd_oracle(u0: InitialData, spec, eps: float, t: float, targets,
         raise DomainError("non-finite x or p")
     i0, w, _ = box_cell(axes, targets)  # the box covers every target
     vals = multilinear(u, i0, w) + t * spec.normalization_shift
-    return SolutionField(
-        t=t, points=targets, values=vals, eps=eps,
-        provenance={"spec": spec.content_hash(), "scheme": "lax-friedrichs",
-                    "h": h, "dt_fd": dt_fd, "alpha": alpha,
-                    "shift": spec.normalization_shift})
+    return SolutionField(vals, {"h": h, "dt_fd": dt_fd, "alpha": alpha})

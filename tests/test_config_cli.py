@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from hjhom import ConfigError, parse_config_text, spec_from_config
-from hjhom.cli import EXIT_CONFIG, EXIT_OK, main
+from hjhom.cli import EXIT_CONFIG, EXIT_OK, EXIT_OTHER, main
 from hjhom.config import KNOWN_KEYS
 
 GOOD = """
@@ -133,6 +133,25 @@ seed = 1
     assert (out1 / "rate.dat").read_bytes() == (out2 / "rate.dat").read_bytes()
 
 
+def test_cli_rate_denominator_above_n_max_exit_code(tmp_path, capsys):
+    # v = 0.25 on the default v_step grid needs n = 4 > n_max: an error, not a
+    # ray read at a rounded velocity
+    cfg = _write(tmp_path, "n.cfg", """
+dimension = 1
+potential.a0 = 2.0
+potential.terms = 1.0,1
+grid.dt = 0.25
+grid.dx = 0.25
+grid.vmax = 4.0
+sweep.eps = 0.5
+effective.n_max = 2
+""")
+    out = tmp_path / "out"
+    assert main(["rate", "--config", cfg, "--out", str(out)]) == EXIT_OTHER
+    assert "horizon does not even cover n = 1" in capsys.readouterr().err
+    assert not (out / "rate.csv").exists()
+
+
 def test_cli_config_error_exit_code(tmp_path):
     cfg = _write(tmp_path, "bad.cfg", "dimension == 1\n")
     out = tmp_path / "out"
@@ -186,7 +205,6 @@ seed = 0
     (["oracle.p_sample =", "effective.p_box = 2.0"], "effective.p_box"),
     (["oracle.p_sample =", "effective.p_step = 0.25"], "effective.p_step"),
     (["oracle.p_sample =", "effective.vmax = 4.0"], "effective.vmax"),
-    (["oracle.p_sample =", "effective.max_denominator = 4"], "effective.max_denominator"),
 ])
 def test_cli_properties_rejects_keys_it_would_skip(tmp_path, capsys, lines, key):
     text = "dimension = 1\npotential.a0 = 1.0\ngrid.dt = 0.25\ngrid.dx = 0.25\n"
@@ -284,12 +302,13 @@ def test_cli_accepts_one_thread_everywhere(tmp_path, command):
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
-# a typo, and keys outside the format (H = |p|^2 - V has no family or cap)
+# a typo, and keys outside the format (H = |p|^2 - V has no family or cap;
+# the denominator bound of a velocity's rational scaling is fixed at 8)
 @pytest.mark.parametrize("line", [
     "grid.dxx = 0.1", "metric.keep = integers", "cone.c1 = 8.0", "cone.c2 = 2.0",
     "metric.max_ratio = 2.0", "targets.radius = 2.0", "properties.refine = 1",
     "properties.geodesic_x = 1.0, 2.0", "family = quadratic_minus_potential",
-    "momentum_cap = 50",
+    "momentum_cap = 50", "effective.max_denominator = 4",
 ])
 def test_cli_unknown_key_exit_code(tmp_path, capsys, line):
     cfg = _write(tmp_path, "typo.cfg", METRIC_CFG + line + "\n")
@@ -335,3 +354,10 @@ def test_key_registry_matches_readme_and_getters():
         read.update(re.findall(r"\bget_\w+\(\s*\"([a-z0-9_.]+)\"", path.read_text()))
     assert documented == KNOWN_KEYS
     assert read == KNOWN_KEYS
+
+
+def test_readme_library_example_runs():
+    # the README's library example calls the public API as it is today
+    readme = (ROOT / "README.md").read_text()
+    (block,) = re.findall(r"```python\n(.*?)```", readme, re.S)
+    exec(compile(block, "README.md", "exec"), {})

@@ -161,15 +161,15 @@ def test_diagnostics_csv_export(tmp_path):
 
 
 def test_rational_scale_reports_inexact_velocity():
-    b, _, exact = _rational_scale(np.array([0.25, -0.5]), 8)
+    b, _, exact = _rational_scale(np.array([0.25, -0.5]))
     assert (b, exact) == (4, True)
-    b, bv, exact = _rational_scale(np.array([0.3]), 8)
+    b, bv, exact = _rational_scale(np.array([0.3]))
     assert (b, bv.tolist(), exact) == (3, [1.0], False)   # 1/3, not 0.3
 
 
 def test_inexact_velocity_ray_is_flagged():
     model = build_effective_model(FREE, v_box_half=0.3, v_step=0.3, n_max=8,
-                                  dt=0.25, dx=0.25, vmax=3.0, max_denominator=8)
+                                  dt=0.25, dx=0.25, vmax=3.0)
     flags = {round(float(rec["v"][0]), 6): rec["flagged"]
              for rec in model.diagnostics}
     assert flags == {-0.3: True, 0.0: False, 0.3: True}

@@ -133,15 +133,15 @@ seed = 0
 
 
 def test_property_suite_reads_every_effective_key(tmp_path, monkeypatch):
-    # effective.max_denominator reaches the model, as in the effective and
+    # every effective.* model key reaches the model, as in the effective and
     # rate commands
     import hjhom.harness as harness
 
-    built = []
+    calls = []
 
-    def spy(*args, **kwargs):
-        built.append(build_effective_model(*args, **kwargs))
-        return built[-1]
+    def spy(lagr, **kwargs):
+        calls.append(kwargs)
+        return build_effective_model(lagr, **kwargs)
 
     monkeypatch.setattr(harness, "build_effective_model", spy)
     cfg = parse_config_text("""
@@ -157,8 +157,9 @@ oracle.t_long = 8.0
 effective.v_box = 1.0
 effective.v_step = 0.5
 effective.n_max = 2
-effective.max_denominator = 1
+effective.vmax = 3.0
 """)
     run_property_suite(cfg, str(tmp_path / "out"))
-    flags = {float(rec["v"][0]): rec["flagged"] for rec in built[0].diagnostics}
-    assert flags[0.5] and flags[-0.5] and not flags[1.0]
+    (args,) = calls
+    assert (args["v_box_half"], args["v_step"], args["n_max"], args["vmax"]) == \
+        (1.0, 0.5, 2, 3.0)

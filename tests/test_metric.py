@@ -1,46 +1,22 @@
-import itertools
-
 import numpy as np
 import pytest
 
 from hjhom import (
     Cone,
     ConfigurationError,
-    DomainError,
     UnreachableError,
     build_lagrangian,
     compute_metric_table,
     cosine_spec,
     extract_minimizing_path,
-    metric_point,
 )
-from hjhom.metric import path_cost
+from hjhom.metric import _pull_into_cone, path_cost
+from hjhom.util import round_half_toward_zero
+from metric_reference import brute_metric
 
 
 def max_speed(path):
     return float(np.max(np.linalg.norm(np.diff(path.nodes, axis=0), axis=1)) / path.dt)
-
-
-def brute_metric(lagrangian, n_steps, dt, dx, vmax):
-    """Reference DP over a dict of integer lattice indices (independent of the
-    array/tile implementation)."""
-    d = lagrangian.dimension
-    s = int(np.floor(vmax * dt / dx + 1e-9))
-    offs = [o for o in itertools.product(range(-s, s + 1), repeat=d)
-            if np.linalg.norm(o) <= vmax * dt / dx + 1e-9]
-    vals = {(0,) * d: 0.0}
-    for _ in range(n_steps):
-        new = {}
-        for j, val in vals.items():
-            for o in offs:
-                tgt = tuple(np.add(j, o))
-                mid = np.mod((np.asarray(j) + np.asarray(o) / 2.0) * dx, 1.0)
-                v = np.asarray(o) * dx / dt
-                cost = val + dt * float(lagrangian(mid, v))
-                if cost < new.get(tgt, np.inf):
-                    new[tgt] = cost
-        vals = new
-    return vals
 
 
 def gather_kernel_layers(table, n_layers, keep):
@@ -182,48 +158,24 @@ def test_unreachable_point_raises():
         extract_minimizing_path(table, 0.25, 1.0)  # needs speed 4 > vmax
 
 
-# metric_point with off-integer x rounds both endpoints (ties toward 0) and
-# pulls the difference into the cone at time ceil t
+# the rounding reduction of extract_approximate_geodesic: both endpoints
+# rounded (ties toward 0), the difference pulled into the cone
+
+def _round_into_cone(x, y, lim):
+    return _pull_into_cone(round_half_toward_zero(y) - round_half_toward_zero(x), lim)
+
 
 def test_round_into_cone_examples():
-    table = compute_metric_table(FREE2, horizon=3.0, dt=0.25, dx=0.25, vmax=4.0)
     half = np.array([0.5, 0.5])                        # rounds to (0, 0)
-    assert metric_point(table, 3.0, half, half + [2.0, 1.0]) == \
-        table.value_at(3.0, [2.0, 1.0])
-    assert metric_point(table, 2.2, half, half + [0.6, -0.2]) == \
-        table.value_at(3.0, [1.0, 0.0])
-    assert metric_point(table, 1.0, half, half + [4.0, 0.0]) == \
-        table.value_at(1.0, [4.0, 0.0])
-    with pytest.raises(DomainError):
-        metric_point(table, 0.5, half, half + [3.0, 0.0])
+    assert _round_into_cone(half, half + [2.0, 1.0], 12.0).tolist() == [2, 1]
+    assert _round_into_cone(half, half + [0.6, -0.2], 12.0).tolist() == [1, 0]
+    assert _round_into_cone(half, half + [4.0, 0.0], 4.0).tolist() == [4, 0]
 
 
 def test_round_into_cone_pulls_inward():
-    table = compute_metric_table(FREE2, horizon=2.0, dt=0.25, dx=0.25, vmax=4.0,
-                                 cone=Cone(1.0))
     half = np.array([0.5, 0.5])
     # [y] - [x] = (2, 2) leaves the cone |z| <= 2: pulled to (1, 1)
-    got = metric_point(table, 2.0, half, half + [1.6, 1.2])
-    assert got == table.value_at(2.0, [1.0, 1.0])
-    assert got != table.value_at(2.0, [2.0, 2.0])
-
-
-def test_metric_point_integer_translation():
-    table = compute_metric_table(OSC, horizon=1.0, dt=0.25, dx=0.25, vmax=4.0)
-    assert metric_point(table, 1.0, 5.0, 7.0) == table.value_at(1.0, 2.0)
-    assert metric_point(table, 1.0, 0.3, 0.3 + 2.0) == table.value_at(1.0, 2.0)
-
-
-def test_metric_point_free_case_translation():
-    table = compute_metric_table(FREE, horizon=1.0, dt=0.25, dx=0.25, vmax=4.0)
-    got = metric_point(table, 1.0, 0.5, 2.5)
-    assert got == pytest.approx(2.0, rel=0.02)
-
-
-def test_metric_point_outside_cone():
-    table = compute_metric_table(FREE, horizon=1.0, dt=0.25, dx=0.25, vmax=2.0)
-    with pytest.raises(DomainError):
-        metric_point(table, 1.0, 0.0, 5.0)
+    assert _round_into_cone(half, half + [1.6, 1.2], 2.0).tolist() == [1, 1]
 
 
 def test_refinement_convergence_free_case():
@@ -240,9 +192,18 @@ def test_refinement_convergence_free_case():
 
 
 def test_periodicity_of_metric_exact():
-    table = compute_metric_table(OSC, horizon=1.0, dt=0.25, dx=0.25, vmax=4.0)
-    for k in (-2.0, 1.0, 3.0):
-        assert metric_point(table, 1.0, k, k + 1.0) == table.value_at(1.0, 1.0)
+    # m(t, x, x + z) = m(t, 0, z) for integer x: a DP started at x that reads
+    # L at the unreduced positions reproduces the origin-based table's layer
+    for lagr, sources, n_steps, dt, dx, vmax in [
+            (OSC, [-2.0, 1.0, 3.0], 4, 0.25, 0.25, 4.0),
+            (OSC2, [(1.0, -2.0)], 2, 0.5, 0.5, 2.0)]:
+        table = compute_metric_table(lagr, horizon=n_steps * dt, dt=dt, dx=dx,
+                                     vmax=vmax)
+        for x in sources:
+            ref = brute_metric(lagr, n_steps, dt, dx, vmax, source=np.asarray(x))
+            for j, want in ref.items():
+                got = table.value_at(n_steps * dt, np.asarray(j) * dx)
+                assert got == pytest.approx(want, abs=1e-12), (x, j)
 
 
 def test_interpolate_reads_stored_layers_only():
@@ -265,6 +226,12 @@ def test_integer_layers_mode_saves_paths_error():
     assert table.value_at(2.0, 0.0) == pytest.approx(2.0)
     with pytest.raises(ConfigurationError):
         extract_minimizing_path(table, 2.0, 0.0)
+    # with dt = 1 the integer layers are every layer, so backtracking works
+    unit = compute_metric_table(FREE, horizon=2.0, dt=1.0, dx=0.25, vmax=4.0,
+                                keep="integers")
+    path = extract_minimizing_path(unit, 2.0, 1.0)
+    assert path.cost == unit.value_at(2.0, 1.0)
+    assert path.nodes[0] == 0.0 and path.nodes[-1] == 1.0
 
 
 def test_csv_export_roundtrip(tmp_path):
@@ -368,7 +335,7 @@ def _csv_per_cell(table, path):
             "# schema=hjhom.metric.v1 "
             f"dt={format_float(table.dt)} dx={format_float(table.dx)} "
             f"vmax={format_float(table.vmax)} cone={format_float(table.cone.speed)} "
-            f"spec={table.provenance.get('spec', '?')}\n")
+            f"spec={table.lagrangian.spec.content_hash()}\n")
         cols = ["k"] + [f"z{i+1}" for i in range(table.dimension)] + ["value"]
         fh.write(",".join(cols) + "\n")
         for pos, k in enumerate(table.layer_times):
