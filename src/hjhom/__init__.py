@@ -10,6 +10,7 @@ from .errors import (
     ConfigurationError,
     DomainError,
     HJHomError,
+    HorizonError,
     ResolutionError,
     UnreachableError,
 )
@@ -22,7 +23,6 @@ from .hamiltonian import (
 )
 from .legendre import ConvexFunctionTable, LagrangianField, build_lagrangian, conjugate
 from .metric import (
-    Cone,
     DiscretePath,
     MetricTable,
     compute_metric_table,

@@ -12,9 +12,10 @@ bisection on the classical flat-piece formula |p| = integral sqrt(Hbar + V).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+import itertools
 import numpy as np
 
-from .errors import ConfigurationError, DomainError
+from .errors import ConfigurationError, DomainError, HorizonError, UnreachableError
 from .legendre import VELOCITY_DOMAIN, ConvexFunctionTable, LagrangianField, conjugate
 from .metric import MetricTable, _offsets, compute_metric_table
 from .util import grid_points, write_rows
@@ -36,17 +37,18 @@ def effective_metric(table: MetricTable, t: float, x,
     Richardson extrapolant 2 g_{2n} - g_n as the limit.
 
     If the table's horizon cannot reach n_max, a partial result is returned
-    with ``flagged`` set.
+    with ``flagged`` set; a ray the table does not reach (+inf) raises
+    UnreachableError.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    if not table.cone.contains(t, x):
-        raise DomainError(f"({t}, {x}) outside the table cone")
     doubling = [2**i for i in range(int(n_max).bit_length())]   # 1, 2, 4, ... <= n_max
     ns = [n for n in doubling if n * t <= table.horizon + 1e-9]
     flagged = len(ns) < len(doubling)
     if not ns:
         raise ConfigurationError("table horizon does not even cover n = 1")
-    gs = [table.interpolate(n * t, n * x) / n for n in ns]
+    gs = [table.interpolate_many(n * t, n * x)[0] / n for n in ns]
+    if not np.all(np.isfinite(gs)):
+        raise UnreachableError(f"metric is +inf on the ray ({t}, {x})")
     if len(gs) >= 2:
         limit = 2.0 * gs[-1] - gs[-2]
     else:
@@ -128,13 +130,18 @@ def build_effective_model(lagrangian: LagrangianField,
     then read at n = b, 2b, 4b, ... <= n_max.  Velocities whose doubling
     sequence has fewer than two levels, or with no denominator b <=
     MAX_DENOMINATOR (the ray then samples a nearby rational velocity), are
-    flagged in the diagnostics; a denominator above n_max raises
-    ConfigurationError.
+    flagged in the diagnostics; a denominator above n_max raises HorizonError
+    before the table is built.
     """
     d = lagrangian.dimension
     half_steps = int(round(v_box_half / v_step))
     axis = np.arange(-half_steps, half_steps + 1) * v_step
     v_axes = (axis,) * d
+    for v in itertools.product(axis, repeat=d):
+        b = _rational_scale(np.asarray(v))[0]
+        if b > n_max:
+            raise HorizonError(f"velocity {np.asarray(v)} has denominator b = {b} > "
+                               f"n_max = {n_max}: its ray starts past the table horizon")
     table = compute_metric_table(lagrangian, horizon=float(n_max), dt=dt, dx=dx,
                                  vmax=vmax, keep="integers")
 

@@ -13,6 +13,10 @@ class ConfigurationError(HJHomError):
     """Inconsistent or insufficient resolution / configuration parameters."""
 
 
+class HorizonError(ConfigurationError):
+    """A metric table's horizon is shorter than a requested ray needs."""
+
+
 class ResolutionError(HJHomError):
     """A search failed at the current lattice resolution; refine and retry."""
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .config import Config, ConfigError, spec_from_config
 from .effective import build_effective_model, cell_problem_oracle
-from .errors import ResolutionError
+from .errors import HorizonError, ResolutionError
 from .legendre import MOMENTUM_DOMAIN, ConvexFunctionTable, build_lagrangian, conjugate
 from .metric import compute_metric_table, default_speed_cap, extract_minimizing_path
 from .properties import check_linear_growth, check_subadditivity, gap_vs_log_envelope
@@ -86,11 +86,15 @@ def _effective_model(cfg: Config, lagr, v_box: float, v_step: float,
                      dt: float, dx: float, vmax: float):
     """The effective model from the effective.* keys.  v_box is the
     command's resolved effective.v_box, v_step its effective.v_step default,
-    vmax the effective.vmax default."""
-    return build_effective_model(
-        lagr, v_box_half=v_box, v_step=cfg.get_float("effective.v_step", v_step),
-        n_max=cfg.get_int("effective.n_max", 8), dt=dt, dx=dx,
-        vmax=cfg.get_float("effective.vmax", vmax))
+    vmax the effective.vmax default.  HorizonError needs a set effective.n_max
+    (the default 8 is MAX_DENOMINATOR) and is reported at its line."""
+    try:
+        return build_effective_model(
+            lagr, v_box_half=v_box, v_step=cfg.get_float("effective.v_step", v_step),
+            n_max=cfg.get_int("effective.n_max", 8), dt=dt, dx=dx,
+            vmax=cfg.get_float("effective.vmax", vmax))
+    except HorizonError as exc:
+        raise ConfigError(f"{cfg.where('effective.n_max')}: {exc}") from exc
 
 
 def _reject(cfg: Config, keys, needs: str) -> None:
@@ -124,7 +128,7 @@ def run_metric(cfg: Config, out_dir, verbose: bool = False):
     table.to_csv(os.path.join(out_dir, "metric.csv"))
     # profile figure: m(T, z) along the first axis
     k = int(round(horizon))
-    n = int(table.cone.speed * k / dx)
+    n = int(table.vmax * k / dx)
     z = np.zeros((2 * n + 1, spec.dimension))
     z[:, 0] = np.arange(-n, n + 1) * dx
     rows = [(a, m) for a, m in zip(z[:, 0], table.interpolate_many(float(k), z))
@@ -310,7 +314,7 @@ def run_property_suite(cfg: Config, out_dir, verbose: bool = False):
                 while True:
                     x = rng.integers(-int(2 * tv), int(2 * tv) + 1, size=2)
                     if 0 < np.linalg.norm(x) <= 2.0 * tv and \
-                            table.cone.contains(2 * tv, 2 * x):
+                            np.isfinite(table.value_at(2 * tv, 2 * x)):
                         break
                 gamma = extract_minimizing_path(table, 2 * tv, 2 * x.astype(float))
                 tot += 1

@@ -23,7 +23,8 @@ the same offsets, the same additions and the same minima as adding a
 gathered cost array to the layer, so every layer is bitwise-identical to the
 gather form (tests/test_metric.py keeps it as the reference).
 
-Values are reported on the cone |x| <= C t.  The table keeps every layer (for
+Entries are +inf where k steps of the stencil do not reach, and the finite
+entries are the table's only domain.  The table keeps every layer (for
 path backtracking) or only integer-time layers (to save memory on long
 horizons).
 """
@@ -34,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError, UnreachableError
+from .errors import ConfigurationError, UnreachableError
 from .legendre import LagrangianField
 from .util import (
     as_int_exact,
@@ -43,18 +44,6 @@ from .util import (
     multilinear,
     write_rows,
 )
-
-
-@dataclass(frozen=True)
-class Cone:
-    """Space-time cone |x| <= speed * t (Euclidean norm in x)."""
-
-    speed: float
-
-    def contains(self, t, x) -> bool:
-        """Membership with tolerance 1e-9."""
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        return bool(t >= -1e-9 and np.linalg.norm(x) <= self.speed * t + 1e-9)
 
 
 def default_speed_cap(lagrangian: LagrangianField, max_ratio: float) -> float:
@@ -90,13 +79,12 @@ class MetricTable:
 
     layers[k] is the value array over indices j in [-reach_k, reach_k]^d
     (position z = j dx); layer_times[k] = k dt for stored k.  Entries are
-    +inf where unreachable.  Reported values are restricted to the cone.
+    +inf where unreachable; the finite entries are the table's domain.
     """
 
     dt: float
     dx: float
     vmax: float
-    cone: Cone
     dimension: int
     layer_times: np.ndarray
     layers: list
@@ -128,19 +116,14 @@ class MetricTable:
             return np.inf
         return float(self.layers[k][tuple(j + reach)])
 
-    def interpolate(self, t: float, z) -> float:
-        """Multilinear in space at a stored layer time; any other t raises."""
-        return float(self._interp_layer(self._layer_index(t), z)[0])
-
-    def interpolate_many(self, t: float, Z: np.ndarray) -> np.ndarray:
-        """Vectorized multilinear interpolation at one stored layer time.
+    def interpolate_many(self, t: float, Z) -> np.ndarray:
+        """Vectorized multilinear interpolation at one stored layer time; any
+        other t raises.
 
         Z has shape (n, d) in physical coordinates; queries outside the
         reachable box return +inf (the DP value there), not a clamp.
         """
-        return self._interp_layer(self._layer_index(t), Z)
-
-    def _interp_layer(self, pos: int, Z) -> np.ndarray:
+        pos = self._layer_index(t)
         u = np.asarray(Z, dtype=float).reshape(-1, self.dimension) / self.dx
         u += self.reaches[pos]
         i0 = np.floor(u).astype(int)
@@ -151,63 +134,49 @@ class MetricTable:
         return float(self.layer_times[-1] * self.dt)
 
     def lipschitz_estimate(self) -> float:
-        """Measured spatial Lipschitz constant of m over the final cone layer."""
-        arr, in_cone = self._cone_cells(len(self.layer_times) - 1, 1)
+        """Measured spatial Lipschitz constant of m over the finite neighbour
+        pairs of the final layer."""
+        arr = self.layers[-1]
         worst = 0.0
         for ax in range(self.dimension):
-            a = np.moveaxis(arr, ax, 0)
             with np.errstate(invalid="ignore"):
-                diff = np.abs(a[1:] - a[:-1]) / self.dx
-            # keep only finite pairs inside the cone
-            inside = np.moveaxis(in_cone, ax, 0)
-            mask = np.isfinite(diff) & inside[1:] & inside[:-1]
-            if mask.any():
-                worst = max(worst, float(diff[mask].max()))
+                diff = np.abs(np.diff(arr, axis=ax)) / self.dx
+            diff = diff[np.isfinite(diff)]
+            if diff.size:
+                worst = max(worst, float(diff.max()))
         return worst
 
-    def _cone_cells(self, pos: int, step: int):
-        """Stored layer pos at the points z = i step dx (i integer), as a view,
-        and the mask of those inside the cone |z| <= C t (tolerance 1e-9)."""
-        reach = self.reaches[pos]
-        m = reach // step
-        z = np.arange(-m, m + 1) * step * self.dx
-        sq = 0.0
-        for ax in range(self.dimension):
-            sq = sq + (z * z).reshape((-1,) + (1,) * (self.dimension - 1 - ax))
-        lim = self.cone.speed * (self.layer_times[pos] * self.dt)
-        view = self.layers[pos][(slice(reach - m * step, None, step),) * self.dimension]
-        return view, np.sqrt(sq) <= lim + 1e-9
-
     def integer_cone(self):
-        """Integer cone points (k, z) at integer times k >= 1 and the table
-        values there (+inf where unreachable), as arrays k (n,), z (n, d) and
-        values (n,): layer by layer, z lexicographic within a layer."""
+        """Reached integer points (k, z) at integer times k >= 1 and the finite
+        table values there, as arrays k (n,), z (n, d) and values (n,): layer
+        by layer, z lexicographic within a layer."""
         big_m = as_int_exact(1.0 / self.dx, "1/dx")
         parts = [(np.zeros(0, int), np.zeros((0, self.dimension), int), np.zeros(0))]
         for pos, k in enumerate(self.layer_times):
             t = k * self.dt
             if abs(t - round(t)) > 1e-9 or round(t) == 0:
                 continue
-            view, in_cone = self._cone_cells(pos, big_m)
-            z = np.argwhere(in_cone) - self.reaches[pos] // big_m
-            parts.append((np.full(len(z), int(round(t))), z, view[in_cone]))
+            reach = self.reaches[pos]
+            view = self.layers[pos][(slice(reach % big_m, None, big_m),) * self.dimension]
+            reached = np.isfinite(view)
+            z = np.argwhere(reached) - reach // big_m
+            parts.append((np.full(len(z), int(round(t))), z, view[reached]))
         return tuple(np.concatenate(a) for a in zip(*parts))
 
     def to_csv(self, path) -> None:
-        """Cone-restricted export: k, z_1..z_d, value; rows are made one layer
-        at a time."""
+        """Export of the finite cells: k, z_1..z_d, value; rows are made one
+        layer at a time."""
         def rows():
-            for pos, k in enumerate(self.layer_times):
-                arr, in_cone = self._cone_cells(pos, 1)
-                keep = in_cone & np.isfinite(arr)
-                z = (np.argwhere(keep) - self.reaches[pos]) * self.dx
+            for arr, k, reach in zip(self.layers, self.layer_times, self.reaches):
+                keep = np.isfinite(arr)
+                z = (np.argwhere(keep) - reach) * self.dx
                 yield from ((int(k), *zz, v) for zz, v in zip(z, arr[keep]))
 
         cols = ["k"] + [f"z{i+1}" for i in range(self.dimension)] + ["value"]
         write_rows(path, [
             "# schema=hjhom.metric.v1 "
             f"dt={format_float(self.dt)} dx={format_float(self.dx)} "
-            f"vmax={format_float(self.vmax)} cone={format_float(self.cone.speed)} "
+            f"vmax={format_float(self.vmax)} cone={format_float(self.vmax)} "
             f"spec={self.lagrangian.spec.content_hash()}", ",".join(cols)], rows(), ",")
 
 
@@ -236,15 +205,16 @@ def _cost_tiles(lagrangian: LagrangianField, offsets: np.ndarray,
     return tiles
 
 
-def compute_metric_table(lagrangian: LagrangianField, horizon: float,
-                         cone: Cone | None = None, dt: float = 0.25,
-                         dx: float = 0.25, vmax: float = 4.0,
+def compute_metric_table(lagrangian: LagrangianField, horizon: float, *,
+                         dt: float = 0.25, dx: float = 0.25, vmax: float = 4.0,
                          keep: str = "all") -> MetricTable:
     """Value-iterate the metric DP up to the horizon.
 
     keep: "all" stores every layer (needed for path backtracking);
     "integers" stores only integer-time layers (long-horizon memory saver).
     """
+    if keep not in ("all", "integers"):
+        raise ConfigurationError(f"keep must be 'all' or 'integers', not {keep!r}")
     d = lagrangian.dimension
     if vmax * dt < dx - 1e-12:
         raise ConfigurationError(
@@ -254,8 +224,6 @@ def compute_metric_table(lagrangian: LagrangianField, horizon: float,
     n_layers = as_int_exact(horizon / dt, "horizon/dt")
     if n_layers < 1:
         raise ConfigurationError("horizon must cover at least one time step")
-    if cone is None:
-        cone = Cone(vmax)
 
     offsets = _offsets(d, vmax * dt / dx)
     if len(offsets) <= 1:
@@ -297,7 +265,7 @@ def compute_metric_table(lagrangian: LagrangianField, horizon: float,
         prev, prev_reach = new, new_reach
 
     return MetricTable(
-        dt=dt, dx=dx, vmax=vmax, cone=cone, dimension=d,
+        dt=dt, dx=dx, vmax=vmax, dimension=d,
         layer_times=np.asarray(layer_times), layers=layers, reaches=reaches,
         lagrangian=lagrangian, offsets=offsets, tiles=tiles)
 
@@ -307,8 +275,6 @@ def extract_minimizing_path(table: MetricTable, t: float, x) -> DiscretePath:
     smallest increment.  Requires every layer 0..t/dt to be stored, as
     keep="all" stores them."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    if not table.cone.contains(t, x):
-        raise DomainError(f"({t}, {x}) outside the cone")
     k_final = as_int_exact(t / table.dt, "t/dt")
     if table._layer_pos(k_final) != k_final:
         raise ConfigurationError(

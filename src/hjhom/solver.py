@@ -86,7 +86,7 @@ def solve_oscillatory(u0: InitialData, lagrangian: LagrangianField,
     """Representation-formula solution at scale eps on the target set.
 
     The table must cover horizon t/eps; the minimization runs over x in
-    eps Z^d inside the cone ball |x - y| <= C t, then one golden refinement
+    eps Z^d inside the ball |x - y| <= vmax t, then one golden refinement
     of all targets moves x continuously using the spatially interpolated table.
     """
     if not 0 < eps <= 1:
@@ -99,7 +99,7 @@ def solve_oscillatory(u0: InitialData, lagrangian: LagrangianField,
             f"metric table horizon {table.horizon} insufficient: need T = {big_t}")
     d = table.dimension
     shift = lagrangian.spec.normalization_shift
-    radius = table.cone.speed * t
+    radius = table.vmax * t
     targets = np.asarray(targets, dtype=float).reshape(-1, d)
     x0 = np.empty_like(targets)
     coarse = np.empty(len(targets))

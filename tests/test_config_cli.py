@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from hjhom import ConfigError, parse_config_text, spec_from_config
-from hjhom.cli import EXIT_CONFIG, EXIT_OK, EXIT_OTHER, main
+from hjhom.cli import EXIT_CONFIG, EXIT_OK, main
 from hjhom.config import KNOWN_KEYS
 
 GOOD = """
@@ -134,8 +134,9 @@ seed = 1
 
 
 def test_cli_rate_denominator_above_n_max_exit_code(tmp_path, capsys):
-    # v = 0.25 on the default v_step grid needs n = 4 > n_max: an error, not a
-    # ray read at a rounded velocity
+    # v = -3.75, first of the quarter velocities of the default v_step grid,
+    # needs n = 4 > n_max: a configuration error at the key, not a ray read
+    # at a rounded velocity
     cfg = _write(tmp_path, "n.cfg", """
 dimension = 1
 potential.a0 = 2.0
@@ -147,8 +148,10 @@ sweep.eps = 0.5
 effective.n_max = 2
 """)
     out = tmp_path / "out"
-    assert main(["rate", "--config", cfg, "--out", str(out)]) == EXIT_OTHER
-    assert "horizon does not even cover n = 1" in capsys.readouterr().err
+    assert main(["rate", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert re.search(r"n\.cfg:9: velocity \[-3\.75\] has denominator b = 4 > "
+                     r"n_max = 2", err), err
     assert not (out / "rate.csv").exists()
 
 

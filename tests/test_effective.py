@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from hjhom import build_lagrangian, compute_metric_table, cosine_spec
+from hjhom import (
+    HorizonError,
+    UnreachableError,
+    build_lagrangian,
+    compute_metric_table,
+    cosine_spec,
+)
 from hjhom.effective import (
     _rational_scale,
     build_effective_model,
@@ -14,6 +20,7 @@ from hjhom.effective import (
 FREE = build_lagrangian(cosine_spec(1, 1.0))
 OSC_POT = cosine_spec(1, 2.0, (1.0, (1,))).potential
 OSC = build_lagrangian(cosine_spec(1, 2.0, (1.0, (1,))))
+OSC2 = build_lagrangian(cosine_spec(2, 3.0, (1.0, (1, 0)), (1.0, (0, 1))))
 
 # frozen values of the quadrature/bisection oracle for V = 2 + cos(2 pi x)
 QUAD_HBAR = {0.0: -1.0, 0.5: -1.0, 1.0: -0.861855, 1.5: 0.306454, 2.0: 2.031405}
@@ -57,6 +64,16 @@ def test_partial_result_flagged_on_short_horizon():
     res = effective_metric(table, 1.0, 1.0, 8)
     assert res.flagged
     assert res.ns == [1, 2]
+
+
+def test_unreached_ray_raises():
+    # |(-9, -4)| = 9.85 <= vmax t = 9.9, but with step radius 6.6 no offset
+    # has a first component of 7, and the reach polygon stops short of
+    # (-72, -32) dx at every n: +inf reads are an error, not a nan limit
+    table = compute_metric_table(OSC2, horizon=12.0, dt=0.25, dx=0.125, vmax=3.3,
+                                 keep="integers")
+    with pytest.raises(UnreachableError):
+        effective_metric(table, 3.0, [-9, -4], 4)
 
 
 def test_homogeneity_of_limit():
@@ -173,3 +190,13 @@ def test_inexact_velocity_ray_is_flagged():
     flags = {round(float(rec["v"][0]), 6): rec["flagged"]
              for rec in model.diagnostics}
     assert flags == {-0.3: True, 0.0: False, 0.3: True}
+
+
+def test_denominator_above_n_max_raises_before_the_table(monkeypatch):
+    def no_table(*args, **kwargs):
+        raise AssertionError("the table was built")
+
+    monkeypatch.setattr("hjhom.effective.compute_metric_table", no_table)
+    with pytest.raises(HorizonError, match=r"\[-0\.25\] has denominator b = 4 > n_max = 2"):
+        build_effective_model(FREE, v_box_half=0.5, v_step=0.25, n_max=2,
+                              dt=0.25, dx=0.25, vmax=4.0)

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from hjhom import (
-    Cone,
     ConfigurationError,
     UnreachableError,
     build_lagrangian,
@@ -152,8 +151,7 @@ def test_path_speed_limit_measured():
 
 
 def test_unreachable_point_raises():
-    table = compute_metric_table(FREE, horizon=1.0, dt=0.25, dx=0.25, vmax=2.0,
-                                 cone=Cone(4.0))
+    table = compute_metric_table(FREE, horizon=1.0, dt=0.25, dx=0.25, vmax=2.0)
     with pytest.raises(UnreachableError):
         extract_minimizing_path(table, 0.25, 1.0)  # needs speed 4 > vmax
 
@@ -210,14 +208,23 @@ def test_interpolate_reads_stored_layers_only():
     # a time between layers, or a layer the table did not keep, is an error,
     # not a blend of the neighbouring layers
     table = compute_metric_table(OSC, horizon=2.0, dt=0.25, dx=0.25, vmax=4.0)
-    assert table.interpolate(1.25, 0.5) == table.value_at(1.25, 0.5)
+    assert table.interpolate_many(1.25, 0.5)[0] == table.value_at(1.25, 0.5)
     with pytest.raises(ConfigurationError):
-        table.interpolate(1.1, 0.5)
+        table.interpolate_many(1.1, 0.5)
     kept = compute_metric_table(OSC, horizon=2.0, dt=0.25, dx=0.25, vmax=4.0,
                                 keep="integers")
-    assert kept.interpolate(2.0, 0.5) == table.interpolate(2.0, 0.5)
+    assert kept.interpolate_many(2.0, 0.5)[0] == table.interpolate_many(2.0, 0.5)[0]
     with pytest.raises(ConfigurationError):
-        kept.interpolate(1.5, 0.5)
+        kept.interpolate_many(1.5, 0.5)
+
+
+def test_keep_rejects_other_modes_and_options_are_keywords():
+    # any keep but "all" used to store integer layers silently
+    with pytest.raises(ConfigurationError, match="keep"):
+        compute_metric_table(FREE, horizon=1.0, dt=0.25, dx=0.25, vmax=4.0,
+                             keep="integer")
+    with pytest.raises(TypeError):
+        compute_metric_table(FREE, 1.0, 0.25)
 
 
 def test_integer_layers_mode_saves_paths_error():
@@ -328,19 +335,20 @@ def test_vectorised_backtracking_equals_loop(case):
 
 
 def _csv_per_cell(table, path):
-    """Reference: the cone export with a norm test per cell."""
+    """Reference: the export with a cone norm test |z| <= vmax t and a finite
+    test per cell; equal bytes pin that every reached cell lies in the cone."""
     from hjhom.util import format_float
     with open(path, "w") as fh:
         fh.write(
             "# schema=hjhom.metric.v1 "
             f"dt={format_float(table.dt)} dx={format_float(table.dx)} "
-            f"vmax={format_float(table.vmax)} cone={format_float(table.cone.speed)} "
+            f"vmax={format_float(table.vmax)} cone={format_float(table.vmax)} "
             f"spec={table.lagrangian.spec.content_hash()}\n")
         cols = ["k"] + [f"z{i+1}" for i in range(table.dimension)] + ["value"]
         fh.write(",".join(cols) + "\n")
         for pos, k in enumerate(table.layer_times):
             arr, reach = table.layers[pos], table.reaches[pos]
-            lim = table.cone.speed * (k * table.dt)
+            lim = table.vmax * (k * table.dt)
             for j in np.ndindex(arr.shape):
                 z = (np.asarray(j) - reach) * table.dx
                 if np.linalg.norm(z) <= lim + 1e-9 and np.isfinite(arr[j]):
@@ -349,8 +357,10 @@ def _csv_per_cell(table, path):
 
 
 @pytest.mark.parametrize("lagr, kw", [
-    (OSC, dict(horizon=2.0, dt=0.25, dx=0.125, vmax=3.0, cone=Cone(2.0))),
-    (OSC2, dict(horizon=1.5, dt=0.25, dx=0.25, vmax=4.0, cone=Cone(3.0))),
+    (OSC, dict(horizon=2.0, dt=0.25, dx=0.125, vmax=3.0)),
+    (OSC2, dict(horizon=1.5, dt=0.25, dx=0.25, vmax=4.0)),
+    # step radius 6.6: the reach polygon leaves cone cells +inf
+    (OSC2, dict(horizon=1.5, dt=0.25, dx=0.125, vmax=3.3)),
 ])
 def test_csv_export_matches_per_cell_reference(tmp_path, lagr, kw):
     table = compute_metric_table(lagr, **kw)

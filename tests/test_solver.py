@@ -112,7 +112,7 @@ def test_comparison_monotonicity():
 def test_finite_propagation():
     table = free_table()
     base = cone_data(1)
-    radius = table.cone.speed * 1.0
+    radius = table.vmax * 1.0
     far = bump_data(1, [(-3.0, [radius + 3.0], 0.5)])
     pert_far = lambda x: base.evaluator(x) + far.evaluator(x)  # noqa: E731
     moved = InitialData(pert_far, base.lipschitz + far.lipschitz, "combo", 1)
@@ -264,7 +264,7 @@ def reference_oscillatory(u0, lagrangian, eps, t, targets, table):
     """solve_oscillatory's values, one target and one closure at a time."""
     big_t = t / eps
     d = table.dimension
-    radius = table.cone.speed * t
+    radius = table.vmax * t
     targets = np.asarray(targets, dtype=float).reshape(-1, d)
     values = np.empty(len(targets))
     for i, y in enumerate(targets):
@@ -374,7 +374,7 @@ def test_batched_oscillatory_matches_per_target_loop(d):
     for u0 in data:
         for eps in (0.5, 0.25):
             t = float(rng.choice([0.5, 1.0]))
-            radius = table.cone.speed * t
+            radius = table.vmax * t
             ys = _random_targets(rng, d, 7, radius, eps)
             got = solve_oscillatory(u0, lagr, eps, t, ys, table=table).values
             want = reference_oscillatory(u0, lagr, eps, t, ys, table)
