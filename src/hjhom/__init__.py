@@ -55,11 +55,7 @@ from .properties import (
     extract_approximate_geodesic,
     gap_vs_log_envelope,
 )
-from .surgery import (
-    SpaceTimePath2D,
-    find_crossing,
-    path_surgery,
-)
+from .surgery import find_crossing, path_surgery
 from .rates import RateReport, fit_rate
 from .config import Config, ConfigError, parse_config, parse_config_text, spec_from_config
 

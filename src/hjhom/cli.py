@@ -5,8 +5,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .config import ConfigError, parse_config
-from .errors import HJHomError, ResolutionError
+from .config import parse_config
+from .errors import ConfigurationError, HJHomError, ResolutionError
 from .harness import run_effective, run_metric, run_property_suite, run_rate_sweep
 
 EXIT_OK = 0
@@ -58,7 +58,7 @@ def main(argv=None) -> int:
                 print(f"property checks failed: {', '.join(failed)}",
                       file=sys.stderr)
                 return EXIT_PROPERTY
-    except ConfigError as exc:
+    except ConfigurationError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except ResolutionError as exc:

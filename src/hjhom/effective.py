@@ -12,7 +12,8 @@ bisection on the classical flat-piece formula |p| = integral sqrt(Hbar + V).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-import itertools
+import math
+
 import numpy as np
 
 from .errors import ConfigurationError, DomainError, HorizonError, UnreachableError
@@ -103,62 +104,46 @@ class EffectiveModel:
                                ",".join(cols + ["n", "g_n", "gap"])], rows, ",")
 
 
-MAX_DENOMINATOR = 8
-
-
-def _rational_scale(v: np.ndarray) -> tuple[int, np.ndarray, bool]:
-    """Smallest b <= MAX_DENOMINATOR with b v integer within 1e-9, b v
-    rounded, and True; without one, the b of the best bounded-denominator
-    approximation and False (the ray then samples round(b v)/b, not v)."""
-    best_b, best_err = 1, np.inf
-    for b in range(1, MAX_DENOMINATOR + 1):
-        err = np.max(np.abs(b * v - np.round(b * v)))
-        if err <= 1e-9:
-            return b, np.round(b * v), True
-        if err < best_err - 1e-15:
-            best_b, best_err = b, err
-    return best_b, np.round(best_b * v), False
-
-
 def build_effective_model(lagrangian: LagrangianField,
                           v_box_half: float, v_step: float, n_max: int,
                           dt: float, dx: float, vmax: float) -> EffectiveModel:
-    """Sample Lbar(v) on a symmetric velocity grid.
+    """Sample Lbar(v) on the symmetric velocity grid v = k v_step.
 
-    One metric table with horizon n_max serves every velocity: the ray for v
-    is first scaled by the denominator b of v (so targets are integer points),
-    then read at n = b, 2b, 4b, ... <= n_max.  Velocities whose doubling
-    sequence has fewer than two levels, or with no denominator b <=
-    MAX_DENOMINATOR (the ray then samples a nearby rational velocity), are
-    flagged in the diagnostics; a denominator above n_max raises HorizonError
-    before the table is built.
+    One metric table with horizon n_max serves every velocity.  With q the
+    smallest b <= n_max making b v_step an integer p, the grid velocity
+    k v_step has denominator b = q / gcd(q, k) and integer point
+    b v = k p / gcd(q, k), all in integers; its ray is read at n = b, 2b,
+    4b, ... <= n_max.  Rays with one level are flagged in the diagnostics.
+    A v_step without such a q raises HorizonError before the table is built.
     """
     d = lagrangian.dimension
+    q = next((b for b in range(1, int(n_max) + 1)
+              if abs(b * v_step - round(b * v_step)) <= 1e-9), None)
+    if q is None:
+        raise HorizonError(f"v_step = {v_step} has no denominator b <= n_max = "
+                           f"{n_max}: its rays start past the table horizon")
+    p = round(q * v_step)
     half_steps = int(round(v_box_half / v_step))
-    axis = np.arange(-half_steps, half_steps + 1) * v_step
-    v_axes = (axis,) * d
-    for v in itertools.product(axis, repeat=d):
-        b = _rational_scale(np.asarray(v))[0]
-        if b > n_max:
-            raise HorizonError(f"velocity {np.asarray(v)} has denominator b = {b} > "
-                               f"n_max = {n_max}: its ray starts past the table horizon")
+    ks = np.arange(-half_steps, half_steps + 1)
+    axis = ks * v_step
     table = compute_metric_table(lagrangian, horizon=float(n_max), dt=dt, dx=dx,
                                  vmax=vmax, keep="integers")
 
     values = np.empty((len(axis),) * d)
     diagnostics = []
     for idx in np.ndindex(values.shape):
-        v = np.asarray([axis[i] for i in idx])
-        b, bv, exact = _rational_scale(v)
-        res = effective_metric(table, float(b), bv, n_max // b)
+        k = ks[list(idx)]
+        g = math.gcd(q, *k.tolist())
+        b = q // g
+        res = effective_metric(table, float(b), k * p // g, n_max // b)
         lbar = res.limit / b
         values[idx] = lbar
         diagnostics.append({
-            "v": v, "ns": [n * b for n in res.ns],
-            "gs": [g / b for g in res.gs], "limit": lbar,
-            "flagged": res.flagged or not exact,
+            "v": axis[list(idx)], "ns": [n * b for n in res.ns],
+            "gs": [g_n / b for g_n in res.gs], "limit": lbar,
+            "flagged": res.flagged,
         })
-    return EffectiveModel(ConvexFunctionTable(v_axes, values, VELOCITY_DOMAIN),
+    return EffectiveModel(ConvexFunctionTable((axis,) * d, values, VELOCITY_DOMAIN),
                           diagnostics, lagrangian.spec.normalization_shift)
 
 

@@ -133,19 +133,6 @@ class MetricTable:
     def horizon(self) -> float:
         return float(self.layer_times[-1] * self.dt)
 
-    def lipschitz_estimate(self) -> float:
-        """Measured spatial Lipschitz constant of m over the finite neighbour
-        pairs of the final layer."""
-        arr = self.layers[-1]
-        worst = 0.0
-        for ax in range(self.dimension):
-            with np.errstate(invalid="ignore"):
-                diff = np.abs(np.diff(arr, axis=ax)) / self.dx
-            diff = diff[np.isfinite(diff)]
-            if diff.size:
-                worst = max(worst, float(diff.max()))
-        return worst
-
     def integer_cone(self):
         """Reached integer points (k, z) at integer times k >= 1 and the finite
         table values there, as arrays k (n,), z (n, d) and values (n,): layer

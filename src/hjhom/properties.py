@@ -40,8 +40,10 @@ def check_subadditivity(table: MetricTable, sample_size: int = 1000,
                         rng: np.random.Generator | None = None) -> float:
     """max over sampled pairs of reached points of f(z + w) - f(z) - f(w).
 
-    The discrete DP concatenates paths through the shared integer node, so
-    violations beyond float roundoff indicate a corrupted table.  A table
+    The lattice DP is exactly subadditive at integer points: a path to z
+    followed by the integer translate of a path to w is a lattice path to
+    z + w, at the same cost by periodicity.  So a violation above roundoff
+    (the property suite gates at 1e-9) indicates a corrupted table.  A table
     where no sampled pair fits under the horizon raises DomainError.
     """
     if rng is None:

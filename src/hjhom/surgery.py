@@ -11,8 +11,10 @@ Every cyclic shift (the shifts ``find_crossing`` scores, the splice in
 ``path_surgery``) rotates increments through one routine,
 ``_rolled_increments``.  The crossing search scores every shift pair as one
 distance array and picks what a walk over the pairs in scan order would
-pick.  The spliced path is costed by ``metric.path_cost`` from its own
-increments (not from differences of its nodes).
+pick.  Shifts and the crossing step stay integer step counts; only
+``surgery_csv`` turns them into times.  The spliced path is costed by
+``metric.path_cost`` from its own increments (not from differences of its
+nodes).
 """
 
 from __future__ import annotations
@@ -26,31 +28,14 @@ from .metric import DiscretePath, MetricTable, path_cost
 from .util import as_int_exact, write_rows
 
 
-@dataclass
-class SpaceTimePath2D:
-    """Uniformly time-stepped polyline in R x R^2 (time, two space coords)."""
-
-    dt: float
-    nodes: np.ndarray            # (n+1, 3), column 0 is time
-
-    @property
-    def steps(self) -> int:
-        return len(self.nodes) - 1
-
-    def spatial(self) -> np.ndarray:
-        return self.nodes[:, 1:]
-
-
 def _rolled_increments(nodes: np.ndarray, m: int) -> np.ndarray:
     """Increments of a uniformly stepped polyline, rotated left by m steps."""
     return np.roll(np.diff(nodes, axis=0), -m, axis=0)
 
 
-def _shifted_spatial(path: SpaceTimePath2D, m: int) -> np.ndarray:
-    """Spatial nodes of the cyclic shift by m steps, keeping the start."""
-    start = path.nodes[0, 1:]
-    inc = _rolled_increments(path.nodes[:, 1:], m)
-    return np.vstack([start, start + np.cumsum(inc, axis=0)])
+def _shifted(nodes: np.ndarray, m: int) -> np.ndarray:
+    """Nodes of the cyclic shift by m steps, keeping the start."""
+    return np.vstack([nodes[0], nodes[0] + np.cumsum(_rolled_increments(nodes, m), axis=0)])
 
 
 def _walk(start: int, end: int, n: int) -> list:
@@ -61,37 +46,36 @@ def _walk(start: int, end: int, n: int) -> list:
 
 @dataclass
 class Crossing:
-    c1: float
-    c2: float
-    s: float
-    witness: np.ndarray          # (3,) space-time point on both shifted paths
+    """Shift pair (m1, m2) and step j where the shifted paths meet, in steps."""
+
+    m1: int
+    m2: int
+    j: int
     separation: float
 
 
-def find_crossing(eta1: SpaceTimePath2D, eta2: SpaceTimePath2D) -> Crossing:
-    """Search shift pairs (c1, c2) for a time s where the shifted paths meet.
+def find_crossing(eta1: np.ndarray, eta2: np.ndarray) -> Crossing:
+    """Search shift pairs (m1, m2) for a step j where the shifted paths meet.
 
-    The scan starts from the half-space-extremal shifts (third coordinate
-    argmax of eta1, argmin of eta2) and walks toward the opposite extremal
-    configuration, scoring each pair by the minimum spatial separation over
-    common times.  All pairs are scored at once; the pick is the first pair
-    in scan order whose separation is <= 1e-12, otherwise the first
-    minimum.  A best separation above the longest step raises a resolution
-    error.
+    eta1 and eta2 are (n+1, 2) node arrays on one time lattice.  The scan
+    starts from the half-space-extremal shifts (second coordinate argmax of
+    eta1, argmin of eta2) and walks toward the opposite extremal
+    configuration, scoring each pair by the minimum separation over common
+    steps.  All pairs are scored at once; the pick is the first pair in
+    scan order whose separation is <= 1e-12, otherwise the first minimum.
+    A best separation above the longest step raises a resolution error.
     """
-    if eta1.steps != eta2.steps or abs(eta1.dt - eta2.dt) > 1e-12:
+    if eta1.shape != eta2.shape:
         raise DomainError("paths must share the time lattice")
-    n = eta1.steps
-    tolerance = max(np.linalg.norm(np.diff(eta.spatial(), axis=0), axis=1).max()
+    n = len(eta1) - 1
+    tolerance = max(np.linalg.norm(np.diff(eta, axis=0), axis=1).max()
                     for eta in (eta1, eta2)) + 1e-9
 
-    third1 = eta1.nodes[:, 2]
-    third2 = eta2.nodes[:, 2]
-    order1 = _walk(int(np.argmax(third1)), int(np.argmin(third1)), n)
-    order2 = _walk(int(np.argmin(third2)), int(np.argmax(third2)), n)
-    a1 = np.stack([_shifted_spatial(eta1, m) for m in order1])
-    a2 = np.stack([_shifted_spatial(eta2, m) for m in order2])
-    dist = np.linalg.norm(a1[:, None] - a2[None, :], axis=-1)   # (m1, m2, s)
+    order1 = _walk(int(np.argmax(eta1[:, 1])), int(np.argmin(eta1[:, 1])), n)
+    order2 = _walk(int(np.argmin(eta2[:, 1])), int(np.argmax(eta2[:, 1])), n)
+    a1 = np.stack([_shifted(eta1, m) for m in order1])
+    a2 = np.stack([_shifted(eta2, m) for m in order2])
+    dist = np.linalg.norm(a1[:, None] - a2[None, :], axis=-1)   # (m1, m2, j)
     score = dist.min(axis=-1).ravel()
     hits = np.flatnonzero(score <= 1e-12)
     i1, i2 = divmod(int(hits[0]) if len(hits) else int(np.argmin(score)), n + 1)
@@ -101,9 +85,7 @@ def find_crossing(eta1: SpaceTimePath2D, eta2: SpaceTimePath2D) -> Crossing:
         raise ResolutionError(
             f"no crossing within tolerance {tolerance:.3g} (best {sep:.3g}); "
             "refine the time lattice")
-    witness = np.concatenate(([j * eta1.dt], 0.5 * (a1[i1, j] + a2[i2, j])))
-    return Crossing(c1=order1[i1] * eta1.dt, c2=order2[i2] * eta2.dt,
-                    s=j * eta1.dt, witness=witness, separation=sep)
+    return Crossing(m1=order1[i1], m2=order2[i2], j=j, separation=sep)
 
 
 @dataclass
@@ -157,15 +139,11 @@ def path_surgery(gamma: DiscretePath, table: MetricTable) -> SurgeryResult:
     rot = np.array([[y[0], y[1]], [-y[1], y[0]]]) / a
     sheared1 = (g1 - times[:, None] * drift) @ rot.T + np.array([a, 0.0])
     sheared2 = (g2 - times[:, None] * drift) @ rot.T
-    eta1 = SpaceTimePath2D(gamma.dt, np.column_stack([times, sheared1]))
-    eta2 = SpaceTimePath2D(gamma.dt, np.column_stack([times, sheared2]))
-    crossing = find_crossing(eta1, eta2)
+    crossing = find_crossing(sheared1, sheared2)
 
-    m1 = int(round(crossing.c1 / gamma.dt))
-    m2 = int(round(crossing.c2 / gamma.dt))
-    j = int(round(crossing.s / gamma.dt))
-    rolled1 = _rolled_increments(g1, m1)
-    rolled2 = _rolled_increments(g2, m2)
+    j = crossing.j
+    rolled1 = _rolled_increments(g1, crossing.m1)
+    rolled2 = _rolled_increments(g2, crossing.m2)
     first_half = np.vstack([rolled2[:j], rolled1[j:]])
     second_half = np.vstack([rolled2[j:], rolled1[:j]])
     # distribute the residual so the path passes through x and ends at 2x
@@ -182,11 +160,12 @@ def path_surgery(gamma: DiscretePath, table: MetricTable) -> SurgeryResult:
 
 
 def surgery_csv(results, path) -> None:
-    """Diagnostic dump: t, x, lemma gap, crossing shifts, costs."""
+    """Diagnostic dump: t, x, lemma gap, crossing shifts and step as times
+    (steps times dt), costs."""
     rows = []
     for t, x, res in results:
-        c = res.crossing
-        shifts = (c.c1, c.c2, c.s) if c else (0.0, 0.0, 0.0)
+        c, dt = res.crossing, res.path.dt
+        shifts = (c.m1 * dt, c.m2 * dt, c.j * dt) if c else (0.0, 0.0, 0.0)
         rows.append((t, x[0], x[1], res.lemma_gap, res.gap, *shifts,
                      res.path.cost - res.gap, res.path.cost))
     write_rows(path, ["# schema=hjhom.surgery.v1",

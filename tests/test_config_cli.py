@@ -6,8 +6,8 @@ import sys
 import numpy as np
 import pytest
 
-from hjhom import ConfigError, parse_config_text, spec_from_config
-from hjhom.cli import EXIT_CONFIG, EXIT_OK, main
+from hjhom import ConfigError, compute_metric_table, parse_config_text, spec_from_config
+from hjhom.cli import EXIT_CONFIG, EXIT_OK, EXIT_PROPERTY, main
 from hjhom.config import KNOWN_KEYS
 
 GOOD = """
@@ -150,9 +150,41 @@ effective.n_max = 2
     out = tmp_path / "out"
     assert main(["rate", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
     err = capsys.readouterr().err
-    assert re.search(r"n\.cfg:9: velocity \[-3\.75\] has denominator b = 4 > "
+    assert re.search(r"n\.cfg:9: v_step = 0\.25 has no denominator b <= "
                      r"n_max = 2", err), err
     assert not (out / "rate.csv").exists()
+
+
+def test_cli_effective_v_step_without_denominator_exit_code(tmp_path, capsys):
+    # v_step = 0.3 = 3/10 needs n = 10 > the default n_max 8: an error at
+    # the v_step line, not the ray of 1/3 written as Lbar(0.3)
+    cfg = _write(tmp_path, "v.cfg", """
+dimension = 1
+potential.a0 = 2.0
+potential.terms = 1.0,1
+grid.dt = 0.25
+grid.dx = 0.25
+effective.v_box = 0.6
+effective.v_step = 0.3
+""")
+    out = tmp_path / "out"
+    assert main(["effective", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    assert "v.cfg:8: v_step = 0.3 has no denominator b <= n_max = 8" in \
+        capsys.readouterr().err
+    assert not out.exists()
+
+
+# library-level configuration errors exit 2 as a parse error does
+@pytest.mark.parametrize("line, message", [
+    ("grid.dt = 0.3", "1/dt = 3.3333333333333335 is not an integer"),
+    ("grid.vmax = 0.5", "vmax*dt = 0.0625 < dx = 0.25"),
+])
+def test_cli_configuration_error_exit_code(tmp_path, capsys, line, message):
+    cfg = _write(tmp_path, "c.cfg", "dimension = 1\npotential.a0 = 1.0\n"
+                 "grid.dx = 0.25\n" + line + "\n")
+    out = tmp_path / "out"
+    assert main(["metric", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    assert f"config error: {message}" in capsys.readouterr().err
 
 
 def test_cli_config_error_exit_code(tmp_path):
@@ -167,8 +199,7 @@ def test_cli_missing_key_exit_code(tmp_path):
     assert main(["metric", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
 
 
-def test_cli_properties_smoke(tmp_path):
-    cfg = _write(tmp_path, "p.cfg", """
+PROPERTIES_CFG = """
 dimension = 1
 potential.a0 = 1.0
 grid.dt = 0.25
@@ -184,12 +215,40 @@ effective.v_step = 0.5
 effective.n_max = 4
 properties.directions = 0.0; 1.0
 seed = 0
-""")
+"""
+
+
+def test_cli_properties_smoke(tmp_path):
+    cfg = _write(tmp_path, "p.cfg", PROPERTIES_CFG)
     out = tmp_path / "out"
     assert main(["properties", "--config", cfg, "--out", str(out)]) == EXIT_OK
     lines = (out / "properties.csv").read_text().splitlines()
     assert lines[1] == "check,value,threshold,passed"
     assert all(line.endswith(",1") for line in lines[2:])
+
+
+def test_cli_properties_subadditivity_gate_catches_lowered_layers(tmp_path, capsys,
+                                                                  monkeypatch):
+    # lowering every layer k >= 1 by 1e-6 breaks f(z + w) <= f(z) + f(w) by
+    # 1e-6: far below a discretization bound, far above roundoff
+    import hjhom.harness as harness
+
+    def lowered(*args, **kwargs):
+        table = compute_metric_table(*args, **kwargs)
+        for layer in table.layers[1:]:
+            layer -= 1e-6
+        return table
+
+    monkeypatch.setattr(harness, "compute_metric_table", lowered)
+    cfg = _write(tmp_path, "p.cfg", PROPERTIES_CFG)
+    out = tmp_path / "out"
+    assert main(["properties", "--config", cfg, "--out", str(out)]) == EXIT_PROPERTY
+    assert "property checks failed: subadditivity_max_violation\n" in capsys.readouterr().err
+    rows = {r.split(",")[0]: r.split(",")[1:]
+            for r in (out / "properties.csv").read_text().splitlines()[2:]}
+    value, threshold, passed = rows["subadditivity_max_violation"]
+    assert float(value) == pytest.approx(1e-6, abs=1e-12)
+    assert (threshold, passed) == ("1e-09", "0")
 
 
 # d = 1: no surgery; an empty p_sample: no oracle, hence no gap envelope and
@@ -306,7 +365,7 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
 # a typo, and keys outside the format (H = |p|^2 - V has no family or cap;
-# the denominator bound of a velocity's rational scaling is fixed at 8)
+# a velocity's denominator bound is effective.n_max)
 @pytest.mark.parametrize("line", [
     "grid.dxx = 0.1", "metric.keep = integers", "cone.c1 = 8.0", "cone.c2 = 2.0",
     "metric.max_ratio = 2.0", "targets.radius = 2.0", "properties.refine = 1",

@@ -9,7 +9,6 @@ from hjhom import (
     cosine_spec,
 )
 from hjhom.effective import (
-    _rational_scale,
     build_effective_model,
     cell_problem_oracle,
     effective_hamiltonian_quadrature_1d,
@@ -177,19 +176,16 @@ def test_diagnostics_csv_export(tmp_path):
     assert len(lines) > 5
 
 
-def test_rational_scale_reports_inexact_velocity():
-    b, _, exact = _rational_scale(np.array([0.25, -0.5]))
-    assert (b, exact) == (4, True)
-    b, bv, exact = _rational_scale(np.array([0.3]))
-    assert (b, bv.tolist(), exact) == (3, [1.0], False)   # 1/3, not 0.3
+def test_v_step_without_denominator_up_to_n_max_raises(monkeypatch):
+    # 0.3 = 3/10: with n_max = 8 no ray of +-0.3 fits under the horizon, and
+    # no nearby rational velocity stands in for it
+    def no_table(*args, **kwargs):
+        raise AssertionError("the table was built")
 
-
-def test_inexact_velocity_ray_is_flagged():
-    model = build_effective_model(FREE, v_box_half=0.3, v_step=0.3, n_max=8,
-                                  dt=0.25, dx=0.25, vmax=3.0)
-    flags = {round(float(rec["v"][0]), 6): rec["flagged"]
-             for rec in model.diagnostics}
-    assert flags == {-0.3: True, 0.0: False, 0.3: True}
+    monkeypatch.setattr("hjhom.effective.compute_metric_table", no_table)
+    with pytest.raises(HorizonError, match=r"v_step = 0\.3 has no denominator b <= n_max = 8"):
+        build_effective_model(FREE, v_box_half=0.3, v_step=0.3, n_max=8,
+                              dt=0.25, dx=0.25, vmax=3.0)
 
 
 def test_denominator_above_n_max_raises_before_the_table(monkeypatch):
@@ -197,6 +193,31 @@ def test_denominator_above_n_max_raises_before_the_table(monkeypatch):
         raise AssertionError("the table was built")
 
     monkeypatch.setattr("hjhom.effective.compute_metric_table", no_table)
-    with pytest.raises(HorizonError, match=r"\[-0\.25\] has denominator b = 4 > n_max = 2"):
+    with pytest.raises(HorizonError, match=r"v_step = 0\.25 has no denominator b <= n_max = 2"):
         build_effective_model(FREE, v_box_half=0.5, v_step=0.25, n_max=2,
                               dt=0.25, dx=0.25, vmax=4.0)
+
+
+def test_sixteenth_velocity_reads_its_own_ray():
+    # v_step = 1/16 has denominator 16 = n_max: +-1/16 is read at n = 16
+    # alone (one level, flagged), on its own ray and not the v = 0 one
+    model = build_effective_model(OSC, v_box_half=0.125, v_step=0.0625, n_max=16,
+                                  dt=0.25, dx=0.25, vmax=4.0)
+    diags = {float(rec["v"][0]): rec for rec in model.diagnostics}
+    assert sorted(diags) == [-0.125, -0.0625, 0.0, 0.0625, 0.125]
+    for v in (-0.0625, 0.0625):
+        assert diags[v]["ns"] == [16] and diags[v]["flagged"]
+        assert diags[v]["limit"] != diags[0.0]["limit"]
+    assert diags[0.125]["ns"] == [8, 16] and not diags[0.125]["flagged"]
+    assert diags[0.0]["ns"] == [1, 2, 4, 8, 16] and not diags[0.0]["flagged"]
+
+
+def test_grid_denominators_are_exact():
+    # each ray's first level n is the smallest b with b v integer, over all
+    # components of v
+    model = build_effective_model(OSC2, v_box_half=0.5, v_step=0.25, n_max=4,
+                                  dt=0.25, dx=0.25, vmax=4.0)
+    first = {tuple(rec["v"].tolist()): rec["ns"][0] for rec in model.diagnostics}
+    assert (first[(0.0, 0.0)], first[(0.5, 0.0)], first[(0.5, -0.5)],
+            first[(0.25, 0.5)], first[(-0.25, 0.0)], first[(0.0, -0.5)]) == \
+        (1, 2, 2, 4, 4, 2)

@@ -11,8 +11,7 @@ from hjhom import (
 )
 from hjhom.surgery import (
     Crossing,
-    SpaceTimePath2D,
-    _shifted_spatial,
+    _shifted,
     find_crossing,
     path_surgery,
     surgery_csv,
@@ -22,74 +21,74 @@ OSC2 = build_lagrangian(cosine_spec(2, 3.0, (1.0, (1, 0)), (1.0, (0, 1))))
 FREE2 = build_lagrangian(cosine_spec(2, 1.0))
 
 
-def wiggly_path(n=16, dt=0.25, seed=0):
+def wiggly_path(n=16, seed=0):
     rng = np.random.default_rng(seed)
     inc = rng.uniform(-1, 1, size=(n, 2))
-    nodes = np.vstack([[0.0, 0.0], np.cumsum(inc, axis=0)])
-    times = np.arange(n + 1) * dt
-    return SpaceTimePath2D(dt, np.column_stack([times, nodes]))
+    return np.vstack([[0.0, 0.0], np.cumsum(inc, axis=0)])
+
+
+def witness(eta1, eta2, cr):
+    """The point both shifted paths pass at the crossing step (their midpoint)."""
+    return 0.5 * (_shifted(eta1, cr.m1)[cr.j] + _shifted(eta2, cr.m2)[cr.j])
 
 
 # the cyclic shift by m steps that find_crossing scores
 
 def test_cyclic_shift_identity_cases():
     path = wiggly_path()
-    for m in (0, path.steps):
-        np.testing.assert_allclose(_shifted_spatial(path, m), path.spatial(), atol=1e-12)
+    for m in (0, len(path) - 1):
+        np.testing.assert_allclose(_shifted(path, m), path, atol=1e-12)
 
 
 def test_cyclic_shift_straight_line_invariant():
     times = np.arange(9) * 0.5
-    nodes = np.column_stack([times, 2.0 * times, -1.0 * times])
-    path = SpaceTimePath2D(0.5, nodes)
-    np.testing.assert_allclose(_shifted_spatial(path, 3), nodes[:, 1:], atol=1e-12)
+    nodes = np.column_stack([2.0 * times, -1.0 * times])
+    np.testing.assert_allclose(_shifted(nodes, 3), nodes, atol=1e-12)
 
 
 def test_cyclic_shift_preserves_increment_multiset():
     path = wiggly_path(n=12)
-    out = _shifted_spatial(path, 4)
-    a = np.diff(path.spatial(), axis=0)
+    out = _shifted(path, 4)
+    a = np.diff(path, axis=0)
     b = np.diff(out, axis=0)
     np.testing.assert_allclose(np.vstack([a[4:], a[:4]]), b, atol=1e-12)
     # start and endpoint displacement unchanged
-    np.testing.assert_array_equal(out[0], path.spatial()[0])
-    np.testing.assert_allclose(out[-1] - out[0],
-                               path.spatial()[-1] - path.spatial()[0], atol=1e-12)
+    np.testing.assert_array_equal(out[0], path[0])
+    np.testing.assert_allclose(out[-1] - out[0], path[-1] - path[0], atol=1e-12)
 
 
 def test_find_crossing_symmetric_straight_lines():
-    # eta1: (0,A,0) -> (t,0,0), eta2: (0,0,0) -> (t,A,0); both straight
+    # eta1: A -> 0, eta2: 0 -> A along the first axis, both straight over t = 2
     t, a, n = 2.0, 1.0, 16
-    dt = t / n
-    s = np.arange(n + 1) * dt
-    eta1 = SpaceTimePath2D(dt, np.column_stack([s, a * (1 - s / t), 0 * s]))
-    eta2 = SpaceTimePath2D(dt, np.column_stack([s, a * s / t, 0 * s]))
+    s = np.arange(n + 1) * (t / n)
+    eta1 = np.column_stack([a * (1 - s / t), 0 * s])
+    eta2 = np.column_stack([a * s / t, 0 * s])
     cr = find_crossing(eta1, eta2)
     assert cr.separation <= 1e-9
-    assert cr.s == pytest.approx(t / 2)
-    assert cr.witness[1] == pytest.approx(a / 2)
+    assert cr.j == n // 2
+    assert witness(eta1, eta2, cr)[0] == pytest.approx(a / 2)
 
 
 def test_find_crossing_degenerate_a_zero():
-    t, n = 1.0, 8
-    dt = t / n
-    s = np.arange(n + 1) * dt
-    eta1 = SpaceTimePath2D(dt, np.column_stack([s, 0 * s, 0 * s]))
-    eta2 = SpaceTimePath2D(dt, np.column_stack([s, 0 * s, 0 * s]))
-    cr = find_crossing(eta1, eta2)
+    eta = np.zeros((9, 2))
+    cr = find_crossing(eta, eta.copy())
     assert cr.separation <= 1e-12
-    assert cr.s == 0.0
+    assert (cr.m1, cr.m2, cr.j) == (0, 0, 0)
 
 
 def test_find_crossing_translated_paths():
-    # identical wiggly paths separated in the third coordinate only; shifting
-    # by the third-coordinate extremizer must produce a crossing
+    # identical wiggly paths separated in the second coordinate only; shifting
+    # by the second-coordinate extremizer must produce a crossing
     base = wiggly_path(n=16, seed=3)
-    nodes2 = base.nodes.copy()
-    nodes2[:, 2] += 0.8 * np.sin(np.linspace(0, np.pi, len(nodes2)))
-    eta2 = SpaceTimePath2D(base.dt, nodes2)
+    eta2 = base.copy()
+    eta2[:, 1] += 0.8 * np.sin(np.linspace(0, np.pi, len(eta2)))
     cr = find_crossing(base, eta2)
     assert np.isfinite(cr.separation)
+
+
+def test_find_crossing_rejects_mismatched_lattices():
+    with pytest.raises(DomainError):
+        find_crossing(np.zeros((9, 2)), np.zeros((8, 2)))
 
 
 def test_path_surgery_free_case_returns_input():
@@ -141,26 +140,31 @@ def test_surgery_csv(tmp_path):
     lines = out.read_text().splitlines()
     assert lines[1].startswith("t,x1,x2,")
     assert len(lines) == 4
+    # the crossing's step counts are written as times
+    for line, (_, _, res) in zip(lines[2:], rows):
+        c = res.crossing
+        want = (c.m1, c.m2, c.j) if c else (0, 0, 0)
+        assert [float(f) for f in line.split(",")[5:8]] == [k * table.dt for k in want]
 
 
 def _find_crossing_walk(eta1, eta2):
     """Reference: the scan as a walk over shift pairs, stopping at the first
-    pair within 1e-12, else keeping the first strict minimum."""
-    n = eta1.steps
-    step1 = np.linalg.norm(np.diff(eta1.spatial(), axis=0), axis=1).max()
-    step2 = np.linalg.norm(np.diff(eta2.spatial(), axis=0), axis=1).max()
+    pair within 1e-12, else keeping the first strict minimum.  Returns the
+    crossing and the midpoint of the two shifted paths at its step."""
+    n = len(eta1) - 1
+    step1 = np.linalg.norm(np.diff(eta1, axis=0), axis=1).max()
+    step2 = np.linalg.norm(np.diff(eta2, axis=0), axis=1).max()
     tolerance = max(step1, step2) + 1e-9
 
     def shifted(path, m):
-        inc = np.roll(np.diff(path.nodes[:, 1:], axis=0), -m, axis=0)
-        start = path.nodes[0, 1:]
-        return np.vstack([start, start + np.cumsum(inc, axis=0)])
+        inc = np.roll(np.diff(path, axis=0), -m, axis=0)
+        return np.vstack([path[0], path[0] + np.cumsum(inc, axis=0)])
 
     shifted1 = {m: shifted(eta1, m) for m in range(n + 1)}
     shifted2 = {m: shifted(eta2, m) for m in range(n + 1)}
-    third1, third2 = eta1.nodes[:, 2], eta2.nodes[:, 2]
-    start1, end1 = int(np.argmax(third1)), int(np.argmin(third1))
-    start2, end2 = int(np.argmin(third2)), int(np.argmax(third2))
+    second1, second2 = eta1[:, 1], eta2[:, 1]
+    start1, end1 = int(np.argmax(second1)), int(np.argmin(second1))
+    start2, end2 = int(np.argmin(second2)), int(np.argmax(second2))
 
     def walk(start, end, keys):
         keys = sorted(keys)
@@ -185,8 +189,7 @@ def _find_crossing_walk(eta1, eta2):
     sep, m1, m2, j, mid = best
     if sep > tolerance:
         raise ResolutionError("no crossing")
-    return Crossing(c1=m1 * eta1.dt, c2=m2 * eta2.dt, s=j * eta1.dt,
-                    witness=np.concatenate(([j * eta1.dt], mid)), separation=sep)
+    return Crossing(m1=m1, m2=m2, j=j, separation=sep), mid
 
 
 def _crossing_or_error(eta1, eta2, fn):
@@ -200,8 +203,6 @@ def _random_pairs():
     rng = np.random.default_rng(5)
     for case in range(60):
         n = int(rng.integers(1, 13))
-        dt = 0.25
-        times = np.arange(n + 1) * dt
         if case % 3 == 0:
             # dyadic steps: exact crossings and tied separations
             inc1 = rng.integers(-2, 3, size=(n, 2)) * 0.5
@@ -214,14 +215,11 @@ def _random_pairs():
         nodes2 = np.vstack([[0.0, 0.0], np.cumsum(inc2, axis=0)])
         if case % 7 == 0:
             nodes2 = nodes1.copy()      # identical paths: every pair ties at 0
-        yield (SpaceTimePath2D(dt, np.column_stack([times, nodes1])),
-               SpaceTimePath2D(dt, np.column_stack([times, nodes2])))
+        yield nodes1, nodes2
     # straight lines meeting at one node, and a = 0 with constant paths
     s = np.arange(9) * 0.25
-    yield (SpaceTimePath2D(0.25, np.column_stack([s, 1 - s / 2, 0 * s])),
-           SpaceTimePath2D(0.25, np.column_stack([s, s / 2, 0 * s])))
-    yield (SpaceTimePath2D(0.25, np.column_stack([s, 0 * s, 0 * s])),
-           SpaceTimePath2D(0.25, np.column_stack([s, 0 * s, 0 * s])))
+    yield np.column_stack([1 - s / 2, 0 * s]), np.column_stack([s / 2, 0 * s])
+    yield np.zeros((9, 2)), np.zeros((9, 2))
 
 
 def test_find_crossing_matches_walk_reference():
@@ -233,8 +231,8 @@ def test_find_crossing_matches_walk_reference():
         if want is None:
             errors += 1
             continue
+        want, mid = want
         exact += want.separation == 0.0
-        assert (got.c1, got.c2, got.s, got.separation) == \
-            (want.c1, want.c2, want.s, want.separation)
-        np.testing.assert_array_equal(got.witness, want.witness)
+        assert got == want
+        np.testing.assert_array_equal(witness(eta1, eta2, got), mid)
     assert exact >= 10 and errors >= 1
