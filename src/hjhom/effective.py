@@ -98,15 +98,17 @@ class EffectiveModel:
     def to_csv(self, lbar_path, diag_path) -> None:
         self.lagrangian_table.to_csv(lbar_path)
         cols = [f"v{i+1}" for i in range(self.lagrangian_table.dimension)]
-        rows = [(*rec["v"], n, g, g - rec["limit"]) for rec in self.diagnostics
-                for n, g in zip(rec["ns"], rec["gs"])]
-        write_rows(diag_path, ["# schema=hjhom.effective-diagnostics.v1",
-                               ",".join(cols + ["n", "g_n", "gap"])], rows, ",")
+        rows = [(*rec["v"], n, g, g - rec["limit"], int(rec["flagged"]))
+                for rec in self.diagnostics for n, g in zip(rec["ns"], rec["gs"])]
+        write_rows(diag_path, ["# schema=hjhom.effective-diagnostics.v2",
+                               ",".join(cols + ["n", "g_n", "gap", "flagged"])],
+                   rows, ",")
 
 
 def build_effective_model(lagrangian: LagrangianField,
                           v_box_half: float, v_step: float, n_max: int,
-                          dt: float, dx: float, vmax: float) -> EffectiveModel:
+                          dt: float, dx: float, vmax: float, *,
+                          table: MetricTable | None = None) -> EffectiveModel:
     """Sample Lbar(v) on the symmetric velocity grid v = k v_step.
 
     One metric table with horizon n_max serves every velocity.  With q the
@@ -115,6 +117,11 @@ def build_effective_model(lagrangian: LagrangianField,
     b v = k p / gcd(q, k), all in integers; its ray is read at n = b, 2b,
     4b, ... <= n_max.  Rays with one level are flagged in the diagnostics.
     A v_step without such a q raises HorizonError before the table is built.
+
+    table: an already built table on this lattice to read the rays from
+    instead of building one.  Rays read only integer layers n <= n_max, so
+    any keep mode gives the same model; a table of another spec, dt, dx or
+    vmax, or with a horizon below n_max, raises ConfigurationError.
     """
     d = lagrangian.dimension
     q = next((b for b in range(1, int(n_max) + 1)
@@ -126,8 +133,15 @@ def build_effective_model(lagrangian: LagrangianField,
     half_steps = int(round(v_box_half / v_step))
     ks = np.arange(-half_steps, half_steps + 1)
     axis = ks * v_step
-    table = compute_metric_table(lagrangian, horizon=float(n_max), dt=dt, dx=dx,
-                                 vmax=vmax, keep="integers")
+    if table is None:
+        table = compute_metric_table(lagrangian, horizon=float(n_max), dt=dt, dx=dx,
+                                     vmax=vmax, keep="integers")
+    elif ((table.lagrangian.spec, table.dt, table.dx, table.vmax)
+          != (lagrangian.spec, dt, dx, vmax) or table.horizon < n_max):
+        raise ConfigurationError(
+            f"table (dt={table.dt}, dx={table.dx}, vmax={table.vmax}, horizon="
+            f"{table.horizon}) does not match the model's lattice (dt={dt}, "
+            f"dx={dx}, vmax={vmax}, n_max={n_max}) or spec")
 
     values = np.empty((len(axis),) * d)
     diagnostics = []

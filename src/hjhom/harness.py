@@ -74,26 +74,50 @@ def target_set(dimension: int, count: int, radius: float) -> np.ndarray:
 
 
 def _grids(cfg: Config, lagrangian, max_ratio: float):
+    """grid.dt, grid.dx and grid.vmax (default: the speed cap for max_ratio),
+    checked at their lines before any table is built: 1/dt and 1/dx are
+    integers and vmax dt >= dx."""
     dt = cfg.get_float("grid.dt", 0.125)
     dx = cfg.get_float("grid.dx", 0.125)
+    for key, step in (("grid.dt", dt), ("grid.dx", dx)):
+        if not 0 < step <= 1:
+            raise ConfigError(f"{cfg.where(key)}: {key} = {step} is not in (0, 1]")
+        if abs(1.0 / step - round(1.0 / step)) > 1e-9:
+            raise ConfigError(f"{cfg.where(key)}: 1/{key[5:]} = {1.0 / step} "
+                              "is not an integer")
     vmax = cfg.get_float("grid.vmax")
     if vmax is None:
         vmax = default_speed_cap(lagrangian, max_ratio)
+    if vmax * dt < dx - 1e-12:
+        # the default cap is at least 4 and the default steps 1/8, so one of
+        # these keys is set
+        key = next(k for k in ("grid.vmax", "grid.dx", "grid.dt") if k in cfg.entries)
+        raise ConfigError(f"{cfg.where(key)}: vmax*dt = {vmax * dt} < dx = {dx}: "
+                          "neighbors unreachable")
     return dt, dx, vmax
 
 
 def _effective_model(cfg: Config, lagr, v_box: float, v_step: float,
-                     dt: float, dx: float, vmax: float):
+                     dt: float, dx: float, vmax: float, table=None):
     """The effective model from the effective.* keys.  v_box is the
     command's resolved effective.v_box, v_step its effective.v_step default,
     vmax the effective.vmax default.  HorizonError is reported at
     effective.v_step's line when that key is set, else at effective.n_max's
-    (the defaults never raise it)."""
+    (the defaults never raise it).
+
+    table: a metric table on the (dt, dx) lattice.  The model reads its rays
+    from it when the resolved effective.vmax is the table's vmax and the
+    table's horizon reaches effective.n_max; otherwise it builds its own.
+    """
+    v_step = cfg.get_float("effective.v_step", v_step)
+    n_max = cfg.get_int("effective.n_max", 8)
+    vmax = cfg.get_float("effective.vmax", vmax)
+    if table is not None and (table.vmax != vmax or table.horizon < n_max):
+        table = None
     try:
-        return build_effective_model(
-            lagr, v_box_half=v_box, v_step=cfg.get_float("effective.v_step", v_step),
-            n_max=cfg.get_int("effective.n_max", 8), dt=dt, dx=dx,
-            vmax=cfg.get_float("effective.vmax", vmax))
+        return build_effective_model(lagr, v_box_half=v_box, v_step=v_step,
+                                     n_max=n_max, dt=dt, dx=dx, vmax=vmax,
+                                     table=table)
     except HorizonError as exc:
         key = "effective.v_step" if "effective.v_step" in cfg.entries else "effective.n_max"
         raise ConfigError(f"{cfg.where(key)}: {exc}") from exc
@@ -283,7 +307,7 @@ def run_property_suite(cfg: Config, out_dir, verbose: bool = False):
     # oracle agreement on the configured momentum sample
     if p_sample:
         model = _effective_model(cfg, lagr, cfg.get_float("effective.v_box", 2.5), 0.5,
-                                 dt, dx, vmax)
+                                 dt, dx, vmax, table=table)
         tol = cfg.get_float("oracle.tol", 0.05)
         worst_dev = 0.0
         for p in p_sample:

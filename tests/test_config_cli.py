@@ -178,13 +178,15 @@ effective.v_step = 0.3
 @pytest.mark.parametrize("line, message", [
     ("grid.dt = 0.3", "1/dt = 3.3333333333333335 is not an integer"),
     ("grid.vmax = 0.5", "vmax*dt = 0.0625 < dx = 0.25"),
+    ("grid.dt = 0", "grid.dt = 0.0 is not in (0, 1]"),
 ])
 def test_cli_configuration_error_exit_code(tmp_path, capsys, line, message):
     cfg = _write(tmp_path, "c.cfg", "dimension = 1\npotential.a0 = 1.0\n"
                  "grid.dx = 0.25\n" + line + "\n")
     out = tmp_path / "out"
     assert main(["metric", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
-    assert f"config error: {message}" in capsys.readouterr().err
+    # the set key's path:line, found before any table is built
+    assert f"config error: {cfg}:4: {message}" in capsys.readouterr().err
 
 
 def test_cli_config_error_exit_code(tmp_path):

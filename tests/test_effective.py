@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from hjhom import (
+    ConfigurationError,
     HorizonError,
     UnreachableError,
     build_lagrangian,
@@ -172,7 +173,8 @@ def test_diagnostics_csv_export(tmp_path):
     model.to_csv(lbar, diag)
     assert lbar.read_text().startswith("# schema=hjhom.table.v1")
     lines = diag.read_text().splitlines()
-    assert lines[1] == "v1,n,g_n,gap"
+    assert lines[0] == "# schema=hjhom.effective-diagnostics.v2"
+    assert lines[1] == "v1,n,g_n,gap,flagged"
     assert len(lines) > 5
 
 
@@ -221,3 +223,55 @@ def test_grid_denominators_are_exact():
     assert (first[(0.0, 0.0)], first[(0.5, 0.0)], first[(0.5, -0.5)],
             first[(0.25, 0.5)], first[(-0.25, 0.0)], first[(0.0, -0.5)]) == \
         (1, 2, 2, 4, 4, 2)
+
+
+def test_diagnostics_csv_flags_one_level_rays(tmp_path):
+    # +-1/16 are read at n = 16 alone, so their rows carry flagged = 1
+    model = build_effective_model(OSC, v_box_half=0.125, v_step=0.0625, n_max=16,
+                                  dt=0.25, dx=0.25, vmax=4.0)
+    diag = tmp_path / "diag.csv"
+    model.to_csv(tmp_path / "lbar.csv", diag)
+    flagged = {}
+    for line in diag.read_text().splitlines()[2:]:
+        v, _, _, _, flag = line.split(",")
+        flagged.setdefault(float(v), set()).add(flag)
+    assert flagged == {-0.125: {"0"}, -0.0625: {"1"}, 0.0: {"0"},
+                       0.0625: {"1"}, 0.125: {"0"}}
+
+
+@pytest.mark.parametrize("lagr, v_box, n_max, dt, dx, vmax", [
+    (OSC, 3.0, 8, 0.125, 0.0625, 5.0),
+    (OSC2, 1.0, 4, 0.25, 0.125, 4.0),
+])
+def test_model_from_a_given_table_is_bitwise_its_own(lagr, v_box, n_max, dt, dx, vmax):
+    # a keep="all" table past n_max stores the same integer layers the
+    # model's own keep="integers" table does
+    own = build_effective_model(lagr, v_box_half=v_box, v_step=0.25, n_max=n_max,
+                                dt=dt, dx=dx, vmax=vmax)
+    table = compute_metric_table(lagr, horizon=n_max + 1.0, dt=dt, dx=dx,
+                                 vmax=vmax, keep="all")
+    read = build_effective_model(lagr, v_box_half=v_box, v_step=0.25, n_max=n_max,
+                                 dt=dt, dx=dx, vmax=vmax, table=table)
+    assert np.array_equal(read.lagrangian_table.values, own.lagrangian_table.values)
+    assert len(read.diagnostics) == len(own.diagnostics)
+    for a, b in zip(read.diagnostics, own.diagnostics):
+        assert np.array_equal(a["v"], b["v"]) and a["ns"] == b["ns"]
+        assert np.array_equal(a["gs"], b["gs"])
+        assert (a["limit"], a["flagged"]) == (b["limit"], b["flagged"])
+
+
+@pytest.mark.parametrize("change", [
+    {"dt": 0.125}, {"dx": 0.125}, {"vmax": 3.0}, {"lagrangian": OSC}, {"horizon": 2.0},
+])
+def test_model_rejects_a_table_off_its_lattice(change, monkeypatch):
+    table_args = dict(lagrangian=FREE, horizon=4.0, dt=0.25, dx=0.25, vmax=4.0)
+    table_args.update(change)
+    table = compute_metric_table(table_args.pop("lagrangian"), keep="all", **table_args)
+
+    def no_table(*args, **kwargs):
+        raise AssertionError("the model built its own table")
+
+    monkeypatch.setattr("hjhom.effective.compute_metric_table", no_table)
+    with pytest.raises(ConfigurationError, match="does not match"):
+        build_effective_model(FREE, v_box_half=1.0, v_step=0.5, n_max=4,
+                              dt=0.25, dx=0.25, vmax=4.0, table=table)

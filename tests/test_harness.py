@@ -132,6 +132,51 @@ seed = 0
     assert (tmp_path / "out" / "surgery.csv").exists()
 
 
+SHARED_TABLE_CFG = """
+dimension = 2
+potential.a0 = 3.0
+potential.terms = 1.0,1,0; 1.0,0,1
+grid.dt = 0.25
+grid.dx = 0.25
+grid.vmax = 4.0
+properties.sample_size = 50
+properties.directions = 1.0,0.0; 1.0,1.0
+oracle.p_sample = 0.0,0.0
+oracle.t_long = 8.0
+effective.v_box = 1.0
+effective.v_step = 0.5
+effective.n_max = 4
+seed = 0
+"""
+
+
+@pytest.mark.parametrize("extra, builds", [
+    (["metric.horizon = 4.0"], 1),
+    (["metric.horizon = 4.0", "effective.vmax = 4.0"], 1),
+    (["metric.horizon = 4.0", "effective.vmax = 3.0"], 2),
+    (["metric.horizon = 2.0"], 2),
+], ids=["shared", "same-vmax", "other-vmax", "short-horizon"])
+def test_property_suite_builds_one_table_per_lattice(tmp_path, monkeypatch, extra, builds):
+    # the model reads its rays from the suite's table when it has the
+    # table's vmax and the table reaches effective.n_max
+    import hjhom.effective as effective
+    import hjhom.harness as harness
+
+    built = []
+
+    def spy(lagr, **kwargs):
+        built.append(kwargs["keep"])
+        return compute_metric_table(lagr, **kwargs)
+
+    monkeypatch.setattr(harness, "compute_metric_table", spy)
+    monkeypatch.setattr(effective, "compute_metric_table", spy)
+    cfg = parse_config_text(SHARED_TABLE_CFG + "\n".join(extra))
+    checks = run_property_suite(cfg, str(tmp_path / "out"))
+    assert len(built) == builds
+    assert built[0] == "all"
+    assert {c.name for c in checks} >= {"oracle_agreement", "gap_min"}
+
+
 def test_property_suite_reads_every_effective_key(tmp_path, monkeypatch):
     # every effective.* model key reaches the model, as in the effective and
     # rate commands
