@@ -34,7 +34,6 @@ from .effective import (
     build_effective_model,
     cell_problem_oracle,
     effective_hamiltonian_quadrature_1d,
-    effective_metric,
     flat_piece_radius_1d,
 )
 from .solver import (

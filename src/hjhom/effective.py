@@ -1,9 +1,8 @@
 """Homogenized quantities: the scaled metric limit, L-bar and H-bar.
 
-The homogenized metric along a ray is the limit of n^{-1} m(n t, 0, n x)
-over a doubling sequence of n.  The effective Lagrangian is sampled as
-L-bar(v) = limit of n^{-1} m(n, 0, n v) (positive 1-homogeneity of the limit
-makes this the t = 1 slice), and the effective Hamiltonian is its conjugate.
+The effective Lagrangian is L-bar(v) = limit of n^{-1} m(n, 0, n v), read
+exactly at the integer space-time points of each velocity's ray over a
+doubling sequence of n, and the effective Hamiltonian is its conjugate.
 Two independent oracles cross-check H-bar: a long-horizon torus DP for the
 shifted-momentum cell problem, and, in one dimension, quadrature plus
 bisection on the classical flat-piece formula |p| = integral sqrt(Hbar + V).
@@ -18,44 +17,8 @@ import numpy as np
 
 from .errors import ConfigurationError, DomainError, HorizonError, UnreachableError
 from .legendre import VELOCITY_DOMAIN, ConvexFunctionTable, LagrangianField, conjugate
-from .metric import MetricTable, _offsets, compute_metric_table
+from .metric import MetricTable, _offsets, check_reach, compute_metric_table
 from .util import grid_points, write_rows
-
-
-@dataclass
-class EffectiveMetricResult:
-    """Scaling-limit estimate along one ray."""
-
-    limit: float
-    ns: list
-    gs: list
-    flagged: bool = False
-
-
-def effective_metric(table: MetricTable, t: float, x,
-                     n_max: int) -> EffectiveMetricResult:
-    """g_n = n^{-1} m(n t, 0, n x) for doubling n, with the two-level
-    Richardson extrapolant 2 g_{2n} - g_n as the limit.
-
-    If the table's horizon cannot reach n_max, a partial result is returned
-    with ``flagged`` set; a ray the table does not reach (+inf) raises
-    UnreachableError.
-    """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    doubling = [2**i for i in range(int(n_max).bit_length())]   # 1, 2, 4, ... <= n_max
-    ns = [n for n in doubling if n * t <= table.horizon + 1e-9]
-    flagged = len(ns) < len(doubling)
-    if not ns:
-        raise ConfigurationError("table horizon does not even cover n = 1")
-    gs = [table.interpolate_many(n * t, n * x)[0] / n for n in ns]
-    if not np.all(np.isfinite(gs)):
-        raise UnreachableError(f"metric is +inf on the ray ({t}, {x})")
-    if len(gs) >= 2:
-        limit = 2.0 * gs[-1] - gs[-2]
-    else:
-        limit = gs[-1]
-        flagged = True
-    return EffectiveMetricResult(limit=float(limit), ns=ns, gs=gs, flagged=flagged)
 
 
 @dataclass
@@ -114,9 +77,13 @@ def build_effective_model(lagrangian: LagrangianField,
     One metric table with horizon n_max serves every velocity.  With q the
     smallest b <= n_max making b v_step an integer p, the grid velocity
     k v_step has denominator b = q / gcd(q, k) and integer point
-    b v = k p / gcd(q, k), all in integers; its ray is read at n = b, 2b,
-    4b, ... <= n_max.  Rays with one level are flagged in the diagnostics.
-    A v_step without such a q raises HorizonError before the table is built.
+    z = b v = k p / gcd(q, k), all in integers.  Its ray is read exactly at
+    the lattice points (n b, n z) for n = 1, 2, 4, ... <= n_max / b: with
+    g_n = m(n b, 0, n z) / n, Lbar(v) is the two-level Richardson extrapolant
+    (2 g_last - g_prev) / b, or g_last / b when the ray has one level, which
+    is flagged in the diagnostics.  A ray the table does not reach raises
+    UnreachableError; a v_step without such a q raises HorizonError before
+    the table is built.
 
     table: an already built table on this lattice to read the rays from
     instead of building one.  Rays read only integer layers n <= n_max, so
@@ -146,16 +113,20 @@ def build_effective_model(lagrangian: LagrangianField,
     values = np.empty((len(axis),) * d)
     diagnostics = []
     for idx in np.ndindex(values.shape):
-        k = ks[list(idx)]
+        k, v = ks[list(idx)], axis[list(idx)]
         g = math.gcd(q, *k.tolist())
         b = q // g
-        res = effective_metric(table, float(b), k * p // g, n_max // b)
-        lbar = res.limit / b
+        z = k * p // g
+        ns = [2**i for i in range((n_max // b).bit_length())]   # 1, 2, 4, ... <= n_max / b
+        gs = [table.value_at(n * b, n * z) / n for n in ns]
+        if not np.all(np.isfinite(gs)):
+            raise UnreachableError(f"metric is +inf on the ray of v = {v}")
+        lbar = (2.0 * gs[-1] - gs[-2] if len(gs) >= 2 else gs[-1]) / b
         values[idx] = lbar
         diagnostics.append({
-            "v": axis[list(idx)], "ns": [n * b for n in res.ns],
-            "gs": [g_n / b for g_n in res.gs], "limit": lbar,
-            "flagged": res.flagged,
+            "v": v, "ns": [n * b for n in ns],
+            "gs": [g_n / b for g_n in gs], "limit": lbar,
+            "flagged": len(gs) < 2,
         })
     return EffectiveModel(ConvexFunctionTable((axis,) * d, values, VELOCITY_DOMAIN),
                           diagnostics, lagrangian.spec.normalization_shift)
@@ -172,8 +143,8 @@ def cell_problem_oracle(lagrangian: LagrangianField, p, t_long: float = 128.0,
     takes the minimum over offsets o of w + cost at its source node i - o
     (mod 1), through a precomputed (offsets, nodes) source index and the
     matching cost.  The torus lattice and this gather are deliberately
-    separate from the cone-table DP so the two routes stay independent; only
-    the offset enumeration is shared.
+    separate from the metric-table DP so the two routes stay independent;
+    only the offset enumeration and the reach check are shared.
     """
     d = lagrangian.dimension
     p = np.atleast_1d(np.asarray(p, dtype=float))
@@ -182,6 +153,7 @@ def cell_problem_oracle(lagrangian: LagrangianField, p, t_long: float = 128.0,
     big_m = int(round(1.0 / dx))
     if abs(big_m * dx - 1.0) > 1e-9:
         raise ConfigurationError("dx must divide 1")
+    check_reach(vmax, dt, dx)   # with only the zero step it would return -V(0)
     n_steps = int(round(t_long / dt))
     if n_steps < 4:
         raise ConfigurationError("t_long too small for the torus iteration")

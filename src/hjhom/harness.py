@@ -17,9 +17,14 @@ import numpy as np
 
 from .config import Config, ConfigError, spec_from_config
 from .effective import build_effective_model, cell_problem_oracle
-from .errors import HorizonError, ResolutionError
+from .errors import ConfigurationError, HorizonError, ResolutionError
 from .legendre import MOMENTUM_DOMAIN, ConvexFunctionTable, build_lagrangian, conjugate
-from .metric import compute_metric_table, default_speed_cap, extract_minimizing_path
+from .metric import (
+    check_reach,
+    compute_metric_table,
+    default_speed_cap,
+    extract_minimizing_path,
+)
 from .properties import check_linear_growth, check_subadditivity, gap_vs_log_envelope
 from .rates import RateReport, fit_rate
 from .solver import (
@@ -88,30 +93,37 @@ def _grids(cfg: Config, lagrangian, max_ratio: float):
     vmax = cfg.get_float("grid.vmax")
     if vmax is None:
         vmax = default_speed_cap(lagrangian, max_ratio)
-    if vmax * dt < dx - 1e-12:
-        # the default cap is at least 4 and the default steps 1/8, so one of
-        # these keys is set
-        key = next(k for k in ("grid.vmax", "grid.dx", "grid.dt") if k in cfg.entries)
-        raise ConfigError(f"{cfg.where(key)}: vmax*dt = {vmax * dt} < dx = {dx}: "
-                          "neighbors unreachable")
-    return dt, dx, vmax
+    # the default cap is at least 4 and the default steps 1/8, so a failing
+    # check has one of these keys set
+    return dt, dx, _reachable(cfg, vmax, dt, dx, "grid.vmax", "grid.dx", "grid.dt")
+
+
+def _reachable(cfg: Config, vmax: float, dt: float, dx: float, *keys) -> float:
+    """vmax, checked before any table is built: vmax dt >= dx puts the
+    lattice neighbours within one step.  A failing check is reported at the
+    first of ``keys`` that the config sets."""
+    try:
+        check_reach(vmax, dt, dx)
+    except ConfigurationError as exc:
+        key = next(k for k in keys if k in cfg.entries)
+        raise ConfigError(f"{cfg.where(key)}: {exc}") from exc
+    return vmax
 
 
 def _effective_model(cfg: Config, lagr, v_box: float, v_step: float,
                      dt: float, dx: float, vmax: float, table=None):
     """The effective model from the effective.* keys.  v_box is the
     command's resolved effective.v_box, v_step its effective.v_step default,
-    vmax the effective.vmax default.  HorizonError is reported at
+    vmax the resolved effective.vmax.  HorizonError is reported at
     effective.v_step's line when that key is set, else at effective.n_max's
     (the defaults never raise it).
 
     table: a metric table on the (dt, dx) lattice.  The model reads its rays
-    from it when the resolved effective.vmax is the table's vmax and the
-    table's horizon reaches effective.n_max; otherwise it builds its own.
+    from it when vmax is the table's vmax and the table's horizon reaches
+    effective.n_max; otherwise it builds its own.
     """
     v_step = cfg.get_float("effective.v_step", v_step)
     n_max = cfg.get_int("effective.n_max", 8)
-    vmax = cfg.get_float("effective.vmax", vmax)
     if table is not None and (table.vmax != vmax or table.horizon < n_max):
         table = None
     try:
@@ -177,6 +189,7 @@ def run_effective(cfg: Config, out_dir, verbose: bool = False):
         raise ConfigError("effective.p_box must be at least effective.p_step / 2")
     p_axes = (np.linspace(-p_box, p_box, 2 * p_half + 1),) * spec.dimension
     dt, dx, vmax = _grids(cfg, lagr, v_box * np.sqrt(spec.dimension))
+    vmax = _reachable(cfg, cfg.get_float("effective.vmax", vmax), dt, dx, "effective.vmax")
     model = _effective_model(cfg, lagr, v_box, 0.25, dt, dx, vmax)
     hbar = conjugate(model.lagrangian_table, grid_points(p_axes))
     htab = ConvexFunctionTable(p_axes, hbar.reshape([len(a) for a in p_axes]),
@@ -213,13 +226,16 @@ def run_rate_sweep(cfg: Config, out_dir, threads: int = 1,
     v_box = cfg.get_float("effective.v_box", radius / t + 2.0)
     max_ratio = max(v_box * np.sqrt(d), radius / t + u0.lipschitz)
     dt, dx, vmax = _grids(cfg, lagr, max_ratio)
+    # effective.vmax caps the reference model's half-step lattice
+    model_vmax = _reachable(cfg, cfg.get_float("effective.vmax", vmax), dt / 2, dx / 2,
+                            "effective.vmax")
 
     horizon = t / min(eps_list)
     table = compute_metric_table(lagr, horizon=horizon, dt=dt, dx=dx, vmax=vmax,
                                  keep="integers")
     # reference effective solution from the double-resolution model; its
     # speed cap covers the velocity box corners, not just the sweep targets
-    model_ref = _effective_model(cfg, lagr, v_box, 0.25, dt / 2, dx / 2, vmax)
+    model_ref = _effective_model(cfg, lagr, v_box, 0.25, dt / 2, dx / 2, model_vmax)
     u_bar = solve_effective(u0, model_ref, t, targets)
 
     def sup_error(eps):
@@ -290,6 +306,11 @@ def run_property_suite(cfg: Config, out_dir, verbose: bool = False):
     rng = np.random.default_rng(cfg.get_int("seed", 0))
     horizon = cfg.get_float("metric.horizon", 8.0)
     dt, dx, vmax = _grids(cfg, lagr, 3.0)
+    if p_sample:
+        model_vmax = _reachable(cfg, cfg.get_float("effective.vmax", vmax), dt, dx,
+                                "effective.vmax")
+        oracle_vmax = _reachable(cfg, cfg.get_float("oracle.vmax", vmax), dt, dx,
+                                 "oracle.vmax")
     table = compute_metric_table(lagr, horizon=horizon, dt=dt, dx=dx, vmax=vmax,
                                  keep="all")
     checks: list[PropertyCheck] = []
@@ -307,14 +328,13 @@ def run_property_suite(cfg: Config, out_dir, verbose: bool = False):
     # oracle agreement on the configured momentum sample
     if p_sample:
         model = _effective_model(cfg, lagr, cfg.get_float("effective.v_box", 2.5), 0.5,
-                                 dt, dx, vmax, table=table)
+                                 dt, dx, model_vmax, table=table)
         tol = cfg.get_float("oracle.tol", 0.05)
         worst_dev = 0.0
         for p in p_sample:
             est = cell_problem_oracle(
                 lagr, p, t_long=cfg.get_float("oracle.t_long", 128.0),
-                dt=dt, dx=dx,
-                vmax=cfg.get_float("oracle.vmax", vmax))
+                dt=dt, dx=dx, vmax=oracle_vmax)
             worst_dev = max(worst_dev, abs(model.hamiltonian_bar(p) - est))
         checks.append(PropertyCheck("oracle_agreement", worst_dev, tol,
                                     worst_dev <= tol))

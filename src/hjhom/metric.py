@@ -167,6 +167,13 @@ class MetricTable:
             f"spec={self.lagrangian.spec.content_hash()}", ",".join(cols)], rows(), ",")
 
 
+def check_reach(vmax: float, dt: float, dx: float) -> None:
+    """vmax dt >= dx, so that one step reaches the lattice neighbours."""
+    if vmax * dt < dx - 1e-12:
+        raise ConfigurationError(
+            f"vmax*dt = {vmax * dt} < dx = {dx}: neighbors unreachable")
+
+
 def _offsets(dimension: int, step_radius: float) -> np.ndarray:
     """Integer vectors o with |o| <= step_radius, lexicographically sorted."""
     s = int(np.floor(step_radius + 1e-9))
@@ -203,9 +210,7 @@ def compute_metric_table(lagrangian: LagrangianField, horizon: float, *,
     if keep not in ("all", "integers"):
         raise ConfigurationError(f"keep must be 'all' or 'integers', not {keep!r}")
     d = lagrangian.dimension
-    if vmax * dt < dx - 1e-12:
-        raise ConfigurationError(
-            f"vmax*dt = {vmax * dt} < dx = {dx}: neighbors unreachable")
+    check_reach(vmax, dt, dx)
     big_m = as_int_exact(1.0 / dx, "1/dx")
     per_unit = as_int_exact(1.0 / dt, "1/dt")
     n_layers = as_int_exact(horizon / dt, "horizon/dt")
@@ -293,15 +298,4 @@ def extract_minimizing_path(table: MetricTable, t: float, x) -> DiscretePath:
     nodes.reverse()
     pts = np.asarray(nodes, dtype=float) * table.dx
     return DiscretePath(dt=table.dt, nodes=pts, cost=float(value))
-
-
-def _pull_into_cone(z: np.ndarray, lim: float) -> np.ndarray:
-    """Integer point z stepped toward the origin, largest coordinate first,
-    until |z| <= lim (at most 8 steps per coordinate).  Modifies z."""
-    for _ in range(len(z) * 8):
-        if np.linalg.norm(z) <= lim + 1e-9:
-            break
-        i = int(np.argmax(np.abs(z)))
-        z[i] -= np.sign(z[i])
-    return z
 

@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .effective import EffectiveModel
-from .errors import DomainError
-from .metric import MetricTable, _pull_into_cone, extract_minimizing_path
+from .errors import DomainError, UnreachableError
+from .metric import MetricTable, extract_minimizing_path
 from .util import as_int_exact, round_half_toward_zero
 
 
@@ -86,9 +86,9 @@ def check_linear_growth(table: MetricTable) -> float:
 def extract_approximate_geodesic(table: MetricTable, t: float, x) -> ApproximateGeodesic:
     """Chop the minimizing path at unit times and round to integer points.
 
-    Rounding is half-toward-zero, pulled toward the origin while outside the
-    cone |z| <= vmax t; endpoints are preserved exactly (they are integer by
-    precondition).
+    Rounding is half-toward-zero; endpoints are preserved exactly (they are
+    integer by precondition).  A difference of chain nodes that the table
+    does not reach raises UnreachableError.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     t_int = as_int_exact(t, "t")
@@ -96,16 +96,15 @@ def extract_approximate_geodesic(table: MetricTable, t: float, x) -> Approximate
         raise DomainError("x must be an integer point")
     path = extract_minimizing_path(table, float(t_int), x)
     per_unit = as_int_exact(1.0 / table.dt, "1/dt")
-    nodes = []
-    for i in range(t_int + 1):
-        xi = _pull_into_cone(round_half_toward_zero(path.nodes[i * per_unit]),
-                             table.vmax * i)
-        nodes.append(np.concatenate(([i], xi)))
-    nodes = np.asarray(nodes, dtype=int)
+    nodes = np.column_stack([np.arange(t_int + 1),
+                             round_half_toward_zero(path.nodes[::per_unit])]).astype(int)
     nodes[-1, 1:] = np.round(x).astype(int)
 
     def f(dz):
-        return table.value_at(float(dz[0]), dz[1:].astype(float))
+        val = table.value_at(float(dz[0]), dz[1:].astype(float))
+        if not np.isfinite(val):
+            raise UnreachableError(f"chain difference {dz.tolist()} is not reached")
+        return val
 
     defect = 0.0
     n = len(nodes)
@@ -113,8 +112,7 @@ def extract_approximate_geodesic(table: MetricTable, t: float, x) -> Approximate
         for j in range(i + 1, n):
             for k in range(j + 1, n):
                 val = f(nodes[k] - nodes[i]) - f(nodes[k] - nodes[j]) - f(nodes[j] - nodes[i])
-                if np.isfinite(val):
-                    defect = max(defect, abs(val))
+                defect = max(defect, abs(val))
     steps = np.diff(nodes[:, 1:], axis=0)
     step_bound = float(np.max(np.linalg.norm(steps, axis=1))) if len(steps) else 0.0
     return ApproximateGeodesic(nodes=nodes, defect=float(defect), step_bound=step_bound)

@@ -6,7 +6,13 @@ import sys
 import numpy as np
 import pytest
 
-from hjhom import ConfigError, compute_metric_table, parse_config_text, spec_from_config
+from hjhom import (
+    ConfigError,
+    build_effective_model,
+    compute_metric_table,
+    parse_config_text,
+    spec_from_config,
+)
 from hjhom.cli import EXIT_CONFIG, EXIT_OK, EXIT_PROPERTY, main
 from hjhom.config import KNOWN_KEYS
 
@@ -189,6 +195,50 @@ def test_cli_configuration_error_exit_code(tmp_path, capsys, line, message):
     assert f"config error: {cfg}:4: {message}" in capsys.readouterr().err
 
 
+def _no_table(monkeypatch):
+    import hjhom.effective as effective
+    import hjhom.harness as harness
+
+    def no_table(*args, **kwargs):
+        raise AssertionError("a table was built")
+
+    monkeypatch.setattr(harness, "compute_metric_table", no_table)
+    monkeypatch.setattr(effective, "compute_metric_table", no_table)
+
+
+# effective.vmax sets the speed cap of the model's own lattice: (dt, dx), or
+# (dt/2, dx/2) for the rate command's reference model
+@pytest.mark.parametrize("command, lines, message", [
+    ("effective", [], "vmax*dt = 0.0625 < dx = 0.25"),
+    ("rate", ["sweep.eps = 0.5"], "vmax*dt = 0.03125 < dx = 0.125"),
+    ("properties", [], "vmax*dt = 0.0625 < dx = 0.25"),
+])
+def test_cli_effective_vmax_below_the_lattice_reach_exit_code(tmp_path, capsys, monkeypatch,
+                                                              command, lines, message):
+    cfg = _write(tmp_path, "s.cfg", "dimension = 1\npotential.a0 = 1.0\ngrid.dx = 0.25\n"
+                 "effective.vmax = 0.5\n" + "".join(line + "\n" for line in lines))
+    _no_table(monkeypatch)
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    assert f"config error: {cfg}:4: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_oracle_vmax_below_the_lattice_reach_exit_code(tmp_path, capsys, monkeypatch):
+    # with only the zero step the torus oracle would return -V(0) and the
+    # suite would report a failed oracle_agreement (exit 4)
+    text = _workload_configs()["properties-2d"]
+    assert "oracle.vmax = 5.0\n" in text
+    cfg = _write(tmp_path, "o.cfg", text.replace("oracle.vmax = 5.0", "oracle.vmax = 0.4"))
+    lineno = text.splitlines().index("oracle.vmax = 5.0") + 1
+    _no_table(monkeypatch)
+    out = tmp_path / "out"
+    assert main(["properties", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    assert f"config error: {cfg}:{lineno}: vmax*dt = 0.1 < dx = 0.125" in \
+        capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_config_error_exit_code(tmp_path):
     cfg = _write(tmp_path, "bad.cfg", "dimension == 1\n")
     out = tmp_path / "out"
@@ -251,6 +301,27 @@ def test_cli_properties_subadditivity_gate_catches_lowered_layers(tmp_path, caps
     value, threshold, passed = rows["subadditivity_max_violation"]
     assert float(value) == pytest.approx(1e-6, abs=1e-12)
     assert (threshold, passed) == ("1e-09", "0")
+
+
+def test_cli_properties_raised_lbar_fails_oracle_and_gap(tmp_path, capsys, monkeypatch):
+    # Lbar raised by 0.1 lowers Hbar by 0.1 at every p and f(s, s e) - s Lbar(e)
+    # by 0.1 s: the two checks that read the rays must both fail
+    import hjhom.harness as harness
+
+    def raised(*args, **kwargs):
+        model = build_effective_model(*args, **kwargs)
+        model.lagrangian_table.values += 0.1
+        return model
+
+    monkeypatch.setattr(harness, "build_effective_model", raised)
+    cfg = _write(tmp_path, "p.cfg", PROPERTIES_CFG)
+    out = tmp_path / "out"
+    assert main(["properties", "--config", cfg, "--out", str(out)]) == EXIT_PROPERTY
+    assert "property checks failed: oracle_agreement, gap_min\n" in capsys.readouterr().err
+    rows = {r.split(",")[0]: r.split(",")[1:]
+            for r in (out / "properties.csv").read_text().splitlines()[2:]}
+    assert float(rows["oracle_agreement"][0]) > 0.05 and rows["oracle_agreement"][2] == "0"
+    assert float(rows["gap_min"][0]) < -0.06 and rows["gap_min"][2] == "0"
 
 
 # d = 1: no surgery; an empty p_sample: no oracle, hence no gap envelope and

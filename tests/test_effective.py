@@ -13,7 +13,6 @@ from hjhom.effective import (
     build_effective_model,
     cell_problem_oracle,
     effective_hamiltonian_quadrature_1d,
-    effective_metric,
     flat_piece_radius_1d,
 )
 
@@ -41,58 +40,49 @@ def test_quadrature_oracle_round_trip():
     assert np.mean(np.sqrt(h + vals)) == pytest.approx(1.7, abs=1e-8)
 
 
+def _ray(model, v):
+    """The diagnostics record of the grid velocity v."""
+    return next(rec for rec in model.diagnostics if np.array_equal(rec["v"], v))
+
+
 def test_free_case_sequence_constant_and_exact():
-    table = compute_metric_table(FREE, horizon=8.0, dt=0.25, dx=0.25, vmax=4.0,
-                                 keep="integers")
-    res = effective_metric(table, 1.0, 2.0, 8)
-    # closed form is already 1-homogeneous: g_n identical, limit exact
-    np.testing.assert_allclose(res.gs, 2.0, atol=1e-12)
-    assert res.limit == pytest.approx(2.0, abs=1e-12)
-    assert not res.flagged
+    # v = 2 reads m(n, 0, 2n) / n at n = 1, 2, 4, 8; the closed form is
+    # already 1-homogeneous: g_n identical, limit exact
+    model = build_effective_model(FREE, v_box_half=2.0, v_step=1.0, n_max=8,
+                                  dt=0.25, dx=0.25, vmax=4.0)
+    rec = _ray(model, [2.0])
+    assert rec["ns"] == [1, 2, 4, 8]
+    np.testing.assert_allclose(rec["gs"], 2.0, atol=1e-12)
+    assert rec["limit"] == pytest.approx(2.0, abs=1e-12)
+    assert not rec["flagged"]
 
 
 def test_stationary_effective_metric_is_time():
-    table = compute_metric_table(FREE, horizon=4.0, dt=0.25, dx=0.25, vmax=4.0,
-                                 keep="integers")
-    res = effective_metric(table, 1.0, 0.0, 4)
-    assert res.limit == pytest.approx(1.0, abs=1e-12)
-
-
-def test_partial_result_flagged_on_short_horizon():
-    table = compute_metric_table(FREE, horizon=2.0, dt=0.25, dx=0.25, vmax=4.0,
-                                 keep="integers")
-    res = effective_metric(table, 1.0, 1.0, 8)
-    assert res.flagged
-    assert res.ns == [1, 2]
+    model = build_effective_model(FREE, v_box_half=1.0, v_step=1.0, n_max=4,
+                                  dt=0.25, dx=0.25, vmax=4.0)
+    assert _ray(model, [0.0])["limit"] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_unreached_ray_raises():
-    # |(-9, -4)| = 9.85 <= vmax t = 9.9, but with step radius 6.6 no offset
-    # has a first component of 7, and the reach polygon stops short of
-    # (-72, -32) dx at every n: +inf reads are an error, not a nan limit
-    table = compute_metric_table(OSC2, horizon=12.0, dt=0.25, dx=0.125, vmax=3.3,
-                                 keep="integers")
-    with pytest.raises(UnreachableError):
-        effective_metric(table, 3.0, [-9, -4], 4)
-
-
-def test_homogeneity_of_limit():
-    table = compute_metric_table(OSC, horizon=8.0, dt=0.125, dx=0.125, vmax=4.0,
-                                 keep="integers")
-    a = effective_metric(table, 1.0, 1.0, 8)
-    b = effective_metric(table, 2.0, 2.0, 4)
-    assert 2.0 * a.limit == pytest.approx(b.limit, abs=0.05)
+    # the corner v = (-7/3, -7/3) has |v| = 3.2998 <= vmax = 3.3, but with
+    # step radius 6.6 no offset sum o1 + o2 exceeds 9 cells, and the corner
+    # needs 28/3 cells per step: its ray at (3, (-7, -7)) is +inf, an error
+    # and not a nan limit
+    with pytest.raises(UnreachableError, match="ray of v"):
+        build_effective_model(OSC2, v_box_half=7 / 3, v_step=7 / 3, n_max=3,
+                              dt=0.25, dx=0.125, vmax=3.3)
 
 
 def test_oscillatory_gap_sequence_decays():
-    table = compute_metric_table(OSC, horizon=16.0, dt=0.125, dx=0.0625, vmax=5.0,
-                                 keep="integers")
-    res = effective_metric(table, 1.0, 0.0, 16)
-    gaps = np.abs(np.asarray(res.gs) - res.limit)
+    model = build_effective_model(OSC, v_box_half=0.0, v_step=1.0, n_max=16,
+                                  dt=0.125, dx=0.0625, vmax=5.0)
+    rec = _ray(model, [0.0])
+    assert rec["ns"] == [1, 2, 4, 8, 16]
+    gaps = np.abs(np.asarray(rec["gs"]) - rec["limit"])
     # decay at least like C/n against the extrapolated limit
     assert gaps[0] > 0
-    c = gaps[0] * res.ns[0] * 1.5
-    for n, g in zip(res.ns[:-1], gaps[:-1]):
+    c = gaps[0] * rec["ns"][0] * 1.5
+    for n, g in zip(rec["ns"][:-1], gaps[:-1]):
         assert g <= c / n + 1e-9
 
 
@@ -117,13 +107,13 @@ def test_effective_model_lbar_lower_bound_and_convexity():
 
 
 def test_gap_sequence_decay_d2():
-    lagr2 = build_lagrangian(cosine_spec(2, 3.0, (1.0, (1, 0)), (1.0, (0, 1))))
-    table = compute_metric_table(lagr2, horizon=8.0, dt=0.25, dx=0.25,
-                                 vmax=4.0, keep="integers")
-    res = effective_metric(table, 1.0, np.array([1.0, 0.0]), 8)
-    gaps = np.abs(np.asarray(res.gs) - res.limit)
-    c = max(gaps[0] * res.ns[0] * 1.5, 0.1)
-    for n, g in zip(res.ns[:-1], gaps[:-1]):
+    model = build_effective_model(OSC2, v_box_half=1.0, v_step=1.0, n_max=8,
+                                  dt=0.25, dx=0.25, vmax=4.0)
+    rec = _ray(model, [1.0, 0.0])
+    assert rec["ns"] == [1, 2, 4, 8]
+    gaps = np.abs(np.asarray(rec["gs"]) - rec["limit"])
+    c = max(gaps[0] * rec["ns"][0] * 1.5, 0.1)
+    for n, g in zip(rec["ns"][:-1], gaps[:-1]):
         assert g <= c / n + 1e-9
 
 
@@ -155,6 +145,12 @@ def test_cell_oracle_sign_convention_free_case():
 def test_cell_oracle_free_case_quadratic_in_p():
     est = cell_problem_oracle(FREE, 1.0, t_long=32.0, dt=0.25, dx=0.25, vmax=4.0)
     assert est == pytest.approx(0.0, abs=0.05)
+
+
+def test_cell_oracle_rejects_a_speed_cap_below_the_reach():
+    # vmax dt < dx leaves the torus graph with the zero step alone
+    with pytest.raises(ConfigurationError, match=r"vmax\*dt = 0\.1 < dx = 0\.125"):
+        cell_problem_oracle(OSC2, [0.0, 0.0], t_long=4.0, dt=0.25, dx=0.125, vmax=0.4)
 
 
 def test_cell_oracle_oscillatory_matches_quadrature():

@@ -9,8 +9,7 @@ from hjhom import (
     cosine_spec,
     extract_minimizing_path,
 )
-from hjhom.metric import _pull_into_cone, path_cost
-from hjhom.util import round_half_toward_zero
+from hjhom.metric import path_cost
 from metric_reference import brute_metric
 
 
@@ -154,26 +153,6 @@ def test_unreachable_point_raises():
     table = compute_metric_table(FREE, horizon=1.0, dt=0.25, dx=0.25, vmax=2.0)
     with pytest.raises(UnreachableError):
         extract_minimizing_path(table, 0.25, 1.0)  # needs speed 4 > vmax
-
-
-# the rounding reduction of extract_approximate_geodesic: both endpoints
-# rounded (ties toward 0), the difference pulled into the cone
-
-def _round_into_cone(x, y, lim):
-    return _pull_into_cone(round_half_toward_zero(y) - round_half_toward_zero(x), lim)
-
-
-def test_round_into_cone_examples():
-    half = np.array([0.5, 0.5])                        # rounds to (0, 0)
-    assert _round_into_cone(half, half + [2.0, 1.0], 12.0).tolist() == [2, 1]
-    assert _round_into_cone(half, half + [0.6, -0.2], 12.0).tolist() == [1, 0]
-    assert _round_into_cone(half, half + [4.0, 0.0], 4.0).tolist() == [4, 0]
-
-
-def test_round_into_cone_pulls_inward():
-    half = np.array([0.5, 0.5])
-    # [y] - [x] = (2, 2) leaves the cone |z| <= 2: pulled to (1, 1)
-    assert _round_into_cone(half, half + [1.6, 1.2], 2.0).tolist() == [1, 1]
 
 
 def test_refinement_convergence_free_case():

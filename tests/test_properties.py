@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from hjhom import DomainError, build_lagrangian, compute_metric_table, cosine_spec
+from hjhom import (
+    DomainError,
+    UnreachableError,
+    build_lagrangian,
+    compute_metric_table,
+    cosine_spec,
+)
 from hjhom.effective import build_effective_model
 from hjhom.properties import (
     check_linear_growth,
@@ -99,6 +105,15 @@ def test_geodesic_defect_non_growing():
             defects.append(extract_approximate_geodesic(table, t, x).defect)
     assert len(defects) >= 3
     assert max(defects[1:]) <= 1.25 * max(defects[0], 0.1) + 0.2
+
+
+def test_geodesic_unreached_chain_difference_raises():
+    # vmax = 1.5: the only path to x = 3 at t = 2 runs at full speed, its
+    # node 1.5 at t = 1 rounds toward zero to 1, and the chain difference
+    # (1, 2) lies past the reach 1.5 of one time unit
+    table = free_table(horizon=2.0, dt=0.25, dx=0.125, vmax=1.5)
+    with pytest.raises(UnreachableError, match=r"chain difference \[1, 2\]"):
+        extract_approximate_geodesic(table, 2.0, 3.0)
 
 
 def test_gap_envelope_free_case_zero():

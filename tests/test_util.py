@@ -6,7 +6,7 @@ import itertools
 import numpy as np
 import pytest
 
-from hjhom.util import box_cell, grid_points, multilinear
+from hjhom.util import box_cell, grid_points, multilinear, round_half_toward_zero
 
 DIMENSIONS = (1, 2, 4)
 
@@ -179,3 +179,12 @@ def test_wrap_padded_torus_matches_mod_indexing(d, seed):
             idx = tuple((int(i0[k, ax]) + corner[ax]) % n for ax in range(d))
             want += wt * values[idx]
         assert got[k] == want
+
+
+def test_round_half_toward_zero_ties():
+    # the geodesic chain's rounding: .5 ties go toward 0, other values to
+    # the nearest integer, and -0.0 comes out as +0.0
+    x = np.array([-2.5, -1.5, -0.5, 0.5, 1.5, 2.5, -0.6, 0.6, 1.1, -0.0])
+    got = round_half_toward_zero(x)
+    np.testing.assert_array_equal(got, [-2, -1, 0, 0, 1, 2, -1, 1, 1, 0])
+    assert not np.any(np.signbit(got[got == 0]))  # no -0.0
