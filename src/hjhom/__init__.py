@@ -18,7 +18,6 @@ from .hamiltonian import (
     CosinePotential,
     HamiltonianSpec,
     cosine_spec,
-    evaluate_hamiltonian,
     normalize,
 )
 from .legendre import ConvexFunctionTable, LagrangianField, build_lagrangian, conjugate

@@ -31,7 +31,8 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--config", required=True, help="key=value config file")
         sub.add_argument("--out", required=True, help="output directory")
         sub.add_argument("--threads", type=int, default=1,
-                         help="worker threads for the rate eps sweep; other commands take 1")
+                         help="threads of the rate command's metric DP layers; other "
+                              "commands take 1")
         sub.add_argument("--verbose", action="store_true")
     return parser
 

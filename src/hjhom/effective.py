@@ -71,7 +71,8 @@ class EffectiveModel:
 def build_effective_model(lagrangian: LagrangianField,
                           v_box_half: float, v_step: float, n_max: int,
                           dt: float, dx: float, vmax: float, *,
-                          table: MetricTable | None = None) -> EffectiveModel:
+                          table: MetricTable | None = None,
+                          threads: int = 1) -> EffectiveModel:
     """Sample Lbar(v) on the symmetric velocity grid v = k v_step.
 
     One metric table with horizon n_max serves every velocity.  With q the
@@ -89,6 +90,7 @@ def build_effective_model(lagrangian: LagrangianField,
     instead of building one.  Rays read only integer layers n <= n_max, so
     any keep mode gives the same model; a table of another spec, dt, dx or
     vmax, or with a horizon below n_max, raises ConfigurationError.
+    threads: the thread count of the table built when none is given.
     """
     d = lagrangian.dimension
     q = next((b for b in range(1, int(n_max) + 1)
@@ -102,7 +104,7 @@ def build_effective_model(lagrangian: LagrangianField,
     axis = ks * v_step
     if table is None:
         table = compute_metric_table(lagrangian, horizon=float(n_max), dt=dt, dx=dx,
-                                     vmax=vmax, keep="integers")
+                                     vmax=vmax, keep="integers", threads=threads)
     elif ((table.lagrangian.spec, table.dt, table.dx, table.vmax)
           != (lagrangian.spec, dt, dx, vmax) or table.horizon < n_max):
         raise ConfigurationError(

@@ -87,20 +87,6 @@ class HamiltonianSpec:
         return hashlib.sha256(self.describe().encode()).hexdigest()[:16]
 
 
-def evaluate_hamiltonian(spec: HamiltonianSpec, x, p):
-    """H(x, p) = |p|^2 - V(x); V is periodic, so x need not lie in [0, 1)^d.
-
-    x, p: arrays of shape (..., d) (or scalars when d == 1).  Broadcasts.
-    """
-    d = spec.dimension
-    x = _as_points(x, d, "x")
-    p = _as_points(p, d, "p")
-    if not (np.isfinite(x).all() and np.isfinite(p).all()):
-        raise DomainError("non-finite x or p")
-    val = np.sum(p * p, axis=-1) - spec.potential(x)
-    return val if val.shape else float(val)
-
-
 def normalize(spec: HamiltonianSpec) -> tuple[HamiltonianSpec, float]:
     """Shift V upward until min V >= 1, i.e. max_x H(x, 0) <= -1.
 
@@ -118,17 +104,6 @@ def normalize(spec: HamiltonianSpec) -> tuple[HamiltonianSpec, float]:
         normalization_shift=spec.normalization_shift - delta,
     )
     return out, -delta
-
-
-def _as_points(a, d: int, name: str) -> np.ndarray:
-    a = np.asarray(a, dtype=float)
-    if a.ndim == 0:
-        if d != 1:
-            raise DomainError(f"{name} must have {d} components")
-        return a.reshape(1)
-    if a.shape[-1] != d:
-        raise DomainError(f"{name} last axis must have length {d}")
-    return a
 
 
 # Convenience constructor for library use.

@@ -2,22 +2,21 @@
 
 Each run_* function takes a parsed Config and an output directory and writes
 versioned CSV files plus gnuplot-ready two-column .dat files.  Identical
-configurations (including seeds) produce byte-identical outputs; the eps
-sweep may evaluate entries on a thread pool, but results are assembled in
-index order so threading never changes bytes.
+configurations (including seeds) produce byte-identical outputs.  The rate
+sweep's ``threads`` go to its metric DP builds, whose layers are the same
+bytes for any thread count.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .config import Config, ConfigError, spec_from_config
 from .effective import build_effective_model, cell_problem_oracle
-from .errors import ConfigurationError, HorizonError, ResolutionError
+from .errors import ConfigurationError, HorizonError, ResolutionError, UnreachableError
 from .legendre import MOMENTUM_DOMAIN, ConvexFunctionTable, build_lagrangian, conjugate
 from .metric import (
     check_reach,
@@ -98,6 +97,13 @@ def _grids(cfg: Config, lagrangian, max_ratio: float):
     return dt, dx, _reachable(cfg, vmax, dt, dx, "grid.vmax", "grid.dx", "grid.dt")
 
 
+def _keyed(cfg: Config, exc: Exception | str, *keys) -> ConfigError:
+    """exc as a ConfigError at the "path:line" of the first of ``keys`` that
+    the config sets."""
+    key = next(k for k in keys if k in cfg.entries)
+    return ConfigError(f"{cfg.where(key)}: {exc}")
+
+
 def _reachable(cfg: Config, vmax: float, dt: float, dx: float, *keys) -> float:
     """vmax, checked before any table is built: vmax dt >= dx puts the
     lattice neighbours within one step.  A failing check is reported at the
@@ -105,22 +111,23 @@ def _reachable(cfg: Config, vmax: float, dt: float, dx: float, *keys) -> float:
     try:
         check_reach(vmax, dt, dx)
     except ConfigurationError as exc:
-        key = next(k for k in keys if k in cfg.entries)
-        raise ConfigError(f"{cfg.where(key)}: {exc}") from exc
+        raise _keyed(cfg, exc, *keys) from exc
     return vmax
 
 
 def _effective_model(cfg: Config, lagr, v_box: float, v_step: float,
-                     dt: float, dx: float, vmax: float, table=None):
+                     dt: float, dx: float, vmax: float, table=None,
+                     threads: int = 1):
     """The effective model from the effective.* keys.  v_box is the
     command's resolved effective.v_box, v_step its effective.v_step default,
     vmax the resolved effective.vmax.  HorizonError is reported at
     effective.v_step's line when that key is set, else at effective.n_max's
-    (the defaults never raise it).
+    (the defaults never raise it).  A ray the lattice does not reach is
+    reported at effective.vmax's line, else at effective.v_box's.
 
     table: a metric table on the (dt, dx) lattice.  The model reads its rays
     from it when vmax is the table's vmax and the table's horizon reaches
-    effective.n_max; otherwise it builds its own.
+    effective.n_max; otherwise it builds its own on ``threads`` threads.
     """
     v_step = cfg.get_float("effective.v_step", v_step)
     n_max = cfg.get_int("effective.n_max", 8)
@@ -129,10 +136,12 @@ def _effective_model(cfg: Config, lagr, v_box: float, v_step: float,
     try:
         return build_effective_model(lagr, v_box_half=v_box, v_step=v_step,
                                      n_max=n_max, dt=dt, dx=dx, vmax=vmax,
-                                     table=table)
+                                     table=table, threads=threads)
     except HorizonError as exc:
-        key = "effective.v_step" if "effective.v_step" in cfg.entries else "effective.n_max"
-        raise ConfigError(f"{cfg.where(key)}: {exc}") from exc
+        raise _keyed(cfg, exc, "effective.v_step", "effective.n_max") from exc
+    except UnreachableError as exc:
+        raise _keyed(cfg, f"{exc}: effective.vmax does not reach the velocity box",
+                     "effective.vmax", "effective.v_box", "grid.vmax") from exc
 
 
 def _reject(cfg: Config, keys, needs: str) -> None:
@@ -232,31 +241,25 @@ def run_rate_sweep(cfg: Config, out_dir, threads: int = 1,
 
     horizon = t / min(eps_list)
     table = compute_metric_table(lagr, horizon=horizon, dt=dt, dx=dx, vmax=vmax,
-                                 keep="integers")
+                                 keep="integers", threads=threads)
     # reference effective solution from the double-resolution model; its
     # speed cap covers the velocity box corners, not just the sweep targets
-    model_ref = _effective_model(cfg, lagr, v_box, 0.25, dt / 2, dx / 2, model_vmax)
+    model_ref = _effective_model(cfg, lagr, v_box, 0.25, dt / 2, dx / 2, model_vmax,
+                                 threads=threads)
     u_bar = solve_effective(u0, model_ref, t, targets)
-
-    def sup_error(eps):
+    errors = []
+    for eps in eps_list:
         sol = solve_oscillatory(u0, lagr, eps, t, targets, table=table)
-        return float(np.max(np.abs(sol.values - u_bar.values)))
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            errors = list(pool.map(sup_error, eps_list))
-    else:
-        errors = [sup_error(e) for e in eps_list]
-    # exact-zero errors (no oscillation) would break the log fit; 1e-14
-    # records "zero up to roundoff" honestly
-    errors = [max(e, 1e-14) for e in errors]
+        # exact-zero errors (no oscillation) would break the log fit; 1e-14
+        # records "zero up to roundoff" honestly
+        errors.append(max(float(np.max(np.abs(sol.values - u_bar.values))), 1e-14))
 
     # mesh-halving probe: discretization error must stay below half the
     # smallest measured homogenization error
     probe_eps = cfg.get_float("probe.eps", min(eps_list))
     probe_table = compute_metric_table(
         lagr, horizon=t / probe_eps, dt=dt / 2, dx=dx / 2, vmax=vmax,
-        keep="integers")
+        keep="integers", threads=threads)
     coarse = solve_oscillatory(u0, lagr, probe_eps, t, targets, table=table)
     fine = solve_oscillatory(u0, lagr, probe_eps, t, targets, table=probe_table)
     disc_err = float(np.max(np.abs(coarse.values - fine.values)))

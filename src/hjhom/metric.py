@@ -23,6 +23,14 @@ the same offsets, the same additions and the same minima as adding a
 gathered cost array to the layer, so every layer is bitwise-identical to the
 gather form (tests/test_metric.py keeps it as the reference).
 
+With threads > 1, a large layer is split into bands of target rows (first
+axis), one per thread.  Each band adds every offset's tile to the frame
+block rows it reads, in a buffer of its own, and mins the sums into its own
+rows, offsets in the usual order.  The bands are disjoint, so no cell is
+written by two threads, and each cell gets the same sums and the same minima
+in the same order as on one thread: every layer is byte-identical for any
+thread count.  One thread is the one-band case of the same loop.
+
 Entries are +inf where k steps of the stencil do not reach, and the finite
 entries are the table's only domain.  The table keeps every layer (for
 path backtracking) or only integer-time layers (to save memory on long
@@ -31,6 +39,7 @@ horizons).
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,6 +53,12 @@ from .util import (
     multilinear,
     write_rows,
 )
+
+
+# A layer whose frame has at least this many cells is relaxed in row bands,
+# one per thread; on a smaller frame the hand-off to a pool thread costs
+# more than its band saves (measured per layer, see CHANGES.md).
+BAND_MIN_CELLS = 40000
 
 
 def default_speed_cap(lagrangian: LagrangianField, max_ratio: float) -> float:
@@ -199,16 +214,69 @@ def _cost_tiles(lagrangian: LagrangianField, offsets: np.ndarray,
     return tiles
 
 
+def _band_plan(lo: int, hi: int, a: int, n: int, s_max: int, big_m: int,
+               steps: list, block_tiles: list) -> tuple:
+    """One band of a layer's relaxation: target rows [lo, hi) of `new`.
+
+    Target row T takes first-axis step c from frame row a + T - s_max - c, so
+    the band reads frame rows [a + lo - 2 s_max, a + hi) of the window
+    [a, a + n): frame block rows [b0, b1).  steps holds each offset as
+    (c0 + s_max, (c1 + s_max, ...)).  Returns b0, b1 and, for each offset
+    that reaches the band, in offset order, its block tile with the target
+    slice of `new` and the source slice of the band's buffer.
+    """
+    b0 = max(a + lo - 2 * s_max, a) // big_m
+    b1 = -(-min(a + hi, a + n) // big_m)
+    base = a - s_max - b0 * big_m
+    spans = [slice(i, i + n) for i in range(2 * s_max + 1)]
+    rows = []
+    for c in range(-s_max, s_max + 1):
+        t0, t1 = max(lo, s_max + c), min(hi, s_max + c + n)
+        rows.append((slice(t0, t1), slice(base + t0 - c, base + t1 - c))
+                    if t0 < t1 else None)
+    window = (slice(a, a + n),) * len(steps[0][1])
+    return b0, b1, [(tile, (rows[i][0],) + tuple(map(spans.__getitem__, rest)),
+                     (rows[i][1],) + window)
+                    for (i, rest), tile in zip(steps, block_tiles) if rows[i]]
+
+
+def _relax(new: np.ndarray, frame: np.ndarray, big_m: int, plan: tuple) -> None:
+    """Min every offset's sums into one band of `new`: the frame block rows
+    the band reads plus each tile, in a buffer of the band's own."""
+    b0, b1, pairs = plan
+    src = frame[b0 * big_m:b1 * big_m]
+    buf = np.empty_like(src)
+    src_b, buf_b = (f.reshape((b1 - b0, big_m) + (frame.shape[0] // big_m, big_m)
+                              * (frame.ndim - 1)) for f in (src, buf))
+    for tile, target, source in pairs:
+        np.add(src_b, tile, out=buf_b)
+        np.minimum(new[target], buf[source], out=new[target])
+
+
+def _band_pool(threads: int):
+    """A pool of threads - 1 workers for the bands past the first, which the
+    calling thread relaxes.  One thread needs none: a serial build neither
+    imports concurrent.futures (and its logging) nor starts a thread."""
+    if threads == 1:
+        return contextlib.nullcontext()
+    from concurrent.futures import ThreadPoolExecutor
+    return ThreadPoolExecutor(threads - 1)
+
+
 def compute_metric_table(lagrangian: LagrangianField, horizon: float, *,
                          dt: float = 0.25, dx: float = 0.25, vmax: float = 4.0,
-                         keep: str = "all") -> MetricTable:
+                         keep: str = "all", threads: int = 1) -> MetricTable:
     """Value-iterate the metric DP up to the horizon.
 
     keep: "all" stores every layer (needed for path backtracking);
     "integers" stores only integer-time layers (long-horizon memory saver).
+    threads: the row bands of each layer with at least BAND_MIN_CELLS frame
+    cells; the layers are the same bytes for any count.
     """
     if keep not in ("all", "integers"):
         raise ConfigurationError(f"keep must be 'all' or 'integers', not {keep!r}")
+    if threads < 1:
+        raise ConfigurationError(f"threads must be at least 1, not {threads}")
     d = lagrangian.dimension
     check_reach(vmax, dt, dx)
     big_m = as_int_exact(1.0 / dx, "1/dx")
@@ -222,6 +290,7 @@ def compute_metric_table(lagrangian: LagrangianField, horizon: float, *,
         raise ConfigurationError("empty reachable set: enlarge vmax*dt/dx")
     tiles = _cost_tiles(lagrangian, offsets, big_m, dx, dt)
     s_max = int(np.max(np.abs(offsets)))
+    steps = [(int(o[0]) + s_max, tuple(int(c) + s_max for c in o[1:])) for o in offsets]
     block_tiles = [tile.reshape((1, big_m) * d) for tile in tiles]
 
     keep_all = keep == "all"
@@ -231,30 +300,32 @@ def compute_metric_table(lagrangian: LagrangianField, horizon: float, *,
 
     prev = layers[0]
     prev_reach = 0
-    for k in range(1, n_layers + 1):
-        n = 2 * prev_reach + 1
-        new_reach = prev_reach + s_max
-        new = np.full((2 * new_reach + 1,) * d, np.inf)
-        # frame cell i holds source j = i - a - prev_reach; a + prev_reach is
-        # a multiple of M, so j mod M is i's place in its block of M cells.
-        # The +inf padding lies outside `window`.
-        a = -prev_reach % big_m
-        blocks = -(-(a + n) // big_m)
-        inner = (slice(a, a + n),) * d
-        frame = np.full((blocks * big_m,) * d, np.inf)
-        frame[inner] = prev
-        buf = np.empty_like(frame)
-        window = buf[inner]
-        frame_b, buf_b = (f.reshape((blocks, big_m) * d) for f in (frame, buf))
-        for o, tile in zip(offsets, block_tiles):
-            np.add(frame_b, tile, out=buf_b)
-            sl = tuple(slice(s_max + c, s_max + c + n) for c in o)
-            np.minimum(new[sl], window, out=new[sl])
-        if keep_all or (k % per_unit == 0) or k == n_layers:
-            layer_times.append(k)
-            layers.append(new)
-            reaches.append(new_reach)
-        prev, prev_reach = new, new_reach
+    with _band_pool(threads) as pool:
+        for k in range(1, n_layers + 1):
+            n = 2 * prev_reach + 1
+            new_reach = prev_reach + s_max
+            rows = 2 * new_reach + 1
+            new = np.full((rows,) * d, np.inf)
+            # frame cell i holds source j = i - a - prev_reach; a + prev_reach
+            # is a multiple of M, so j mod M is i's place in its block of M
+            # cells.  The +inf padding lies outside every source slice.
+            a = -prev_reach % big_m
+            blocks = -(-(a + n) // big_m)
+            frame = np.full((blocks * big_m,) * d, np.inf)
+            frame[(slice(a, a + n),) * d] = prev
+            bands = threads if frame.size >= BAND_MIN_CELLS else 1
+            plans = [_band_plan(rows * i // bands, rows * (i + 1) // bands, a, n,
+                                s_max, big_m, steps, block_tiles)
+                     for i in range(bands)]
+            jobs = [pool.submit(_relax, new, frame, big_m, plan) for plan in plans[1:]]
+            _relax(new, frame, big_m, plans[0])
+            for job in jobs:
+                job.result()
+            if keep_all or (k % per_unit == 0) or k == n_layers:
+                layer_times.append(k)
+                layers.append(new)
+                reaches.append(new_reach)
+            prev, prev_reach = new, new_reach
 
     return MetricTable(
         dt=dt, dx=dx, vmax=vmax, dimension=d,

@@ -224,6 +224,18 @@ def test_cli_effective_vmax_below_the_lattice_reach_exit_code(tmp_path, capsys, 
     assert not out.exists()
 
 
+def test_cli_effective_vmax_short_of_the_velocity_box_exit_code(tmp_path, capsys):
+    # vmax dt >= dx holds, but a cap of 2 leaves the rays of |v| = 4 unreached;
+    # this used to exit 1 with no key
+    cfg = _write(tmp_path, "b.cfg", "dimension = 1\npotential.a0 = 1.0\ngrid.dt = 0.25\n"
+                 "grid.dx = 0.25\neffective.v_box = 4.0\neffective.vmax = 2.0\n")
+    out = tmp_path / "out"
+    assert main(["effective", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    assert f"config error: {cfg}:6: metric is +inf on the ray of v = [-4.]" in \
+        capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_oracle_vmax_below_the_lattice_reach_exit_code(tmp_path, capsys, monkeypatch):
     # with only the zero step the torus oracle would return -V(0) and the
     # suite would report a failed oracle_agreement (exit 4)

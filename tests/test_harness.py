@@ -11,6 +11,7 @@ from hjhom import (
     solve_oscillatory,
     zero_data,
 )
+from hjhom import metric
 from hjhom.effective import build_effective_model
 from hjhom.harness import (
     run_property_suite,
@@ -79,7 +80,17 @@ seed = 0
         run_rate_sweep(cfg, str(tmp_path / "out"))
 
 
-def test_rate_sweep_threads_match_serial(tmp_path):
+def test_rate_sweep_threads_match_serial(tmp_path, monkeypatch):
+    # every layer of all three builds in two row bands: twice the band
+    # relaxations of the serial run
+    monkeypatch.setattr(metric, "BAND_MIN_CELLS", 0)
+    bands = []
+    relax = metric._relax
+
+    def counted(*args):
+        bands.append(args[-1])
+        relax(*args)
+    monkeypatch.setattr(metric, "_relax", counted)
     cfg_text = """
 dimension = 1
 potential.a0 = 2.0
@@ -98,7 +109,10 @@ seed = 0
 """
     cfg = parse_config_text(cfg_text)
     r1 = run_rate_sweep(cfg, str(tmp_path / "a"), threads=1)
+    serial_bands = len(bands)
+    bands.clear()
     r2 = run_rate_sweep(cfg, str(tmp_path / "b"), threads=2)
+    assert len(bands) == 2 * serial_bands
     np.testing.assert_array_equal(r1.errors, r2.errors)
     assert (tmp_path / "a" / "rate.csv").read_bytes() == \
         (tmp_path / "b" / "rate.csv").read_bytes()

@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
+from hamiltonian_reference import hamiltonian
 from hjhom import (
     DomainError,
     build_lagrangian,
     conjugate,
     cosine_spec,
-    evaluate_hamiltonian,
     normalize,
 )
 from hjhom.legendre import MOMENTUM_DOMAIN, VELOCITY_DOMAIN, ConvexFunctionTable
@@ -144,7 +144,7 @@ def test_lagrangian_is_legendre_transform_of_hamiltonian():
     lagr = build_lagrangian(spec)
     p_axes = (np.linspace(-8.0, 8.0, 129),)
     for x in (0.0, 0.25, 0.5, 0.7):
-        hv = evaluate_hamiltonian(spec, np.full((129, 1), x), p_axes[0][:, None])
+        hv = hamiltonian(spec, np.full((129, 1), x), p_axes[0][:, None])
         g = dual_table_1d(ConvexFunctionTable(p_axes, hv, MOMENTUM_DOMAIN), -4.0, 4.0, 65)
         want = lagr(np.array([x]), g.axes[0][:, None])
         np.testing.assert_allclose(g.values, want, atol=2e-2)

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -245,17 +247,47 @@ EQUIVALENCE_CASES = [
 
 
 @pytest.mark.parametrize("d,big_m,s,n_layers,keep", EQUIVALENCE_CASES)
-def test_frame_kernel_bitwise_equals_gather_kernel(d, big_m, s, n_layers, keep):
+def test_frame_kernel_bitwise_equals_gather_kernel(monkeypatch, d, big_m, s, n_layers,
+                                                   keep):
+    # every layer in row bands: the first ones have fewer rows than threads
+    monkeypatch.setattr("hjhom.metric.BAND_MIN_CELLS", 0)
     lagr = OSC if d == 1 else OSC2
     dt, dx = 0.25, 1.0 / big_m
-    table = compute_metric_table(lagr, horizon=n_layers * dt, dt=dt, dx=dx,
-                                 vmax=s * dx / dt, keep=keep)
-    times, layers, reaches = gather_kernel_layers(table, n_layers, keep)
-    assert table.layer_times.tolist() == times
-    assert table.reaches == reaches
-    assert reaches[-1] >= 3 * big_m
-    for got, want in zip(table.layers, layers):
-        assert np.array_equal(got, want)
+    tables = [compute_metric_table(lagr, horizon=n_layers * dt, dt=dt, dx=dx,
+                                   vmax=s * dx / dt, keep=keep, threads=threads)
+              for threads in (1, 2, 3)]
+    times, layers, reaches = gather_kernel_layers(tables[0], n_layers, keep)
+    for table in tables:
+        assert table.layer_times.tolist() == times
+        assert table.reaches == reaches
+        assert reaches[-1] >= 3 * big_m
+        for got, ref in zip(table.layers, layers):
+            assert got.tobytes() == ref.tobytes()
+
+
+def test_threads_rejects_fewer_than_one():
+    with pytest.raises(ConfigurationError, match="threads"):
+        compute_metric_table(FREE, horizon=1.0, dt=0.25, dx=0.25, vmax=4.0, threads=0)
+
+
+def test_banded_table_equals_serial_under_thread_switches(monkeypatch):
+    # more threads than cores, switching every microsecond: a lost or
+    # doubled write into a shared layer would change its bytes
+    monkeypatch.setattr("hjhom.metric.BAND_MIN_CELLS", 0)
+    kw = dict(horizon=2.0, dt=0.25, dx=0.125, vmax=4.0, keep="all")
+    serial = compute_metric_table(OSC2, **kw)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        banded = compute_metric_table(OSC2, threads=5, **kw)
+    finally:
+        sys.setswitchinterval(interval)
+    assert [a.tobytes() for a in banded.layers] == [a.tobytes() for a in serial.layers]
+    for t, x in [(1.0, (1.0, -0.5)), (2.0, (2.5, 1.25)), (1.5, (-0.625, 0.0))]:
+        want = extract_minimizing_path(serial, t, x)
+        got = extract_minimizing_path(banded, t, x)
+        assert np.array_equal(got.nodes, want.nodes)
+        assert got.cost == want.cost
 
 
 def loop_backtrack(table, t, x):

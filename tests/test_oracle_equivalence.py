@@ -3,15 +3,16 @@
 ``solve_fd_oracle`` updates u in place through preallocated buffers with V
 evaluated once, and ``cell_problem_oracle`` relaxes the torus by one gather
 per step.  The references below are the straightforward forms: a per-step
-Lax-Friedrichs loop that calls ``evaluate_hamiltonian`` (so H keeps one
-definition), and the ``np.roll`` min-plus loop.  Both oracles must return
+Lax-Friedrichs loop that evaluates H through ``hamiltonian_reference``, and
+the ``np.roll`` min-plus loop.  Both oracles must return
 exactly their bytes on seeded random cases.
 """
 
 import numpy as np
 import pytest
 
-from hjhom import build_lagrangian, cosine_spec, evaluate_hamiltonian
+from hamiltonian_reference import hamiltonian
+from hjhom import build_lagrangian, cosine_spec
 from hjhom.effective import cell_problem_oracle
 from hjhom.metric import _offsets
 from hjhom.solver import affine_data, bump_data, cone_data, solve_fd_oracle
@@ -19,7 +20,7 @@ from hjhom.util import box_cell, grid_points, multilinear
 
 
 def reference_fd(u0, spec, eps, t, targets, points_per_eps, box_margin=1.0):
-    """Lax-Friedrichs values at the targets, one evaluate_hamiltonian per step;
+    """Lax-Friedrichs values at the targets, one ``hamiltonian`` call per step;
     box, CFL step and viscosity exactly as solve_fd_oracle chooses them."""
     d = spec.dimension
     targets = np.asarray(targets, dtype=float).reshape(-1, d)
@@ -47,7 +48,7 @@ def reference_fd(u0, spec, eps, t, targets, points_per_eps, box_margin=1.0):
             grads.append((fwd - bwd) / (2 * h))
             visc += (fwd - 2 * u + bwd) / (2 * h)
         grad = np.stack(grads, axis=-1).reshape(-1, d)
-        ham = evaluate_hamiltonian(spec, xov, grad).reshape(u.shape)
+        ham = hamiltonian(spec, xov, grad).reshape(u.shape)
         u = u - dt_fd * ham + dt_fd * alpha * visc
     i0, w, _ = box_cell(axes, targets)
     return multilinear(u, i0, w) + t * spec.normalization_shift
