@@ -60,8 +60,9 @@ def u0_from_config(cfg: Config, dimension: int) -> InitialData:
     raise ConfigError(f"unknown u0.family {family!r}")
 
 
-def target_set(dimension: int, count: int, radius: float) -> np.ndarray:
-    """Fixed, recorded target pattern spanning |y| <= radius."""
+def target_set(dimension: int, count: int, radius: float, step: float) -> np.ndarray:
+    """Fixed, recorded target pattern spanning |y| <= radius: a line in d = 1,
+    else the origin and rings of 8 points, rounded to step Z^d."""
     if dimension == 1:
         return np.linspace(-radius, radius, count)[:, None]
     pts = [np.zeros(dimension)]
@@ -74,7 +75,7 @@ def target_set(dimension: int, count: int, radius: float) -> np.ndarray:
             vec[0] = r * np.cos(ang)
             vec[1] = r * np.sin(ang)
             pts.append(vec)
-    return np.asarray(pts[:count])
+    return np.round(np.asarray(pts[:count]) / step) * step
 
 
 def _grids(cfg: Config, lagrangian, max_ratio: float):
@@ -175,11 +176,9 @@ def run_metric(cfg: Config, out_dir, verbose: bool = False):
     table.to_csv(os.path.join(out_dir, "metric.csv"))
     # profile figure: m(T, z) along the first axis
     k = int(round(horizon))
-    n = int(table.vmax * k / dx)
-    z = np.zeros((2 * n + 1, spec.dimension))
-    z[:, 0] = np.arange(-n, n + 1) * dx
-    rows = [(a, m) for a, m in zip(z[:, 0], table.interpolate_many(float(k), z))
-            if np.isfinite(m)]
+    layer, reach = table.layer(float(k))
+    line = layer[(slice(None),) + (reach,) * (spec.dimension - 1)]
+    rows = [(j * dx, m) for j, m in zip(range(-reach, reach + 1), line) if np.isfinite(m)]
     write_rows(os.path.join(out_dir, "metric_profile.dat"),
                [f"# z1 m({k},0,z) profile"], rows, " ")
     if verbose:
@@ -229,7 +228,6 @@ def run_rate_sweep(cfg: Config, out_dir, threads: int = 1,
     t = cfg.get_float("sweep.t", 1.0)
     count = cfg.get_int("targets.count", 33)
     radius = 2.0 * t
-    targets = target_set(d, count, radius)
     u0 = u0_from_config(cfg, d)
 
     v_box = cfg.get_float("effective.v_box", radius / t + 2.0)
@@ -238,6 +236,11 @@ def run_rate_sweep(cfg: Config, out_dir, threads: int = 1,
     # effective.vmax caps the reference model's half-step lattice
     model_vmax = _reachable(cfg, cfg.get_float("effective.vmax", vmax), dt / 2, dx / 2,
                             "effective.vmax")
+    probe_eps = cfg.get_float("probe.eps", min(eps_list))
+    if probe_eps not in eps_list:
+        raise ConfigError(f"{cfg.where('probe.eps')}: probe.eps = {probe_eps} "
+                          "is not one of sweep.eps")
+    targets = target_set(d, count, radius, dx)
 
     horizon = t / min(eps_list)
     table = compute_metric_table(lagr, horizon=horizon, dt=dt, dx=dx, vmax=vmax,
@@ -247,22 +250,20 @@ def run_rate_sweep(cfg: Config, out_dir, threads: int = 1,
     model_ref = _effective_model(cfg, lagr, v_box, 0.25, dt / 2, dx / 2, model_vmax,
                                  threads=threads)
     u_bar = solve_effective(u0, model_ref, t, targets)
-    errors = []
-    for eps in eps_list:
-        sol = solve_oscillatory(u0, lagr, eps, t, targets, table=table)
-        # exact-zero errors (no oscillation) would break the log fit; 1e-14
-        # records "zero up to roundoff" honestly
-        errors.append(max(float(np.max(np.abs(sol.values - u_bar.values))), 1e-14))
+    sols = {eps: solve_oscillatory(u0, lagr, eps, t, targets, table=table).values
+            for eps in eps_list}
+    # exact-zero errors (no oscillation) would break the log fit; 1e-14
+    # records "zero up to roundoff" honestly
+    errors = [max(float(np.max(np.abs(sols[eps] - u_bar.values))), 1e-14)
+              for eps in eps_list]
 
     # mesh-halving probe: discretization error must stay below half the
     # smallest measured homogenization error
-    probe_eps = cfg.get_float("probe.eps", min(eps_list))
     probe_table = compute_metric_table(
         lagr, horizon=t / probe_eps, dt=dt / 2, dx=dx / 2, vmax=vmax,
         keep="integers", threads=threads)
-    coarse = solve_oscillatory(u0, lagr, probe_eps, t, targets, table=table)
     fine = solve_oscillatory(u0, lagr, probe_eps, t, targets, table=probe_table)
-    disc_err = float(np.max(np.abs(coarse.values - fine.values)))
+    disc_err = float(np.max(np.abs(sols[probe_eps] - fine.values)))
     if disc_err > 0.5 * min(errors):
         raise ResolutionError(
             f"discretization error {disc_err:.4g} exceeds half the smallest "
@@ -314,6 +315,13 @@ def run_property_suite(cfg: Config, out_dir, verbose: bool = False):
                                 "effective.vmax")
         oracle_vmax = _reachable(cfg, cfg.get_float("oracle.vmax", vmax), dt, dx,
                                  "oracle.vmax")
+    n_samples = cfg.get_int("properties.surgery_samples", 0) if d == 2 else 0
+    t_vals = cfg.get_floats("properties.surgery_t", [2.0])
+    for tv in t_vals if n_samples > 0 else ():
+        # surgery splits a path to (2t, 2x) at the integer point (t, x)
+        if tv != round(tv) or tv < 1 or 2 * tv > horizon:
+            raise _keyed(cfg, f"properties.surgery_t = {tv} is not an integer in [1, "
+                         f"{horizon / 2}]", "properties.surgery_t", "metric.horizon")
     table = compute_metric_table(lagr, horizon=horizon, dt=dt, dx=dx, vmax=vmax,
                                  keep="all")
     checks: list[PropertyCheck] = []
@@ -350,19 +358,25 @@ def run_property_suite(cfg: Config, out_dir, verbose: bool = False):
                                         rep.envelope_constant, np.inf,
                                         np.isfinite(rep.envelope_constant)))
 
+    def endpoint(x, tv):  # a surgery endpoint: 0 < |x| <= 2t, (2t, 2x) reached
+        return 0 < np.linalg.norm(x) <= 2.0 * tv and \
+            np.isfinite(table.value_at(2 * tv, 2 * x))
+
     surgery_rows = []
-    if d == 2 and cfg.get_int("properties.surgery_samples", 0) > 0:
-        n_samples = cfg.get_int("properties.surgery_samples")
-        t_vals = cfg.get_floats("properties.surgery_t", [2.0])
+    if n_samples > 0:
         gap_by_t = {}
         succ, tot = 0, 0
         for tv in t_vals:
+            box = grid_points([np.arange(-int(2 * tv), int(2 * tv) + 1)] * 2)
+            if not any(endpoint(x, tv) for x in box):
+                raise _keyed(cfg, f"properties.surgery_t = {tv}: no integer x with "
+                             f"0 < |x| <= {2 * tv} has m({2 * tv}, 0, 2x) finite",
+                             "properties.surgery_t", "properties.surgery_samples")
             gaps = []
             for _ in range(n_samples):
                 while True:
                     x = rng.integers(-int(2 * tv), int(2 * tv) + 1, size=2)
-                    if 0 < np.linalg.norm(x) <= 2.0 * tv and \
-                            np.isfinite(table.value_at(2 * tv, 2 * x)):
+                    if endpoint(x, tv):
                         break
                 gamma = extract_minimizing_path(table, 2 * tv, 2 * x.astype(float))
                 tot += 1

@@ -46,13 +46,7 @@ import numpy as np
 
 from .errors import ConfigurationError, UnreachableError
 from .legendre import LagrangianField
-from .util import (
-    as_int_exact,
-    format_float,
-    grid_points,
-    multilinear,
-    write_rows,
-)
+from .util import as_int_exact, format_float, grid_points, write_rows
 
 
 # A layer whose frame has at least this many cells is relaxed in row bands,
@@ -121,28 +115,20 @@ class MetricTable:
                 f"layer k={k} not stored (mode without full layers?)")
         return int(pos)
 
+    def layer(self, t: float) -> tuple:
+        """The stored layer at time t and its reach: entry i holds
+        m(t, 0, (i - reach) dx).  Any other t raises."""
+        pos = self._layer_index(t)
+        return self.layers[pos], self.reaches[pos]
+
     def value_at(self, t: float, z) -> float:
         """Exact lattice value at time t (a stored layer) and z = j dx."""
         z = np.atleast_1d(np.asarray(z, dtype=float))
-        k = self._layer_index(t)
+        layer, reach = self.layer(t)
         j = np.asarray([as_int_exact(c / self.dx, "z/dx") for c in z])
-        reach = self.reaches[k]
         if np.any(np.abs(j) > reach):
             return np.inf
-        return float(self.layers[k][tuple(j + reach)])
-
-    def interpolate_many(self, t: float, Z) -> np.ndarray:
-        """Vectorized multilinear interpolation at one stored layer time; any
-        other t raises.
-
-        Z has shape (n, d) in physical coordinates; queries outside the
-        reachable box return +inf (the DP value there), not a clamp.
-        """
-        pos = self._layer_index(t)
-        u = np.asarray(Z, dtype=float).reshape(-1, self.dimension) / self.dx
-        u += self.reaches[pos]
-        i0 = np.floor(u).astype(int)
-        return multilinear(self.layers[pos], i0, u - i0)
+        return float(layer[tuple(j + reach)])
 
     @property
     def horizon(self) -> float:

@@ -1,13 +1,13 @@
 """Oscillatory and effective Cauchy solvers plus a finite-difference oracle.
 
 The oscillatory solution comes from the control representation
-    u_eps(t, y) = inf over |x - y| <= C t of u0(x) + eps m(t/eps, x/eps, y/eps),
-with x first restricted to eps Z^d so the metric reduction to the
-origin-based table is exact.  The effective solution is the same
-inf-convolution with t Lbar((y - x)/t), first over the Lbar grid.  Both then
-refine every target at once by one array golden search on the interpolated
-objective, each target bitwise its one-target search, and re-add the
-normalization shift t * a.  The Lax-Friedrichs oracle solves the
+    u_eps(t, y) = inf over x of u0(x) + eps m(t/eps, x/eps, y/eps),
+a minimum over lattice points x/eps of exact table reads: for y/eps on the
+lattice, the DP is reversible and V even, so the metric is m(t/eps, 0,
+(y - x)/eps).  The effective solution is the inf-convolution with
+t Lbar((y - x)/t) over the Lbar grid, refined for all targets at once by an
+array golden search, each target bitwise its one-target search.  Both re-add
+the normalization shift t * a.  The Lax-Friedrichs oracle solves the
 oscillatory PDE directly on a grid that resolves the eps-scale; it is a
 cross-check only and never feeds the rate measurements.
 """
@@ -22,7 +22,7 @@ from .effective import EffectiveModel
 from .errors import ConfigurationError, DomainError
 from .legendre import LagrangianField
 from .metric import MetricTable
-from .util import box_cell, golden_minimize, grid_points, multilinear
+from .util import as_int_exact, box_cell, golden_minimize, grid_points, multilinear
 
 
 @dataclass
@@ -85,9 +85,11 @@ def solve_oscillatory(u0: InitialData, lagrangian: LagrangianField,
                       table: MetricTable) -> SolutionField:
     """Representation-formula solution at scale eps on the target set.
 
-    The table must cover horizon t/eps; the minimization runs over x in
-    eps Z^d inside the ball |x - y| <= vmax t, then one golden refinement
-    of all targets moves x continuously using the spatially interpolated table.
+    The table must store the layer T = t/eps and each y/eps must be a
+    dx-lattice point (else ConfigurationError).  Stage 1 reads the nodes
+    with x in eps Z^d, where m(T, 0, (y - x)/eps) = m(T, x/eps, y/eps) by
+    periodicity; stage 2 reads every node with x/eps within one unit per
+    axis of the stage-1 minimizer and keeps the minimum.
     """
     if not 0 < eps <= 1:
         raise DomainError("eps must lie in (0, 1]")
@@ -98,43 +100,42 @@ def solve_oscillatory(u0: InitialData, lagrangian: LagrangianField,
         raise ConfigurationError(
             f"metric table horizon {table.horizon} insufficient: need T = {big_t}")
     d = table.dimension
-    shift = lagrangian.spec.normalization_shift
-    radius = table.vmax * t
     targets = np.asarray(targets, dtype=float).reshape(-1, d)
-    x0 = np.empty_like(targets)
-    coarse = np.empty(len(targets))
-    for i, y in enumerate(targets):
-        lo = np.ceil((y - radius) / eps).astype(int)
-        hi = np.floor((y + radius) / eps).astype(int)
-        xs = grid_points([np.arange(l, h + 1) for l, h in zip(lo, hi)]) * eps
-        xs = xs[np.linalg.norm(xs - y, axis=1) <= radius + 1e-12]
-        obj = u0(xs) + eps * table.interpolate_many(big_t, (y - xs) / eps)
+    layer, reach = table.layer(big_t)
+    big_m = as_int_exact(1.0 / table.dx, "1/dx")
+
+    def node_min(y, window):
+        """Minimum of u0(y - eps z) + eps m(T, 0, z) over the layer's nodes in
+        window (a slice per axis), with the minimizing node's index."""
+        idx = grid_points([np.arange(*s.indices(n)) for s, n in zip(window, layer.shape)])
+        obj = u0(y - eps * ((idx - reach) * table.dx)) + eps * layer[tuple(window)].ravel()
         k = int(np.argmin(obj))
-        x0[i], coarse[i] = xs[k], obj[k]
+        return obj[k], idx[k]
 
-    def objective(pts):
-        return u0(pts) + eps * table.interpolate_many(big_t, (targets - pts) / eps)
+    values = np.empty(len(targets))
+    for i, y in enumerate(targets):
+        jy = [as_int_exact(c / (eps * table.dx), f"target {y}: y/(eps dx)") for c in y]
+        # z = (y - x)/eps sits at node jy - n M + reach for x = n eps
+        _, k = node_min(y, [slice((j + reach) % big_m, None, big_m) for j in jy])
+        values[i], _ = node_min(y, [slice(max(c - big_m, 0), c + big_m + 1) for c in k])
+    return SolutionField(values + t * lagrangian.spec.normalization_shift)
 
-    refined = _golden_refine(objective, x0, objective(x0), eps, -np.inf, np.inf)
-    values = np.where(refined < coarse, refined, coarse) + t * shift
-    return SolutionField(values)
 
-
-def _golden_refine(objective, x0, best, step, lo, hi):
+def _golden_refine(objective, x0, best, axes):
     """Two passes of per-axis golden search around all rows of x0 (n, d) at once:
-    axis ax of a row on [max(lo, x_ax - step), min(hi, x_ax + step)] at pass time,
-    moved only where it lowers that row's ``best`` (n,).  step, lo, hi broadcast
-    over the axes; objective maps (n, d) to (n,).  Returns the lowest values."""
+    axis ax of a row on [x_ax - h, x_ax + h] cut to axes[ax], h its spacing,
+    moved only where it lowers that row's ``best`` (n,).  objective maps
+    (n, d) to (n,).  Returns the lowest values."""
     x = np.array(x0, dtype=float)
-    step, lo, hi = (np.broadcast_to(a, x.shape[1:]) for a in (step, lo, hi))
     for _ in range(2):
-        for ax in range(x.shape[1]):
+        for ax, nodes in enumerate(axes):
             def g(s, ax=ax):
                 pts = x.copy()
                 pts[:, ax] = s
                 return objective(pts)
-            s_opt, val = golden_minimize(g, np.maximum(lo[ax], x[:, ax] - step[ax]),
-                                         np.minimum(hi[ax], x[:, ax] + step[ax]), 24)
+            h = nodes[1] - nodes[0]
+            s_opt, val = golden_minimize(g, np.maximum(nodes[0], x[:, ax] - h),
+                                         np.minimum(nodes[-1], x[:, ax] + h), 24)
             lower = val < best
             best = np.where(lower, val, best)
             x[lower, ax] = s_opt[lower]
@@ -158,10 +159,8 @@ def solve_effective(u0: InitialData, model: EffectiveModel, t: float,
         lv, _ = ltab.interpolate(vv)
         return u0(targets - t * vv) + t * lv
 
-    axes = ltab.axes
     values = _golden_refine(objective, vgrid[k], obj[np.arange(len(targets)), k],
-                            [a[1] - a[0] for a in axes], [a[0] for a in axes],
-                            [a[-1] for a in axes]) + t * model.shift
+                            ltab.axes) + t * model.shift
     return SolutionField(values)
 
 

@@ -136,8 +136,8 @@ def test_criterion_5_rate_d2():
     u0 = cone_data(2)
     t = 1.0
     eps_list = [1 / 4, 1 / 8, 1 / 16]
-    targets = target_set(2, 9, 2.0)
     dt = dx = 1 / 8
+    targets = target_set(2, 9, 2.0, dx)
     table = compute_metric_table(lagr, horizon=16.0, dt=dt, dx=dx, vmax=4.0,
                                  keep="integers")
     model_ref = build_effective_model(lagr, v_box_half=3.0, v_step=0.5,

@@ -251,6 +251,55 @@ def test_cli_oracle_vmax_below_the_lattice_reach_exit_code(tmp_path, capsys, mon
     assert not out.exists()
 
 
+SURGERY_CFG = """dimension = 2
+potential.a0 = 3.0
+potential.terms = 1.0,1,0; 1.0,0,1
+grid.dt = 0.25
+grid.dx = 0.125
+grid.vmax = 0.5
+metric.horizon = 2.0
+properties.surgery_samples = 1
+properties.surgery_t = {}
+oracle.p_sample =
+"""
+
+
+def test_cli_properties_surgery_without_an_endpoint_exit_code(tmp_path, capsys):
+    # vmax = 0.5 reaches |z| <= 1 at t = 2, and no 2x with 0 < |x| <= 2 lies
+    # there: the endpoint sampling used to loop forever
+    cfg = _write(tmp_path, "e.cfg", SURGERY_CFG.format("1.0"))
+    out = tmp_path / "out"
+    assert main(["properties", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    assert f"config error: {cfg}:9: properties.surgery_t = 1.0: no integer x with " \
+        "0 < |x| <= 2.0 has m(2.0, 0, 2x) finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["1.5", "3.0", "0.0", "1.0,0.5"])
+def test_cli_properties_surgery_t_off_the_stored_layers_exit_code(tmp_path, capsys,
+                                                                 monkeypatch, value):
+    # 1.5 and 3.0 at horizon 2 used to exit 2 with "layer k=12 not stored"
+    # and no key
+    cfg = _write(tmp_path, "t.cfg", SURGERY_CFG.format(value))
+    _no_table(monkeypatch)
+    out = tmp_path / "out"
+    assert main(["properties", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    assert f"config error: {cfg}:9: properties.surgery_t = " in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_rate_probe_eps_outside_the_sweep_exit_code(tmp_path, capsys, monkeypatch):
+    # the probe compares the sweep's own solution at probe.eps with a finer one
+    cfg = _write(tmp_path, "r.cfg", "dimension = 1\npotential.a0 = 1.0\n"
+                 "sweep.eps = 0.5,0.25\nprobe.eps = 0.125\n")
+    _no_table(monkeypatch)
+    out = tmp_path / "out"
+    assert main(["rate", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    assert f"config error: {cfg}:4: probe.eps = 0.125 is not one of sweep.eps" in \
+        capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_config_error_exit_code(tmp_path):
     cfg = _write(tmp_path, "bad.cfg", "dimension == 1\n")
     out = tmp_path / "out"

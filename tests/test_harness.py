@@ -22,17 +22,20 @@ from hjhom.harness import (
 
 
 def test_target_set_1d_spans_radius():
-    pts = target_set(1, 33, 2.0)
+    pts = target_set(1, 33, 2.0, 0.125)
     assert pts.shape == (33, 1)
     assert pts.min() == -2.0 and pts.max() == 2.0
 
 
 def test_target_set_2d_deterministic_and_bounded():
-    a = target_set(2, 9, 2.0)
-    b = target_set(2, 9, 2.0)
+    a = target_set(2, 9, 2.0, 0.125)
+    b = target_set(2, 9, 2.0, 0.125)
     np.testing.assert_array_equal(a, b)
     assert len(a) == 9
     assert np.all(np.linalg.norm(a, axis=1) <= 2.0 + 1e-12)
+    # the ring is snapped to the step lattice: (sqrt 2, sqrt 2) -> (1.375, 1.375)
+    np.testing.assert_array_equal(a / 0.125, np.round(a / 0.125))
+    assert [1.375, 1.375] in a.tolist() and [-1.375, -1.375] in a.tolist()
 
 
 def test_u0_from_config_families():

@@ -189,14 +189,17 @@ def test_interpolate_reads_stored_layers_only():
     # a time between layers, or a layer the table did not keep, is an error,
     # not a blend of the neighbouring layers
     table = compute_metric_table(OSC, horizon=2.0, dt=0.25, dx=0.25, vmax=4.0)
-    assert table.interpolate_many(1.25, 0.5)[0] == table.value_at(1.25, 0.5)
+    layer, reach = table.layer(1.25)
+    assert table.value_at(1.25, 0.5) == layer[reach + 2]
     with pytest.raises(ConfigurationError):
-        table.interpolate_many(1.1, 0.5)
+        table.value_at(1.1, 0.5)
     kept = compute_metric_table(OSC, horizon=2.0, dt=0.25, dx=0.25, vmax=4.0,
                                 keep="integers")
-    assert kept.interpolate_many(2.0, 0.5)[0] == table.interpolate_many(2.0, 0.5)[0]
+    assert kept.value_at(2.0, 0.5) == table.value_at(2.0, 0.5)
     with pytest.raises(ConfigurationError):
-        kept.interpolate_many(1.5, 0.5)
+        kept.value_at(1.5, 0.5)
+    with pytest.raises(ConfigurationError):
+        kept.layer(1.5)
 
 
 def test_keep_rejects_other_modes_and_options_are_keywords():

@@ -10,7 +10,6 @@ from hjhom import (
     normalize,
 )
 from hjhom.effective import build_effective_model
-from hjhom.metric import MetricTable
 from hjhom.solver import (
     InitialData,
     affine_data,
@@ -22,6 +21,8 @@ from hjhom.solver import (
     zero_data,
 )
 from hjhom.util import golden_minimize, grid_points
+
+from metric_reference import brute_metric
 
 FREE = build_lagrangian(cosine_spec(1, 1.0))
 
@@ -220,7 +221,7 @@ def test_normalization_shift_identity_machine_precision():
     np.testing.assert_allclose(a.values, b.values, rtol=0, atol=1e-12)
 
 
-# --- the batched refinement against the per-target loops it replaced ------
+# --- the batched effective refinement against the per-target loop ---------
 
 def scalar_golden(fun, lo, hi, iters):
     """The one-interval golden search the array search must reproduce."""
@@ -258,33 +259,6 @@ def reference_refine(objective, x0, best, step, lo, hi):
                 best = val
                 x[ax] = s_opt
     return best
-
-
-def reference_oscillatory(u0, lagrangian, eps, t, targets, table):
-    """solve_oscillatory's values, one target and one closure at a time."""
-    big_t = t / eps
-    d = table.dimension
-    radius = table.vmax * t
-    targets = np.asarray(targets, dtype=float).reshape(-1, d)
-    values = np.empty(len(targets))
-    for i, y in enumerate(targets):
-        lo = np.ceil((y - radius) / eps).astype(int)
-        hi = np.floor((y + radius) / eps).astype(int)
-        xs = grid_points([np.arange(l, h + 1) for l, h in zip(lo, hi)]) * eps
-        xs = xs[np.linalg.norm(xs - y, axis=1) <= radius + 1e-12]
-        obj = u0(xs) + eps * table.interpolate_many(big_t, (y - xs) / eps)
-        k = int(np.argmin(obj))
-
-        def objective(pt):
-            if np.linalg.norm(pt - y) > radius:
-                return np.inf
-            return float(u0(pt[None, :])[0]
-                         + eps * table.interpolate_many(big_t, (y - pt) / eps)[0])
-
-        best = min(obj[k], reference_refine(objective, xs[k], objective(xs[k]),
-                                            eps, -np.inf, np.inf))
-        values[i] = best + t * lagrangian.spec.normalization_shift
-    return values
 
 
 def reference_effective(u0, model, t, targets):
@@ -340,15 +314,6 @@ def test_array_golden_matches_scalar_golden_bitwise(name):
         assert (xm[i], fm[i]) == want
 
 
-def _random_targets(rng, d, n, radius, eps):
-    """Random targets, a third of them on eps Z^d; the first is moved so that
-    y_1 - radius is a lattice coordinate (its ball boundary meets the lattice)."""
-    pts = rng.uniform(-2.0, 2.0, size=(n, d))
-    pts[: n // 3] = np.round(pts[: n // 3] / eps) * eps
-    pts[0, 0] += radius - np.floor(radius / eps) * eps
-    return pts
-
-
 def _oscillatory_cases(d):
     if d == 1:
         lagr = build_lagrangian(cosine_spec(1, 2.0, (1.0, (1,))))
@@ -365,20 +330,73 @@ def _oscillatory_cases(d):
     return lagr, table, data
 
 
+def brute_oscillatory(u0, lagrangian, eps, t, targets, table):
+    """u_eps at each target as the minimum over every finite node z of the
+    T = t/eps layer of u0(y - eps z) + eps m(T, 0, z), plus t * shift."""
+    layer, reach = table.layer(t / eps)
+    finite = np.argwhere(np.isfinite(layer))
+    z = (finite - reach) * table.dx
+    m = layer[tuple(finite.T)]
+    return np.array([np.min(u0(y - eps * z) + eps * m) for y in targets]) \
+        + t * lagrangian.spec.normalization_shift
+
+
+def _lattice_targets(rng, n, d, eps, dx):
+    """n random targets with y/eps on the dx lattice, a third of them on
+    eps Z^d, inside |y_i| <= 2."""
+    steps = rng.integers(-round(2 / (eps * dx)), round(2 / (eps * dx)) + 1, size=(n, d))
+    steps[: n // 3] -= steps[: n // 3] % round(1 / dx)
+    return steps * (eps * dx)
+
+
 @pytest.mark.parametrize("d", [1, 2])
-def test_batched_oscillatory_matches_per_target_loop(d):
-    # affine data with a steep slope puts minimizers on the ball boundary,
-    # where the golden points see +inf objectives
+def test_oscillatory_is_the_brute_force_lattice_minimum(d):
+    # affine data with a steep slope puts minimizers on the edge of the
+    # reached set; bumps make u0 non-convex
     lagr, table, data = _oscillatory_cases(d)
     rng = np.random.default_rng(7 + d)
     for u0 in data:
         for eps in (0.5, 0.25):
             t = float(rng.choice([0.5, 1.0]))
-            radius = table.vmax * t
-            ys = _random_targets(rng, d, 7, radius, eps)
+            ys = _lattice_targets(rng, 7, d, eps, table.dx)
             got = solve_oscillatory(u0, lagr, eps, t, ys, table=table).values
-            want = reference_oscillatory(u0, lagr, eps, t, ys, table)
+            want = brute_oscillatory(u0, lagr, eps, t, ys, table)
             assert np.array_equal(got, want), (u0.family, eps, t)
+
+
+def test_oscillatory_matches_the_reference_dp_from_each_source():
+    # d = 1, integer y/eps: u_eps(t, y) = min over lattice x/eps of
+    # u0(x) + eps m(T, x/eps, y/eps), with the metric from the reference DP
+    # started at each source x/eps, built without the tiles
+    lagr = build_lagrangian(cosine_spec(1, 2.0, (1.0, (1,))))
+    dt, dx, vmax, eps, t = 0.25, 0.25, 2.0, 0.5, 1.0
+    table = compute_metric_table(lagr, horizon=t / eps, dt=dt, dx=dx, vmax=vmax,
+                                 keep="integers")
+    n_steps = round(t / eps / dt)
+    reach = round(vmax * t / eps / dx)
+    u0 = bump_data(1, [(1.0, [0.3], 0.7), (-2.0, [-1.0], 0.4)])
+    ys = np.array([[-1.0], [0.0], [0.5], [1.5]])
+    got = solve_oscillatory(u0, lagr, eps, t, ys, table=table).values
+    refs = {}
+    for y, value in zip(ys[:, 0], got):
+        jy = round(y / (eps * dx))
+        best = np.inf
+        for jx in range(jy - reach, jy + reach + 1):
+            if jx not in refs:
+                refs[jx] = brute_metric(lagr, n_steps, dt, dx, vmax, source=jx * dx)
+            if (jy - jx,) in refs[jx]:
+                best = min(best, u0([[jx * eps * dx]])[0] + eps * refs[jx][(jy - jx,)])
+        assert value == pytest.approx(best + t * lagr.spec.normalization_shift,
+                                      abs=1e-12), y
+
+
+def test_oscillatory_rejects_a_target_off_the_lattice():
+    lagr, table, data = _oscillatory_cases(2)
+    # y/eps = 4 sqrt 2 is no multiple of dx = 1/8
+    with pytest.raises(ConfigurationError,
+                       match=r"target \[1.414.*\]: y/\(eps dx\) = 45.25.* is not an integer"):
+        solve_oscillatory(data[0], lagr, 0.25, 1.0, [[0.0, 0.0], [2 ** 0.5, 2 ** 0.5]],
+                          table=table)
 
 
 @pytest.mark.parametrize("d", [1, 2])
@@ -411,22 +429,3 @@ def test_solvers_accept_an_empty_target_set():
     empty = np.zeros((0, 1))
     assert solve_oscillatory(data[0], lagr, 0.25, 1.0, empty, table=table).values.shape == (0,)
     assert solve_effective(data[0], model, 1.0, empty).values.shape == (0,)
-
-
-@pytest.mark.parametrize("d", [1, 2])
-def test_oscillatory_table_reads_do_not_grow_per_target(d, monkeypatch):
-    # the coarse stage reads the table once per target; the refinement reads
-    # it 1 + 2 passes x d axes x 27 golden evaluations times for all targets
-    lagr, table, data = _oscillatory_cases(d)
-    calls = []
-    original = MetricTable.interpolate_many
-
-    def counted(self, t, Z):
-        calls.append(len(Z))
-        return original(self, t, Z)
-
-    monkeypatch.setattr(MetricTable, "interpolate_many", counted)
-    n = 9
-    ys = np.random.default_rng(d).uniform(-1.0, 1.0, size=(n, d))
-    solve_oscillatory(data[0], lagr, 0.25, 1.0, ys, table=table)
-    assert len(calls) <= n + 1 + 54 * d
