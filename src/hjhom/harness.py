@@ -46,7 +46,7 @@ def u0_from_config(cfg: Config, dimension: int) -> InitialData:
     if family == "affine":
         p = cfg.get_floats("u0.p", [1.0] * dimension)
         if len(p) != dimension:
-            raise ConfigError(f"u0.p needs {dimension} components")
+            raise ConfigError(f"{cfg.where('u0.p')}: u0.p needs {dimension} components")
         return affine_data(p)
     if family == "zero":
         return zero_data(dimension)
@@ -54,10 +54,11 @@ def u0_from_config(cfg: Config, dimension: int) -> InitialData:
         bumps = []
         for vec in cfg.get_vectors("u0.bumps", []):
             if len(vec) != dimension + 2:
-                raise ConfigError("each bump is amplitude,c1..cd,width")
+                raise ConfigError(f"{cfg.where('u0.bumps')}: each bump is "
+                                  "amplitude,c1..cd,width")
             bumps.append((vec[0], vec[1:-1], vec[-1]))
         return bump_data(dimension, bumps)
-    raise ConfigError(f"unknown u0.family {family!r}")
+    raise ConfigError(f"{cfg.where('u0.family')}: unknown u0.family {family!r}")
 
 
 def target_set(dimension: int, count: int, radius: float, step: float) -> np.ndarray:
@@ -194,7 +195,8 @@ def run_effective(cfg: Config, out_dir, verbose: bool = False):
     p_box = cfg.get_float("effective.p_box", v_box / 2.0 + 1.0)
     p_half = int(round(p_box / cfg.get_float("effective.p_step", 0.125)))
     if p_half < 1:
-        raise ConfigError("effective.p_box must be at least effective.p_step / 2")
+        raise _keyed(cfg, "effective.p_box must be at least effective.p_step / 2",
+                     "effective.p_box", "effective.p_step", "effective.v_box")
     p_axes = (np.linspace(-p_box, p_box, 2 * p_half + 1),) * spec.dimension
     dt, dx, vmax = _grids(cfg, lagr, v_box * np.sqrt(spec.dimension))
     vmax = _reachable(cfg, cfg.get_float("effective.vmax", vmax), dt, dx, "effective.vmax")
@@ -241,6 +243,13 @@ def run_rate_sweep(cfg: Config, out_dir, threads: int = 1,
         raise ConfigError(f"{cfg.where('probe.eps')}: probe.eps = {probe_eps} "
                           "is not one of sweep.eps")
     targets = target_set(d, count, radius, dx)
+    for eps in eps_list:
+        # solve_oscillatory reads u_eps(t, y) at the dx-lattice node y/eps
+        for y in targets:
+            j = y / (eps * dx)
+            if np.max(np.abs(j - np.round(j))) > 1e-9:
+                raise _keyed(cfg, f"target y = {y}: y/(eps dx) = {j} is not an "
+                             f"integer at eps = {eps}", "targets.count", "sweep.eps")
 
     horizon = t / min(eps_list)
     table = compute_metric_table(lagr, horizon=horizon, dt=dt, dx=dx, vmax=vmax,
@@ -307,6 +316,9 @@ def run_property_suite(cfg: Config, out_dir, verbose: bool = False):
     if d != 2:
         _reject(cfg, ("properties.surgery_samples", "properties.surgery_t"),
                 f"dimension = 2, not {d}")
+    n_samples = cfg.get_int("properties.surgery_samples", 0) if d == 2 else 0
+    if n_samples < 1:
+        _reject(cfg, ("properties.surgery_t",), "properties.surgery_samples >= 1")
     rng = np.random.default_rng(cfg.get_int("seed", 0))
     horizon = cfg.get_float("metric.horizon", 8.0)
     dt, dx, vmax = _grids(cfg, lagr, 3.0)
@@ -315,7 +327,6 @@ def run_property_suite(cfg: Config, out_dir, verbose: bool = False):
                                 "effective.vmax")
         oracle_vmax = _reachable(cfg, cfg.get_float("oracle.vmax", vmax), dt, dx,
                                  "oracle.vmax")
-    n_samples = cfg.get_int("properties.surgery_samples", 0) if d == 2 else 0
     t_vals = cfg.get_floats("properties.surgery_t", [2.0])
     for tv in t_vals if n_samples > 0 else ():
         # surgery splits a path to (2t, 2x) at the integer point (t, x)
@@ -358,42 +369,34 @@ def run_property_suite(cfg: Config, out_dir, verbose: bool = False):
                                         rep.envelope_constant, np.inf,
                                         np.isfinite(rep.envelope_constant)))
 
-    def endpoint(x, tv):  # a surgery endpoint: 0 < |x| <= 2t, (2t, 2x) reached
-        return 0 < np.linalg.norm(x) <= 2.0 * tv and \
-            np.isfinite(table.value_at(2 * tv, 2 * x))
-
     surgery_rows = []
     if n_samples > 0:
         gap_by_t = {}
-        succ, tot = 0, 0
         for tv in t_vals:
-            box = grid_points([np.arange(-int(2 * tv), int(2 * tv) + 1)] * 2)
-            if not any(endpoint(x, tv) for x in box):
+            # the surgery endpoints: integer x with 0 < |x| <= 2t, (2t, 2x) reached
+            box = grid_points([np.arange(-2 * tv, 2 * tv + 1)] * 2)
+            box = box[box.any(axis=1) & (np.linalg.norm(box, axis=1) <= 2 * tv)]
+            m_2t = np.array([table.value_at(2 * tv, 2 * x) for x in box])
+            reached = np.isfinite(m_2t)
+            ends, m_2t = box[reached], m_2t[reached]
+            if not len(ends):
                 raise _keyed(cfg, f"properties.surgery_t = {tv}: no integer x with "
                              f"0 < |x| <= {2 * tv} has m({2 * tv}, 0, 2x) finite",
                              "properties.surgery_t", "properties.surgery_samples")
-            gaps = []
-            for _ in range(n_samples):
-                while True:
-                    x = rng.integers(-int(2 * tv), int(2 * tv) + 1, size=2)
-                    if endpoint(x, tv):
-                        break
-                gamma = extract_minimizing_path(table, 2 * tv, 2 * x.astype(float))
-                tot += 1
+            m_t = np.array([table.value_at(tv, x) for x in ends])
+            gap_by_t[tv] = float(np.max(2 * m_t - m_2t))
+            for x in ends[rng.integers(len(ends), size=n_samples)]:
+                gamma = extract_minimizing_path(table, 2 * tv, 2 * x)
                 try:
-                    res = path_surgery(gamma, table)
-                    succ += 1
-                    gaps.append(res.lemma_gap)
-                    surgery_rows.append((tv, x.astype(float), res))
+                    surgery_rows.append((tv, x, path_surgery(gamma, table)))
                 except ResolutionError:
-                    continue
-            gap_by_t[tv] = max(gaps) if gaps else np.nan
+                    pass
         ts = sorted(gap_by_t)
         ok = all(gap_by_t[b] <= 1.25 * max(gap_by_t[a], 0.05) + 0.05
                  for a, b in zip(ts, ts[1:]))
         checks.append(PropertyCheck("lemma_gap_max", max(gap_by_t.values()),
                                     np.inf, ok))
-        rate = succ / max(tot, 1)
+        rate = len(surgery_rows) / (n_samples * len(t_vals))
         checks.append(PropertyCheck("surgery_success_rate", rate, 0.95,
                                     rate >= 0.95))
 

@@ -6,7 +6,7 @@ approximate-geodesic property; the gap f - m-bar is fitted against a
 logarithmic envelope.  These are measurements: every constant is reported,
 none is assumed.  The reached integer points and their values come from one
 enumeration, ``MetricTable.integer_cone``; a check with nothing to measure
-(too few points, no sampled pair under the horizon) raises DomainError
+(too few points, no pair under the horizon) raises DomainError
 rather than passing.
 """
 
@@ -36,41 +36,45 @@ class ApproximateGeodesic:
     step_bound: float
 
 
+def _pair_map(ks: np.ndarray, horizon_k: int):
+    """The ordered pairs (i, j) of reached points with ks[i] + ks[j] <=
+    horizon_k: their count, and the map from an index array over [0, count)
+    to the pair arrays (i, j).  ks is sorted, so the partners of point i are
+    the first c_i points, and index r is the r-th pair in (i, j) order."""
+    partners = np.searchsorted(ks, horizon_k - ks, side="right")
+    ends = np.cumsum(partners)
+
+    def pairs(r):
+        i = np.searchsorted(ends, r, side="right")
+        return i, r - ends[i] + partners[i]
+    return int(ends[-1]), pairs
+
+
 def check_subadditivity(table: MetricTable, sample_size: int = 1000,
                         rng: np.random.Generator | None = None) -> float:
-    """max over sampled pairs of reached points of f(z + w) - f(z) - f(w).
+    """max of f(z + w) - f(z) - f(w) over sample_size ordered pairs of reached
+    points, drawn uniformly from the pairs with k1 + k2 under the horizon.
 
     The lattice DP is exactly subadditive at integer points: a path to z
     followed by the integer translate of a path to w is a lattice path to
-    z + w, at the same cost by periodicity.  So a violation above roundoff
-    (the property suite gates at 1e-9) indicates a corrupted table.  A table
-    where no sampled pair fits under the horizon raises DomainError.
+    z + w, at the same cost by periodicity.  So z + w is reached, and a
+    violation above roundoff (the property suite gates at 1e-9) indicates a
+    corrupted table.  A table where no pair fits under the horizon raises
+    DomainError.
     """
     if rng is None:
         rng = np.random.default_rng(0)
     ks, zs, vals = table.integer_cone()
     if len(ks) < 2:
         raise DomainError("table has too few reached integer points")
-    horizon_k = int(round(table.horizon))
-    worst = -np.inf
-    tried = 0
-    attempts = 0
-    while tried < sample_size and attempts < 50 * sample_size:
-        attempts += 1
-        i1 = int(rng.integers(len(ks)))
-        i2 = int(rng.integers(len(ks)))
-        k = int(ks[i1] + ks[i2])
-        zs_sum = zs[i1] + zs[i2]
-        if k > horizon_k:
-            continue
-        fzw = table.value_at(float(k), zs_sum.astype(float))
-        if not np.isfinite(fzw):
-            continue
-        worst = max(worst, fzw - vals[i1] - vals[i2])
-        tried += 1
-    if tried == 0:
-        raise DomainError("no sampled pair fits under the table horizon")
-    return float(worst)
+    count, pairs = _pair_map(ks, int(round(table.horizon)))
+    if count == 0 or sample_size < 1:
+        raise DomainError(f"no pair to sample: {count} pairs of reached points fit "
+                          f"under the table horizon, sample_size = {sample_size}")
+    i, j = pairs(rng.integers(count, size=sample_size))
+    fzw = np.array([table.value_at(float(k), z.astype(float))
+                    for k, z in zip(ks[i] + ks[j], zs[i] + zs[j])])
+    return float(np.max(fzw - vals[i] - vals[j]))
 
 
 def check_linear_growth(table: MetricTable) -> float:

@@ -10,11 +10,10 @@ shift family, so failure of the grid search is treated as under-resolution.
 Every cyclic shift (the shifts ``find_crossing`` scores, the splice in
 ``path_surgery``) rotates increments through one routine,
 ``_rolled_increments``.  The crossing search scores every shift pair as one
-distance array and picks what a walk over the pairs in scan order would
-pick.  Shifts and the crossing step stay integer step counts; only
-``surgery_csv`` turns them into times.  The spliced path is costed by
-``metric.path_cost`` from its own increments (not from differences of its
-nodes).
+distance array and takes its least separation.  Shifts and the crossing
+step stay integer step counts; only ``surgery_csv`` turns them into times.
+The spliced path is costed by ``metric.path_cost`` from its own increments
+(not from differences of its nodes).
 """
 
 from __future__ import annotations
@@ -38,12 +37,6 @@ def _shifted(nodes: np.ndarray, m: int) -> np.ndarray:
     return np.vstack([nodes[0], nodes[0] + np.cumsum(_rolled_increments(nodes, m), axis=0)])
 
 
-def _walk(start: int, end: int, n: int) -> list:
-    """Shifts 0..n in scan order: start, then toward end, then away."""
-    up, down = list(range(start + 1, n + 1)), list(range(start - 1, -1, -1))
-    return [start] + (up + down if end >= start else down + up)
-
-
 @dataclass
 class Crossing:
     """Shift pair (m1, m2) and step j where the shifted paths meet, in steps."""
@@ -55,37 +48,28 @@ class Crossing:
 
 
 def find_crossing(eta1: np.ndarray, eta2: np.ndarray) -> Crossing:
-    """Search shift pairs (m1, m2) for a step j where the shifted paths meet.
+    """The shift pair (m1, m2) and step j where the shifted paths come
+    closest, ties broken by (m1, m2, j) order.
 
-    eta1 and eta2 are (n+1, 2) node arrays on one time lattice.  The scan
-    starts from the half-space-extremal shifts (second coordinate argmax of
-    eta1, argmin of eta2) and walks toward the opposite extremal
-    configuration, scoring each pair by the minimum separation over common
-    steps.  All pairs are scored at once; the pick is the first pair in
-    scan order whose separation is <= 1e-12, otherwise the first minimum.
-    A best separation above the longest step raises a resolution error.
+    eta1 and eta2 are (n+1, 2) node arrays on one time lattice.  All shift
+    pairs are scored at once, as one distance array over (m1, m2, j).  A least
+    separation above the longest step raises a resolution error.
     """
     if eta1.shape != eta2.shape:
         raise DomainError("paths must share the time lattice")
     n = len(eta1) - 1
     tolerance = max(np.linalg.norm(np.diff(eta, axis=0), axis=1).max()
                     for eta in (eta1, eta2)) + 1e-9
-
-    order1 = _walk(int(np.argmax(eta1[:, 1])), int(np.argmin(eta1[:, 1])), n)
-    order2 = _walk(int(np.argmin(eta2[:, 1])), int(np.argmax(eta2[:, 1])), n)
-    a1 = np.stack([_shifted(eta1, m) for m in order1])
-    a2 = np.stack([_shifted(eta2, m) for m in order2])
+    a1 = np.stack([_shifted(eta1, m) for m in range(n + 1)])
+    a2 = np.stack([_shifted(eta2, m) for m in range(n + 1)])
     dist = np.linalg.norm(a1[:, None] - a2[None, :], axis=-1)   # (m1, m2, j)
-    score = dist.min(axis=-1).ravel()
-    hits = np.flatnonzero(score <= 1e-12)
-    i1, i2 = divmod(int(hits[0]) if len(hits) else int(np.argmin(score)), n + 1)
-    j = int(np.argmin(dist[i1, i2]))
-    sep = float(dist[i1, i2, j])
+    m1, m2, j = (int(i) for i in np.unravel_index(np.argmin(dist), dist.shape))
+    sep = float(dist[m1, m2, j])
     if sep > tolerance:
         raise ResolutionError(
             f"no crossing within tolerance {tolerance:.3g} (best {sep:.3g}); "
             "refine the time lattice")
-    return Crossing(m1=order1[i1], m2=order2[i2], j=j, separation=sep)
+    return Crossing(m1=m1, m2=m2, j=j, separation=sep)
 
 
 @dataclass

@@ -288,6 +288,57 @@ def test_cli_properties_surgery_t_off_the_stored_layers_exit_code(tmp_path, caps
     assert not out.exists()
 
 
+def test_cli_properties_surgery_t_without_samples_exit_code(tmp_path, capsys, monkeypatch):
+    # surgery_t with no surgery samples used to be skipped with exit 0
+    cfg = _write(tmp_path, "n.cfg", SURGERY_CFG.format("7.5").replace(
+        "properties.surgery_samples = 1\n", ""))
+    _no_table(monkeypatch)
+    out = tmp_path / "out"
+    assert main(["properties", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    assert f"config error: {cfg}:8: properties.surgery_t needs properties.surgery_samples " \
+        ">= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+LEMMA_CFG = """dimension = 2
+potential.a0 = 3.0
+potential.terms = 1.0,1,0; 1.0,0,1
+grid.dt = 0.25
+grid.dx = 0.25
+grid.vmax = 4.0
+metric.horizon = 4.0
+properties.sample_size = 100
+properties.surgery_samples = 3
+properties.surgery_t = 1.0,2.0
+oracle.p_sample =
+seed = {}
+"""
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_cli_properties_lemma_gap_gate_reads_every_endpoint(tmp_path, capsys, monkeypatch,
+                                                            seed):
+    # m(2, 0, x) raised by 1 at the endpoint x = (1, 0) of t = 2 raises
+    # its lemma gap 2 m(2, 0, x) - m(4, 0, 2x) by 2: the non-growth gate
+    # fails whichever three endpoints the seed draws for surgery
+    import hjhom.harness as harness
+
+    def raised(*args, **kwargs):
+        table = compute_metric_table(*args, **kwargs)
+        layer, reach = table.layer(2.0)
+        layer[reach + 4, reach] += 1.0
+        return table
+
+    monkeypatch.setattr(harness, "compute_metric_table", raised)
+    cfg = _write(tmp_path, "l.cfg", LEMMA_CFG.format(seed))
+    out = tmp_path / "out"
+    assert main(["properties", "--config", cfg, "--out", str(out)]) == EXIT_PROPERTY
+    assert "lemma_gap_max" in capsys.readouterr().err.split("property checks failed: ")[1]
+    rows = {r.split(",")[0]: r.split(",")[1:]
+            for r in (out / "properties.csv").read_text().splitlines()[2:]}
+    assert float(rows["lemma_gap_max"][0]) > 2.0 and rows["lemma_gap_max"][2] == "0"
+
+
 def test_cli_rate_probe_eps_outside_the_sweep_exit_code(tmp_path, capsys, monkeypatch):
     # the probe compares the sweep's own solution at probe.eps with a finer one
     cfg = _write(tmp_path, "r.cfg", "dimension = 1\npotential.a0 = 1.0\n"
@@ -297,6 +348,43 @@ def test_cli_rate_probe_eps_outside_the_sweep_exit_code(tmp_path, capsys, monkey
     assert main(["rate", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
     assert f"config error: {cfg}:4: probe.eps = 0.125 is not one of sweep.eps" in \
         capsys.readouterr().err
+    assert not out.exists()
+
+
+# the up-front check that every target is a lattice node y/eps at every eps:
+# the sweep used to build the main table and the reference model, then fail
+# in the solver with no key
+@pytest.mark.parametrize("lines, lineno, message", [
+    (["targets.count = 10", "sweep.eps = 0.25,0.125"], 6,
+     "target y = [-1.55555556]: y/(eps dx) = [-99.55555556] is not an integer at eps = 0.25"),
+    (["sweep.eps = 0.75"], 6, "target y = [-2.]: y/(eps dx) = [-42.66666667] is not an "
+     "integer at eps = 0.75"),
+])
+def test_cli_rate_targets_off_the_lattice_exit_code(tmp_path, capsys, monkeypatch,
+                                                    lines, lineno, message):
+    cfg = _write(tmp_path, "y.cfg", "dimension = 1\npotential.a0 = 2.0\npotential.terms = "
+                 "1.0,1\ngrid.dt = 0.125\ngrid.dx = 0.0625\n" + "\n".join(lines) + "\n")
+    _no_table(monkeypatch)
+    out = tmp_path / "out"
+    assert main(["rate", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    assert f"config error: {cfg}:{lineno}: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# the initial data keys are reported at their lines
+@pytest.mark.parametrize("lines, lineno, message", [
+    (["u0.family = affine", "u0.p = 1.0,2.0"], 6, "u0.p needs 1 components"),
+    (["u0.family = bumps", "u0.bumps = 1.0,0.5"], 6, "each bump is amplitude,c1..cd,width"),
+    (["u0.family = sine"], 5, "unknown u0.family 'sine'"),
+])
+def test_cli_rate_initial_data_errors_carry_their_line(tmp_path, capsys, monkeypatch,
+                                                       lines, lineno, message):
+    cfg = _write(tmp_path, "u.cfg", "dimension = 1\npotential.a0 = 1.0\n"
+                 "sweep.eps = 0.5\ngrid.dx = 0.25\n" + "\n".join(lines) + "\n")
+    _no_table(monkeypatch)
+    out = tmp_path / "out"
+    assert main(["rate", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    assert f"config error: {cfg}:{lineno}: {message}" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -455,7 +543,8 @@ def test_cli_effective_rejects_momentum_grid_without_nodes(tmp_path, capsys):
                  "effective.p_box = 0.05\neffective.p_step = 0.25\n")
     out = tmp_path / "out"
     assert main(["effective", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
-    assert "effective.p_box must be at least" in capsys.readouterr().err
+    assert f"config error: {cfg}:3: effective.p_box must be at least effective.p_step / 2" \
+        in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -10,6 +10,7 @@ from hjhom import (
 )
 from hjhom.effective import build_effective_model
 from hjhom.properties import (
+    _pair_map,
     check_linear_growth,
     check_subadditivity,
     extract_approximate_geodesic,
@@ -189,5 +190,34 @@ def test_integer_cone_and_growth_match_pointwise_reference(lagr, kw):
 def test_subadditivity_raises_when_no_pair_fits():
     # horizon 1: every pair of cone points has k1 + k2 = 2 > 1
     table = free_table(horizon=1.0)
-    with pytest.raises(DomainError, match="no sampled pair"):
+    with pytest.raises(DomainError, match="no pair to sample: 0 pairs"):
         check_subadditivity(table, sample_size=50)
+
+
+# step radius 6.6: the reach polygon leaves integer cone points +inf
+REACH_POLYGON = dict(horizon=3.0, dt=0.25, dx=0.125, vmax=3.3, keep="integers")
+
+
+def test_subadditivity_pair_map_is_a_bijection_onto_admissible_pairs():
+    table = compute_metric_table(OSC2, **REACH_POLYGON)
+    ks, _, _ = table.integer_cone()
+    count, pairs = _pair_map(ks, 3)
+    i, j = pairs(np.arange(count))
+    want = [(a, b) for a in range(len(ks)) for b in range(len(ks)) if ks[a] + ks[b] <= 3]
+    assert list(zip(i.tolist(), j.tolist())) == want
+
+
+def test_subadditivity_pairs_reach_their_sum():
+    # every pair the sampler can draw has z + w reached at k1 + k2, also where
+    # the reach polygon leaves cone points unreached
+    table = compute_metric_table(OSC2, **REACH_POLYGON)
+    ks, zs, vals = table.integer_cone()
+    cone = [(k, a, b) for k in (1, 2, 3) for a in range(-9, 10) for b in range(-9, 10)
+            if a * a + b * b <= (3.3 * k) ** 2]
+    assert len(ks) < len(cone)
+    count, pairs = _pair_map(ks, 3)
+    i, j = pairs(np.arange(count))
+    fzw = [table.value_at(float(k), z.astype(float))
+           for k, z in zip(ks[i] + ks[j], zs[i] + zs[j])]
+    assert np.all(np.isfinite(fzw))
+    assert check_subadditivity(table, 500, np.random.default_rng(4)) <= 1e-9

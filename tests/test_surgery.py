@@ -147,56 +147,27 @@ def test_surgery_csv(tmp_path):
         assert [float(f) for f in line.split(",")[5:8]] == [k * table.dt for k in want]
 
 
-def _find_crossing_walk(eta1, eta2):
-    """Reference: the scan as a walk over shift pairs, stopping at the first
-    pair within 1e-12, else keeping the first strict minimum.  Returns the
-    crossing and the midpoint of the two shifted paths at its step."""
+def _least_separation(eta1, eta2):
+    """Reference: the least separation of the shifted paths, by loops over
+    every shift pair and step, the first in (m1, m2, j) order on ties, and
+    the tolerance (longest step + 1e-9) find_crossing holds it to."""
     n = len(eta1) - 1
-    step1 = np.linalg.norm(np.diff(eta1, axis=0), axis=1).max()
-    step2 = np.linalg.norm(np.diff(eta2, axis=0), axis=1).max()
-    tolerance = max(step1, step2) + 1e-9
+    tolerance = max(np.linalg.norm(np.diff(eta, axis=0), axis=1).max()
+                    for eta in (eta1, eta2)) + 1e-9
 
     def shifted(path, m):
         inc = np.roll(np.diff(path, axis=0), -m, axis=0)
         return np.vstack([path[0], path[0] + np.cumsum(inc, axis=0)])
 
-    shifted1 = {m: shifted(eta1, m) for m in range(n + 1)}
-    shifted2 = {m: shifted(eta2, m) for m in range(n + 1)}
-    second1, second2 = eta1[:, 1], eta2[:, 1]
-    start1, end1 = int(np.argmax(second1)), int(np.argmin(second1))
-    start2, end2 = int(np.argmin(second2)), int(np.argmax(second2))
-
-    def walk(start, end, keys):
-        keys = sorted(keys)
-        si = min(range(len(keys)), key=lambda i: abs(keys[i] - start))
-        left, right = keys[:si][::-1], keys[si + 1:]
-        return [keys[si]] + (right + left if end >= start else left + right)
-
     best = None
-    for m1 in walk(start1, end1, shifted1.keys()):
-        a1 = shifted1[m1]
-        for m2 in walk(start2, end2, shifted2.keys()):
-            dist = np.linalg.norm(a1 - shifted2[m2], axis=1)
-            j = int(np.argmin(dist))
-            if best is None or dist[j] < best[0]:
-                mid = 0.5 * (a1[j] + shifted2[m2][j])
-                best = (float(dist[j]), m1, m2, j, mid)
-                if best[0] <= 1e-12:
-                    break
-        else:
-            continue
-        break
-    sep, m1, m2, j, mid = best
-    if sep > tolerance:
-        raise ResolutionError("no crossing")
-    return Crossing(m1=m1, m2=m2, j=j, separation=sep), mid
-
-
-def _crossing_or_error(eta1, eta2, fn):
-    try:
-        return fn(eta1, eta2)
-    except ResolutionError:
-        return None
+    for m1 in range(n + 1):
+        for m2 in range(n + 1):
+            diff = shifted(eta1, m1) - shifted(eta2, m2)
+            for j in range(n + 1):
+                sep = float(np.sqrt(np.sum(diff[j] * diff[j])))
+                if best is None or sep < best.separation:
+                    best = Crossing(m1=m1, m2=m2, j=j, separation=sep)
+    return best, tolerance
 
 
 def _random_pairs():
@@ -222,17 +193,15 @@ def _random_pairs():
     yield np.zeros((9, 2)), np.zeros((9, 2))
 
 
-def test_find_crossing_matches_walk_reference():
+def test_find_crossing_matches_brute_force_minimum():
     exact = errors = 0
     for eta1, eta2 in _random_pairs():
-        got = _crossing_or_error(eta1, eta2, find_crossing)
-        want = _crossing_or_error(eta1, eta2, _find_crossing_walk)
-        assert (got is None) == (want is None)
-        if want is None:
+        want, tolerance = _least_separation(eta1, eta2)
+        if want.separation > tolerance:
             errors += 1
+            with pytest.raises(ResolutionError, match="no crossing within tolerance"):
+                find_crossing(eta1, eta2)
             continue
-        want, mid = want
         exact += want.separation == 0.0
-        assert got == want
-        np.testing.assert_array_equal(witness(eta1, eta2, got), mid)
+        assert find_crossing(eta1, eta2) == want
     assert exact >= 10 and errors >= 1
