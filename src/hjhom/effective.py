@@ -18,7 +18,7 @@ import numpy as np
 from .errors import ConfigurationError, DomainError, HorizonError, UnreachableError
 from .legendre import VELOCITY_DOMAIN, ConvexFunctionTable, LagrangianField, conjugate
 from .metric import MetricTable, _offsets, check_reach, compute_metric_table
-from .util import grid_points, write_rows
+from .util import as_int_exact, grid_points, is_whole, write_rows
 
 
 @dataclass
@@ -93,8 +93,7 @@ def build_effective_model(lagrangian: LagrangianField,
     threads: the thread count of the table built when none is given.
     """
     d = lagrangian.dimension
-    q = next((b for b in range(1, int(n_max) + 1)
-              if abs(b * v_step - round(b * v_step)) <= 1e-9), None)
+    q = next((b for b in range(1, int(n_max) + 1) if is_whole(b * v_step)), None)
     if q is None:
         raise HorizonError(f"v_step = {v_step} has no denominator b <= n_max = "
                            f"{n_max}: its rays start past the table horizon")
@@ -152,9 +151,7 @@ def cell_problem_oracle(lagrangian: LagrangianField, p, t_long: float = 128.0,
     p = np.atleast_1d(np.asarray(p, dtype=float))
     if p.shape != (d,):
         raise DomainError(f"p must have {d} components")
-    big_m = int(round(1.0 / dx))
-    if abs(big_m * dx - 1.0) > 1e-9:
-        raise ConfigurationError("dx must divide 1")
+    big_m = as_int_exact(1.0 / dx, "1/dx")
     check_reach(vmax, dt, dx)   # with only the zero step it would return -V(0)
     n_steps = int(round(t_long / dt))
     if n_steps < 4:

@@ -36,29 +36,26 @@ from .solver import (
     zero_data,
 )
 from .surgery import path_surgery, surgery_csv
-from .util import format_float, grid_points, write_rows
+from .util import format_float, grid_points, is_whole, write_rows
 
 
 def u0_from_config(cfg: Config, dimension: int) -> InitialData:
-    family = cfg.get_str("u0.family", "cone")
+    family = cfg.get("u0.family", "cone")
     if family == "cone":
-        return cone_data(dimension, cfg.get_float("u0.scale", 1.0))
+        return cone_data(dimension, cfg.get("u0.scale", 1.0))
     if family == "affine":
-        p = cfg.get_floats("u0.p", [1.0] * dimension)
+        p = cfg.get("u0.p", [1.0] * dimension)
         if len(p) != dimension:
             raise ConfigError(f"{cfg.where('u0.p')}: u0.p needs {dimension} components")
         return affine_data(p)
     if family == "zero":
         return zero_data(dimension)
-    if family == "bumps":
-        bumps = []
-        for vec in cfg.get_vectors("u0.bumps", []):
-            if len(vec) != dimension + 2:
-                raise ConfigError(f"{cfg.where('u0.bumps')}: each bump is "
-                                  "amplitude,c1..cd,width")
-            bumps.append((vec[0], vec[1:-1], vec[-1]))
-        return bump_data(dimension, bumps)
-    raise ConfigError(f"{cfg.where('u0.family')}: unknown u0.family {family!r}")
+    bumps = []
+    for vec in cfg.get("u0.bumps", []):
+        if len(vec) != dimension + 2:
+            raise _keyed(cfg, "each bump is amplitude,c1..cd,width", "u0.bumps")
+        bumps.append((vec[0], vec[1:-1], vec[-1]))
+    return bump_data(dimension, bumps)
 
 
 def target_set(dimension: int, count: int, radius: float, step: float) -> np.ndarray:
@@ -80,20 +77,11 @@ def target_set(dimension: int, count: int, radius: float, step: float) -> np.nda
 
 
 def _grids(cfg: Config, lagrangian, max_ratio: float):
-    """grid.dt, grid.dx and grid.vmax (default: the speed cap for max_ratio),
-    checked at their lines before any table is built: 1/dt and 1/dx are
-    integers and vmax dt >= dx."""
-    dt = cfg.get_float("grid.dt", 0.125)
-    dx = cfg.get_float("grid.dx", 0.125)
-    for key, step in (("grid.dt", dt), ("grid.dx", dx)):
-        if not 0 < step <= 1:
-            raise ConfigError(f"{cfg.where(key)}: {key} = {step} is not in (0, 1]")
-        if abs(1.0 / step - round(1.0 / step)) > 1e-9:
-            raise ConfigError(f"{cfg.where(key)}: 1/{key[5:]} = {1.0 / step} "
-                              "is not an integer")
-    vmax = cfg.get_float("grid.vmax")
-    if vmax is None:
-        vmax = default_speed_cap(lagrangian, max_ratio)
+    """grid.dt, grid.dx and grid.vmax (default: the speed cap for max_ratio);
+    vmax dt >= dx is checked at their lines before any table is built."""
+    dt = cfg.get("grid.dt", 0.125)
+    dx = cfg.get("grid.dx", 0.125)
+    vmax = cfg.get("grid.vmax") or default_speed_cap(lagrangian, max_ratio)
     # the default cap is at least 4 and the default steps 1/8, so a failing
     # check has one of these keys set
     return dt, dx, _reachable(cfg, vmax, dt, dx, "grid.vmax", "grid.dx", "grid.dt")
@@ -104,6 +92,23 @@ def _keyed(cfg: Config, exc: Exception | str, *keys) -> ConfigError:
     the config sets."""
     key = next(k for k in keys if k in cfg.entries)
     return ConfigError(f"{cfg.where(key)}: {exc}")
+
+
+def _whole(cfg: Config, a: float, b: float, a_key: str, b_key: str, *keys,
+           least: int = 1) -> int:
+    """a / b, the values of a_key and b_key, as a whole number >= least; else a
+    ConfigError at the first of a_key, b_key and ``keys`` that the config sets."""
+    if not (is_whole(a / b) and round(a / b) >= least):
+        raise _keyed(cfg, f"{a_key} / {b_key} = {a} / {b} = {a / b} is not a whole "
+                     f"number >= {least}", a_key, b_key, *keys)
+    return round(a / b)
+
+
+def _velocity_box(cfg: Config, v_box: float, v_step: float) -> tuple:
+    """effective.v_box and effective.v_step (defaults v_box, v_step), a whole ratio."""
+    v_box, v_step = cfg.get("effective.v_box", v_box), cfg.get("effective.v_step", v_step)
+    _whole(cfg, v_box, v_step, "effective.v_box", "effective.v_step")
+    return v_box, v_step
 
 
 def _reachable(cfg: Config, vmax: float, dt: float, dx: float, *keys) -> float:
@@ -120,9 +125,9 @@ def _reachable(cfg: Config, vmax: float, dt: float, dx: float, *keys) -> float:
 def _effective_model(cfg: Config, lagr, v_box: float, v_step: float,
                      dt: float, dx: float, vmax: float, table=None,
                      threads: int = 1):
-    """The effective model from the effective.* keys.  v_box is the
-    command's resolved effective.v_box, v_step its effective.v_step default,
-    vmax the resolved effective.vmax.  HorizonError is reported at
+    """The effective model from the effective.* keys.  v_box and v_step are
+    the command's resolved effective.v_box and effective.v_step, vmax the
+    resolved effective.vmax.  HorizonError is reported at
     effective.v_step's line when that key is set, else at effective.n_max's
     (the defaults never raise it).  A ray the lattice does not reach is
     reported at effective.vmax's line, else at effective.v_box's.
@@ -131,8 +136,7 @@ def _effective_model(cfg: Config, lagr, v_box: float, v_step: float,
     from it when vmax is the table's vmax and the table's horizon reaches
     effective.n_max; otherwise it builds its own on ``threads`` threads.
     """
-    v_step = cfg.get_float("effective.v_step", v_step)
-    n_max = cfg.get_int("effective.n_max", 8)
+    n_max = cfg.get("effective.n_max", 8)
     if table is not None and (table.vmax != vmax or table.horizon < n_max):
         table = None
     try:
@@ -149,7 +153,7 @@ def _effective_model(cfg: Config, lagr, v_box: float, v_step: float,
 def _reject(cfg: Config, keys, needs: str) -> None:
     """A set key a command would skip is an error, not a silent no-op."""
     for key in keys:
-        if cfg.get_str(key) is not None:
+        if key in cfg.entries:
             raise ConfigError(f"{cfg.where(key)}: {key} needs {needs}")
 
 
@@ -169,8 +173,9 @@ def _profile(table) -> list:
 def run_metric(cfg: Config, out_dir, verbose: bool = False):
     spec, _ = spec_from_config(cfg)
     lagr = build_lagrangian(spec)
-    horizon = cfg.get_float("metric.horizon", 4.0)
+    horizon = cfg.get("metric.horizon", 4.0)
     dt, dx, vmax = _grids(cfg, lagr, 2.0)
+    _whole(cfg, horizon, dt, "metric.horizon", "grid.dt")
     table = compute_metric_table(lagr, horizon=horizon, dt=dt, dx=dx, vmax=vmax,
                                  keep="all")
     os.makedirs(out_dir, exist_ok=True)
@@ -190,17 +195,15 @@ def run_metric(cfg: Config, out_dir, verbose: bool = False):
 def run_effective(cfg: Config, out_dir, verbose: bool = False):
     spec, _ = spec_from_config(cfg)
     lagr = build_lagrangian(spec)
-    v_box = cfg.get_float("effective.v_box", 4.0)
+    v_box, v_step = _velocity_box(cfg, 4.0, 0.25)
     # the momentum grid of the written Hbar table
-    p_box = cfg.get_float("effective.p_box", v_box / 2.0 + 1.0)
-    p_half = int(round(p_box / cfg.get_float("effective.p_step", 0.125)))
-    if p_half < 1:
-        raise _keyed(cfg, "effective.p_box must be at least effective.p_step / 2",
-                     "effective.p_box", "effective.p_step", "effective.v_box")
+    p_box = cfg.get("effective.p_box", v_box / 2.0 + 1.0)
+    p_half = _whole(cfg, p_box, cfg.get("effective.p_step", 0.125), "effective.p_box",
+                    "effective.p_step", "effective.v_box")
     p_axes = (np.linspace(-p_box, p_box, 2 * p_half + 1),) * spec.dimension
     dt, dx, vmax = _grids(cfg, lagr, v_box * np.sqrt(spec.dimension))
-    vmax = _reachable(cfg, cfg.get_float("effective.vmax", vmax), dt, dx, "effective.vmax")
-    model = _effective_model(cfg, lagr, v_box, 0.25, dt, dx, vmax)
+    vmax = _reachable(cfg, cfg.get("effective.vmax", vmax), dt, dx, "effective.vmax")
+    model = _effective_model(cfg, lagr, v_box, v_step, dt, dx, vmax)
     hbar = conjugate(model.lagrangian_table, grid_points(p_axes))
     htab = ConvexFunctionTable(p_axes, hbar.reshape([len(a) for a in p_axes]),
                                MOMENTUM_DOMAIN)
@@ -223,40 +226,39 @@ def run_rate_sweep(cfg: Config, out_dir, threads: int = 1,
     spec, _ = spec_from_config(cfg)
     lagr = build_lagrangian(spec)
     d = spec.dimension
-    eps_list = cfg.get_floats("sweep.eps")
-    if not eps_list:
-        raise ConfigError("sweep.eps is required for rate runs")
-    eps_list = sorted(set(eps_list), reverse=True)
-    t = cfg.get_float("sweep.t", 1.0)
-    count = cfg.get_int("targets.count", 33)
+    eps_list = sorted(set(cfg.get("sweep.eps", required=True)), reverse=True)
+    t = cfg.get("sweep.t", 1.0)
     radius = 2.0 * t
     u0 = u0_from_config(cfg, d)
 
-    v_box = cfg.get_float("effective.v_box", radius / t + 2.0)
+    v_box, v_step = _velocity_box(cfg, radius / t + 2.0, 0.25)
     max_ratio = max(v_box * np.sqrt(d), radius / t + u0.lipschitz)
     dt, dx, vmax = _grids(cfg, lagr, max_ratio)
     # effective.vmax caps the reference model's half-step lattice
-    model_vmax = _reachable(cfg, cfg.get_float("effective.vmax", vmax), dt / 2, dx / 2,
+    model_vmax = _reachable(cfg, cfg.get("effective.vmax", vmax), dt / 2, dx / 2,
                             "effective.vmax")
-    probe_eps = cfg.get_float("probe.eps", min(eps_list))
+    probe_eps = cfg.get("probe.eps", min(eps_list))
     if probe_eps not in eps_list:
-        raise ConfigError(f"{cfg.where('probe.eps')}: probe.eps = {probe_eps} "
-                          "is not one of sweep.eps")
-    targets = target_set(d, count, radius, dx)
+        raise _keyed(cfg, f"probe.eps = {probe_eps} is not one of sweep.eps", "probe.eps")
+    targets = target_set(d, cfg.get("targets.count", 33), radius, dx)
     for eps in eps_list:
-        # solve_oscillatory reads u_eps(t, y) at the dx-lattice node y/eps
+        # solve_oscillatory reads u_eps(t, y) at the dx-lattice node y/eps of
+        # the layer t/eps, and only integer-time layers are kept
         for y in targets:
             j = y / (eps * dx)
             if np.max(np.abs(j - np.round(j))) > 1e-9:
                 raise _keyed(cfg, f"target y = {y}: y/(eps dx) = {j} is not an "
                              f"integer at eps = {eps}", "targets.count", "sweep.eps")
+        _whole(cfg, t, eps, "sweep.t", "sweep.eps")
+    if len(eps_list) < 2:
+        raise _keyed(cfg, "a rate fit needs at least two distinct sweep.eps", "sweep.eps")
 
     horizon = t / min(eps_list)
     table = compute_metric_table(lagr, horizon=horizon, dt=dt, dx=dx, vmax=vmax,
                                  keep="integers", threads=threads)
     # reference effective solution from the double-resolution model; its
     # speed cap covers the velocity box corners, not just the sweep targets
-    model_ref = _effective_model(cfg, lagr, v_box, 0.25, dt / 2, dx / 2, model_vmax,
+    model_ref = _effective_model(cfg, lagr, v_box, v_step, dt / 2, dx / 2, model_vmax,
                                  threads=threads)
     u_bar = solve_effective(u0, model_ref, t, targets)
     sols = {eps: solve_oscillatory(u0, lagr, eps, t, targets, table=table).values
@@ -308,38 +310,39 @@ def run_property_suite(cfg: Config, out_dir, verbose: bool = False):
     spec, _ = spec_from_config(cfg)
     lagr = build_lagrangian(spec)
     d = spec.dimension
-    p_sample = cfg.get_vectors("oracle.p_sample", [[0.0] * d])
-    directions = cfg.get_vectors("properties.directions")
+    p_sample = cfg.get("oracle.p_sample", [[0.0] * d])
+    directions = cfg.get("properties.directions")
     _reject(cfg, HBAR_KEYS, "the effective command")
     if not p_sample:
         _reject(cfg, ORACLE_KEYS, "a non-empty oracle.p_sample")
     if d != 2:
         _reject(cfg, ("properties.surgery_samples", "properties.surgery_t"),
                 f"dimension = 2, not {d}")
-    n_samples = cfg.get_int("properties.surgery_samples", 0) if d == 2 else 0
+    n_samples = cfg.get("properties.surgery_samples", 0)   # unset unless d = 2, see above
     if n_samples < 1:
         _reject(cfg, ("properties.surgery_t",), "properties.surgery_samples >= 1")
-    rng = np.random.default_rng(cfg.get_int("seed", 0))
-    horizon = cfg.get_float("metric.horizon", 8.0)
+    rng = np.random.default_rng(cfg.get("seed", 0))
+    horizon = cfg.get("metric.horizon", 8.0)
     dt, dx, vmax = _grids(cfg, lagr, 3.0)
+    _whole(cfg, horizon, dt, "metric.horizon", "grid.dt")
     if p_sample:
-        model_vmax = _reachable(cfg, cfg.get_float("effective.vmax", vmax), dt, dx,
+        v_box, v_step = _velocity_box(cfg, 2.5, 0.5)
+        model_vmax = _reachable(cfg, cfg.get("effective.vmax", vmax), dt, dx,
                                 "effective.vmax")
-        oracle_vmax = _reachable(cfg, cfg.get_float("oracle.vmax", vmax), dt, dx,
-                                 "oracle.vmax")
-    t_vals = cfg.get_floats("properties.surgery_t", [2.0])
-    for tv in t_vals if n_samples > 0 else ():
+        oracle_vmax = _reachable(cfg, cfg.get("oracle.vmax", vmax), dt, dx, "oracle.vmax")
+        t_long = cfg.get("oracle.t_long", 128.0)
+        _whole(cfg, t_long, dt, "oracle.t_long", "grid.dt", least=4)
+    t_vals = cfg.get("properties.surgery_t", [2.0])
+    if n_samples > 0 and 2 * max(t_vals) > horizon:
         # surgery splits a path to (2t, 2x) at the integer point (t, x)
-        if tv != round(tv) or tv < 1 or 2 * tv > horizon:
-            raise _keyed(cfg, f"properties.surgery_t = {tv} is not an integer in [1, "
-                         f"{horizon / 2}]", "properties.surgery_t", "metric.horizon")
+        raise _keyed(cfg, f"properties.surgery_t = {max(t_vals)}: 2t exceeds "
+                     f"metric.horizon = {horizon}", "properties.surgery_t", "metric.horizon")
     table = compute_metric_table(lagr, horizon=horizon, dt=dt, dx=dx, vmax=vmax,
                                  keep="all")
     checks: list[PropertyCheck] = []
 
     # the lattice DP is subadditive at integer points up to roundoff
-    worst = check_subadditivity(table, cfg.get_int("properties.sample_size", 1000),
-                                rng)
+    worst = check_subadditivity(table, cfg.get("properties.sample_size", 1000), rng)
     checks.append(PropertyCheck("subadditivity_max_violation", worst, 1e-9,
                                 worst <= 1e-9))
 
@@ -349,14 +352,12 @@ def run_property_suite(cfg: Config, out_dir, verbose: bool = False):
 
     # oracle agreement on the configured momentum sample
     if p_sample:
-        model = _effective_model(cfg, lagr, cfg.get_float("effective.v_box", 2.5), 0.5,
-                                 dt, dx, model_vmax, table=table)
-        tol = cfg.get_float("oracle.tol", 0.05)
+        model = _effective_model(cfg, lagr, v_box, v_step, dt, dx, model_vmax, table=table)
+        tol = cfg.get("oracle.tol", 0.05)
         worst_dev = 0.0
         for p in p_sample:
             est = cell_problem_oracle(
-                lagr, p, t_long=cfg.get_float("oracle.t_long", 128.0),
-                dt=dt, dx=dx, vmax=oracle_vmax)
+                lagr, p, t_long=t_long, dt=dt, dx=dx, vmax=oracle_vmax)
             worst_dev = max(worst_dev, abs(model.hamiltonian_bar(p) - est))
         checks.append(PropertyCheck("oracle_agreement", worst_dev, tol,
                                     worst_dev <= tol))

@@ -46,7 +46,7 @@ import numpy as np
 
 from .errors import ConfigurationError, UnreachableError
 from .legendre import LagrangianField
-from .util import as_int_exact, format_float, grid_points, write_rows
+from .util import as_int_exact, format_float, grid_points, is_whole, write_rows
 
 
 # A layer whose frame has at least this many cells is relaxed in row bands,
@@ -142,7 +142,7 @@ class MetricTable:
         parts = [(np.zeros(0, int), np.zeros((0, self.dimension), int), np.zeros(0))]
         for pos, k in enumerate(self.layer_times):
             t = k * self.dt
-            if abs(t - round(t)) > 1e-9 or round(t) == 0:
+            if not is_whole(t) or round(t) == 0:
                 continue
             reach = self.reaches[pos]
             view = self.layers[pos][(slice(reach % big_m, None, big_m),) * self.dimension]

@@ -59,13 +59,17 @@ def golden_minimize(fun, lo, hi, iters: int) -> tuple[np.ndarray, np.ndarray]:
     return xm, fun(xm)
 
 
+def is_whole(x: float) -> bool:
+    """x is finite and |x - round(x)| <= 1e-9."""
+    return abs(x) < np.inf and abs(x - round(x)) <= 1e-9
+
+
 def as_int_exact(x: float, name: str) -> int:
-    """Cast to int, requiring |x - round(x)| <= 1e-9."""
-    r = round(float(x))
-    if abs(float(x) - r) > 1e-9:
+    """Cast to int, requiring is_whole(x)."""
+    if not is_whole(float(x)):
         from .errors import ConfigurationError
         raise ConfigurationError(f"{name} = {x} is not an integer")
-    return int(r)
+    return round(float(x))
 
 
 def grid_points(axes) -> np.ndarray:

@@ -14,7 +14,7 @@ from hjhom import (
     spec_from_config,
 )
 from hjhom.cli import EXIT_CONFIG, EXIT_OK, EXIT_PROPERTY, main
-from hjhom.config import KNOWN_KEYS
+from hjhom.config import KEYS, KNOWN_KEYS
 
 GOOD = """
 # oscillatory 1-d family
@@ -33,9 +33,9 @@ def test_parse_good_config():
     cfg = parse_config_text(GOOD, "good.cfg")
     assert cfg.get_int("dimension") == 1
     assert cfg.get_float("potential.a0") == 2.0
-    assert cfg.get_terms("potential.terms") == [(1.0, (1,))]
+    assert cfg.get("potential.terms") == [(1.0, (1,))]
     assert cfg.get_floats("sweep.eps") == [0.25, 0.125]
-    assert cfg.get_str("missing", "fallback") == "fallback"
+    assert cfg.get("u0.family", "fallback") == "fallback"
 
 
 def test_parse_reports_line_numbers():
@@ -51,15 +51,13 @@ def test_parse_rejects_duplicates():
 
 
 def test_bad_number_carries_line():
-    cfg = parse_config_text("dimension = one\n", "x.cfg")
     with pytest.raises(ConfigError, match=r"x\.cfg:1"):
-        cfg.get_int("dimension")
+        parse_config_text("dimension = one\n", "x.cfg")
 
 
 def test_bad_term_carries_line():
-    cfg = parse_config_text("dimension = 1\npotential.terms = 1.0,half\n", "y.cfg")
     with pytest.raises(ConfigError, match=r"y\.cfg:2"):
-        cfg.get_terms("potential.terms")
+        parse_config_text("dimension = 1\npotential.terms = 1.0,half\n", "y.cfg")
 
 
 def test_spec_from_config_normalizes():
@@ -150,7 +148,7 @@ potential.terms = 1.0,1
 grid.dt = 0.25
 grid.dx = 0.25
 grid.vmax = 4.0
-sweep.eps = 0.5
+sweep.eps = 0.5,0.25
 effective.n_max = 2
 """)
     out = tmp_path / "out"
@@ -172,6 +170,7 @@ grid.dt = 0.25
 grid.dx = 0.25
 effective.v_box = 0.6
 effective.v_step = 0.3
+effective.p_step = 0.1
 """)
     out = tmp_path / "out"
     assert main(["effective", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
@@ -182,9 +181,9 @@ effective.v_step = 0.3
 
 # library-level configuration errors exit 2 as a parse error does
 @pytest.mark.parametrize("line, message", [
-    ("grid.dt = 0.3", "1/dt = 3.3333333333333335 is not an integer"),
+    ("grid.dt = 0.3", "grid.dt = '0.3' is not 1/n for an integer n >= 1"),
     ("grid.vmax = 0.5", "vmax*dt = 0.0625 < dx = 0.25"),
-    ("grid.dt = 0", "grid.dt = 0.0 is not in (0, 1]"),
+    ("grid.dt = 0", "grid.dt = '0' is not 1/n for an integer n >= 1"),
 ])
 def test_cli_configuration_error_exit_code(tmp_path, capsys, line, message):
     cfg = _write(tmp_path, "c.cfg", "dimension = 1\npotential.a0 = 1.0\n"
@@ -288,9 +287,20 @@ def test_cli_properties_surgery_t_off_the_stored_layers_exit_code(tmp_path, caps
     assert not out.exists()
 
 
+def test_cli_properties_surgery_t_not_an_integer_exit_code(tmp_path, capsys):
+    # 7.5 is out of range whether or not surgery samples are set
+    cfg = _write(tmp_path, "n.cfg", SURGERY_CFG.format("7.5").replace(
+        "properties.surgery_samples = 1\n", ""))
+    out = tmp_path / "out"
+    assert main(["properties", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    assert f"config error: {cfg}:8: properties.surgery_t = '7.5' is not a comma list of " \
+        "integers >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_properties_surgery_t_without_samples_exit_code(tmp_path, capsys, monkeypatch):
     # surgery_t with no surgery samples used to be skipped with exit 0
-    cfg = _write(tmp_path, "n.cfg", SURGERY_CFG.format("7.5").replace(
+    cfg = _write(tmp_path, "n.cfg", SURGERY_CFG.format("1.0").replace(
         "properties.surgery_samples = 1\n", ""))
     _no_table(monkeypatch)
     out = tmp_path / "out"
@@ -375,7 +385,7 @@ def test_cli_rate_targets_off_the_lattice_exit_code(tmp_path, capsys, monkeypatc
 @pytest.mark.parametrize("lines, lineno, message", [
     (["u0.family = affine", "u0.p = 1.0,2.0"], 6, "u0.p needs 1 components"),
     (["u0.family = bumps", "u0.bumps = 1.0,0.5"], 6, "each bump is amplitude,c1..cd,width"),
-    (["u0.family = sine"], 5, "unknown u0.family 'sine'"),
+    (["u0.family = sine"], 5, "u0.family = 'sine' is not one of cone, affine, zero, bumps"),
 ])
 def test_cli_rate_initial_data_errors_carry_their_line(tmp_path, capsys, monkeypatch,
                                                        lines, lineno, message):
@@ -385,6 +395,64 @@ def test_cli_rate_initial_data_errors_carry_their_line(tmp_path, capsys, monkeyp
     out = tmp_path / "out"
     assert main(["rate", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
     assert f"config error: {cfg}:{lineno}: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# one changed key each, on configs that otherwise pass every check: each
+# exits 2 at that key's line before any table is built.  Before the key
+# registry these crashed with a traceback, failed after every table, exited 2
+# or 4 naming no key, or exited 0 on a grid other than the one asked for
+RATE_KEYS = {"dimension": "1", "potential.a0": "2.0", "potential.terms": "1.0,1",
+             "grid.dt": "0.125", "grid.dx": "0.0625", "grid.vmax": "4.0",
+             "sweep.eps": "0.5,0.25"}
+EFFECTIVE_KEYS = {"dimension": "1", "potential.a0": "1.0", "grid.dt": "0.25",
+                  "grid.dx": "0.25", "grid.vmax": "4.0", "effective.v_box": "1.0",
+                  "effective.v_step": "0.5", "effective.n_max": "2"}
+METRIC_KEYS = {"dimension": "1", "potential.a0": "1.0", "grid.dt": "0.25",
+               "grid.dx": "0.25", "grid.vmax": "3.0"}
+PROPERTIES_KEYS = {"dimension": "2", "potential.a0": "3.0",
+                   "potential.terms": "1.0,1,0; 1.0,0,1", "grid.dt": "0.25",
+                   "grid.dx": "0.25", "grid.vmax": "4.0", "metric.horizon": "4.0",
+                   "properties.sample_size": "100", "properties.surgery_samples": "3",
+                   "properties.surgery_t": "1.0,2.0", "oracle.p_sample": "0.0,0.0"}
+
+
+@pytest.mark.parametrize("command, keys, line", [
+    # the registry: a value outside its key's range
+    ("rate", RATE_KEYS, "sweep.t = 0"),
+    ("rate", RATE_KEYS, "sweep.t = -1"),
+    ("rate", RATE_KEYS, "sweep.eps = 2.0,1.0"),
+    ("rate", RATE_KEYS, "sweep.eps = 0.5,-0.25"),
+    ("rate", RATE_KEYS, "targets.count = 0"),
+    ("rate", RATE_KEYS, "targets.count = -3"),
+    ("effective", EFFECTIVE_KEYS, "effective.p_step = 0"),
+    ("effective", EFFECTIVE_KEYS, "effective.v_step = 0"),
+    ("effective", EFFECTIVE_KEYS, "effective.v_step = -0.25"),
+    ("properties", PROPERTIES_KEYS, "seed = -1"),
+    ("properties", PROPERTIES_KEYS, "properties.surgery_samples = -3"),
+    ("properties", PROPERTIES_KEYS, "properties.sample_size = 0"),
+    ("properties", PROPERTIES_KEYS, "oracle.tol = -1"),
+    # checks that relate two keys
+    ("rate", RATE_KEYS, "sweep.t = 1.25"),
+    ("rate", RATE_KEYS, "sweep.eps = 0.5"),
+    ("metric", METRIC_KEYS, "metric.horizon = 4.1"),
+    ("properties", PROPERTIES_KEYS, "metric.horizon = 4.1"),
+    ("properties", PROPERTIES_KEYS, "oracle.t_long = 0.5"),
+    ("effective", {**EFFECTIVE_KEYS, "effective.p_step": "0.3"}, "effective.p_box = 1.0"),
+    ("effective", EFFECTIVE_KEYS, "effective.v_box = 3.1"),
+])
+def test_cli_bad_value_exits_at_its_line_before_any_table(tmp_path, capsys, monkeypatch,
+                                                          command, keys, line):
+    key, value = line.split(" = ")
+    entries = {k: v for k, v in keys.items() if k != key}
+    entries[key] = value                     # the changed key is the last line
+    cfg = _write(tmp_path, "k.cfg", "".join(f"{k} = {v}\n" for k, v in entries.items()))
+    _no_table(monkeypatch)
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"config error: {cfg}:{len(entries)}: " in err, err
+    assert key in err
     assert not out.exists()
 
 
@@ -543,8 +611,8 @@ def test_cli_effective_rejects_momentum_grid_without_nodes(tmp_path, capsys):
                  "effective.p_box = 0.05\neffective.p_step = 0.25\n")
     out = tmp_path / "out"
     assert main(["effective", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
-    assert f"config error: {cfg}:3: effective.p_box must be at least effective.p_step / 2" \
-        in capsys.readouterr().err
+    assert f"config error: {cfg}:3: effective.p_box / effective.p_step = 0.05 / 0.25 = 0.2 " \
+        "is not a whole number >= 1" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -627,16 +695,20 @@ def test_shipped_and_workload_configs_parse():
 
 
 def test_key_registry_matches_readme_and_getters():
-    # the README key table, KNOWN_KEYS and the keys src/ reads are one set
+    # the README key table, KEYS and the keys src/ reads are one set, and the
+    # table states each key's range in the words the registry prints
     readme = (ROOT / "README.md").read_text()
     blocks = readme.split("## Configuration format", 1)[1].split("\n\n")
     table = next(b for b in blocks if b.startswith("| key |"))
     documented = set()
     for row in table.splitlines()[2:]:
-        documented.update(re.findall(r"`([a-z0-9_.]+)`", row.split("|")[1]))
+        keys = re.findall(r"`([a-z0-9_.]+)`", row.split("|")[1])
+        assert {KEYS[k].words for k in keys} == {row.split("|")[2].strip()}, row
+        documented.update(keys)
     read = set()
     for path in (ROOT / "src/hjhom").glob("*.py"):
-        read.update(re.findall(r"\bget_\w+\(\s*\"([a-z0-9_.]+)\"", path.read_text()))
+        read.update(re.findall(r"\.get\(\s*\"([a-z0-9_.]+)\"", path.read_text()))
+    assert KNOWN_KEYS == frozenset(KEYS)
     assert documented == KNOWN_KEYS
     assert read == KNOWN_KEYS
 
