@@ -33,10 +33,15 @@ class EffectiveModel:
     shift: float = 0.0
 
     def lagrangian_bar(self, v) -> float:
-        val, clamped = self.lagrangian_table.interpolate(np.atleast_1d(v))
-        if np.any(clamped):
-            raise DomainError("velocity outside the effective table box")
-        return float(val) if np.ndim(val) == 0 else val
+        """Lbar at a node v of build_effective_model's grid, k v_step with
+        |k| <= half per axis, read exactly; any other v raises DomainError."""
+        axis = self.lagrangian_table.axes[0]
+        half = len(axis) // 2
+        k = np.atleast_1d(np.asarray(v, dtype=float)) / (axis[1] - axis[0] if half else 1.0)
+        if k.shape != (self.lagrangian_table.dimension,) or not (
+                is_whole(k) & (np.abs(k) <= half + 1e-9)).all():
+            raise DomainError(f"v = {v} is not a node of the Lbar grid {axis}")
+        return float(self.lagrangian_table.values[tuple(np.round(k).astype(int) + half)])
 
     def hamiltonian_bar(self, p) -> float:
         """Exact grid conjugate max_v p . v - Lbar(v) at an arbitrary p."""
@@ -83,7 +88,8 @@ def build_effective_model(lagrangian: LagrangianField,
     g_n = m(n b, 0, n z) / n, Lbar(v) is the two-level Richardson extrapolant
     (2 g_last - g_prev) / b, or g_last / b when the ray has one level, which
     is flagged in the diagnostics.  A ray the table does not reach raises
-    UnreachableError; a v_step without such a q raises HorizonError before
+    UnreachableError; a v_step without such a q raises HorizonError, and a
+    v_box_half that is no whole multiple of v_step ConfigurationError, before
     the table is built.
 
     table: an already built table on this lattice to read the rays from
@@ -98,7 +104,7 @@ def build_effective_model(lagrangian: LagrangianField,
         raise HorizonError(f"v_step = {v_step} has no denominator b <= n_max = "
                            f"{n_max}: its rays start past the table horizon")
     p = round(q * v_step)
-    half_steps = int(round(v_box_half / v_step))
+    half_steps = as_int_exact(v_box_half / v_step, "v_box_half/v_step")
     ks = np.arange(-half_steps, half_steps + 1)
     axis = ks * v_step
     if table is None:

@@ -196,10 +196,10 @@ def run_effective(cfg: Config, out_dir, verbose: bool = False):
     spec, _ = spec_from_config(cfg)
     lagr = build_lagrangian(spec)
     v_box, v_step = _velocity_box(cfg, 4.0, 0.25)
-    # the momentum grid of the written Hbar table
-    p_box = cfg.get("effective.p_box", v_box / 2.0 + 1.0)
-    p_half = _whole(cfg, p_box, cfg.get("effective.p_step", 0.125), "effective.p_box",
-                    "effective.p_step", "effective.v_box")
+    # the momentum grid of the written Hbar table: box v_box / 2 + 1, rounded up
+    p_step = cfg.get("effective.p_step", 0.125)
+    p_box = cfg.get("effective.p_box", np.ceil((v_box / 2.0 + 1.0) / p_step - 1e-9) * p_step)
+    p_half = _whole(cfg, p_box, p_step, "effective.p_box", "effective.p_step")
     p_axes = (np.linspace(-p_box, p_box, 2 * p_half + 1),) * spec.dimension
     dt, dx, vmax = _grids(cfg, lagr, v_box * np.sqrt(spec.dimension))
     vmax = _reachable(cfg, cfg.get("effective.vmax", vmax), dt, dx, "effective.vmax")
@@ -246,7 +246,7 @@ def run_rate_sweep(cfg: Config, out_dir, threads: int = 1,
         # the layer t/eps, and only integer-time layers are kept
         for y in targets:
             j = y / (eps * dx)
-            if np.max(np.abs(j - np.round(j))) > 1e-9:
+            if not is_whole(j).all():
                 raise _keyed(cfg, f"target y = {y}: y/(eps dx) = {j} is not an "
                              f"integer at eps = {eps}", "targets.count", "sweep.eps")
         _whole(cfg, t, eps, "sweep.t", "sweep.eps")
@@ -332,6 +332,17 @@ def run_property_suite(cfg: Config, out_dir, verbose: bool = False):
         oracle_vmax = _reachable(cfg, cfg.get("oracle.vmax", vmax), dt, dx, "oracle.vmax")
         t_long = cfg.get("oracle.t_long", 128.0)
         _whole(cfg, t_long, dt, "oracle.t_long", "grid.dt", least=4)
+        for p in p_sample:
+            if len(p) != d:
+                raise _keyed(cfg, f"oracle.p_sample vector {p} has {len(p)} components, "
+                             f"not dimension = {d}", "oracle.p_sample")
+        # gap_vs_log_envelope reads Lbar(e) at a node and f(s, s e) on the lattice
+        for e in directions or ():
+            if not (len(e) == d and max(map(abs, e)) <= v_box + 1e-9
+                    and is_whole(np.asarray(e) / [[dx], [v_step]]).all()):
+                raise _keyed(cfg, f"properties.directions vector {e} is not {d} multiples "
+                             f"of grid.dx = {dx} and of effective.v_step = {v_step} in "
+                             f"[-{v_box}, {v_box}]", "properties.directions")
     t_vals = cfg.get("properties.surgery_t", [2.0])
     if n_samples > 0 and 2 * max(t_vals) > horizon:
         # surgery splits a path to (2t, 2x) at the integer point (t, x)
@@ -373,23 +384,23 @@ def run_property_suite(cfg: Config, out_dir, verbose: bool = False):
     surgery_rows = []
     if n_samples > 0:
         gap_by_t = {}
+        ks, zs, vals = table.integer_cone()
         for tv in t_vals:
             # the surgery endpoints: integer x with 0 < |x| <= 2t, (2t, 2x) reached
-            box = grid_points([np.arange(-2 * tv, 2 * tv + 1)] * 2)
-            box = box[box.any(axis=1) & (np.linalg.norm(box, axis=1) <= 2 * tv)]
-            m_2t = np.array([table.value_at(2 * tv, 2 * x) for x in box])
-            reached = np.isfinite(m_2t)
-            ends, m_2t = box[reached], m_2t[reached]
+            ends = zs // 2
+            pick = ((ks == 2 * tv) & np.all(zs % 2 == 0, axis=1) & ends.any(axis=1)
+                    & (np.linalg.norm(ends, axis=1) <= 2 * tv))
+            ends = ends[pick]
             if not len(ends):
                 raise _keyed(cfg, f"properties.surgery_t = {tv}: no integer x with "
                              f"0 < |x| <= {2 * tv} has m({2 * tv}, 0, 2x) finite",
                              "properties.surgery_t", "properties.surgery_samples")
-            m_t = np.array([table.value_at(tv, x) for x in ends])
-            gap_by_t[tv] = float(np.max(2 * m_t - m_2t))
-            for x in ends[rng.integers(len(ends), size=n_samples)]:
-                gamma = extract_minimizing_path(table, 2 * tv, 2 * x)
+            gaps = 2 * table.value_at(tv, ends) - vals[pick]
+            gap_by_t[tv] = float(np.max(gaps))
+            for i in rng.integers(len(ends), size=n_samples):
+                gamma = extract_minimizing_path(table, 2 * tv, 2 * ends[i])
                 try:
-                    surgery_rows.append((tv, x, path_surgery(gamma, table)))
+                    surgery_rows.append((tv, ends[i], gaps[i], path_surgery(gamma, table)))
                 except ResolutionError:
                     pass
         ts = sorted(gap_by_t)

@@ -26,8 +26,7 @@ class ConvexFunctionTable:
     """Values of a convex function on a uniform product grid over a box.
 
     axes: tuple of strictly increasing 1-d node arrays, one per dimension.
-    values: array of shape (len(axis) for each axis); +inf marks nodes
-        outside the effective domain.
+    values: array of shape (len(axis) for each axis), all finite.
     units: "momentum-domain" or "velocity-domain".
     """
 
@@ -40,6 +39,8 @@ class ConvexFunctionTable:
         self.values = np.asarray(self.values, dtype=float)
         if self.values.shape != tuple(len(a) for a in self.axes):
             raise DomainError("values shape does not match axes")
+        if not np.isfinite(self.values).all():
+            raise DomainError("table values must be finite")
         if self.units not in (MOMENTUM_DOMAIN, VELOCITY_DOMAIN):
             raise DomainError(f"unknown units tag {self.units!r}")
 
@@ -48,18 +49,11 @@ class ConvexFunctionTable:
         return len(self.axes)
 
     def interpolate(self, points):
-        """Multilinear interpolation at points of shape (..., d).
-
-        Out-of-box queries are clamped to the box (reported via the second
-        return value), never extrapolated.  Returns (values, clamped_mask).
-        """
+        """Multilinear interpolation at points of shape (..., d) inside the box."""
         pts = np.asarray(points, dtype=float)
-        if pts.ndim == 0:
-            pts = pts.reshape(1)
         if pts.shape[-1] != self.dimension:
             raise DomainError("query dimension mismatch")
-        i0, w, clamped = box_cell(self.axes, pts)
-        return multilinear(self.values, i0, w), clamped
+        return multilinear(self.values, *box_cell(self.axes, pts))
 
     def to_csv(self, path) -> None:
         """Node coordinates plus value, one row per node (debug export)."""
@@ -78,8 +72,6 @@ def conjugate(table: ConvexFunctionTable, points) -> np.ndarray:
     """
     nodes = grid_points(table.axes)
     values = table.values.ravel()
-    if not np.isfinite(values).any():
-        raise DomainError("table has no finite values")
     pts = np.asarray(points, dtype=float).reshape(-1, table.dimension)
     return np.array([np.max(nodes @ p - values) for p in pts])
 

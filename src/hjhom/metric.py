@@ -104,9 +104,6 @@ class MetricTable:
 
     # -- lookups ---------------------------------------------------------
 
-    def _layer_index(self, t: float) -> int:
-        return self._layer_pos(as_int_exact(t / self.dt, "t/dt"))
-
     def _layer_pos(self, k: int) -> int:
         times = self.layer_times
         pos = np.searchsorted(times, k)
@@ -118,17 +115,25 @@ class MetricTable:
     def layer(self, t: float) -> tuple:
         """The stored layer at time t and its reach: entry i holds
         m(t, 0, (i - reach) dx).  Any other t raises."""
-        pos = self._layer_index(t)
+        pos = self._layer_pos(as_int_exact(t / self.dt, "t/dt"))
         return self.layers[pos], self.reaches[pos]
 
-    def value_at(self, t: float, z) -> float:
-        """Exact lattice value at time t (a stored layer) and z = j dx."""
-        z = np.atleast_1d(np.asarray(z, dtype=float))
-        layer, reach = self.layer(t)
-        j = np.asarray([as_int_exact(c / self.dx, "z/dx") for c in z])
-        if np.any(np.abs(j) > reach):
-            return np.inf
-        return float(layer[tuple(j + reach)])
+    def value_at(self, t: float, z):
+        """Exact lattice values at time t (a stored layer) and points z = j dx:
+        one point, a (d,) vector or a scalar in d = 1, gives a float; points
+        (n, d) give an (n,) array.  A point beyond the reach reads +inf; one
+        off the lattice raises ConfigurationError."""
+        pos = self._layer_pos(as_int_exact(t / self.dt, "t/dt"))
+        z = np.asarray(z, dtype=float)
+        values = self._values(pos, as_int_exact(np.atleast_2d(z) / self.dx, "z/dx"))
+        return float(values[0]) if z.ndim < 2 else values
+
+    def _values(self, pos: int, j: np.ndarray) -> np.ndarray:
+        """layers[pos] at lattice points j (n, d); beyond the reach, node 0 masked to +inf."""
+        reach = self.reaches[pos]
+        inside = np.all(np.abs(j) <= reach, axis=1)
+        safe = np.where(inside[:, None], j + reach, 0)
+        return np.where(inside, self.layers[pos][tuple(safe.T)], np.inf)
 
     @property
     def horizon(self) -> float:
@@ -328,7 +333,7 @@ def extract_minimizing_path(table: MetricTable, t: float, x) -> DiscretePath:
     if table._layer_pos(k_final) != k_final:
         raise ConfigurationError(
             f"path extraction needs every layer up to k={k_final} (keep='all')")
-    j = np.asarray([as_int_exact(c / table.dx, "x/dx") for c in x])
+    j = as_int_exact(x / table.dx, "x/dx")
     value = table.value_at(t, x)
     if not np.isfinite(value):
         raise UnreachableError(f"metric is +inf at ({t}, {x})")
@@ -342,11 +347,8 @@ def extract_minimizing_path(table: MetricTable, t: float, x) -> DiscretePath:
     nodes = [j]
     cur = j
     for k in range(k_final, 0, -1):
-        reach = table.reaches[k - 1]
         src = cur - offsets
-        inside = np.all(np.abs(src) <= reach, axis=1)
-        prev = table.layers[k - 1][tuple(np.clip(src + reach, 0, 2 * reach).T)]
-        cand = np.where(inside, prev + tiles[(rows,) + tuple(np.mod(src, big_m).T)], np.inf)
+        cand = table._values(k - 1, src) + tiles[(rows,) + tuple(np.mod(src, big_m).T)]
         best = int(np.argmin(cand))
         if not np.isfinite(cand[best]):
             raise UnreachableError("backtracking found no predecessor")

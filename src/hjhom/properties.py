@@ -72,8 +72,11 @@ def check_subadditivity(table: MetricTable, sample_size: int = 1000,
         raise DomainError(f"no pair to sample: {count} pairs of reached points fit "
                           f"under the table horizon, sample_size = {sample_size}")
     i, j = pairs(rng.integers(count, size=sample_size))
-    fzw = np.array([table.value_at(float(k), z.astype(float))
-                    for k, z in zip(ks[i] + ks[j], zs[i] + zs[j])])
+    k_sum, z_sum = ks[i] + ks[j], zs[i] + zs[j]
+    fzw = np.empty(len(k_sum))
+    # a set of times, not np.unique, whose first call adds 1.6 MB to peak RSS (numpy 2.4)
+    for k in set(k_sum.tolist()):
+        fzw[k_sum == k] = table.value_at(float(k), z_sum[k_sum == k])
     return float(np.max(fzw - vals[i] - vals[j]))
 
 
@@ -94,15 +97,13 @@ def extract_approximate_geodesic(table: MetricTable, t: float, x) -> Approximate
     integer by precondition).  A difference of chain nodes that the table
     does not reach raises UnreachableError.
     """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
+    x = as_int_exact(np.atleast_1d(x), "x")
     t_int = as_int_exact(t, "t")
-    if np.max(np.abs(x - np.round(x))) > 1e-9:
-        raise DomainError("x must be an integer point")
     path = extract_minimizing_path(table, float(t_int), x)
     per_unit = as_int_exact(1.0 / table.dt, "1/dt")
     nodes = np.column_stack([np.arange(t_int + 1),
                              round_half_toward_zero(path.nodes[::per_unit])]).astype(int)
-    nodes[-1, 1:] = np.round(x).astype(int)
+    nodes[-1, 1:] = x
 
     def f(dz):
         val = table.value_at(float(dz[0]), dz[1:].astype(float))

@@ -114,7 +114,10 @@ def solve_oscillatory(u0: InitialData, lagrangian: LagrangianField,
 
     values = np.empty(len(targets))
     for i, y in enumerate(targets):
-        jy = [as_int_exact(c / (eps * table.dx), f"target {y}: y/(eps dx)") for c in y]
+        try:
+            jy = as_int_exact(y / (eps * table.dx), "y/(eps dx)")
+        except ConfigurationError as exc:
+            raise ConfigurationError(f"target {y}: {exc}") from None
         # z = (y - x)/eps sits at node jy - n M + reach for x = n eps
         _, k = node_min(y, [slice((j + reach) % big_m, None, big_m) for j in jy])
         values[i], _ = node_min(y, [slice(max(c - big_m, 0), c + big_m + 1) for c in k])
@@ -156,8 +159,7 @@ def solve_effective(u0: InitialData, model: EffectiveModel, t: float,
     k = np.argmin(obj, axis=1)
 
     def objective(vv):
-        lv, _ = ltab.interpolate(vv)
-        return u0(targets - t * vv) + t * lv
+        return u0(targets - t * vv) + t * ltab.interpolate(vv)
 
     values = _golden_refine(objective, vgrid[k], obj[np.arange(len(targets)), k],
                             ltab.axes) + t * model.shift
@@ -237,6 +239,5 @@ def solve_fd_oracle(u0: InitialData, spec, eps: float, t: float, targets,
         np.add(ham, visc, out=u)
     if not np.isfinite(u).all():
         raise DomainError("non-finite x or p")
-    i0, w, _ = box_cell(axes, targets)  # the box covers every target
-    vals = multilinear(u, i0, w) + t * spec.normalization_shift
+    vals = multilinear(u, *box_cell(axes, targets)) + t * spec.normalization_shift
     return SolutionField(vals, {"h": h, "dt_fd": dt_fd, "alpha": alpha})

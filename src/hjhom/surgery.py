@@ -76,7 +76,6 @@ def find_crossing(eta1: np.ndarray, eta2: np.ndarray) -> Crossing:
 class SurgeryResult:
     path: DiscretePath           # element of Gamma(2t, 0, 2x) through (t, x)
     gap: float                   # cost(path) - cost(input minimizer)
-    lemma_gap: float             # 2 m(t,0,x) - m(2t,0,2x) from the table
     crossing: Crossing | None
 
 
@@ -99,14 +98,7 @@ def path_surgery(gamma: DiscretePath, table: MetricTable) -> SurgeryResult:
     t = half * gamma.dt
     as_int_exact(t, "t")
     two_x = gamma.nodes[-1]
-    x = two_x / 2.0
-    if np.max(np.abs(x - np.round(x))) > 1e-9:
-        raise DomainError("x must be an integer point")
-    x = np.round(x)
-
-    m_2t = table.value_at(2 * t, two_x)
-    m_t = table.value_at(t, x)
-    lemma_gap = 2 * m_t - m_2t
+    x = as_int_exact(two_x / 2.0, "x")
 
     g1 = gamma.nodes[:half + 1].copy()
     g2 = gamma.nodes[half:] - gamma.nodes[half]
@@ -114,8 +106,7 @@ def path_surgery(gamma: DiscretePath, table: MetricTable) -> SurgeryResult:
     a = float(np.linalg.norm(y))
     if a <= 1e-9:
         # midpoint already x: the minimizer itself witnesses the lemma
-        return SurgeryResult(path=gamma, gap=0.0, lemma_gap=lemma_gap,
-                             crossing=None)
+        return SurgeryResult(path=gamma, gap=0.0, crossing=None)
 
     # normalize: remove drift x/t, rotate y onto (A, 0)
     drift = x / t
@@ -139,18 +130,17 @@ def path_surgery(gamma: DiscretePath, table: MetricTable) -> SurgeryResult:
     nodes = np.vstack([[0.0, 0.0], np.cumsum(incs, axis=0)])
     cost = path_cost(table.lagrangian, gamma.dt, nodes, incs)
     new_path = DiscretePath(dt=gamma.dt, nodes=nodes, cost=cost)
-    return SurgeryResult(path=new_path, gap=cost - gamma.cost,
-                         lemma_gap=lemma_gap, crossing=crossing)
+    return SurgeryResult(path=new_path, gap=cost - gamma.cost, crossing=crossing)
 
 
 def surgery_csv(results, path) -> None:
-    """Diagnostic dump: t, x, lemma gap, crossing shifts and step as times
-    (steps times dt), costs."""
+    """Diagnostic dump of (t, x, lemma gap, surgery result) rows: t, x as
+    floats, lemma gap, crossing shifts and step as times (dt steps), costs."""
     rows = []
-    for t, x, res in results:
+    for t, x, lemma_gap, res in results:
         c, dt = res.crossing, res.path.dt
         shifts = (c.m1 * dt, c.m2 * dt, c.j * dt) if c else (0.0, 0.0, 0.0)
-        rows.append((t, x[0], x[1], res.lemma_gap, res.gap, *shifts,
+        rows.append((t, float(x[0]), float(x[1]), lemma_gap, res.gap, *shifts,
                      res.path.cost - res.gap, res.path.cost))
     write_rows(path, ["# schema=hjhom.surgery.v1",
                       "t,x1,x2,lemma_gap,surgery_gap,c1,c2,s,cost_before,cost_after"],

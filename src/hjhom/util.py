@@ -59,17 +59,20 @@ def golden_minimize(fun, lo, hi, iters: int) -> tuple[np.ndarray, np.ndarray]:
     return xm, fun(xm)
 
 
-def is_whole(x: float) -> bool:
-    """x is finite and |x - round(x)| <= 1e-9."""
-    return abs(x) < np.inf and abs(x - round(x)) <= 1e-9
+def is_whole(x):
+    """Elementwise: x is finite and |x - round(x)| <= 1e-9."""
+    with np.errstate(invalid="ignore"):   # inf - round(inf) is nan: not whole
+        return np.abs(x - np.round(x)) <= 1e-9
 
 
-def as_int_exact(x: float, name: str) -> int:
-    """Cast to int, requiring is_whole(x)."""
-    if not is_whole(float(x)):
+def as_int_exact(x, name: str):
+    """x as an int, or an int array for an array x, requiring is_whole of
+    every element; the error names the first element that is not."""
+    x = np.asarray(x, dtype=float)
+    if not is_whole(x).all():
         from .errors import ConfigurationError
-        raise ConfigurationError(f"{name} = {x} is not an integer")
-    return round(float(x))
+        raise ConfigurationError(f"{name} = {x[~is_whole(x)][0]} is not an integer")
+    return int(np.round(x)) if x.ndim == 0 else np.round(x).astype(int)
 
 
 def grid_points(axes) -> np.ndarray:
@@ -82,53 +85,43 @@ def grid_points(axes) -> np.ndarray:
     return out.reshape(-1, len(axes))
 
 
-def box_cell(axes, pts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Cell coordinates of points (..., d) on uniform axes, clamped to the box.
-
-    Returns (i0, w, clamped): lower cell corners, weights toward the upper
-    corners, and the mask of points that lay outside the box.
-    """
+def box_cell(axes, pts) -> tuple[np.ndarray, np.ndarray]:
+    """Cell coordinates (i0, w) of points (..., d) inside the box of uniform
+    axes: lower cell corners and weights toward the upper corners.  The
+    coordinates are clamped into the box, which absorbs roundoff at its faces;
+    callers pass points inside it."""
     i0 = np.empty(pts.shape, dtype=int)
     w = np.empty(pts.shape)
-    clamped = np.zeros(pts.shape[:-1], dtype=bool)
     for ax, nodes in enumerate(axes):
         lo, hi = nodes[0], nodes[-1]
-        q = pts[..., ax]
-        clamped |= (q < lo) | (q > hi)
         step = nodes[1] - nodes[0] if len(nodes) > 1 else 1.0
-        u = (np.minimum(np.maximum(q, lo), hi) - lo) / step
+        u = (np.minimum(np.maximum(pts[..., ax], lo), hi) - lo) / step
         cell = np.minimum(np.floor(u), max(len(nodes) - 2, 0))
         i0[..., ax] = cell
         w[..., ax] = u - cell
-    return i0, w, clamped
+    return i0, w
 
 
 def multilinear(values: np.ndarray, i0: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Multilinear interpolation of ``values`` in the cells with lower corners
-    i0 (..., D) and weights w (..., D) toward the upper corners, D = values.ndim.
+    """Multilinear interpolation of the finite ``values`` in the cells with
+    lower corners i0 (..., D) and weights w (..., D) toward the upper corners,
+    D = values.ndim.
 
     Corners are summed in np.ndindex order, each weight a product over the
-    axes in order.  A corner of zero weight is never read, so an exact node
-    next to +inf stays finite; a point with a weighted corner outside
-    ``values`` is +inf.
+    axes in order.  A corner index past the end of ``values`` is clipped; its
+    weight is 0 wherever i0 comes from box_cell.
     """
     shape, d = values.shape, values.ndim
     strides = [math.prod(shape[ax + 1:]) for ax in range(d)]
     base = i0[..., d - 1]
     for ax in range(d - 1):
         base = base + i0[..., ax] * strides[ax]
-    factors, inside = [], []
-    for ax, n in enumerate(shape):
-        i = i0[..., ax]
-        factors.append((1.0 - w[..., ax], w[..., ax]))
-        inside.append(((i >= 0) & (i < n), (i >= -1) & (i < n - 1)))
+    factors = [(1.0 - w[..., ax], w[..., ax]) for ax in range(d)]
     flat = values.reshape(-1)
     total = np.zeros(w.shape[:-1])
     for corner in np.ndindex(*(2,) * d):
-        wt, ok = factors[0][corner[0]], inside[0][corner[0]]
+        wt = factors[0][corner[0]]
         for ax in range(1, d):
             wt = wt * factors[ax][corner[ax]]
-            ok = ok & inside[ax][corner[ax]]
-        val = flat.take(base + sum(c * s for c, s in zip(corner, strides)), mode="clip")
-        total += wt * np.where(wt > 0, np.where(ok, val, np.inf), 0.0)
+        total += wt * flat.take(base + sum(c * s for c, s in zip(corner, strides)), mode="clip")
     return total

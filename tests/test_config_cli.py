@@ -440,6 +440,15 @@ PROPERTIES_KEYS = {"dimension": "2", "potential.a0": "3.0",
     ("properties", PROPERTIES_KEYS, "oracle.t_long = 0.5"),
     ("effective", {**EFFECTIVE_KEYS, "effective.p_step": "0.3"}, "effective.p_box = 1.0"),
     ("effective", EFFECTIVE_KEYS, "effective.v_box = 3.1"),
+    # vectors checked against the dimension, the lattice and the Lbar grid
+    # (default v_step 0.5 in [-2.5, 2.5]): a short p used to exit 1 after the
+    # DP, an off-lattice direction exit 2 with no key, and a direction
+    # between Lbar nodes was read by interpolation
+    ("properties", PROPERTIES_KEYS, "oracle.p_sample = 0.5"),
+    ("properties", PROPERTIES_KEYS, "properties.directions = 1.0"),
+    ("properties", PROPERTIES_KEYS, "properties.directions = 1.0,0.0; 0.3,0.0"),
+    ("properties", PROPERTIES_KEYS, "properties.directions = 0.25,0.0"),
+    ("properties", PROPERTIES_KEYS, "properties.directions = 0.0,3.0"),
 ])
 def test_cli_bad_value_exits_at_its_line_before_any_table(tmp_path, capsys, monkeypatch,
                                                           command, keys, line):
@@ -604,6 +613,25 @@ effective.p_step = 0.25
     assert rows[:2] == ["# schema=hjhom.table.v1 units=momentum-domain", "v1,value"]
     np.testing.assert_array_equal([float(r.split(",")[0]) for r in rows[2:]],
                                   np.linspace(-1.0, 1.0, 9))
+
+
+def test_cli_effective_default_hbar_grid_rounds_up_to_p_step(tmp_path):
+    # v_box / 2 + 1 = 1.3 is no multiple of the default p_step 0.125: the
+    # default box is 1.375, where it used to exit 2 at effective.v_box
+    cfg = _write(tmp_path, "e.cfg", """
+dimension = 1
+potential.a0 = 2.0
+potential.terms = 1.0,1
+grid.dt = 0.25
+grid.dx = 0.25
+effective.v_box = 0.6
+effective.v_step = 0.2
+""")
+    out = tmp_path / "out"
+    assert main(["effective", "--config", cfg, "--out", str(out)]) == EXIT_OK
+    rows = (out / "hbar.csv").read_text().splitlines()[2:]
+    np.testing.assert_array_equal([float(r.split(",")[0]) for r in rows],
+                                  np.linspace(-1.375, 1.375, 23))
 
 
 def test_cli_effective_rejects_momentum_grid_without_nodes(tmp_path, capsys):

@@ -3,6 +3,7 @@ import pytest
 
 from hjhom import (
     ConfigurationError,
+    DomainError,
     HorizonError,
     UnreachableError,
     build_lagrangian,
@@ -194,6 +195,30 @@ def test_denominator_above_n_max_raises_before_the_table(monkeypatch):
     with pytest.raises(HorizonError, match=r"v_step = 0\.25 has no denominator b <= n_max = 2"):
         build_effective_model(FREE, v_box_half=0.5, v_step=0.25, n_max=2,
                               dt=0.25, dx=0.25, vmax=4.0)
+
+
+def test_velocity_box_off_the_step_raises_before_the_table(monkeypatch):
+    # 3.1 / 0.5 = 6.2 used to round to a box of +-3.0 silently
+    def no_table(*args, **kwargs):
+        raise AssertionError("the table was built")
+
+    monkeypatch.setattr("hjhom.effective.compute_metric_table", no_table)
+    with pytest.raises(ConfigurationError, match=r"v_box_half/v_step = 6\.2 is not an integer"):
+        build_effective_model(FREE, v_box_half=3.1, v_step=0.5, n_max=8,
+                              dt=0.25, dx=0.25, vmax=4.0)
+
+
+def test_lagrangian_bar_reads_grid_nodes_only():
+    model = build_effective_model(OSC2, v_box_half=1.0, v_step=0.5, n_max=4,
+                                  dt=0.25, dx=0.25, vmax=4.0)
+    values = model.lagrangian_table.values
+    for v, idx in (([0.0, 0.0], (2, 2)), ([1.0, -0.5], (4, 1)), ([-1.0, 1.0], (0, 4))):
+        got = model.lagrangian_bar(v)
+        assert type(got) is float and got == values[idx]
+    # off the grid (no interpolation), outside the box, or the wrong dimension
+    for v in ([0.25, 0.0], [0.0, 0.5 + 1e-6], [1.5, 0.0], [0.0, -1.5], [0.5], [0.5, 0.5, 0.5]):
+        with pytest.raises(DomainError, match="not a node of the Lbar grid"):
+            model.lagrangian_bar(v)
 
 
 def test_sixteenth_velocity_reads_its_own_ray():

@@ -109,9 +109,17 @@ def test_young_inequality_exact_on_grid():
 
 
 def test_empty_grid_rejected():
-    f = ConvexFunctionTable((np.array([0.0]),), np.array([np.inf]), MOMENTUM_DOMAIN)
-    with pytest.raises(DomainError):
-        conjugate(f, [[0.5]])
+    with pytest.raises(DomainError, match="must be finite"):
+        ConvexFunctionTable((np.array([0.0]),), np.array([np.inf]), MOMENTUM_DOMAIN)
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_table_rejects_non_finite_values(bad):
+    values = np.array([[0.0, 1.0, 2.0], [1.0, 0.5, 1.0]])
+    values[1, 2] = bad
+    with pytest.raises(DomainError, match="must be finite"):
+        ConvexFunctionTable((np.array([0.0, 1.0]), np.array([-1.0, 0.0, 1.0])), values,
+                            VELOCITY_DOMAIN)
 
 
 def convexity_defect(values):
@@ -156,18 +164,3 @@ def test_lagrangian_lower_bound_after_normalization():
     vs = np.linspace(-4.0, 4.0, 33)[None, :, None]
     assert lagr(xs, vs).min() >= 1.0 - 1e-12
 
-
-def test_interpolate_clamps_and_reports():
-    f = table_1d(lambda p: p**2, lo=-1, hi=1, n=5)
-    vals, clamped = f.interpolate(np.array([[0.25], [3.0]]))
-    assert vals[0] == pytest.approx(0.0625, abs=0.2)
-    assert not clamped[0] and clamped[1]
-
-
-def test_interpolate_exact_node_next_to_inf_is_finite():
-    # the zero-weight corner is +inf outside the effective domain; 0 * inf
-    # must not turn the node value into nan
-    f = ConvexFunctionTable((np.array([0., 1., 2.]),), np.array([0., 1., np.inf]),
-                            VELOCITY_DOMAIN)
-    vals, clamped = f.interpolate([[1.0]])
-    assert vals[0] == 1.0 and not clamped[0]

@@ -2,6 +2,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hjhom import (
     ConfigurationError,
@@ -200,6 +202,35 @@ def test_interpolate_reads_stored_layers_only():
         kept.value_at(1.5, 0.5)
     with pytest.raises(ConfigurationError):
         kept.layer(1.5)
+
+
+@settings(max_examples=30, deadline=None)
+@given(d=st.sampled_from([1, 2]), a0=st.floats(1.0, 3.0), amp=st.floats(-1.0, 1.0),
+       vmax=st.sampled_from([1.0, 2.0]), n_steps=st.integers(1, 3), data=st.data())
+def test_value_at_arrays_match_point_reads_and_brute_force(d, a0, amp, vmax, n_steps, data):
+    # random small tables: an (n, d) read equals n one-point reads and the
+    # reference DP, +inf beyond the reach; a point off the lattice raises
+    wave = (1,) + (0,) * (d - 1)
+    lagr = build_lagrangian(cosine_spec(d, a0, (amp, wave)))
+    dt = dx = 0.25
+    table = compute_metric_table(lagr, horizon=n_steps * dt, dt=dt, dx=dx, vmax=vmax)
+    k = data.draw(st.integers(1, n_steps))
+    ref = brute_metric(lagr, k, dt, dx, vmax)
+    span = int(vmax) * k + 2
+    j = np.array(data.draw(st.lists(st.lists(st.integers(-span, span), min_size=d, max_size=d),
+                                    min_size=1, max_size=12)))
+    got = table.value_at(k * dt, j * dx)
+    assert got.shape == (len(j),)
+    assert got.tolist() == [table.value_at(k * dt, jj * dx) for jj in j]
+    for jj, value in zip(j, got):
+        want = ref.get(tuple(int(c) for c in jj), np.inf)
+        assert value == pytest.approx(want, abs=1e-12) if np.isfinite(want) else value == np.inf
+    if d == 1:
+        assert isinstance(table.value_at(k * dt, float(j[0, 0] * dx)), float)
+    off = j * dx
+    off[-1, -1] += dx / 2
+    with pytest.raises(ConfigurationError, match="z/dx"):
+        table.value_at(k * dt, off)
 
 
 def test_keep_rejects_other_modes_and_options_are_keywords():

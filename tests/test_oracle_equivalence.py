@@ -50,8 +50,7 @@ def reference_fd(u0, spec, eps, t, targets, points_per_eps, box_margin=1.0):
         grad = np.stack(grads, axis=-1).reshape(-1, d)
         ham = hamiltonian(spec, xov, grad).reshape(u.shape)
         u = u - dt_fd * ham + dt_fd * alpha * visc
-    i0, w, _ = box_cell(axes, targets)
-    return multilinear(u, i0, w) + t * spec.normalization_shift
+    return multilinear(u, *box_cell(axes, targets)) + t * spec.normalization_shift
 
 
 def reference_cell(lagrangian, p, t_long, dt, dx, vmax):

@@ -276,7 +276,7 @@ def reference_effective(u0, model, t, targets):
         k = int(np.argmin(obj))
 
         def objective(vv):
-            lv, _ = ltab.interpolate(vv[None, :])
+            lv = ltab.interpolate(vv[None, :])
             return float(u0((y - t * vv)[None, :])[0] + t * lv[0])
 
         best = reference_refine(objective, vgrid[k], obj[k], v_step, v_lo, v_hi)

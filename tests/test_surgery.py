@@ -97,7 +97,8 @@ def test_path_surgery_free_case_returns_input():
     res = path_surgery(gamma, table)
     assert res.gap == 0.0
     assert res.crossing is None
-    assert res.lemma_gap == pytest.approx(0.0, abs=1e-9)
+    lemma_gap = 2 * table.value_at(2.0, [2.0, 0.0]) - table.value_at(4.0, [4.0, 0.0])
+    assert lemma_gap == pytest.approx(0.0, abs=1e-9)
 
 
 def test_path_surgery_oscillatory_sample():
@@ -106,7 +107,7 @@ def test_path_surgery_oscillatory_sample():
     gamma = extract_minimizing_path(table, 4.0, 2 * x)
     res = path_surgery(gamma, table)
     # lemma gap: subadditivity side is exact for the discrete metric
-    assert res.lemma_gap >= -1e-9
+    assert 2 * table.value_at(t, x) - table.value_at(2 * t, 2 * x) >= -1e-9
     # the spliced path is a valid witness: through (t, x), correct endpoints
     path = res.path
     k_mid = int(round(t / path.dt))
@@ -132,16 +133,18 @@ def test_path_surgery_rejects_odd_steps():
 def test_surgery_csv(tmp_path):
     table = compute_metric_table(OSC2, horizon=4.0, dt=0.25, dx=0.25, vmax=4.0)
     rows = []
-    for x in ([1.0, 0.0], [1.0, 1.0]):
+    for x in ([1, 0], [1, 1]):
         gamma = extract_minimizing_path(table, 4.0, 2 * np.asarray(x))
-        rows.append((2.0, np.asarray(x), path_surgery(gamma, table)))
+        rows.append((2.0, np.asarray(x), 0.25, path_surgery(gamma, table)))
     out = tmp_path / "surgery.csv"
     surgery_csv(rows, out)
     lines = out.read_text().splitlines()
-    assert lines[1].startswith("t,x1,x2,")
+    assert lines[1].startswith("t,x1,x2,lemma_gap,")
     assert len(lines) == 4
+    # integer endpoints are written as floats, the lemma gap as given
+    assert lines[2].startswith("2.0,1.0,0.0,0.25,") and lines[3].startswith("2.0,1.0,1.0,0.25,")
     # the crossing's step counts are written as times
-    for line, (_, _, res) in zip(lines[2:], rows):
+    for line, (*_, res) in zip(lines[2:], rows):
         c = res.crossing
         want = (c.m1, c.m2, c.j) if c else (0, 0, 0)
         assert [float(f) for f in line.split(",")[5:8]] == [k * table.dt for k in want]

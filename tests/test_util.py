@@ -12,50 +12,47 @@ DIMENSIONS = (1, 2, 4)
 
 
 def brute_multilinear(values, i0, w):
-    """One point, corner by corner: zero-weight corners are skipped and a
-    weighted corner outside ``values`` gives +inf."""
+    """One point, corner by corner; a corner past the end of ``values`` must
+    have weight 0."""
     total = 0.0
     for corner in itertools.product((0, 1), repeat=values.ndim):
         wt = 1.0
         for c, wa in zip(corner, w):
             wt *= wa if c else 1.0 - wa
-        if wt == 0.0:
-            continue
         idx = tuple(int(i) + c for i, c in zip(i0, corner))
-        if any(j < 0 or j >= n for j, n in zip(idx, values.shape)):
-            return np.inf
+        if any(j >= n for j, n in zip(idx, values.shape)):
+            assert wt == 0.0
+            continue
         total += wt * values[idx]
     return total
 
 
 def brute_box_cell(axes, pt):
-    """One point, axis by axis: clamp into [lo, hi], then the cell whose lower
-    node is at or below the query, the last cell at the upper end."""
-    i0, w, clamped = [], [], False
+    """One point, axis by axis: the cell whose lower node is at or below the
+    query, the last cell at the upper end."""
+    i0, w = [], []
     for nodes, q in zip(axes, pt):
-        lo, hi = float(nodes[0]), float(nodes[-1])
-        clamped = clamped or q < lo or q > hi
-        u = (min(max(q, lo), hi) - lo) / (nodes[1] - nodes[0])
+        u = (q - nodes[0]) / (nodes[1] - nodes[0])
         i = min(int(np.floor(u)), len(nodes) - 2)
         i0.append(i)
         w.append(u - i)
-    return i0, w, clamped
+    return i0, w
 
 
-def random_values(rng, d, inf_frac):
-    shape = tuple(rng.integers(2, 5 if d == 4 else 7, size=d))
-    values = rng.normal(size=shape)
-    values[rng.random(shape) < inf_frac] = np.inf
-    return values
+def random_values(rng, d):
+    shape = tuple(rng.integers(1, 5 if d == 4 else 7, size=d))
+    return rng.normal(size=shape)
 
 
 def random_cells(rng, shape, n_pts):
-    """Cells from one below the grid to its last node, with exact nodes
-    (w = 0) and upper-boundary weights (w = 1) mixed in."""
-    i0 = np.stack([rng.integers(-1, n, size=n_pts) for n in shape], axis=-1)
+    """Cells as box_cell makes them, lower corners 0..max(n - 2, 0), with
+    exact nodes (w = 0) and upper-boundary weights (w = 1) mixed in; an axis
+    with one node has w = 0."""
+    i0 = np.stack([rng.integers(0, max(n - 1, 1), size=n_pts) for n in shape], axis=-1)
     w = rng.random((n_pts, len(shape)))
     w[rng.random(w.shape) < 0.3] = 0.0
     w[rng.random(w.shape) < 0.1] = 1.0
+    w[:, np.asarray(shape) == 1] = 0.0
     return i0, w
 
 
@@ -63,19 +60,11 @@ def random_cells(rng, shape, n_pts):
 @pytest.mark.parametrize("seed", range(4))
 def test_multilinear_matches_brute_force(d, seed):
     rng = np.random.default_rng(100 * d + seed)
-    values = random_values(rng, d, 0.2 if d < 4 else 0.05)
+    values = random_values(rng, d)
     i0, w = random_cells(rng, values.shape, 300)
     got = multilinear(values, i0, w)
     want = [brute_multilinear(values, i, ww) for i, ww in zip(i0, w)]
     assert np.array_equal(got, want)
-    assert not np.isnan(got).any()
-    # points with a weighted corner outside the grid are +inf
-    n = np.asarray(values.shape)
-    low_out = ((i0 < 0) | (i0 >= n)) & (w < 1)
-    high_out = ((i0 + 1 < 0) | (i0 + 1 >= n)) & (w > 0)
-    outside = np.any(low_out | high_out, axis=1)
-    assert outside.any() and np.isinf(got[outside]).all()
-    assert np.isfinite(got).any()
 
 
 @pytest.mark.parametrize("d", DIMENSIONS)
@@ -90,21 +79,21 @@ def test_grid_points_lists_nodes_last_axis_fastest(d):
 @pytest.mark.parametrize("d", DIMENSIONS)
 def test_multilinear_reads_nodes_exactly(d):
     rng = np.random.default_rng(7 + d)
-    values = random_values(rng, d, 0.2)
+    values = random_values(rng, d)
     nodes = grid_points([np.arange(n) for n in values.shape])
     got = multilinear(values, nodes, np.zeros(nodes.shape))
-    assert np.array_equal(got, values.ravel())  # +inf nodes included, no nan
+    assert np.array_equal(got, values.ravel())
 
 
 @pytest.mark.parametrize("d", DIMENSIONS)
 def test_multilinear_is_exact_on_multilinear_functions(d):
     rng = np.random.default_rng(20 + d)
     a, b = rng.normal(size=d), rng.normal(size=d)
-    values = random_values(rng, d, inf_frac=0.0)
-    nodes = grid_points([np.arange(n) for n in values.shape])
-    values = np.prod(a + b * nodes, axis=-1).reshape(values.shape)
-    pts = rng.random((200, d)) * (np.asarray(values.shape) - 1)
-    i0 = np.minimum(np.floor(pts).astype(int), np.asarray(values.shape) - 2)
+    shape = tuple(rng.integers(2, 5 if d == 4 else 7, size=d))
+    nodes = grid_points([np.arange(n) for n in shape])
+    values = np.prod(a + b * nodes, axis=-1).reshape(shape)
+    pts = rng.random((200, d)) * (np.asarray(shape) - 1)
+    i0 = np.minimum(np.floor(pts).astype(int), np.asarray(shape) - 2)
     got = multilinear(values, i0, pts - i0)
     np.testing.assert_allclose(got, np.prod(a + b * pts, axis=-1), rtol=0, atol=1e-12)
 
@@ -117,43 +106,31 @@ def test_box_cell_matches_brute_force(d, seed):
             for _ in range(d)]
     lo = np.asarray([a[0] for a in axes])
     hi = np.asarray([a[-1] for a in axes])
-    span = hi - lo
-    pts = lo + rng.uniform(-0.3, 1.3, size=(400, d)) * span
+    pts = lo + rng.uniform(0.0, 1.0, size=(400, d)) * (hi - lo)
     # exact nodes and exact box faces
     pick = rng.random(pts.shape) < 0.3
     nodes = np.stack([rng.choice(a, size=len(pts)) for a in axes], axis=-1)
     pts[pick] = nodes[pick]
     pts[:5] = lo
     pts[5:10] = hi
-    i0, w, clamped = box_cell(axes, pts)
+    i0, w = box_cell(axes, pts)
     for k, pt in enumerate(pts):
-        bi, bw, bc = brute_box_cell(axes, pt)
-        assert i0[k].tolist() == bi and w[k].tolist() == bw and clamped[k] == bc
-    assert clamped.any() and not clamped.all()
-    assert not clamped[:10].any()
-    # the cell reproduces the query clamped into the box
+        bi, bw = brute_box_cell(axes, pt)
+        assert i0[k].tolist() == bi and w[k].tolist() == bw
+    # the cell reproduces the query
     steps = np.asarray([a[1] - a[0] for a in axes])
-    np.testing.assert_allclose(lo + (i0 + w) * steps, np.clip(pts, lo, hi),
-                               rtol=0, atol=1e-12)
+    np.testing.assert_allclose(lo + (i0 + w) * steps, pts, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("d", DIMENSIONS)
 def test_box_cell_clamps_to_the_face_value(d):
+    # the clamp absorbs roundoff past a face
     rng = np.random.default_rng(50 + d)
-    values = random_values(rng, d, inf_frac=0.0)
+    values = rng.normal(size=tuple(rng.integers(2, 5, size=d)))
     axes = [np.linspace(-1.0, 1.0, n) for n in values.shape]
-    far = np.full((1, d), 5.0)
-    i0, w, clamped = box_cell(axes, far)
-    assert clamped.all()
-    assert multilinear(values, i0, w)[0] == values[(-1,) * d]
-
-
-def test_box_cell_upper_face_next_to_inf_is_finite():
-    axes = [np.array([0.0, 1.0, 2.0])]
-    values = np.array([np.inf, np.inf, 3.0])
-    i0, w, clamped = box_cell(axes, np.array([[2.0], [1.5]]))
-    got = multilinear(values, i0, w)
-    assert got[0] == 3.0 and got[1] == np.inf and not clamped.any()
+    for pt, corner in ((1.0 + 1e-15, -1), (-1.0 - 1e-15, 0)):
+        i0, w = box_cell(axes, np.full((1, d), pt))
+        assert multilinear(values, i0, w)[0] == values[(corner,) * d]
 
 
 @pytest.mark.parametrize("d", DIMENSIONS)
