@@ -5,7 +5,8 @@ Grammar (one entry per line):
 Blank lines and lines starting with '#' are ignored.  Keys are dotted
 lowercase words from ``KEYS``; any other key is an error, so a typo never
 falls back to a default.  Values are scalars, comma-separated lists, or
-semicolon-separated tuples (potential terms: "amp,k1,...,kd; amp,k1,...").
+semicolon-separated tuples (potential terms: "amp,k1,...,kd; amp,k1,...");
+an empty value is the empty list, and an empty item is an error.
 Each value is parsed and range-checked by its key's entry in ``KEYS`` when
 the file is read.  Errors carry 1-based line numbers.
 """
@@ -30,12 +31,17 @@ class ConfigError(ConfigurationError):
 Key = namedtuple("Key", "parse test words")
 
 
+def _items(raw: str, sep: str) -> list:
+    """raw split at sep, empty items kept so that they fail; [] for an empty raw."""
+    return raw.split(sep) if raw else []
+
+
 def _floats(raw: str) -> list:
-    return [float(t) for t in raw.split(",") if t.strip()]
+    return [float(t) for t in _items(raw, ",")]
 
 
 def _vectors(raw: str) -> list:
-    return [[float(t) for t in c.split(",")] for c in raw.split(";") if c.strip()]
+    return [[float(t) for t in c.split(",")] for c in _items(raw, ";")]
 
 
 def _term(chunk: str) -> tuple:
@@ -77,7 +83,7 @@ KEYS = {
     "u0.bumps": Key(_vectors, lambda bs: all(_finite(b) and b[-1] > 0 for b in bs),
                     "';'-separated amplitude,c1,...,cd,width vectors of finite "
                     "numbers, width > 0"),
-    "potential.terms": Key(lambda raw: [_term(c) for c in raw.split(";") if c.strip()],
+    "potential.terms": Key(lambda raw: [_term(c) for c in _items(raw, ";")],
                            lambda ts: all(k and math.isfinite(a) for a, k in ts),
                            "';'-separated amp,k1,...,kd terms, amp finite, k integer"),
     "u0.family": Key(str, lambda f: f in ("cone", "affine", "zero", "bumps"),

@@ -159,7 +159,7 @@ def cell_problem_oracle(lagrangian: LagrangianField, p, t_long: float = 128.0,
         raise DomainError(f"p must have {d} components")
     big_m = as_int_exact(1.0 / dx, "1/dx")
     check_reach(vmax, dt, dx)   # with only the zero step it would return -V(0)
-    n_steps = int(round(t_long / dt))
+    n_steps = as_int_exact(t_long / dt, "t_long / dt")
     if n_steps < 4:
         raise ConfigurationError("t_long too small for the torus iteration")
 

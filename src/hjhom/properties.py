@@ -2,12 +2,11 @@
 
 f(t, x) = m(t, 0, x) at the integer space-time points the DP reaches (its
 finite entries) is checked for subadditivity, linear growth and the
-approximate-geodesic property; the gap f - m-bar is fitted against a
-logarithmic envelope.  These are measurements: every constant is reported,
-none is assumed.  The reached integer points and their values come from one
-enumeration, ``MetricTable.integer_cone``; a check with nothing to measure
-(too few points, no pair under the horizon) raises DomainError
-rather than passing.
+approximate-geodesic property; the gap f - m-bar is sampled along rays.
+These are measurements: every constant is reported, none is assumed.  The
+reached integer points and their values come from one enumeration,
+``MetricTable.integer_cone``; a check with nothing to measure (too few
+points, no pair under the horizon) raises DomainError rather than passing.
 """
 
 from __future__ import annotations
@@ -125,17 +124,16 @@ def extract_approximate_geodesic(table: MetricTable, t: float, x) -> Approximate
 
 @dataclass
 class GapEnvelopeReport:
-    """f - m-bar samples along rays and the fitted log envelope constant."""
+    """f - m-bar samples along rays and their least value."""
 
-    samples: list = field(default_factory=list)   # (direction, scale, |z|, gap)
-    envelope_constant: float = 0.0
+    samples: list = field(default_factory=list)   # (direction, scale, gap)
     min_gap: float = 0.0
 
 
 def gap_vs_log_envelope(table: MetricTable, model: EffectiveModel,
                         directions) -> GapEnvelopeReport:
-    """Measure f(s, s e) - s Lbar(e) along integer rays and fit the smallest
-    C with gap <= C log(C + |z|)."""
+    """Measure f(s, s e) - s Lbar(e) along integer rays at s = 1, 2, 4, ...
+    up to the horizon."""
     samples = []
     horizon_k = int(round(table.horizon))
     for e in directions:
@@ -146,23 +144,8 @@ def gap_vs_log_envelope(table: MetricTable, model: EffectiveModel,
             z = s * e
             fval = table.value_at(float(s), z)
             if np.isfinite(fval):
-                norm = float(np.linalg.norm(np.concatenate(([s], z))))
-                samples.append((tuple(e), s, norm, float(fval - s * lbar)))
+                samples.append((tuple(e), s, float(fval - s * lbar)))
             s *= 2
     if not samples:
         raise DomainError("no reached ray samples")
-    min_gap = min(g for *_, g in samples)
-
-    def fits(c):
-        return all(g <= c * np.log(c + norm) + 1e-12 for *_, norm, g in samples)
-
-    lo, hi = 0.0, 1.0
-    while not fits(hi) and hi < 1e9:
-        hi *= 2
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if fits(mid):
-            hi = mid
-        else:
-            lo = mid
-    return GapEnvelopeReport(samples=samples, envelope_constant=hi, min_gap=min_gap)
+    return GapEnvelopeReport(samples=samples, min_gap=min(g for *_, g in samples))

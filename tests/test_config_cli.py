@@ -9,6 +9,7 @@ import pytest
 from hjhom import (
     ConfigError,
     build_effective_model,
+    build_lagrangian,
     compute_metric_table,
     parse_config_text,
     spec_from_config,
@@ -93,6 +94,25 @@ metric.horizon = 2.0
     assert main(["metric", "--config", cfg, "--out", str(out)]) == EXIT_OK
     assert (out / "metric.csv").exists()
     assert (out / "metric_profile.dat").exists()
+
+
+@pytest.mark.parametrize("horizon, label", [
+    ("2.5", "2.5"), ("3.5", "3.5"), ("0.25", "0.25"), ("4.0", "4")])
+def test_cli_metric_profile_at_the_horizon(tmp_path, horizon, label):
+    # the profile used to be the layer at int(round(horizon)): 2.5 wrote
+    # m(2,0,z), 0.25 a one-point m(0,0,z), and 3.5 exited 2 with "layer k=16
+    # not stored" and no key
+    text = "".join(f"{k} = {v}\n" for k, v in METRIC_KEYS.items())
+    cfg = _write(tmp_path, "m.cfg", text + f"metric.horizon = {horizon}\n")
+    out = tmp_path / "out"
+    assert main(["metric", "--config", cfg, "--out", str(out)]) == EXIT_OK
+    head, *rows = (out / "metric_profile.dat").read_text().splitlines()
+    assert head == f"# z1 m({label},0,z) profile"
+    table = compute_metric_table(build_lagrangian(spec_from_config(parse_config_text(text))[0]),
+                                 horizon=float(horizon), dt=0.25, dx=0.25, vmax=3.0)
+    z, m = np.array([r.split() for r in rows], dtype=float).T
+    assert len(z) == 2 * 3.0 * float(horizon) / 0.25 + 1
+    np.testing.assert_array_equal(m, table.value_at(float(horizon), z[:, None]))
 
 
 def test_cli_effective_smoke(tmp_path):
@@ -349,6 +369,32 @@ def test_cli_properties_lemma_gap_gate_reads_every_endpoint(tmp_path, capsys, mo
     assert float(rows["lemma_gap_max"][0]) > 2.0 and rows["lemma_gap_max"][2] == "0"
 
 
+def test_cli_properties_lemma_gap_gate_at_the_tightest_pair_of_times(tmp_path, capsys,
+                                                                    monkeypatch):
+    # gaps raised to 2 at t = 1 and t = 3 around 1 at t = 2: the gap at t = 3
+    # is within the bound 1.25 * 2 + 0.05 of t = 1, but not within the bound
+    # 1.25 * 1 + 0.05 of its predecessor t = 2; that pair is written and fails
+    import hjhom.harness as harness
+
+    def raised(*args, **kwargs):
+        table = compute_metric_table(*args, **kwargs)
+        for t in (1.0, 3.0):
+            layer, reach = table.layer(t)
+            layer[reach + 4, reach] += 0.5      # x = (1, 0): its gap 1 -> 2
+        return table
+
+    monkeypatch.setattr(harness, "compute_metric_table", raised)
+    cfg = _write(tmp_path, "l.cfg", LEMMA_CFG.format(0).replace(
+        "metric.horizon = 4.0", "metric.horizon = 6.0").replace(
+        "properties.surgery_t = 1.0,2.0", "properties.surgery_t = 1.0,2.0,3.0"))
+    out = tmp_path / "out"
+    assert main(["properties", "--config", cfg, "--out", str(out)]) == EXIT_PROPERTY
+    assert "lemma_gap_max" in capsys.readouterr().err.split("property checks failed: ")[1]
+    rows = {r.split(",")[0]: r.split(",")[1:]
+            for r in (out / "properties.csv").read_text().splitlines()[2:]}
+    assert rows["lemma_gap_max"] == ["2.0", "1.3", "0"]
+
+
 def test_cli_rate_probe_eps_outside_the_sweep_exit_code(tmp_path, capsys, monkeypatch):
     # the probe compares the sweep's own solution at probe.eps with a finer one
     cfg = _write(tmp_path, "r.cfg", "dimension = 1\npotential.a0 = 1.0\n"
@@ -449,6 +495,12 @@ PROPERTIES_KEYS = {"dimension": "2", "potential.a0": "3.0",
     ("properties", PROPERTIES_KEYS, "properties.directions = 1.0,0.0; 0.3,0.0"),
     ("properties", PROPERTIES_KEYS, "properties.directions = 0.25,0.0"),
     ("properties", PROPERTIES_KEYS, "properties.directions = 0.0,3.0"),
+    # an empty item in a list value: these used to be dropped silently
+    ("rate", RATE_KEYS, "sweep.eps = 0.25,,0.125,"),
+    ("rate", RATE_KEYS, "sweep.eps = 0.5,0.25,"),
+    ("properties", PROPERTIES_KEYS, "oracle.p_sample = 0,0;;0.5,0"),
+    ("properties", PROPERTIES_KEYS, "potential.terms = 1.0,1,0; 1.0,0,1;"),
+    ("properties", PROPERTIES_KEYS, "properties.directions = 1.0,0.0;"),
 ])
 def test_cli_bad_value_exits_at_its_line_before_any_table(tmp_path, capsys, monkeypatch,
                                                           command, keys, line):

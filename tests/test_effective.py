@@ -148,6 +148,13 @@ def test_cell_oracle_free_case_quadratic_in_p():
     assert est == pytest.approx(0.0, abs=0.05)
 
 
+def test_cell_oracle_rejects_a_horizon_off_the_time_steps():
+    # 10.1 / 0.25 = 40.4 steps used to run 40 steps, the value of t_long = 10
+    cell_problem_oracle(OSC, 0.0, t_long=10.0, dt=0.25, dx=0.125, vmax=4.0)
+    with pytest.raises(ConfigurationError, match=r"t_long / dt = 40\.4\d* is not an integer"):
+        cell_problem_oracle(OSC, 0.0, t_long=10.1, dt=0.25, dx=0.125, vmax=4.0)
+
+
 def test_cell_oracle_rejects_a_speed_cap_below_the_reach():
     # vmax dt < dx leaves the torus graph with the zero step alone
     with pytest.raises(ConfigurationError, match=r"vmax\*dt = 0\.1 < dx = 0\.125"):

@@ -1,3 +1,5 @@
+import operator
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,7 @@ from hjhom.harness import (
     target_set,
     u0_from_config,
 )
+from hjhom.util import format_float
 
 
 def test_target_set_1d_spans_radius():
@@ -143,8 +146,9 @@ seed = 0
 """)
     checks = run_property_suite(cfg, str(tmp_path / "out"))
     names = {c.name for c in checks}
-    assert {"subadditivity_max_violation", "linear_growth_K", "oracle_agreement", "lemma_gap_max",
-            "surgery_success_rate"} <= names
+    assert {"subadditivity_max_violation", "oracle_agreement", "surgery_success_rate"} <= names
+    # one surgery time: no pair of times for the non-growth rule, so no row
+    assert "lemma_gap_max" not in names
     assert all(c.passed for c in checks), [c for c in checks if not c.passed]
     assert (tmp_path / "out" / "surgery.csv").exists()
 
@@ -225,3 +229,68 @@ effective.vmax = 3.0
     (args,) = calls
     assert (args["v_box_half"], args["v_step"], args["n_max"], args["vmax"]) == \
         (1.0, 0.5, 2, 3.0)
+
+
+# the comparison each properties.csv row gates with: passed is value <= threshold
+# or value >= threshold, and every threshold is finite
+ROW_GATES = {"subadditivity_max_violation": operator.le, "oracle_agreement": operator.le,
+             "gap_min": operator.ge, "lemma_gap_max": operator.le,
+             "surgery_success_rate": operator.ge}
+ROWS_1D = """
+dimension = 1
+potential.a0 = 2.0
+potential.terms = 1.0,1
+grid.dt = 0.25
+grid.dx = 0.25
+grid.vmax = 4.0
+metric.horizon = 4.0
+properties.sample_size = 50
+properties.directions = 0.0; 1.0
+oracle.p_sample = 0.0; 0.5
+oracle.t_long = 32.0
+effective.v_box = 1.0
+effective.v_step = 0.5
+effective.n_max = 4
+"""
+ROWS_2D = SHARED_TABLE_CFG.replace("oracle.t_long = 8.0", "oracle.t_long = 32.0") + """
+metric.horizon = 4.0
+properties.surgery_samples = 2
+properties.surgery_t = 1.0,2.0
+"""
+
+
+@pytest.mark.parametrize("text, dimension", [(ROWS_1D, 1), (ROWS_2D, 2)], ids=["d1", "d2"])
+@pytest.mark.parametrize("corrupt", [False, True], ids=["exact", "corrupted"])
+def test_property_rows_gate_at_a_finite_threshold(tmp_path, monkeypatch, text, dimension,
+                                                  corrupt):
+    # corrupted: Lbar raised by 0.1 (oracle_agreement and gap_min fail) and, in
+    # d = 2, m(2, 0, (1, 0)) raised by 1 (lemma_gap_max fails)
+    import hjhom.harness as harness
+
+    def raised_model(*args, **kwargs):
+        model = build_effective_model(*args, **kwargs)
+        model.lagrangian_table.values += 0.1
+        return model
+
+    def raised_table(*args, **kwargs):
+        table = compute_metric_table(*args, **kwargs)
+        if dimension == 2:
+            layer, reach = table.layer(2.0)
+            layer[reach + 4, reach] += 1.0
+        return table
+
+    if corrupt:
+        monkeypatch.setattr(harness, "build_effective_model", raised_model)
+        monkeypatch.setattr(harness, "compute_metric_table", raised_table)
+    checks = run_property_suite(parse_config_text(text), str(tmp_path))
+    names = [n for n in ROW_GATES
+             if dimension == 2 or n not in ("lemma_gap_max", "surgery_success_rate")]
+    assert [c.name for c in checks] == names
+    for c in checks:
+        assert np.isfinite(c.threshold), c
+        assert c.passed == ROW_GATES[c.name](c.value, c.threshold), c
+    failing = {"oracle_agreement", "gap_min", "lemma_gap_max"} if corrupt else set()
+    assert {c.name for c in checks if not c.passed} == failing & set(names)
+    rows = (tmp_path / "properties.csv").read_text().splitlines()[2:]
+    assert rows == [f"{c.name},{format_float(c.value)},{format_float(c.threshold)},"
+                    f"{int(c.passed)}" for c in checks]

@@ -124,7 +124,6 @@ def test_gap_envelope_free_case_zero():
     rep = gap_vs_log_envelope(table, model, [[0.0], [1.0], [2.0]])
     assert max(g for *_, g in rep.samples) <= 0.05
     assert rep.min_gap >= -0.05
-    assert rep.envelope_constant <= 0.1
 
 
 def test_gap_envelope_nonnegative_oscillatory():
@@ -135,7 +134,6 @@ def test_gap_envelope_nonnegative_oscillatory():
     rep = gap_vs_log_envelope(table, model, [[0.0], [1.0], [2.0]])
     # f >= f-bar pointwise up to extrapolation tolerance
     assert rep.min_gap >= -0.06
-    assert np.isfinite(rep.envelope_constant)
 
 
 OSC2 = build_lagrangian(cosine_spec(2, 3.0, (1.0, (1, 0)), (1.0, (0, 1))))
