@@ -53,6 +53,10 @@ def _finite(values) -> bool:
     return all(map(math.isfinite, values))
 
 
+def _distinct(values) -> bool:
+    return 0 < len(values) == len(set(values))
+
+
 # every key the package reads, with what it accepts; the README key table
 # lists the same keys in the same words
 KEYS = {
@@ -71,11 +75,11 @@ KEYS = {
                     Key(float, lambda v: 0 < v <= 1 and is_whole(1 / v),
                         "1/n for an integer n >= 1")),
     "probe.eps": Key(float, lambda e: 0 < e <= 1, "a number in (0, 1]"),
-    "sweep.eps": Key(_floats, lambda es: es and all(0 < e <= 1 for e in es),
-                     "a comma list of numbers in (0, 1]"),
+    "sweep.eps": Key(_floats, lambda es: _distinct(es) and all(0 < e <= 1 for e in es),
+                     "a comma list of numbers in (0, 1], no two equal"),
     "properties.surgery_t": Key(
-        _floats, lambda ts: ts and all(t >= 1 and is_whole(t) for t in ts),
-        "a comma list of integers >= 1"),
+        _floats, lambda ts: _distinct(ts) and all(t >= 1 and is_whole(t) for t in ts),
+        "a comma list of integers >= 1, no two equal"),
     "u0.p": Key(_floats, _finite, "a comma list of finite numbers"),
     **dict.fromkeys(("oracle.p_sample", "properties.directions"),
                     Key(_vectors, lambda vs: all(map(_finite, vs)),

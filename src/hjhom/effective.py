@@ -118,14 +118,27 @@ def build_effective_model(lagrangian: LagrangianField,
             f"dx={dx}, vmax={vmax}, n_max={n_max}) or spec")
 
     values = np.empty((len(axis),) * d)
-    diagnostics = []
+    rays, times, points = [], [], []
     for idx in np.ndindex(values.shape):
-        k, v = ks[list(idx)], axis[list(idx)]
+        k = ks[list(idx)]
         g = math.gcd(q, *k.tolist())
         b = q // g
-        z = k * p // g
         ns = [2**i for i in range((n_max // b).bit_length())]   # 1, 2, 4, ... <= n_max / b
-        gs = [table.value_at(n * b, n * z) / n for n in ns]
+        rays.append((idx, b, ns))
+        times += [n * b for n in ns]
+        points += [n * (k * p // g) for n in ns]
+    # every ray level at one time n b is one array read of that layer; a set
+    # of times, not np.unique, whose first call imports numpy.ma (1.2 MB)
+    times, points = np.array(times), np.array(points, dtype=float)
+    reads = np.empty(len(times))
+    for time in set(times.tolist()):
+        reads[times == time] = table.value_at(float(time), points[times == time])
+
+    diagnostics = []
+    for idx, b, ns in rays:
+        v = axis[list(idx)]
+        gs = (reads[:len(ns)] / ns).tolist()
+        reads = reads[len(ns):]
         if not np.all(np.isfinite(gs)):
             raise UnreachableError(f"metric is +inf on the ray of v = {v}")
         lbar = (2.0 * gs[-1] - gs[-2] if len(gs) >= 2 else gs[-1]) / b

@@ -18,7 +18,10 @@ from .errors import DomainError
 
 @dataclass(frozen=True)
 class CosinePotential:
-    """Finite cosine series a0 + sum_i amp_i cos(2 pi k_i . x)."""
+    """Finite cosine series a0 + sum_i amp_i cos(2 pi k_i . x).
+
+    V is even, V(-x) = V(x), and the metric DP relies on it: it relaxes half
+    of each layer and mirrors the rest (hjhom.metric)."""
 
     dimension: int
     a0: float

@@ -225,7 +225,7 @@ def run_rate_sweep(cfg: Config, out_dir, threads: int = 1,
     spec, _ = spec_from_config(cfg)
     lagr = build_lagrangian(spec)
     d = spec.dimension
-    eps_list = sorted(set(cfg.get("sweep.eps", required=True)), reverse=True)
+    eps_list = sorted(cfg.get("sweep.eps", required=True), reverse=True)
     t = cfg.get("sweep.t", 1.0)
     radius = 2.0 * t
     u0 = u0_from_config(cfg, d)

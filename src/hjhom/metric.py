@@ -23,8 +23,18 @@ the same offsets, the same additions and the same minima as adding a
 gathered cost array to the layer, so every layer is bitwise-identical to the
 gather form (tests/test_metric.py keeps it as the reference).
 
-With threads > 1, a large layer is split into bands of target rows (first
-axis), one per thread.  Each band adds every offset's tile to the frame
+Only half of each layer is relaxed.  Every supported V is a cosine series,
+hence even, so a step from w to w + o costs what the step from -w to -w - o
+costs.  _cost_tiles makes that bitwise (the tile of -o at residue (-r) mod M
+is the tile of o at r; cos 2 pi (1 - y) is not bitwise cos 2 pi y), so a
+layer equal to its flip (reversed on every axis) gives a next layer equal to
+its flip: a minimum is exact and order-free.  The kernel relaxes the rows
+z1 >= 0 and copies their flip into the rows z1 < 0, which gives the bytes of
+the full-frame DP, m(t, 0, z) = m(t, 0, -z) bitwise.  A potential that is
+not even would break this premise.
+
+With threads > 1, the rows z1 >= 0 of a large layer are split into bands
+(first axis), one per thread.  Each band adds every offset's tile to the frame
 block rows it reads, in a buffer of its own, and mins the sums into its own
 rows, offsets in the usual order.  The bands are disjoint, so no cell is
 written by two threads, and each cell gets the same sums and the same minima
@@ -193,16 +203,22 @@ def _cost_tiles(lagrangian: LagrangianField, offsets: np.ndarray,
     """Per-offset cost tile over source residues r in [0, M)^d.
 
     tile[r] = dt * L( ((2 r + o) mod 2M) / (2M), o dx / dt ); the midpoint of
-    the step from source w (residue r) to w + o dx.
+    the step from source w (residue r) to w + o dx.  The tiles are centrally
+    symmetric bitwise: the tile of -o at (-r) mod M is the tile of o at r.
     """
-    d = offsets.shape[1]
+    n, d = offsets.shape
     res = grid_points([np.arange(big_m)] * d).reshape((big_m,) * d + (d,))
     tiles = []
-    for o in offsets:
+    for o in offsets[:n // 2 + 1]:
         mid = np.mod((2 * res + o) , 2 * big_m) / (2.0 * big_m)
         v = o * dx / dt
         tiles.append(dt * lagrangian(mid, np.broadcast_to(v, mid.shape)))
-    return tiles
+    # offsets[n - 1 - i] = -offsets[i]; V is even, so its tile is tiles[i] at
+    # the residues (-r) mod M, and the zero offset, its own partner, keeps
+    # the lesser of its two roundings at r and (-r) mod M
+    flip = np.ix_(*[-np.arange(big_m) % big_m] * d)
+    tiles[-1] = np.minimum(tiles[-1], tiles[-1][flip])
+    return tiles + [tile[flip] for tile in reversed(tiles[:-1])]
 
 
 def _band_plan(lo: int, hi: int, a: int, n: int, s_max: int, big_m: int,
@@ -261,8 +277,8 @@ def compute_metric_table(lagrangian: LagrangianField, horizon: float, *,
 
     keep: "all" stores every layer (needed for path backtracking);
     "integers" stores only integer-time layers (long-horizon memory saver).
-    threads: the row bands of each layer with at least BAND_MIN_CELLS frame
-    cells; the layers are the same bytes for any count.
+    threads: the bands of the rows z1 >= 0 of each layer with at least
+    BAND_MIN_CELLS frame cells; the layers are the same bytes for any count.
     """
     if keep not in ("all", "integers"):
         raise ConfigurationError(f"keep must be 'all' or 'integers', not {keep!r}")
@@ -304,14 +320,19 @@ def compute_metric_table(lagrangian: LagrangianField, horizon: float, *,
             blocks = -(-(a + n) // big_m)
             frame = np.full((blocks * big_m,) * d, np.inf)
             frame[(slice(a, a + n),) * d] = prev
+            # bands of the rows z1 >= 0; the layer is even, so the rows
+            # z1 < 0 are its flip
             bands = threads if frame.size >= BAND_MIN_CELLS else 1
-            plans = [_band_plan(rows * i // bands, rows * (i + 1) // bands, a, n,
+            half = rows - new_reach
+            plans = [_band_plan(new_reach + half * i // bands,
+                                new_reach + half * (i + 1) // bands, a, n,
                                 s_max, big_m, steps, block_tiles)
                      for i in range(bands)]
             jobs = [pool.submit(_relax, new, frame, big_m, plan) for plan in plans[1:]]
             _relax(new, frame, big_m, plans[0])
             for job in jobs:
                 job.result()
+            new[:new_reach] = np.flip(new)[:new_reach]
             if keep_all or (k % per_unit == 0) or k == n_layers:
                 layer_times.append(k)
                 layers.append(new)

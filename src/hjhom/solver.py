@@ -4,7 +4,8 @@ The oscillatory solution comes from the control representation
     u_eps(t, y) = inf over x of u0(x) + eps m(t/eps, x/eps, y/eps),
 a minimum over lattice points x/eps of exact table reads: for y/eps on the
 lattice, the DP is reversible and V even, so the metric is m(t/eps, 0,
-(y - x)/eps).  The effective solution is the inf-convolution with
+(y - x)/eps), and the table's layers are even bitwise (hjhom.metric mirrors
+them).  The effective solution is the inf-convolution with
 t Lbar((y - x)/t) over the Lbar grid, refined for all targets at once by an
 array golden search, each target bitwise its one-target search.  Both re-add
 the normalization shift t * a.  The Lax-Friedrichs oracle solves the

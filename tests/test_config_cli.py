@@ -501,6 +501,10 @@ PROPERTIES_KEYS = {"dimension": "2", "potential.a0": "3.0",
     ("properties", PROPERTIES_KEYS, "oracle.p_sample = 0,0;;0.5,0"),
     ("properties", PROPERTIES_KEYS, "potential.terms = 1.0,1,0; 1.0,0,1;"),
     ("properties", PROPERTIES_KEYS, "properties.directions = 1.0,0.0;"),
+    # a repeated value in a list: the sweep used to drop it silently, and the
+    # surgery suite to write duplicate rows and no lemma_gap_max row
+    ("rate", RATE_KEYS, "sweep.eps = 0.5,0.5,0.25"),
+    ("properties", PROPERTIES_KEYS, "properties.surgery_t = 2.0,2.0"),
 ])
 def test_cli_bad_value_exits_at_its_line_before_any_table(tmp_path, capsys, monkeypatch,
                                                           command, keys, line):

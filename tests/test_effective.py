@@ -286,6 +286,10 @@ def test_model_from_a_given_table_is_bitwise_its_own(lagr, v_box, n_max, dt, dx,
         assert np.array_equal(a["v"], b["v"]) and a["ns"] == b["ns"]
         assert np.array_equal(a["gs"], b["gs"])
         assert (a["limit"], a["flagged"]) == (b["limit"], b["flagged"])
+        # the batched reads are the one-point reads of each ray level:
+        # g_n = m(n b, 0, n b v) / n / b, with b the ray's first time
+        b = a["ns"][0]
+        assert a["gs"] == [table.value_at(t, a["v"] * t) / (t // b) / b for t in a["ns"]]
 
 
 @pytest.mark.parametrize("change", [

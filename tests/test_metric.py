@@ -2,7 +2,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hjhom import (
@@ -14,6 +14,7 @@ from hjhom import (
     extract_minimizing_path,
 )
 from hjhom.metric import path_cost
+from hjhom.util import grid_points
 from metric_reference import brute_metric
 
 
@@ -297,6 +298,58 @@ def test_frame_kernel_bitwise_equals_gather_kernel(monkeypatch, d, big_m, s, n_l
         assert reaches[-1] >= 3 * big_m
         for got, ref in zip(table.layers, layers):
             assert got.tobytes() == ref.tobytes()
+            assert got.tobytes() == np.flip(got).tobytes()
+
+
+def _plain_tiles(lagrangian, offsets, big_m, dx, dt):
+    """Every offset's tile from its own midpoints, with no mirror: cos 2 pi (1 - y)
+    is not bitwise cos 2 pi y, so the tiles of o and -o are not each other's flip."""
+    d = offsets.shape[1]
+    res = grid_points([np.arange(big_m)] * d).reshape((big_m,) * d + (d,))
+    return [dt * lagrangian(np.mod(2 * res + o, 2 * big_m) / (2.0 * big_m),
+                            np.broadcast_to(o * dx / dt, res.shape))
+            for o in offsets]
+
+
+@pytest.mark.parametrize("d, big_m, s", [(1, 6, 2.0), (2, 6, 2.5)])
+def test_half_frame_needs_the_mirrored_tiles(monkeypatch, d, big_m, s):
+    # the half-frame layers equal the full gather DP only because the tiles
+    # mirror: with plain tiles the flipped half differs from the full DP
+    monkeypatch.setattr("hjhom.metric._cost_tiles", _plain_tiles)
+    lagr = OSC if d == 1 else OSC2
+    table = compute_metric_table(lagr, horizon=2.0, dt=0.25, dx=1.0 / big_m,
+                                 vmax=s / big_m / 0.25)
+    _, layers, _ = gather_kernel_layers(table, 8, "all")
+    assert any(got.tobytes() != ref.tobytes() for got, ref in zip(table.layers, layers))
+
+
+WAVES = st.lists(st.integers(-2, 2), min_size=2, max_size=2)
+
+
+@settings(max_examples=25, deadline=None)
+@example(d=2, big_m=4, s=1.5, n_steps=3, a0=2.0, terms=[(0.75, [1, 1])])
+@given(d=st.sampled_from([1, 2]), big_m=st.sampled_from([2, 3, 4, 6]),
+       s=st.sampled_from([1.0, 1.5, 2.0]), n_steps=st.integers(1, 3),
+       a0=st.floats(1.0, 3.0),
+       terms=st.lists(st.tuples(st.floats(-1.0, 1.0), WAVES), min_size=1, max_size=2))
+def test_random_cosine_potentials_give_even_tables(d, big_m, s, n_steps, a0, terms):
+    # every cosine series V is even, non-separable wave vectors such as
+    # (1, 1) included: the tiles of o and -o mirror bitwise, every layer
+    # equals its flip bitwise, and the table is the reference DP
+    lagr = build_lagrangian(cosine_spec(d, a0, *[(amp, k[:d]) for amp, k in terms]))
+    dt, dx = 0.25, 1.0 / big_m
+    vmax = s * dx / dt
+    table = compute_metric_table(lagr, horizon=n_steps * dt, dt=dt, dx=dx, vmax=vmax)
+    flip = np.ix_(*[-np.arange(big_m) % big_m] * d)
+    for tile, partner in zip(table.tiles, reversed(table.tiles)):
+        assert tile.tobytes() == partner[flip].tobytes()
+    for layer in table.layers:
+        assert layer.tobytes() == np.flip(layer).tobytes()
+    ref = brute_metric(lagr, n_steps, dt, dx, vmax)
+    layer, reach = table.layer(n_steps * dt)
+    assert np.isfinite(layer).sum() == len(ref)
+    for j, want in ref.items():
+        assert layer[tuple(np.add(j, reach))] == pytest.approx(want, abs=1e-12), j
 
 
 def test_threads_rejects_fewer_than_one():
