@@ -127,12 +127,7 @@ def build_effective_model(lagrangian: LagrangianField,
         rays.append((idx, b, ns))
         times += [n * b for n in ns]
         points += [n * (k * p // g) for n in ns]
-    # every ray level at one time n b is one array read of that layer; a set
-    # of times, not np.unique, whose first call imports numpy.ma (1.2 MB)
-    times, points = np.array(times), np.array(points, dtype=float)
-    reads = np.empty(len(times))
-    for time in set(times.tolist()):
-        reads[times == time] = table.value_at(float(time), points[times == time])
+    reads = table.value_at(np.array(times), np.array(points))
 
     diagnostics = []
     for idx, b, ns in rays:
@@ -176,20 +171,20 @@ def cell_problem_oracle(lagrangian: LagrangianField, p, t_long: float = 128.0,
     if n_steps < 4:
         raise ConfigurationError("t_long too small for the torus iteration")
 
-    # per-offset cost over torus nodes i: dt L((i + o/2) dx mod 1, o dx/dt) - p . o dx,
-    # read at the source node of each target node
-    base = grid_points([np.arange(big_m)] * d).reshape((big_m,) * d + (d,))
-    node = np.arange(big_m**d).reshape((big_m,) * d)
-    axes = tuple(range(d))
-    src, cost = [], []
-    for o in _offsets(d, vmax * dt / dx):
-        mid = np.mod((base + o / 2.0) * dx, 1.0)
-        vel = o * dx / dt
-        c = dt * lagrangian(mid, np.broadcast_to(vel, mid.shape)) - float(p @ (o * dx))
-        shift = tuple(int(k) for k in o)
-        src.append(np.roll(node, shift, axis=axes).ravel())
-        cost.append(np.roll(c, shift, axis=axes).ravel())
-    src, cost = np.stack(src), np.stack(cost)
+    # per offset o and target node i: the cost dt L((r + o/2) dx mod 1, o dx/dt)
+    # - p . o dx of the step from the source node r = (i - o) mod M, r's index
+    offsets = _offsets(d, vmax * dt / dx)
+    step = offsets[:, None]
+    nodes = grid_points([np.arange(big_m)] * d)
+    mid = np.subtract(nodes, step, dtype=float)
+    np.mod(mid, big_m, out=mid)
+    np.add(mid, step / 2.0, out=mid)
+    np.multiply(mid, dx, out=mid)
+    np.mod(mid, 1.0, out=mid)
+    cost = dt * lagrangian(mid, step * dx / dt) - [[float(p @ (o * dx))] for o in offsets]
+    del mid     # the index below reuses its memory
+    src = np.ravel_multi_index(tuple(n - o[:, None] for n, o in zip(nodes.T, offsets.T)),
+                               (big_m,) * d, mode="wrap")
 
     w = np.zeros(big_m**d)
     buf = np.empty_like(cost)

@@ -118,8 +118,8 @@ class MetricTable:
         times = self.layer_times
         pos = np.searchsorted(times, k)
         if pos >= len(times) or times[pos] != k:
-            raise ConfigurationError(
-                f"layer k={k} not stored (mode without full layers?)")
+            raise ConfigurationError(f"layer k={k} not stored: the table keeps {len(times)} "
+                                     f"layers, t = 0 to its horizon {self.horizon}")
         return int(pos)
 
     def layer(self, t: float) -> tuple:
@@ -128,14 +128,20 @@ class MetricTable:
         pos = self._layer_pos(as_int_exact(t / self.dt, "t/dt"))
         return self.layers[pos], self.reaches[pos]
 
-    def value_at(self, t: float, z):
-        """Exact lattice values at time t (a stored layer) and points z = j dx:
-        one point, a (d,) vector or a scalar in d = 1, gives a float; points
-        (n, d) give an (n,) array.  A point beyond the reach reads +inf; one
-        off the lattice raises ConfigurationError."""
-        pos = self._layer_pos(as_int_exact(t / self.dt, "t/dt"))
+    def value_at(self, t, z):
+        """Exact lattice values at stored times t and points z = j dx: one
+        point, a (d,) vector or a scalar in d = 1, at a scalar t gives a
+        float; points (n, d) give an (n,) array, at one time t or a time per
+        point, t (n,).  A point beyond the reach reads +inf; a time not
+        stored or a point off the lattice raises ConfigurationError."""
         z = np.asarray(z, dtype=float)
-        values = self._values(pos, as_int_exact(np.atleast_2d(z) / self.dx, "z/dx"))
+        j = as_int_exact(np.atleast_2d(z) / self.dx, "z/dx")
+        ks = np.broadcast_to(as_int_exact(np.asarray(t, dtype=float) / self.dt, "t/dt"), len(j))
+        values = np.empty(len(j))
+        # one read per stored layer: a set of times, not np.unique, whose
+        # first call imports numpy.ma (1.2 MB of peak RSS)
+        for k in set(ks.tolist()):
+            values[ks == k] = self._values(self._layer_pos(k), j[ks == k])
         return float(values[0]) if z.ndim < 2 else values
 
     def _values(self, pos: int, j: np.ndarray) -> np.ndarray:

@@ -561,6 +561,23 @@ def test_cli_properties_smoke(tmp_path):
     assert all(line.endswith(",1") for line in lines[2:])
 
 
+def test_cli_properties_at_a_half_integer_horizon(tmp_path):
+    # every multiple of grid.dt is a horizon; at 3.5 the subadditivity pairs
+    # used to run to the layer int(round(3.5)) = 4, past the table, and the
+    # command exited 2 with "layer k=16 not stored"
+    text = _workload_configs()["properties-2d"]
+    for old, new in [("metric.horizon = 4.0", "metric.horizon = 3.5"),
+                     ("properties.surgery_t = 1.0,2.0", "properties.surgery_t = 1.0")]:
+        assert old + "\n" in text
+        text = text.replace(old, new)
+    cfg = _write(tmp_path, "h.cfg", text)
+    out = tmp_path / "out"
+    assert main(["properties", "--config", cfg, "--out", str(out)]) == EXIT_OK
+    rows = [r.split(",")[0] for r in (out / "properties.csv").read_text().splitlines()[2:]]
+    assert rows == ["subadditivity_max_violation", "oracle_agreement", "gap_min",
+                    "surgery_success_rate"]
+
+
 def test_cli_properties_subadditivity_gate_catches_lowered_layers(tmp_path, capsys,
                                                                   monkeypatch):
     # lowering every layer k >= 1 by 1e-6 breaks f(z + w) <= f(z) + f(w) by

@@ -209,8 +209,9 @@ def test_interpolate_reads_stored_layers_only():
 @given(d=st.sampled_from([1, 2]), a0=st.floats(1.0, 3.0), amp=st.floats(-1.0, 1.0),
        vmax=st.sampled_from([1.0, 2.0]), n_steps=st.integers(1, 3), data=st.data())
 def test_value_at_arrays_match_point_reads_and_brute_force(d, a0, amp, vmax, n_steps, data):
-    # random small tables: an (n, d) read equals n one-point reads and the
-    # reference DP, +inf beyond the reach; a point off the lattice raises
+    # random small tables: an (n, d) read, at one time or a time per point,
+    # equals n one-point reads and the reference DP, +inf beyond the reach; a
+    # point off the lattice or a time the table does not store raises
     wave = (1,) + (0,) * (d - 1)
     lagr = build_lagrangian(cosine_spec(d, a0, (amp, wave)))
     dt = dx = 0.25
@@ -228,6 +229,18 @@ def test_value_at_arrays_match_point_reads_and_brute_force(d, a0, amp, vmax, n_s
         assert value == pytest.approx(want, abs=1e-12) if np.isfinite(want) else value == np.inf
     if d == 1:
         assert isinstance(table.value_at(k * dt, float(j[0, 0] * dx)), float)
+    # a time per point: the one-point reads, bitwise; a time the table does
+    # not store raises
+    ks = np.array(data.draw(st.lists(st.integers(0, n_steps), min_size=len(j),
+                                     max_size=len(j))))
+    got = table.value_at(ks * dt, j * dx)
+    assert got.tobytes() == np.array(
+        [table.value_at(kk * dt, jj * dx) for kk, jj in zip(ks, j)]).tobytes()
+    bad = ks * dt
+    bad[data.draw(st.integers(0, len(j) - 1))] = data.draw(
+        st.sampled_from([(n_steps + 1) * dt, (n_steps + 0.5) * dt, -dt]))
+    with pytest.raises(ConfigurationError, match="not stored|t/dt"):
+        table.value_at(bad, j * dx)
     off = j * dx
     off[-1, -1] += dx / 2
     with pytest.raises(ConfigurationError, match="z/dx"):

@@ -116,6 +116,9 @@ def test_fd_oracle_matches_reference_loop(seed, d, family, eps, t, points_per_ep
     (12, 1, 0.25, 0.125, 6.0),
     (13, 2, 0.25, 0.125, 5.0),
     (14, 2, 0.125, 0.25, 3.0),
+    (15, 1, 0.125, 1 / 6, 4.0),
+    (16, 2, 0.25, 1 / 12, 2.0),
+    (17, 2, 0.125, 1 / 6, 5.0),
 ])
 def test_cell_oracle_matches_roll_loop(seed, d, dt, dx, vmax):
     rng = np.random.default_rng(seed)

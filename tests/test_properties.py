@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from hjhom import (
+    ConfigurationError,
     DomainError,
     UnreachableError,
     build_lagrangian,
@@ -117,6 +118,72 @@ def test_geodesic_unreached_chain_difference_raises():
         extract_approximate_geodesic(table, 2.0, 3.0)
 
 
+def _defect_triple_loop(table, nodes):
+    """The chain's additivity defect from one-point reads of every chain
+    difference in a triple loop: the bitwise reference for the one array
+    read of extract_approximate_geodesic."""
+    def f(dz):
+        return table.value_at(float(dz[0]), dz[1:].astype(float))
+
+    defect = 0.0
+    n = len(nodes)
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(j + 1, n):
+                val = f(nodes[k] - nodes[i]) - f(nodes[k] - nodes[j]) - f(nodes[j] - nodes[i])
+                defect = max(defect, abs(val))
+    return defect
+
+
+@pytest.mark.parametrize("lagr, kw, ends", [
+    (OSC, dict(horizon=8.0, dt=0.125, dx=0.125, vmax=6.0),
+     [(1, [4]), (2, [-8]), (4, [16]), (8, [32]), (8, [-5]), (3, [0])]),
+    (build_lagrangian(cosine_spec(2, 3.0, (1.0, (1, 0)), (0.7, (1, -2)))),
+     dict(horizon=4.0, dt=0.25, dx=0.125, vmax=5.0),
+     [(2, [3, -1]), (4, [6, 5]), (4, [-2, 0]), (1, [1, 1])]),
+])
+def test_geodesic_defect_is_the_triple_loop_bitwise(lagr, kw, ends):
+    table = compute_metric_table(lagr, **kw)
+    defects = []
+    for t, x in ends:
+        geo = extract_approximate_geodesic(table, t, x)
+        want = _defect_triple_loop(table, geo.nodes)
+        assert np.float64(geo.defect).tobytes() == np.float64(want).tobytes()
+        defects.append(want)
+    assert max(defects) > 0.0
+
+
+def test_integer_times_end_at_the_last_stored_integer_layer():
+    # horizon 3.5: the pairs and the rays used to run to the layer
+    # int(round(3.5)) = 4, past the table, and raise "layer k=16 not stored"
+    table = compute_metric_table(OSC, horizon=3.5, dt=0.25, dx=0.25, vmax=4.0)
+    assert check_subadditivity(table, sample_size=400, rng=np.random.default_rng(3)) <= 1e-9
+    model = build_effective_model(OSC, v_box_half=1.0, v_step=1.0, n_max=2, dt=0.25,
+                                  dx=0.25, vmax=4.0, table=table)
+    rep = gap_vs_log_envelope(table, model, [[1.0], [-1.0]])
+    assert [(e, s) for e, s, _ in rep.samples] == [((1.0,), 1), ((1.0,), 2),
+                                                   ((-1.0,), 1), ((-1.0,), 2)]
+    with pytest.raises(ConfigurationError, match="layer k=16 not stored: the table "
+                       "keeps 15 layers, t = 0 to its horizon 3.5"):
+        table.value_at(4.0, 0.0)
+
+
+def _gap_samples_loop(table, model, directions):
+    """Ray gaps from one-point reads at s = 1, 2, 4, ... up to the last
+    integer layer: the reference for gap_vs_log_envelope's one array read."""
+    last = max(k for k in table.layer_times * table.dt if k == int(k))
+    samples = []
+    for e in directions:
+        e = np.atleast_1d(np.asarray(e, dtype=float))
+        s = 1
+        while s <= last:
+            fval = table.value_at(float(s), s * e)
+            if np.isfinite(fval):
+                samples.append((tuple(e), s, float(fval - s * model.lagrangian_bar(e))))
+            s *= 2
+    return samples
+
+
 def test_gap_envelope_free_case_zero():
     table = free_table(horizon=4.0)
     model = build_effective_model(FREE, v_box_half=3.0, v_step=0.25, n_max=4,
@@ -134,6 +201,7 @@ def test_gap_envelope_nonnegative_oscillatory():
     rep = gap_vs_log_envelope(table, model, [[0.0], [1.0], [2.0]])
     # f >= f-bar pointwise up to extrapolation tolerance
     assert rep.min_gap >= -0.06
+    assert rep.samples == _gap_samples_loop(table, model, [[0.0], [1.0], [2.0]])
 
 
 OSC2 = build_lagrangian(cosine_spec(2, 3.0, (1.0, (1, 0)), (1.0, (0, 1))))
