@@ -24,7 +24,7 @@ from .metric import (
     default_speed_cap,
     extract_minimizing_path,
 )
-from .properties import check_subadditivity, gap_vs_log_envelope
+from .properties import check_subadditivity, gap_vs_log_envelope, lemma_gaps
 from .rates import RateReport, fit_rate
 from .solver import (
     InitialData,
@@ -41,6 +41,9 @@ from .util import format_float, grid_points, is_whole, write_rows
 
 def u0_from_config(cfg: Config, dimension: int) -> InitialData:
     family = cfg.get("u0.family", "cone")
+    for key, owner in (("u0.scale", "cone"), ("u0.p", "affine"), ("u0.bumps", "bumps")):
+        if family != owner:
+            _reject(cfg, (key,), f"u0.family = {owner}")
     if family == "cone":
         return cone_data(dimension, cfg.get("u0.scale", 1.0))
     if family == "affine":
@@ -55,6 +58,9 @@ def u0_from_config(cfg: Config, dimension: int) -> InitialData:
         if len(vec) != dimension + 2:
             raise _keyed(cfg, "each bump is amplitude,c1..cd,width", "u0.bumps")
         bumps.append((vec[0], vec[1:-1], vec[-1]))
+    if not bumps:
+        raise _keyed(cfg, "u0.family = bumps needs a non-empty u0.bumps", "u0.bumps",
+                     "u0.family")
     return bump_data(dimension, bumps)
 
 
@@ -376,18 +382,12 @@ def run_property_suite(cfg: Config, out_dir, verbose: bool = False):
     surgery_rows = []
     if n_samples > 0:
         gap_by_t = {}
-        ks, zs, vals = table.integer_cone()
         for tv in t_vals:
-            # the surgery endpoints: integer x with 0 < |x| <= 2t, (2t, 2x) reached
-            ends = zs // 2
-            pick = ((ks == 2 * tv) & np.all(zs % 2 == 0, axis=1) & ends.any(axis=1)
-                    & (np.linalg.norm(ends, axis=1) <= 2 * tv))
-            ends = ends[pick]
+            ends, gaps = lemma_gaps(table, tv)
             if not len(ends):
                 raise _keyed(cfg, f"properties.surgery_t = {tv}: no integer x with "
                              f"0 < |x| <= {2 * tv} has m({2 * tv}, 0, 2x) finite",
                              "properties.surgery_t", "properties.surgery_samples")
-            gaps = 2 * table.value_at(tv, ends) - vals[pick]
             gap_by_t[tv] = float(np.max(gaps))
             for i in rng.integers(len(ends), size=n_samples):
                 gamma = extract_minimizing_path(table, 2 * tv, 2 * ends[i])

@@ -75,6 +75,17 @@ def check_subadditivity(table: MetricTable, sample_size: int = 1000,
     return float(np.max(fzw - vals[i] - vals[j]))
 
 
+def lemma_gaps(table: MetricTable, t) -> tuple[np.ndarray, np.ndarray]:
+    """The doubling-gap lemma at integer time t: the endpoints, every integer
+    x with 0 < |x| <= 2t and m(2t, 0, 2x) finite in lexicographic order, and
+    the gap 2 m(t, 0, x) - m(2t, 0, 2x) at each (both empty when none)."""
+    ks, zs, vals = table.integer_cone()
+    ends = zs // 2
+    pick = ((ks == 2 * t) & np.all(zs % 2 == 0, axis=1) & ends.any(axis=1)
+            & (np.linalg.norm(ends, axis=1) <= 2 * t))
+    return ends[pick], 2 * table.value_at(t, ends[pick]) - vals[pick]
+
+
 def check_linear_growth(table: MetricTable) -> float:
     """Smallest K >= 1 with K^{-1}|z| - K <= f(z) <= K|z| + K on the reached
     integer points, |z| the Euclidean norm of the space-time point.  The

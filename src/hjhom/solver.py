@@ -86,8 +86,9 @@ def solve_oscillatory(u0: InitialData, lagrangian: LagrangianField,
                       table: MetricTable) -> SolutionField:
     """Representation-formula solution at scale eps on the target set.
 
-    The table must store the layer T = t/eps and each y/eps must be a
-    dx-lattice point (else ConfigurationError).  Stage 1 reads the nodes
+    The table must be built from the lagrangian's spec, store the layer
+    T = t/eps, and each y/eps must be a dx-lattice point (else
+    ConfigurationError).  Stage 1 reads the nodes
     with x in eps Z^d, where m(T, 0, (y - x)/eps) = m(T, x/eps, y/eps) by
     periodicity; stage 2 reads every node with x/eps within one unit per
     axis of the stage-1 minimizer and keeps the minimum.
@@ -96,6 +97,8 @@ def solve_oscillatory(u0: InitialData, lagrangian: LagrangianField,
         raise DomainError("eps must lie in (0, 1]")
     if t <= 0:
         raise DomainError("t must be positive")
+    if lagrangian.spec != table.lagrangian.spec:
+        raise ConfigurationError("the table is built from another spec than the lagrangian")
     big_t = t / eps
     if big_t > table.horizon + 1e-9:
         raise ConfigurationError(

@@ -5,10 +5,10 @@ lines and measured values.  Budgets are wall-clock guards for a single-core
 run; all tolerances are fixed here, none is calibrated after the fact.
 """
 
+import pathlib
 import time
 
 import numpy as np
-import pytest
 
 from hjhom import (
     build_lagrangian,
@@ -18,10 +18,10 @@ from hjhom import (
     cosine_spec,
     cone_data,
     extract_minimizing_path,
-    fit_rate,
-    solve_effective,
+    parse_config,
     solve_fd_oracle,
     solve_oscillatory,
+    spec_from_config,
 )
 from hjhom.effective import (
     build_effective_model,
@@ -30,12 +30,13 @@ from hjhom.effective import (
     flat_piece_radius_1d,
 )
 from hjhom.errors import ResolutionError
-from hjhom.harness import target_set
-from hjhom.properties import extract_approximate_geodesic
+from hjhom.harness import run_effective, run_rate_sweep
+from hjhom.properties import extract_approximate_geodesic, lemma_gaps
 from hjhom.surgery import path_surgery
-from hjhom.util import grid_points
 from metric_reference import brute_metric
 
+# criteria 2, 4 and 5 run the shipped commands on these configs
+CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
 OSC1 = cosine_spec(1, 2.0, (1.0, (1,)))          # V = 2 + cos(2 pi x)
 OSC2 = cosine_spec(2, 3.0, (1.0, (1, 0)), (1.0, (0, 1)))
 
@@ -62,21 +63,16 @@ def test_criterion_1_free_case_exactness():
             f"max |m-closed|/(1+|m|) = {worst:.4f} <= 0.02, {elapsed:.0f}s < 60s")
 
 
-@pytest.fixture(scope="module")
-def d1_effective_model():
-    lagr = build_lagrangian(OSC1)
-    return build_effective_model(lagr, v_box_half=5.0, v_step=0.25, n_max=16,
-                                 dt=0.0625, dx=0.015625, vmax=6.5)
-
-
-def test_criterion_2_effective_hamiltonian_d1(d1_effective_model):
+def test_criterion_2_effective_hamiltonian_d1(tmp_path):
     start = time.monotonic()
-    model = d1_effective_model
+    cfg = parse_config(CONFIGS / "effective_1d.cfg")
+    model = run_effective(cfg, tmp_path)
+    potential = spec_from_config(cfg)[0].potential
     worst = 0.0
     for p in (0.0, 0.5, 1.0, 1.5, 2.0):
-        oracle = effective_hamiltonian_quadrature_1d(OSC1.potential, p)
+        oracle = effective_hamiltonian_quadrature_1d(potential, p)
         worst = max(worst, abs(model.hamiltonian_bar([p]) - oracle))
-    p0_true = flat_piece_radius_1d(OSC1.potential)
+    p0_true = flat_piece_radius_1d(potential)
     p0_hat = model.flat_piece_radius_estimate()
     edge_rel = abs(p0_hat - p0_true) / p0_true
     elapsed = time.monotonic() - start
@@ -102,61 +98,30 @@ def test_criterion_3_oracle_agreement_d2():
             f"{elapsed:.0f}s < 900s")
 
 
-def test_criterion_4_rate_d1():
+def _rate_criterion(num: int, name: str, beta_min: float, budget: int, out_dir):
+    """`hjhom rate` on configs/<name>: its fitted beta and its errors, and the
+    mesh-halving probe from the rate.csv header, strictly below half the
+    smallest error."""
     start = time.monotonic()
-    lagr = build_lagrangian(OSC1)
-    u0 = cone_data(1)
-    t = 1.0
-    eps_list = [1 / 4, 1 / 8, 1 / 16, 1 / 32, 1 / 64]
-    targets = np.linspace(-2, 2, 33)[:, None]
-    dt, dx, vmax = 1 / 32, 1 / 128, 4.0
-    table = compute_metric_table(lagr, horizon=64.0, dt=dt, dx=dx, vmax=vmax,
-                                 keep="integers")
-    model_ref = build_effective_model(lagr, v_box_half=3.0, v_step=0.25,
-                                      n_max=8, dt=dt / 2, dx=dx / 2, vmax=5.0)
-    ubar = solve_effective(u0, model_ref, t, targets)
-    errors = [float(np.max(np.abs(
-        solve_oscillatory(u0, lagr, e, t, targets, table=table).values
-        - ubar.values))) for e in eps_list]
-    report = fit_rate(eps_list, errors, t=t)
-    # mesh-halving probe at the smallest eps
-    probe_tab = compute_metric_table(lagr, horizon=64.0, dt=dt / 2, dx=dx / 2,
-                                     vmax=vmax, keep="integers")
-    fine = solve_oscillatory(u0, lagr, eps_list[-1], t, targets, table=probe_tab)
-    coarse = solve_oscillatory(u0, lagr, eps_list[-1], t, targets, table=table)
-    disc = float(np.max(np.abs(fine.values - coarse.values)))
+    try:
+        report = run_rate_sweep(parse_config(CONFIGS / name), out_dir)
+    except ResolutionError as exc:
+        _report(num, False, f"{name}: {exc}")
+    with open(out_dir / "rate.csv") as fh:
+        head = dict(tok.split("=", 1) for tok in fh.readline().split() if "=" in tok)
+    disc, errors = float(head["probe_error"]), report.errors
     elapsed = time.monotonic() - start
-    _report(4, report.beta >= 0.85 and disc < 0.5 * min(errors) and elapsed < 600,
-            f"beta = {report.beta:.3f} >= 0.85, probe {disc:.4f} < "
-            f"{0.5 * min(errors):.4f}, {elapsed:.0f}s < 600s")
+    _report(num, report.beta >= beta_min and disc < 0.5 * min(errors) and elapsed < budget,
+            f"beta = {report.beta:.3f} >= {beta_min}, probe {disc:.4f} < "
+            f"{0.5 * min(errors):.4f}, {elapsed:.0f}s < {budget}s")
 
 
-def test_criterion_5_rate_d2():
-    start = time.monotonic()
-    lagr = build_lagrangian(OSC2)
-    u0 = cone_data(2)
-    t = 1.0
-    eps_list = [1 / 4, 1 / 8, 1 / 16]
-    dt = dx = 1 / 8
-    targets = target_set(2, 9, 2.0, dx)
-    table = compute_metric_table(lagr, horizon=16.0, dt=dt, dx=dx, vmax=4.0,
-                                 keep="integers")
-    model_ref = build_effective_model(lagr, v_box_half=3.0, v_step=0.5,
-                                      n_max=8, dt=dt / 2, dx=dx / 2, vmax=5.0)
-    ubar = solve_effective(u0, model_ref, t, targets)
-    errors = [float(np.max(np.abs(
-        solve_oscillatory(u0, lagr, e, t, targets, table=table).values
-        - ubar.values))) for e in eps_list]
-    report = fit_rate(eps_list, errors, t=t)
-    probe_tab = compute_metric_table(lagr, horizon=4.0, dt=dt / 2, dx=dx / 2,
-                                     vmax=4.0, keep="integers")
-    fine = solve_oscillatory(u0, lagr, 1 / 4, t, targets, table=probe_tab)
-    coarse = solve_oscillatory(u0, lagr, 1 / 4, t, targets, table=table)
-    disc = float(np.max(np.abs(fine.values - coarse.values)))
-    elapsed = time.monotonic() - start
-    _report(5, report.beta >= 0.75 and disc < 0.5 * min(errors) and elapsed < 1800,
-            f"beta = {report.beta:.3f} >= 0.75, probe {disc:.4f} < "
-            f"{0.5 * min(errors):.4f}, {elapsed:.0f}s < 1800s")
+def test_criterion_4_rate_d1(tmp_path):
+    _rate_criterion(4, "rate_1d.cfg", 0.85, 600, tmp_path)
+
+
+def test_criterion_5_rate_d2(tmp_path):
+    _rate_criterion(5, "rate_2d.cfg", 0.75, 1800, tmp_path)
 
 
 def periodicity_deviation(table) -> float:
@@ -221,15 +186,10 @@ def test_criterion_7_lemma_gap_d2():
     gap_by_t = {}
     succ = tot = n_ends = 0
     for t in (2.0, 4.0):
-        # every surgery endpoint: integer x with 0 < |x| <= 2t and m(2t, 0, 2x)
-        # finite, as run_property_suite enumerates them
-        box = grid_points([np.arange(-2 * t, 2 * t + 1)] * 2)
-        box = box[box.any(axis=1) & (np.linalg.norm(box, axis=1) <= 2 * t)]
-        ends = np.array([x for x in box if np.isfinite(table.value_at(2 * t, 2 * x))])
+        # every surgery endpoint x and its lemma gap 2 m(t, 0, x) - m(2t, 0, 2x)
+        ends, gaps = lemma_gaps(table, t)
         n_ends += len(ends)
-        # the lemma gap 2 m(t, 0, x) - m(2t, 0, 2x) is read at every endpoint
-        gaps = [2 * table.value_at(t, x) - table.value_at(2 * t, 2 * x) for x in ends]
-        gap_by_t[t] = (min(gaps), max(gaps))
+        gap_by_t[t] = (gaps.min(), gaps.max())
         # the rng only picks the endpoints whose paths go through surgery
         for x in ends[rng.integers(len(ends), size=12)]:
             gamma = extract_minimizing_path(table, 2 * t, 2 * x)

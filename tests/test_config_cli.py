@@ -505,6 +505,14 @@ PROPERTIES_KEYS = {"dimension": "2", "potential.a0": "3.0",
     # surgery suite to write duplicate rows and no lemma_gap_max row
     ("rate", RATE_KEYS, "sweep.eps = 0.5,0.5,0.25"),
     ("properties", PROPERTIES_KEYS, "properties.surgery_t = 2.0,2.0"),
+    # a u0 key of another family, and bumps without a bump: these used to be
+    # dropped silently, and bumps swept zero initial data
+    ("rate", {**RATE_KEYS, "u0.family": "affine", "u0.p": "0.5"}, "u0.scale = 7.0"),
+    ("rate", {**RATE_KEYS, "u0.family": "affine", "u0.p": "0.5"}, "u0.bumps = 1.0,0.0,0.5"),
+    ("rate", RATE_KEYS, "u0.p = 0.5"),
+    ("rate", {**RATE_KEYS, "u0.family": "zero"}, "u0.scale = 1.0"),
+    ("rate", RATE_KEYS, "u0.family = bumps"),
+    ("rate", {**RATE_KEYS, "u0.family": "bumps"}, "u0.bumps = "),
 ])
 def test_cli_bad_value_exits_at_its_line_before_any_table(tmp_path, capsys, monkeypatch,
                                                           command, keys, line):
@@ -521,16 +529,19 @@ def test_cli_bad_value_exits_at_its_line_before_any_table(tmp_path, capsys, monk
     assert not out.exists()
 
 
-def test_cli_config_error_exit_code(tmp_path):
+# these read their message, so `pytest -rP` prints only the ACCEPTANCE lines
+def test_cli_config_error_exit_code(tmp_path, capsys):
     cfg = _write(tmp_path, "bad.cfg", "dimension == 1\n")
     out = tmp_path / "out"
     assert main(["metric", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    assert f"config error: {cfg}:1: dimension = '= 1'" in capsys.readouterr().err
 
 
-def test_cli_missing_key_exit_code(tmp_path):
+def test_cli_missing_key_exit_code(tmp_path, capsys):
     cfg = _write(tmp_path, "nokey.cfg", "potential.a0 = 1.0\n")
     out = tmp_path / "out"
     assert main(["metric", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    assert "missing required key 'dimension'" in capsys.readouterr().err
 
 
 PROPERTIES_CFG = """
@@ -814,8 +825,9 @@ def test_key_registry_matches_readme_and_getters():
     assert read == KNOWN_KEYS
 
 
-def test_readme_library_example_runs():
+def test_readme_library_example_runs(capsys):
     # the README's library example calls the public API as it is today
     readme = (ROOT / "README.md").read_text()
     (block,) = re.findall(r"```python\n(.*?)```", readme, re.S)
     exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out

@@ -16,7 +16,9 @@ from hjhom.properties import (
     check_subadditivity,
     extract_approximate_geodesic,
     gap_vs_log_envelope,
+    lemma_gaps,
 )
+from hjhom.util import grid_points
 
 FREE = build_lagrangian(cosine_spec(1, 1.0))
 OSC = build_lagrangian(cosine_spec(1, 2.0, (1.0, (1,))))
@@ -166,6 +168,43 @@ def test_integer_times_end_at_the_last_stored_integer_layer():
     with pytest.raises(ConfigurationError, match="layer k=16 not stored: the table "
                        "keeps 15 layers, t = 0 to its horizon 3.5"):
         table.value_at(4.0, 0.0)
+
+
+def _lemma_gaps_box_loop(table, t):
+    """Every integer x with 0 < |x| <= 2t and m(2t, 0, 2x) finite, from a box
+    of integer points in lexicographic order, and 2 m(t, 0, x) - m(2t, 0, 2x)
+    at each from one-point reads: the reference for lemma_gaps."""
+    box = grid_points([np.arange(-2 * t, 2 * t + 1)] * table.dimension)
+    box = box[box.any(axis=1) & (np.linalg.norm(box, axis=1) <= 2 * t)]
+    ends = np.array([x for x in box if np.isfinite(table.value_at(2 * t, 2 * x))])
+    gaps = [2 * table.value_at(t, x) - table.value_at(2 * t, 2 * x) for x in ends]
+    return ends, np.array(gaps)
+
+
+OSC2 = build_lagrangian(cosine_spec(2, 3.0, (1.0, (1, 0)), (1.0, (0, 1))))
+
+
+@pytest.mark.parametrize("lagr, kw, times", [
+    # the configs/properties_2d.cfg lattice
+    (OSC2, dict(horizon=8.0, dt=0.25, dx=0.125, vmax=5.0), (1.0, 2.0, 4.0)),
+    (OSC, dict(horizon=8.0, dt=0.125, dx=0.125, vmax=6.0), (1.0, 2.0, 3.0, 4.0)),
+])
+def test_lemma_gaps_is_the_box_loop_bitwise(lagr, kw, times):
+    table = compute_metric_table(lagr, **kw)
+    for t in times:
+        ends, gaps = lemma_gaps(table, t)
+        want_ends, want_gaps = _lemma_gaps_box_loop(table, t)
+        assert len(ends) > 0
+        np.testing.assert_array_equal(ends, want_ends)
+        assert gaps.tobytes() == want_gaps.tobytes()
+
+
+def test_lemma_gaps_without_an_endpoint_are_empty():
+    # vmax = 0.5 reaches |z| <= 1 at t = 2, and no 2x with 0 < |x| <= 2 lies
+    # there (the table of test_config_cli.py's SURGERY_CFG)
+    table = compute_metric_table(OSC2, horizon=2.0, dt=0.25, dx=0.125, vmax=0.5)
+    ends, gaps = lemma_gaps(table, 1.0)
+    assert ends.shape == (0, 2) and gaps.shape == (0,)
 
 
 def _gap_samples_loop(table, model, directions):

@@ -221,6 +221,17 @@ def test_normalization_shift_identity_machine_precision():
     np.testing.assert_allclose(a.values, b.values, rtol=0, atol=1e-12)
 
 
+def test_lagrangian_of_another_spec_is_rejected():
+    # V = 2 + cos 2 pi x read with the normalized spec of V = 0.5 + cos 2 pi x:
+    # the same potential, but its shift -1.5 used to move every value by -1.5
+    lagr = build_lagrangian(cosine_spec(1, 2.0, (1.0, (1,))))
+    table = compute_metric_table(lagr, horizon=4.0, dt=0.25, dx=0.25, vmax=4.0,
+                                 keep="integers")
+    other = build_lagrangian(normalize(cosine_spec(1, 0.5, (1.0, (1,))))[0])
+    with pytest.raises(ConfigurationError, match="another spec"):
+        solve_oscillatory(cone_data(1), other, 0.25, 1.0, [[0.0]], table=table)
+
+
 # --- the batched effective refinement against the per-target loop ---------
 
 def scalar_golden(fun, lo, hi, iters):
