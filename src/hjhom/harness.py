@@ -286,10 +286,9 @@ def run_rate_sweep(cfg: Config, out_dir, threads: int = 1,
             f"homogenization error {min(errors):.4g}; refine grid.dt/grid.dx")
 
     report = fit_rate(eps_list, errors, t=t)
+    report.probe_eps, report.probe_error = probe_eps, disc_err
     os.makedirs(out_dir, exist_ok=True)
-    report.to_csv(os.path.join(out_dir, "rate.csv"),
-                  extra_header=f"probe_eps={format_float(probe_eps)} "
-                               f"probe_error={format_float(disc_err)}")
+    report.to_csv(os.path.join(out_dir, "rate.csv"))
     report.to_plot_data(os.path.join(out_dir, "rate.dat"))
     if verbose:
         print(f"rate sweep: beta = {report.beta:.3f}, "

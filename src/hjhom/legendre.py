@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DomainError
 from .hamiltonian import HamiltonianSpec
-from .util import box_cell, grid_points, multilinear, write_rows
+from .util import grid_points, write_rows
 
 MOMENTUM_DOMAIN = "momentum-domain"
 VELOCITY_DOMAIN = "velocity-domain"
@@ -47,13 +47,6 @@ class ConvexFunctionTable:
     @property
     def dimension(self) -> int:
         return len(self.axes)
-
-    def interpolate(self, points):
-        """Multilinear interpolation at points of shape (..., d) inside the box."""
-        pts = np.asarray(points, dtype=float)
-        if pts.shape[-1] != self.dimension:
-            raise DomainError("query dimension mismatch")
-        return multilinear(self.values, *box_cell(self.axes, pts))
 
     def to_csv(self, path) -> None:
         """Node coordinates plus value, one row per node (debug export)."""

@@ -97,7 +97,8 @@ class MetricTable:
     """m(k dt, 0, z) for lattice z, organized per time layer.
 
     layers[k] is the value array over indices j in [-reach_k, reach_k]^d
-    (position z = j dx); layer_times[k] = k dt for stored k.  Entries are
+    (position z = j dx), so reach_k = layers[k].shape[0] // 2;
+    layer_times[k] = k dt for stored k.  Entries are
     +inf where unreachable; the finite entries are the table's domain.
     """
 
@@ -107,7 +108,6 @@ class MetricTable:
     dimension: int
     layer_times: np.ndarray
     layers: list
-    reaches: list
     lagrangian: LagrangianField
     offsets: np.ndarray          # (n, d) lattice steps, lexicographic
     tiles: list                  # per-offset cost over source residues mod M
@@ -125,8 +125,8 @@ class MetricTable:
     def layer(self, t: float) -> tuple:
         """The stored layer at time t and its reach: entry i holds
         m(t, 0, (i - reach) dx).  Any other t raises."""
-        pos = self._layer_pos(as_int_exact(t / self.dt, "t/dt"))
-        return self.layers[pos], self.reaches[pos]
+        layer = self.layers[self._layer_pos(as_int_exact(t / self.dt, "t/dt"))]
+        return layer, layer.shape[0] // 2
 
     def value_at(self, t, z):
         """Exact lattice values at stored times t and points z = j dx: one
@@ -146,10 +146,11 @@ class MetricTable:
 
     def _values(self, pos: int, j: np.ndarray) -> np.ndarray:
         """layers[pos] at lattice points j (n, d); beyond the reach, node 0 masked to +inf."""
-        reach = self.reaches[pos]
+        layer = self.layers[pos]
+        reach = layer.shape[0] // 2
         inside = np.all(np.abs(j) <= reach, axis=1)
         safe = np.where(inside[:, None], j + reach, 0)
-        return np.where(inside, self.layers[pos][tuple(safe.T)], np.inf)
+        return np.where(inside, layer[tuple(safe.T)], np.inf)
 
     @property
     def horizon(self) -> float:
@@ -161,12 +162,12 @@ class MetricTable:
         by layer, z lexicographic within a layer."""
         big_m = as_int_exact(1.0 / self.dx, "1/dx")
         parts = [(np.zeros(0, int), np.zeros((0, self.dimension), int), np.zeros(0))]
-        for pos, k in enumerate(self.layer_times):
+        for layer, k in zip(self.layers, self.layer_times):
             t = k * self.dt
             if not is_whole(t) or round(t) == 0:
                 continue
-            reach = self.reaches[pos]
-            view = self.layers[pos][(slice(reach % big_m, None, big_m),) * self.dimension]
+            reach = layer.shape[0] // 2
+            view = layer[(slice(reach % big_m, None, big_m),) * self.dimension]
             reached = np.isfinite(view)
             z = np.argwhere(reached) - reach // big_m
             parts.append((np.full(len(z), int(round(t))), z, view[reached]))
@@ -176,9 +177,9 @@ class MetricTable:
         """Export of the finite cells: k, z_1..z_d, value; rows are made one
         layer at a time."""
         def rows():
-            for arr, k, reach in zip(self.layers, self.layer_times, self.reaches):
+            for arr, k in zip(self.layers, self.layer_times):
                 keep = np.isfinite(arr)
-                z = (np.argwhere(keep) - reach) * self.dx
+                z = (np.argwhere(keep) - arr.shape[0] // 2) * self.dx
                 yield from ((int(k), *zz, v) for zz, v in zip(z, arr[keep]))
 
         cols = ["k"] + [f"z{i+1}" for i in range(self.dimension)] + ["value"]
@@ -309,7 +310,6 @@ def compute_metric_table(lagrangian: LagrangianField, horizon: float, *,
     keep_all = keep == "all"
     layer_times = [0]
     layers = [np.zeros((1,) * d)]
-    reaches = [0]
 
     prev = layers[0]
     prev_reach = 0
@@ -342,12 +342,11 @@ def compute_metric_table(lagrangian: LagrangianField, horizon: float, *,
             if keep_all or (k % per_unit == 0) or k == n_layers:
                 layer_times.append(k)
                 layers.append(new)
-                reaches.append(new_reach)
             prev, prev_reach = new, new_reach
 
     return MetricTable(
         dt=dt, dx=dx, vmax=vmax, dimension=d,
-        layer_times=np.asarray(layer_times), layers=layers, reaches=reaches,
+        layer_times=np.asarray(layer_times), layers=layers,
         lagrangian=lagrangian, offsets=offsets, tiles=tiles)
 
 

@@ -16,7 +16,8 @@ class RateReport:
 
     beta/prefactor come from least squares of log error against log eps;
     beta_drop_largest refits without the largest eps (stability diagnostic);
-    log_fit carries the error ~ C eps log(C2 + t/eps) model.
+    log_fit carries the error ~ C eps log(C2 + t/eps) model; probe_eps and
+    probe_error, the sweep's mesh-halving probe, are None for a bare fit.
     """
 
     eps: np.ndarray
@@ -27,8 +28,10 @@ class RateReport:
     residual: float
     beta_drop_largest: float
     log_fit: dict = field(default_factory=dict)
+    probe_eps: float | None = None
+    probe_error: float | None = None
 
-    def to_csv(self, path, extra_header: str = "") -> None:
+    def to_csv(self, path) -> None:
         write_rows(path, [
             "# schema=hjhom.rate.v1 "
             f"t={format_float(self.t)} beta={format_float(self.beta)} "
@@ -38,7 +41,9 @@ class RateReport:
             f"logfit_C={format_float(self.log_fit.get('C', 0.0))} "
             f"logfit_C2={format_float(self.log_fit.get('C2', 0.0))} "
             f"logfit_residual={format_float(self.log_fit.get('residual', 0.0))}"
-            f"{' ' + extra_header if extra_header else ''}", "eps,sup_error"],
+            + ("" if self.probe_error is None else
+               f" probe_eps={format_float(self.probe_eps)} "
+               f"probe_error={format_float(self.probe_error)}"), "eps,sup_error"],
             zip(self.eps, self.errors), ",")
 
     def to_plot_data(self, path) -> None:

@@ -23,7 +23,7 @@ from .effective import EffectiveModel
 from .errors import ConfigurationError, DomainError
 from .legendre import LagrangianField
 from .metric import MetricTable
-from .util import as_int_exact, box_cell, golden_minimize, grid_points, multilinear
+from .util import as_int_exact, golden_minimize, grid_points, interpolate
 
 
 @dataclass
@@ -81,6 +81,14 @@ class SolutionField:
     provenance: dict = field(default_factory=dict)
 
 
+def _check_eps_t(eps: float, t: float) -> None:
+    """The oscillatory problems' domain: 0 < eps <= 1 and t > 0 (no nan)."""
+    if not 0 < eps <= 1:
+        raise DomainError("eps must lie in (0, 1]")
+    if not t > 0:
+        raise DomainError("t must be positive")
+
+
 def solve_oscillatory(u0: InitialData, lagrangian: LagrangianField,
                       eps: float, t: float, targets,
                       table: MetricTable) -> SolutionField:
@@ -93,10 +101,7 @@ def solve_oscillatory(u0: InitialData, lagrangian: LagrangianField,
     periodicity; stage 2 reads every node with x/eps within one unit per
     axis of the stage-1 minimizer and keeps the minimum.
     """
-    if not 0 < eps <= 1:
-        raise DomainError("eps must lie in (0, 1]")
-    if t <= 0:
-        raise DomainError("t must be positive")
+    _check_eps_t(eps, t)
     if lagrangian.spec != table.lagrangian.spec:
         raise ConfigurationError("the table is built from another spec than the lagrangian")
     big_t = t / eps
@@ -163,7 +168,7 @@ def solve_effective(u0: InitialData, model: EffectiveModel, t: float,
     k = np.argmin(obj, axis=1)
 
     def objective(vv):
-        return u0(targets - t * vv) + t * ltab.interpolate(vv)
+        return u0(targets - t * vv) + t * interpolate(ltab.axes, ltab.values, vv)
 
     values = _golden_refine(objective, vgrid[k], obj[np.arange(len(targets)), k],
                             ltab.axes) + t * model.shift
@@ -183,6 +188,7 @@ def solve_fd_oracle(u0: InitialData, spec, eps: float, t: float, targets,
     preallocated grid buffers.  A state that turns non-finite stays non-finite,
     so one check after the loop raises DomainError.
     """
+    _check_eps_t(eps, t)
     d = spec.dimension
     if d > 2:
         raise ConfigurationError("FD oracle supports d <= 2")
@@ -200,8 +206,6 @@ def solve_fd_oracle(u0: InitialData, spec, eps: float, t: float, targets,
     shape = tuple(len(a) for a in axes)
     dt_fd = 0.45 * h / (alpha * d)
     n_steps = int(np.ceil(t / dt_fd))
-    if n_steps < 1:
-        raise ConfigurationError("CFL produced no time steps")
     dt_fd = t / n_steps
     if dt_fd > 0.45 * h / (alpha * d) + 1e-15:
         raise ConfigurationError("CFL violation after rounding to the horizon")
@@ -243,5 +247,5 @@ def solve_fd_oracle(u0: InitialData, spec, eps: float, t: float, targets,
         np.add(ham, visc, out=u)
     if not np.isfinite(u).all():
         raise DomainError("non-finite x or p")
-    vals = multilinear(u, *box_cell(axes, targets)) + t * spec.normalization_shift
+    vals = interpolate(axes, u, targets) + t * spec.normalization_shift
     return SolutionField(vals, {"h": h, "dt_fd": dt_fd, "alpha": alpha})

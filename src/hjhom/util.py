@@ -1,5 +1,6 @@
 """Small shared helpers: deterministic formatting, the one CSV/.dat writer,
-rounding, golden search, product grids and multilinear interpolation.
+rounding, golden search, product grids and ``interpolate``, the one read
+between grid nodes (the Lbar table and the Lax-Friedrichs grid).
 
 Every file hjhom writes goes through ``write_rows``: header lines verbatim,
 then one line per row with numbers in ``format_float``'s shortest
@@ -85,43 +86,24 @@ def grid_points(axes) -> np.ndarray:
     return out.reshape(-1, len(axes))
 
 
-def box_cell(axes, pts) -> tuple[np.ndarray, np.ndarray]:
-    """Cell coordinates (i0, w) of points (..., d) inside the box of uniform
-    axes: lower cell corners and weights toward the upper corners.  The
-    coordinates are clamped into the box, which absorbs roundoff at its faces;
-    callers pass points inside it."""
-    i0 = np.empty(pts.shape, dtype=int)
-    w = np.empty(pts.shape)
-    for ax, nodes in enumerate(axes):
-        lo, hi = nodes[0], nodes[-1]
+def interpolate(axes, values: np.ndarray, points) -> np.ndarray:
+    """The tensor-product linear interpolant of the finite ``values`` on the
+    grid of uniform ``axes``, at points (..., d) inside its box.  Coordinates
+    are clamped into the box, which absorbs roundoff at its faces; the upper
+    face reads the last cell at weight 1, and a one-node axis has weight 0
+    toward its upper corner, whose index is clipped.  Corners are summed in
+    np.ndindex order, each weight a product over the axes in order."""
+    pts = np.asarray(points, dtype=float)
+    strides = [math.prod(values.shape[ax + 1:]) for ax in range(len(axes))]
+    base, factors = 0, []
+    for nodes, x, stride in zip(axes, np.moveaxis(pts, -1, 0), strides):
         step = nodes[1] - nodes[0] if len(nodes) > 1 else 1.0
-        u = (np.minimum(np.maximum(pts[..., ax], lo), hi) - lo) / step
+        u = (np.clip(x, nodes[0], nodes[-1]) - nodes[0]) / step
         cell = np.minimum(np.floor(u), max(len(nodes) - 2, 0))
-        i0[..., ax] = cell
-        w[..., ax] = u - cell
-    return i0, w
-
-
-def multilinear(values: np.ndarray, i0: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Multilinear interpolation of the finite ``values`` in the cells with
-    lower corners i0 (..., D) and weights w (..., D) toward the upper corners,
-    D = values.ndim.
-
-    Corners are summed in np.ndindex order, each weight a product over the
-    axes in order.  A corner index past the end of ``values`` is clipped; its
-    weight is 0 wherever i0 comes from box_cell.
-    """
-    shape, d = values.shape, values.ndim
-    strides = [math.prod(shape[ax + 1:]) for ax in range(d)]
-    base = i0[..., d - 1]
-    for ax in range(d - 1):
-        base = base + i0[..., ax] * strides[ax]
-    factors = [(1.0 - w[..., ax], w[..., ax]) for ax in range(d)]
-    flat = values.reshape(-1)
-    total = np.zeros(w.shape[:-1])
-    for corner in np.ndindex(*(2,) * d):
-        wt = factors[0][corner[0]]
-        for ax in range(1, d):
-            wt = wt * factors[ax][corner[ax]]
-        total += wt * flat.take(base + sum(c * s for c, s in zip(corner, strides)), mode="clip")
+        base = base + cell.astype(int) * stride
+        factors.append((1.0 - (u - cell), u - cell))
+    total = np.zeros(pts.shape[:-1])
+    for corner in np.ndindex(*(2,) * len(axes)):
+        total += math.prod(f[c] for f, c in zip(factors, corner)) * values.take(
+            base + sum(c * s for c, s in zip(corner, strides)), mode="clip")
     return total

@@ -99,17 +99,14 @@ def test_criterion_3_oracle_agreement_d2():
 
 
 def _rate_criterion(num: int, name: str, beta_min: float, budget: int, out_dir):
-    """`hjhom rate` on configs/<name>: its fitted beta and its errors, and the
-    mesh-halving probe from the rate.csv header, strictly below half the
-    smallest error."""
+    """`hjhom rate` on configs/<name>: its fitted beta and its errors, and its
+    mesh-halving probe error, strictly below half the smallest error."""
     start = time.monotonic()
     try:
         report = run_rate_sweep(parse_config(CONFIGS / name), out_dir)
     except ResolutionError as exc:
         _report(num, False, f"{name}: {exc}")
-    with open(out_dir / "rate.csv") as fh:
-        head = dict(tok.split("=", 1) for tok in fh.readline().split() if "=" in tok)
-    disc, errors = float(head["probe_error"]), report.errors
+    disc, errors = report.probe_error, report.errors
     elapsed = time.monotonic() - start
     _report(num, report.beta >= beta_min and disc < 0.5 * min(errors) and elapsed < budget,
             f"beta = {report.beta:.3f} >= {beta_min}, probe {disc:.4f} < "

@@ -27,7 +27,8 @@ def gather_kernel_layers(table, n_layers, keep):
 
     Every layer gathers a full cost array from the residue tiles, adds it to
     the previous layer and min-es it into the shifted target slice.  Returns
-    (layer_times, layers, reaches) as compute_metric_table stores them.
+    the stored (layer_times, layers) as compute_metric_table keeps them, and
+    the reach each layer was built with.
     """
     d = table.dimension
     big_m = round(1.0 / table.dx)
@@ -307,7 +308,7 @@ def test_frame_kernel_bitwise_equals_gather_kernel(monkeypatch, d, big_m, s, n_l
     times, layers, reaches = gather_kernel_layers(tables[0], n_layers, keep)
     for table in tables:
         assert table.layer_times.tolist() == times
-        assert table.reaches == reaches
+        assert [layer.shape[0] // 2 for layer in table.layers] == reaches
         assert reaches[-1] >= 3 * big_m
         for got, ref in zip(table.layers, layers):
             assert got.tobytes() == ref.tobytes()
@@ -399,8 +400,9 @@ def loop_backtrack(table, t, x):
     cur = np.round(x / table.dx).astype(int)
     nodes = [cur.copy()]
     for k in range(round(t / table.dt), 0, -1):
-        arr_prev, reach_prev = table.layers[k - 1], table.reaches[k - 1]
-        target_val = table.layers[k][tuple(cur + table.reaches[k])]
+        arr_prev = table.layers[k - 1]
+        reach_prev = arr_prev.shape[0] // 2
+        target_val = table.layers[k][tuple(cur + table.layers[k].shape[0] // 2)]
         best = best_off = None
         for o, tile in zip(table.offsets, table.tiles):
             src = cur - o
@@ -458,7 +460,8 @@ def _csv_per_cell(table, path):
         cols = ["k"] + [f"z{i+1}" for i in range(table.dimension)] + ["value"]
         fh.write(",".join(cols) + "\n")
         for pos, k in enumerate(table.layer_times):
-            arr, reach = table.layers[pos], table.reaches[pos]
+            arr = table.layers[pos]
+            reach = arr.shape[0] // 2
             lim = table.vmax * (k * table.dt)
             for j in np.ndindex(arr.shape):
                 z = (np.asarray(j) - reach) * table.dx

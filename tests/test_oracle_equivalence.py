@@ -3,8 +3,9 @@
 ``solve_fd_oracle`` updates u in place through preallocated buffers with V
 evaluated once, and ``cell_problem_oracle`` relaxes the torus by one gather
 per step.  The references below are the straightforward forms: a per-step
-Lax-Friedrichs loop that evaluates H through ``hamiltonian_reference``, and
-the ``np.roll`` min-plus loop.  Both oracles must return
+Lax-Friedrichs loop that evaluates H through ``hamiltonian_reference`` and
+reads the targets through ``interpolation_reference``, and the ``np.roll``
+min-plus loop.  Both oracles must return
 exactly their bytes on seeded random cases.
 """
 
@@ -12,16 +13,18 @@ import numpy as np
 import pytest
 
 from hamiltonian_reference import hamiltonian
+from interpolation_reference import brute_interpolate
 from hjhom import build_lagrangian, cosine_spec
 from hjhom.effective import cell_problem_oracle
 from hjhom.metric import _offsets
 from hjhom.solver import affine_data, bump_data, cone_data, solve_fd_oracle
-from hjhom.util import box_cell, grid_points, multilinear
+from hjhom.util import grid_points
 
 
 def reference_fd(u0, spec, eps, t, targets, points_per_eps, box_margin=1.0):
-    """Lax-Friedrichs values at the targets, one ``hamiltonian`` call per step;
-    box, CFL step and viscosity exactly as solve_fd_oracle chooses them."""
+    """Lax-Friedrichs values at the targets, one ``hamiltonian`` call per step
+    and a scalar corner loop per target; box, CFL step and viscosity exactly
+    as solve_fd_oracle chooses them."""
     d = spec.dimension
     targets = np.asarray(targets, dtype=float).reshape(-1, d)
     dv = spec.potential.upper_bound() - spec.potential.coefficient_lower_bound()
@@ -50,7 +53,7 @@ def reference_fd(u0, spec, eps, t, targets, points_per_eps, box_margin=1.0):
         grad = np.stack(grads, axis=-1).reshape(-1, d)
         ham = hamiltonian(spec, xov, grad).reshape(u.shape)
         u = u - dt_fd * ham + dt_fd * alpha * visc
-    return multilinear(u, *box_cell(axes, targets)) + t * spec.normalization_shift
+    return brute_interpolate(axes, u, targets) + t * spec.normalization_shift
 
 
 def reference_cell(lagrangian, p, t_long, dt, dx, vmax):

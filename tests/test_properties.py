@@ -50,7 +50,7 @@ def test_subadditivity_detects_corruption():
     # lower one interior integer node: concatenations through it now beat
     # the stored value at the doubled point
     pos = int(np.searchsorted(table.layer_times, 4))
-    reach = table.reaches[pos]
+    reach = table.layers[pos].shape[0] // 2
     table.layers[pos][reach + 4] -= 1.5  # z = 1.0 at t = 1... k=4 -> t=1
     worst = check_subadditivity(table, sample_size=2000,
                                 rng=np.random.default_rng(2))
@@ -253,7 +253,7 @@ def _integer_cone_points(table):
         t = k * table.dt
         if abs(t - round(t)) > 1e-9 or round(t) == 0:
             continue
-        m = int(np.floor(table.reaches[pos] * table.dx + 1e-9))
+        m = int(np.floor(table.layers[pos].shape[0] // 2 * table.dx + 1e-9))
         for j in np.ndindex(*(2 * m + 1,) * table.dimension):
             z = np.asarray(j) - m
             if np.linalg.norm(z) <= table.vmax * t + 1e-9 and \

@@ -55,6 +55,12 @@ def test_csv_and_plot_data(tmp_path):
     assert lines[0].startswith("# schema=hjhom.rate.v1")
     assert lines[1] == "eps,sup_error"
     assert len(lines) == 4
+    assert "probe" not in lines[0]
+    # a sweep's probe ends the header line, where perfbench's rate check reads it
+    report.probe_eps, report.probe_error = 0.125, 0.0625
+    report.to_csv(csv)
+    assert csv.read_text().splitlines()[0] == lines[0] + " probe_eps=0.125 probe_error=0.0625"
     dat_lines = dat.read_text().splitlines()
     assert len(dat_lines) == 3
     assert len(dat_lines[1].split()) == 2
+

@@ -20,7 +20,7 @@ from hjhom.solver import (
     solve_oscillatory,
     zero_data,
 )
-from hjhom.util import golden_minimize, grid_points
+from hjhom.util import golden_minimize, grid_points, interpolate
 
 from metric_reference import brute_metric
 
@@ -165,6 +165,16 @@ def test_fd_oracle_zero_data():
     assert sol.values[0] == pytest.approx(0.5, abs=0.02)
 
 
+@pytest.mark.parametrize("eps, t", [(0.0, 0.5), (-0.25, 0.5), (2.0, 0.5), (np.nan, 0.5),
+                                    (0.25, 0.0), (0.25, -1.0), (0.25, np.nan)])
+def test_fd_oracle_rejects_eps_and_t_outside_the_domain(eps, t):
+    # solve_oscillatory's domain and messages, checked before the box is sized
+    message = "t must be positive" if 0 < eps <= 1 else r"eps must lie in \(0, 1\]"
+    with pytest.raises(DomainError, match=message):
+        solve_fd_oracle(zero_data(1), cosine_spec(1, 1.0), eps=eps, t=t,
+                        targets=[[0.0]], points_per_eps=8)
+
+
 def test_fd_oracle_non_finite_state_raises():
     # +inf on x > 0.3: the state goes non-finite and stays so, whenever the
     # solver checks it
@@ -287,7 +297,7 @@ def reference_effective(u0, model, t, targets):
         k = int(np.argmin(obj))
 
         def objective(vv):
-            lv = ltab.interpolate(vv[None, :])
+            lv = interpolate(ltab.axes, ltab.values, vv[None, :])
             return float(u0((y - t * vv)[None, :])[0] + t * lv[0])
 
         best = reference_refine(objective, vgrid[k], obj[k], v_step, v_lo, v_hi)

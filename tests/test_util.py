@@ -1,42 +1,15 @@
-"""Randomized cross-checks of the interpolation helpers against scalar
-brute-force references."""
+"""Randomized cross-checks of util.interpolate against the scalar
+brute-force reference, and of the grid helpers."""
 
 import itertools
 
 import numpy as np
 import pytest
 
-from hjhom.util import box_cell, grid_points, multilinear, round_half_toward_zero
+from interpolation_reference import brute_interpolate
+from hjhom.util import grid_points, interpolate, round_half_toward_zero
 
 DIMENSIONS = (1, 2, 4)
-
-
-def brute_multilinear(values, i0, w):
-    """One point, corner by corner; a corner past the end of ``values`` must
-    have weight 0."""
-    total = 0.0
-    for corner in itertools.product((0, 1), repeat=values.ndim):
-        wt = 1.0
-        for c, wa in zip(corner, w):
-            wt *= wa if c else 1.0 - wa
-        idx = tuple(int(i) + c for i, c in zip(i0, corner))
-        if any(j >= n for j, n in zip(idx, values.shape)):
-            assert wt == 0.0
-            continue
-        total += wt * values[idx]
-    return total
-
-
-def brute_box_cell(axes, pt):
-    """One point, axis by axis: the cell whose lower node is at or below the
-    query, the last cell at the upper end."""
-    i0, w = [], []
-    for nodes, q in zip(axes, pt):
-        u = (q - nodes[0]) / (nodes[1] - nodes[0])
-        i = min(int(np.floor(u)), len(nodes) - 2)
-        i0.append(i)
-        w.append(u - i)
-    return i0, w
 
 
 def random_values(rng, d):
@@ -44,27 +17,28 @@ def random_values(rng, d):
     return rng.normal(size=shape)
 
 
-def random_cells(rng, shape, n_pts):
-    """Cells as box_cell makes them, lower corners 0..max(n - 2, 0), with
-    exact nodes (w = 0) and upper-boundary weights (w = 1) mixed in; an axis
-    with one node has w = 0."""
+def random_cell_points(rng, shape, n_pts):
+    """Points i0 + w on the integer grid of ``shape``: lower corners
+    0..max(n - 2, 0), with exact nodes (w = 0) and upper-boundary weights
+    (w = 1) mixed in; an axis with one node has w = 0."""
     i0 = np.stack([rng.integers(0, max(n - 1, 1), size=n_pts) for n in shape], axis=-1)
     w = rng.random((n_pts, len(shape)))
     w[rng.random(w.shape) < 0.3] = 0.0
     w[rng.random(w.shape) < 0.1] = 1.0
     w[:, np.asarray(shape) == 1] = 0.0
-    return i0, w
+    return i0 + w
 
 
 @pytest.mark.parametrize("d", DIMENSIONS)
 @pytest.mark.parametrize("seed", range(4))
 def test_multilinear_matches_brute_force(d, seed):
+    # the corner sum: integer nodes, so each point's cell and weights are exact
     rng = np.random.default_rng(100 * d + seed)
     values = random_values(rng, d)
-    i0, w = random_cells(rng, values.shape, 300)
-    got = multilinear(values, i0, w)
-    want = [brute_multilinear(values, i, ww) for i, ww in zip(i0, w)]
-    assert np.array_equal(got, want)
+    axes = [np.arange(n, dtype=float) for n in values.shape]
+    pts = random_cell_points(rng, values.shape, 300)
+    got = interpolate(axes, values, pts)
+    assert got.tobytes() == brute_interpolate(axes, values, pts).tobytes()
 
 
 @pytest.mark.parametrize("d", DIMENSIONS)
@@ -80,8 +54,8 @@ def test_grid_points_lists_nodes_last_axis_fastest(d):
 def test_multilinear_reads_nodes_exactly(d):
     rng = np.random.default_rng(7 + d)
     values = random_values(rng, d)
-    nodes = grid_points([np.arange(n) for n in values.shape])
-    got = multilinear(values, nodes, np.zeros(nodes.shape))
+    axes = [-1.5 + 0.5 * np.arange(n) for n in values.shape]
+    got = interpolate(axes, values, grid_points(axes))
     assert np.array_equal(got, values.ravel())
 
 
@@ -90,36 +64,34 @@ def test_multilinear_is_exact_on_multilinear_functions(d):
     rng = np.random.default_rng(20 + d)
     a, b = rng.normal(size=d), rng.normal(size=d)
     shape = tuple(rng.integers(2, 5 if d == 4 else 7, size=d))
-    nodes = grid_points([np.arange(n) for n in shape])
-    values = np.prod(a + b * nodes, axis=-1).reshape(shape)
+    axes = [np.arange(n, dtype=float) for n in shape]
+    values = np.prod(a + b * grid_points(axes), axis=-1).reshape(shape)
     pts = rng.random((200, d)) * (np.asarray(shape) - 1)
-    i0 = np.minimum(np.floor(pts).astype(int), np.asarray(shape) - 2)
-    got = multilinear(values, i0, pts - i0)
+    got = interpolate(axes, values, pts)
     np.testing.assert_allclose(got, np.prod(a + b * pts, axis=-1), rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("d", DIMENSIONS)
 @pytest.mark.parametrize("seed", range(3))
 def test_box_cell_matches_brute_force(d, seed):
+    # the cells: uniform axes off the integers, one-node axes, points at
+    # nodes, on the faces and just outside them
     rng = np.random.default_rng(300 + 10 * d + seed)
-    axes = [rng.normal() + rng.uniform(0.1, 2.0) * np.arange(rng.integers(2, 6))
+    axes = [rng.normal() + rng.uniform(0.1, 2.0) * np.arange(rng.integers(1, 6))
             for _ in range(d)]
+    values = rng.normal(size=tuple(len(a) for a in axes))
     lo = np.asarray([a[0] for a in axes])
     hi = np.asarray([a[-1] for a in axes])
     pts = lo + rng.uniform(0.0, 1.0, size=(400, d)) * (hi - lo)
-    # exact nodes and exact box faces
     pick = rng.random(pts.shape) < 0.3
     nodes = np.stack([rng.choice(a, size=len(pts)) for a in axes], axis=-1)
     pts[pick] = nodes[pick]
     pts[:5] = lo
     pts[5:10] = hi
-    i0, w = box_cell(axes, pts)
-    for k, pt in enumerate(pts):
-        bi, bw = brute_box_cell(axes, pt)
-        assert i0[k].tolist() == bi and w[k].tolist() == bw
-    # the cell reproduces the query
-    steps = np.asarray([a[1] - a[0] for a in axes])
-    np.testing.assert_allclose(lo + (i0 + w) * steps, pts, rtol=0, atol=1e-12)
+    pts[10:15] = hi + 1e-15 * np.maximum(np.abs(hi), 1.0)
+    pts[15:20] = lo - 1e-15 * np.maximum(np.abs(lo), 1.0)
+    got = interpolate(axes, values, pts)
+    assert got.tobytes() == brute_interpolate(axes, values, pts).tobytes()
 
 
 @pytest.mark.parametrize("d", DIMENSIONS)
@@ -129,13 +101,15 @@ def test_box_cell_clamps_to_the_face_value(d):
     values = rng.normal(size=tuple(rng.integers(2, 5, size=d)))
     axes = [np.linspace(-1.0, 1.0, n) for n in values.shape]
     for pt, corner in ((1.0 + 1e-15, -1), (-1.0 - 1e-15, 0)):
-        i0, w = box_cell(axes, np.full((1, d), pt))
-        assert multilinear(values, i0, w)[0] == values[(corner,) * d]
+        assert interpolate(axes, values, np.full((1, d), pt))[0] == values[(corner,) * d]
 
 
 @pytest.mark.parametrize("d", DIMENSIONS)
 @pytest.mark.parametrize("seed", range(3))
 def test_wrap_padded_torus_matches_mod_indexing(d, seed):
+    # a periodic table read on one period padded with its first nodes: the
+    # upper face, where np.mod rounds -1e-300 up to 1, reads the last cell at
+    # weight 1, which is bitwise the mod-indexed corner sum at its wrapped node
     rng = np.random.default_rng(500 + 10 * d + seed)
     n = int(rng.integers(2, 5 if d == 4 else 9))
     values = rng.normal(size=(n,) * d)
@@ -145,7 +119,7 @@ def test_wrap_padded_torus_matches_mod_indexing(d, seed):
     x[50:60] = -1e-300  # np.mod rounds up to 1: u == n
     u = np.mod(x, 1.0) * n
     i0 = np.floor(u)
-    got = multilinear(padded, i0.astype(int), u - i0)
+    got = interpolate([np.arange(n + 1.0)] * d, padded, u)
     assert (i0 == n).any()
     for k in range(len(x)):
         want = 0.0
