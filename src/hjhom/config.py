@@ -58,7 +58,7 @@ def _distinct(values) -> bool:
 
 
 # every key the package reads, with what it accepts; the README key table
-# lists the same keys in the same words
+# lists each once, in the same words (tests/test_config_cli.py checks it)
 KEYS = {
     **dict.fromkeys("dimension effective.n_max targets.count properties.sample_size".split(),
                     Key(int, lambda v: v >= 1, "an integer >= 1")),

@@ -15,13 +15,16 @@ mod 1, which makes the cost arrays small periodic tiles.
 
 Each layer is relaxed without gathers: the previous layer is copied into a
 +inf-padded frame that starts on a multiple of M = 1/dx, so a frame index's
-residue mod M is its position inside a block of M cells.  Reshaped to (B, M)
-in d = 1 or (B, M, B, M) in d = 2, the frame takes each offset's M^d cost
-tile by a broadcast add into one reused buffer, and the window of that
-buffer holding the real sources is min-ed into the target slice.  These are
-the same offsets, the same additions and the same minima as adding a
-gathered cost array to the layer, so every layer is bitwise-identical to the
-gather form (tests/test_metric.py keeps it as the reference).
+residue mod M is its position inside a block of M cells.  The frame rows a
+band reads are viewed as (blocks, M, R), R the frame cells per first-axis
+row (1 in d = 1).  Each offset's M^d cost tile, tiled along the last d - 1
+axes into an (M, R) row tile, is added by one broadcast add into a reused
+64-byte-aligned buffer, whose inner loop runs over a whole frame row, and
+the window of that buffer holding the real sources is min-ed into the
+target slice.  These are the same offsets, the same additions and the same
+minima as adding a gathered cost array to the layer, so every layer is
+bitwise-identical to the gather form (tests/test_metric.py keeps it as the
+reference).
 
 Only half of each layer is relaxed.  Every supported V is a cosine series,
 hence even, so a step from w to w + o costs what the step from -w to -w - o
@@ -254,16 +257,38 @@ def _band_plan(lo: int, hi: int, a: int, n: int, s_max: int, big_m: int,
                     for (i, rest), tile in zip(steps, block_tiles) if rows[i]]
 
 
+def _aligned_empty(n: int) -> np.ndarray:
+    """An uninitialized float array of n cells whose data starts on a 64-byte
+    (cache-line) boundary.  malloc aligns only to 16 bytes, and an add into a
+    misaligned buffer was measured 19-40% slower (see CHANGES.md)."""
+    raw = np.empty(n + 8)
+    # the tail first: numpy keeps the base's data pointer for an empty slice
+    return raw[-raw.ctypes.data % 64 // raw.itemsize:][:n]
+
+
 def _relax(new: np.ndarray, frame: np.ndarray, big_m: int, plan: tuple) -> None:
     """Min every offset's sums into one band of `new`: the frame block rows
-    the band reads plus each tile, in a buffer of the band's own."""
+    the band reads plus each tile, in an aligned buffer of the band's own.
+
+    The band is viewed as (b1 - b0, M, R), R the frame cells per first-axis
+    row, so each add is one (M, R) row tile over whole frame rows.  In d = 1,
+    R = 1 and the planned tile is that row tile; in d >= 2 it is copied,
+    tiled along the last d - 1 axes, into the band's row buffer first.
+    """
     b0, b1, pairs = plan
     src = frame[b0 * big_m:b1 * big_m]
-    buf = np.empty_like(src)
-    src_b, buf_b = (f.reshape((b1 - b0, big_m) + (frame.shape[0] // big_m, big_m)
-                              * (frame.ndim - 1)) for f in (src, buf))
+    width = src[0].size
+    buf = _aligned_empty(src.size).reshape(src.shape)
+    src_r, buf_r = (f.reshape(b1 - b0, big_m, width) for f in (src, buf))
+    if frame.ndim > 1:
+        row = _aligned_empty(big_m * width).reshape(big_m, width)
+        row_blocks = row.reshape((big_m,) + (frame.shape[0] // big_m, big_m)
+                                 * (frame.ndim - 1) + (1,))
     for tile, target, source in pairs:
-        np.add(src_b, tile, out=buf_b)
+        if frame.ndim > 1:
+            np.copyto(row_blocks, tile)
+            tile = row
+        np.add(src_r, tile, out=buf_r)
         np.minimum(new[target], buf[source], out=new[target])
 
 
@@ -305,7 +330,9 @@ def compute_metric_table(lagrangian: LagrangianField, horizon: float, *,
     tiles = _cost_tiles(lagrangian, offsets, big_m, dx, dt)
     s_max = int(np.max(np.abs(offsets)))
     steps = [(int(o[0]) + s_max, tuple(int(c) + s_max for c in o[1:])) for o in offsets]
-    block_tiles = [tile.reshape((1, big_m) * d) for tile in tiles]
+    # (M, 1) in d = 1, _relax's row tile itself; in d >= 2 the shape that
+    # broadcasts along the frame blocks of a row (see _relax)
+    block_tiles = [tile.reshape((big_m,) + (1, big_m) * (d - 1) + (1,)) for tile in tiles]
 
     keep_all = keep == "all"
     layer_times = [0]

@@ -13,6 +13,7 @@ from hjhom import (
     cosine_spec,
     extract_minimizing_path,
 )
+from hjhom.metric import _aligned_empty as aligned_empty
 from hjhom.metric import path_cost
 from hjhom.util import grid_points
 from metric_reference import brute_metric
@@ -60,6 +61,8 @@ FREE = build_lagrangian(cosine_spec(1, 1.0))
 OSC = build_lagrangian(cosine_spec(1, 2.0, (1.0, (1,))))
 FREE2 = build_lagrangian(cosine_spec(2, 1.0))
 OSC2 = build_lagrangian(cosine_spec(2, 3.0, (1.0, (1, 0)), (1.0, (0, 1))))
+OSC3 = build_lagrangian(cosine_spec(3, 3.0, (1.0, (1, 0, 0)), (0.5, (0, 1, 1))))
+OSC_BY_DIMENSION = {1: OSC, 2: OSC2, 3: OSC3}
 
 
 def closed_form_free(t, x):
@@ -292,6 +295,7 @@ EQUIVALENCE_CASES = [
     (2, 6, 2.5, 12, "all"), (2, 8, 2.5, 12, "integers"),
     (2, 2, 3.0, 4, "integers"), (2, 3, 4.5, 4, "all"),
     (2, 6, 7.0, 4, "integers"), (2, 8, 9.0, 4, "all"),
+    (3, 2, 1.5, 6, "all"), (3, 2, 1.5, 6, "integers"), (3, 2, 2.0, 4, "all"),
 ]
 
 
@@ -300,7 +304,7 @@ def test_frame_kernel_bitwise_equals_gather_kernel(monkeypatch, d, big_m, s, n_l
                                                    keep):
     # every layer in row bands: the first ones have fewer rows than threads
     monkeypatch.setattr("hjhom.metric.BAND_MIN_CELLS", 0)
-    lagr = OSC if d == 1 else OSC2
+    lagr = OSC_BY_DIMENSION[d]
     dt, dx = 0.25, 1.0 / big_m
     tables = [compute_metric_table(lagr, horizon=n_layers * dt, dt=dt, dx=dx,
                                    vmax=s * dx / dt, keep=keep, threads=threads)
@@ -313,6 +317,39 @@ def test_frame_kernel_bitwise_equals_gather_kernel(monkeypatch, d, big_m, s, n_l
         for got, ref in zip(table.layers, layers):
             assert got.tobytes() == ref.tobytes()
             assert got.tobytes() == np.flip(got).tobytes()
+
+
+@pytest.mark.parametrize("d, big_m, s", [(1, 6, 2.0), (2, 6, 2.5)])
+@pytest.mark.parametrize("threads", [1, 3])
+def test_band_buffers_are_cache_line_aligned(monkeypatch, d, big_m, s, threads):
+    # every buffer a band adds into starts on a 64-byte boundary, whatever
+    # offset malloc gave the allocation under it
+    monkeypatch.setattr("hjhom.metric.BAND_MIN_CELLS", 0)
+    buffers = []
+
+    def recorded(n):
+        buf = aligned_empty(n)
+        buffers.append(buf)
+        return buf
+
+    monkeypatch.setattr("hjhom.metric._aligned_empty", recorded)
+    compute_metric_table(OSC_BY_DIMENSION[d], horizon=2.0, dt=0.25, dx=1.0 / big_m,
+                         vmax=s / big_m / 0.25, threads=threads)
+    # 8 layers of `threads` bands, each with a sum buffer, and in d = 2 a row buffer
+    assert len(buffers) == 8 * threads * d
+    assert all(buf.ctypes.data % 64 == 0 for buf in buffers)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 7, 8, 9, 1000])
+def test_aligned_empty_shape_and_alignment(n):
+    # eight live allocations, at whatever offsets malloc gives them, all give
+    # an aligned view of n writable cells
+    bufs = [aligned_empty(n) for _ in range(8)]
+    for buf in bufs:
+        assert buf.shape == (n,) and buf.dtype == np.float64
+        assert buf.ctypes.data % 64 == 0
+        buf[:] = 1.0
+        assert buf.sum() == n
 
 
 def _plain_tiles(lagrangian, offsets, big_m, dx, dt):
