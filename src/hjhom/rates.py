@@ -59,6 +59,10 @@ def fit_rate(eps, errors, t: float = 1.0) -> RateReport:
     errors = np.asarray(errors, dtype=float)
     if len(eps) < 2:
         raise DomainError("need at least two (eps, error) pairs")
+    if not (np.isfinite(eps).all() and np.isfinite(errors).all()):
+        raise DomainError("eps and errors must be finite")
+    if np.any(eps <= 0):
+        raise DomainError("eps must be positive")
     if np.any(np.diff(eps) >= 0):
         raise DomainError("eps must be strictly decreasing")
     if np.any(errors <= 0):

@@ -23,7 +23,7 @@ from .effective import EffectiveModel
 from .errors import ConfigurationError, DomainError
 from .legendre import LagrangianField
 from .metric import MetricTable
-from .util import as_int_exact, golden_minimize, grid_points, interpolate
+from .util import as_int_exact, golden_minimize, grid_cell, grid_points, interpolate
 
 
 @dataclass
@@ -175,6 +175,23 @@ def solve_effective(u0: InitialData, model: EffectiveModel, t: float,
     return SolutionField(values)
 
 
+def _fd_schedule(core, shape, n_steps):
+    """The nodes each Lax-Friedrichs step updates, as (window, steps) runs.  A
+    step with r steps after it updates, per axis, the node range [start, stop)
+    within r nodes of the core (a (first, last) node pair per axis), clipped to
+    the grid: nothing farther can reach the core.  That is the whole grid while
+    r reaches past every face, then a window one node narrower per step."""
+    def window(r):
+        return tuple((max(first - r, 0), min(last + r, n - 1) + 1)
+                     for (first, last), n in zip(core, shape))
+
+    full = min(n_steps - 1, max(max(first, n - 1 - last)
+                                for (first, last), n in zip(core, shape)))
+    yield window(full), n_steps - full
+    for r in range(full - 1, -1, -1):
+        yield window(r), 1
+
+
 def solve_fd_oracle(u0: InitialData, spec, eps: float, t: float, targets,
                     points_per_eps: int = 64,
                     box_margin: float = 1.0) -> SolutionField:
@@ -182,13 +199,25 @@ def solve_fd_oracle(u0: InitialData, spec, eps: float, t: float, targets,
 
     Central Hamiltonian evaluation H = |grad u|^2 - V(x/eps) with artificial
     viscosity alpha = max |D_p H| per axis; CFL number 0.45 keeps the scheme
-    monotone.  The box is sized so boundary influence (finite speed) cannot
-    reach the targets.  V is evaluated once at the nodes; u lives inside one
-    buffer with an edge-copied ghost layer, and each step updates it through
-    preallocated grid buffers.  A state that turns non-finite stays non-finite,
-    so one check after the loop raises DomainError.
+    monotone.  The box reaches speed * t + box_margin beyond the targets.
+    That bounds the PDE's characteristics, not the 3-point stencil, which
+    moves information one node per step: the edge-copied boundary feeds the
+    targets in the early steps, and a smaller box would change the values.
+    A step with r steps after it updates only the nodes within r of the cells
+    that ``util.interpolate`` reads at the targets (a node at weight 0
+    included); the others keep their last value and are never read again.
+    V is evaluated once at the nodes; u lives inside one buffer with an
+    edge-copied ghost layer, copied only on the faces the window touches, and
+    each step writes through views of five preallocated buffers.  A computed
+    node that turns non-finite stays non-finite, so one check of the whole
+    grid after the loop raises DomainError; only node-steps outside the
+    targets' domain of dependence are not computed.
     """
     _check_eps_t(eps, t)
+    if not (np.isfinite(points_per_eps) and points_per_eps > 0):
+        raise ConfigurationError(f"points_per_eps = {points_per_eps} must be finite and > 0")
+    if not (np.isfinite(box_margin) and box_margin >= 0):
+        raise ConfigurationError(f"box_margin = {box_margin} must be finite and >= 0")
     d = spec.dimension
     if d > 2:
         raise ConfigurationError("FD oracle supports d <= 2")
@@ -210,42 +239,60 @@ def solve_fd_oracle(u0: InitialData, spec, eps: float, t: float, targets,
     if dt_fd > 0.45 * h / (alpha * d) + 1e-15:
         raise ConfigurationError("CFL violation after rounding to the horizon")
     v_nodes = spec.potential(np.mod(nodes / eps, 1.0)).reshape(shape)
-
-    def part(ax, sl):
-        """Slice sl along axis ax of the ghosted buffer, interior elsewhere."""
-        return tuple(sl if i == ax else slice(1, -1) for i in range(d))
+    # the nodes interpolate reads: the targets' cells and the node above each,
+    # also where its weight is 0, since 0 * inf is nan
+    cells = [grid_cell(a, x)[0] for a, x in zip(axes, targets.T)]
+    core = [(int(c.min()), min(int(c.max()) + 1, n - 1)) for c, n in zip(cells, shape)]
 
     up = np.empty(tuple(n + 2 for n in shape))
-    u = up[(slice(1, -1),) * d]
-    u[...] = u0(nodes).reshape(shape)
-    ghosts = [(part(ax, 0), part(ax, 1), part(ax, -1), part(ax, -2)) for ax in range(d)]
-    stencil = [(up[part(ax, slice(2, None))], up[part(ax, slice(0, -2))])
-               for ax in range(d)]
-    two_u, grad, ham, visc, tmp = (np.empty(shape) for _ in range(5))
-    for _ in range(n_steps):
-        for lo_g, lo_i, hi_g, hi_i in ghosts:
-            up[lo_g] = up[lo_i]
-            up[hi_g] = up[hi_i]
-        np.multiply(2, u, out=two_u)
-        for ax, (fwd, bwd) in enumerate(stencil):
-            np.subtract(fwd, bwd, out=grad)
-            np.divide(grad, 2 * h, out=grad)
-            if ax == 0:
-                np.multiply(grad, grad, out=ham)
-            else:
-                np.multiply(grad, grad, out=grad)
-                np.add(ham, grad, out=ham)
-            np.subtract(fwd, two_u, out=tmp)
-            np.add(tmp, bwd, out=tmp)
-            np.divide(tmp, 2 * h, out=tmp)
-            # the viscosity sum starts from +0.0, which turns a -0.0 term into +0.0
-            np.add(visc if ax else 0.0, tmp, out=visc)
-        np.subtract(ham, v_nodes, out=ham)
-        np.multiply(dt_fd, ham, out=ham)
-        np.subtract(u, ham, out=ham)
-        np.multiply(dt_fd * alpha, visc, out=visc)
-        np.add(ham, visc, out=u)
-    if not np.isfinite(u).all():
+    grid = up[(slice(1, -1),) * d]
+    grid[...] = u0(nodes).reshape(shape)
+    buffers = [np.empty(grid.size) for _ in range(5)]
+
+    def views(win):
+        """A step's operands on the window win: u, V, the (forward, backward)
+        neighbours per axis, the (ghost, edge) index pairs of the faces the
+        window touches, and the five buffers' leading cells."""
+        inner = [slice(a + 1, b + 1) for a, b in win]
+        u = up[tuple(inner)]
+        stencil, ghosts = [], []
+        for ax, (a, b) in enumerate(win):
+            before, after = inner[:ax], inner[ax + 1:]
+            stencil.append((up[tuple(before + [slice(a + 2, b + 2)] + after)],
+                            up[tuple(before + [slice(a, b)] + after)]))
+            if a == 0:
+                ghosts.append((tuple(before + [0] + after), tuple(before + [1] + after)))
+            if b == shape[ax]:
+                ghosts.append((tuple(before + [b + 1] + after),
+                               tuple(before + [b] + after)))
+        return (u, v_nodes[tuple(slice(a, b) for a, b in win)], stencil, ghosts,
+                [buf[:u.size].reshape(u.shape) for buf in buffers])
+
+    for win, steps in _fd_schedule(core, shape, n_steps):
+        u, v_win, stencil, ghosts, (two_u, grad, ham, visc, tmp) = views(win)
+        for _ in range(steps):
+            for ghost, edge in ghosts:
+                up[ghost] = up[edge]
+            np.multiply(2, u, out=two_u)
+            for ax, (fwd, bwd) in enumerate(stencil):
+                np.subtract(fwd, bwd, out=grad)
+                np.divide(grad, 2 * h, out=grad)
+                if ax == 0:
+                    np.multiply(grad, grad, out=ham)
+                else:
+                    np.multiply(grad, grad, out=grad)
+                    np.add(ham, grad, out=ham)
+                np.subtract(fwd, two_u, out=tmp)
+                np.add(tmp, bwd, out=tmp)
+                np.divide(tmp, 2 * h, out=tmp)
+                # the viscosity sum starts from +0.0, which turns a -0.0 term into +0.0
+                np.add(visc if ax else 0.0, tmp, out=visc)
+            np.subtract(ham, v_win, out=ham)
+            np.multiply(dt_fd, ham, out=ham)
+            np.subtract(u, ham, out=ham)
+            np.multiply(dt_fd * alpha, visc, out=visc)
+            np.add(ham, visc, out=u)
+    if not np.isfinite(grid).all():
         raise DomainError("non-finite x or p")
-    vals = interpolate(axes, u, targets) + t * spec.normalization_shift
+    vals = interpolate(axes, grid, targets) + t * spec.normalization_shift
     return SolutionField(vals, {"h": h, "dt_fd": dt_fd, "alpha": alpha})

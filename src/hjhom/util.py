@@ -86,6 +86,16 @@ def grid_points(axes) -> np.ndarray:
     return out.reshape(-1, len(axes))
 
 
+def grid_cell(nodes, x):
+    """The cell that ``interpolate`` reads for coordinates x on one uniform
+    axis, as float indices, and x in units of the step from nodes[0].  x is
+    clamped into [nodes[0], nodes[-1]], and the cell is capped at the last one,
+    n - 2 (0 on a one-node axis, whose step counts as 1)."""
+    step = nodes[1] - nodes[0] if len(nodes) > 1 else 1.0
+    u = (np.clip(x, nodes[0], nodes[-1]) - nodes[0]) / step
+    return np.minimum(np.floor(u), max(len(nodes) - 2, 0)), u
+
+
 def interpolate(axes, values: np.ndarray, points) -> np.ndarray:
     """The tensor-product linear interpolant of the finite ``values`` on the
     grid of uniform ``axes``, at points (..., d) inside its box.  Coordinates
@@ -97,9 +107,7 @@ def interpolate(axes, values: np.ndarray, points) -> np.ndarray:
     strides = [math.prod(values.shape[ax + 1:]) for ax in range(len(axes))]
     base, factors = 0, []
     for nodes, x, stride in zip(axes, np.moveaxis(pts, -1, 0), strides):
-        step = nodes[1] - nodes[0] if len(nodes) > 1 else 1.0
-        u = (np.clip(x, nodes[0], nodes[-1]) - nodes[0]) / step
-        cell = np.minimum(np.floor(u), max(len(nodes) - 2, 0))
+        cell, u = grid_cell(nodes, x)
         base = base + cell.astype(int) * stride
         factors.append((1.0 - (u - cell), u - cell))
     total = np.zeros(pts.shape[:-1])

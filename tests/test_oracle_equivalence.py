@@ -1,39 +1,50 @@
 """The two oracles against their plain reference loops, bit for bit.
 
 ``solve_fd_oracle`` updates u in place through preallocated buffers with V
-evaluated once, and ``cell_problem_oracle`` relaxes the torus by one gather
-per step.  The references below are the straightforward forms: a per-step
-Lax-Friedrichs loop that evaluates H through ``hamiltonian_reference`` and
-reads the targets through ``interpolation_reference``, and the ``np.roll``
-min-plus loop.  Both oracles must return
-exactly their bytes on seeded random cases.
+evaluated once, and at each step only the nodes that can still reach a
+target; ``cell_problem_oracle`` relaxes the torus by one gather per step.
+The references below are the straightforward forms: a per-step
+Lax-Friedrichs loop over the whole box that evaluates H through
+``hamiltonian_reference`` and reads the targets through
+``interpolation_reference``, and the ``np.roll`` min-plus loop.  Both oracles
+must return exactly their bytes on seeded random cases, and the FD oracle
+also on hypothesis-drawn ones.
 """
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hamiltonian_reference import hamiltonian
 from interpolation_reference import brute_interpolate
 from hjhom import build_lagrangian, cosine_spec
 from hjhom.effective import cell_problem_oracle
 from hjhom.metric import _offsets
-from hjhom.solver import affine_data, bump_data, cone_data, solve_fd_oracle
+from hjhom.solver import _fd_schedule, affine_data, bump_data, cone_data, solve_fd_oracle
 from hjhom.util import grid_points
 
 
-def reference_fd(u0, spec, eps, t, targets, points_per_eps, box_margin=1.0):
-    """Lax-Friedrichs values at the targets, one ``hamiltonian`` call per step
-    and a scalar corner loop per target; box, CFL step and viscosity exactly
-    as solve_fd_oracle chooses them."""
+def reference_grid(u0, spec, eps, t, targets, points_per_eps, box_margin):
+    """Viscosity alpha and grid axes exactly as solve_fd_oracle chooses them."""
     d = spec.dimension
-    targets = np.asarray(targets, dtype=float).reshape(-1, d)
     dv = spec.potential.upper_bound() - spec.potential.coefficient_lower_bound()
     alpha = 2.0 * (np.sqrt(u0.lipschitz**2 + max(dv, 0.0)) + 0.2)
     speed = alpha * d + 1.0
     h = eps / points_per_eps
     lo = targets.min(axis=0) - speed * t - box_margin
     hi = targets.max(axis=0) + speed * t + box_margin
-    axes = [np.arange(l, hh + h, h) for l, hh in zip(lo, hi)]
+    return alpha, [np.arange(l, hh + h, h) for l, hh in zip(lo, hi)]
+
+
+def reference_fd(u0, spec, eps, t, targets, points_per_eps, box_margin=1.0):
+    """Lax-Friedrichs values at the targets, every node updated at every step
+    through one ``hamiltonian`` call and a scalar corner loop per target; box,
+    CFL step and viscosity exactly as solve_fd_oracle chooses them."""
+    d = spec.dimension
+    targets = np.asarray(targets, dtype=float).reshape(-1, d)
+    alpha, axes = reference_grid(u0, spec, eps, t, targets, points_per_eps, box_margin)
+    h = eps / points_per_eps
     nodes = grid_points(axes)
     u = u0(nodes).reshape(tuple(len(a) for a in axes))
     n_steps = int(np.ceil(t / (0.45 * h / (alpha * d))))
@@ -112,6 +123,81 @@ def test_fd_oracle_matches_reference_loop(seed, d, family, eps, t, points_per_ep
     got = solve_fd_oracle(u0, spec, eps, t, targets, points_per_eps=points_per_eps)
     want = reference_fd(u0, spec, eps, t, targets, points_per_eps)
     assert got.values.tobytes() == want.tobytes()
+
+
+@st.composite
+def window_cases(draw):
+    """Small Lax-Friedrichs problems: d, u0 family, rng seed, eps, t,
+    points_per_eps, the box margin in grid steps, a target layout and 1-6
+    targets.  A margin of 2 or more steps makes the window shrink on every
+    side; at 0 the outermost targets sit within speed * t of the box's faces,
+    in its edge cells when speed * t < h, so the window keeps touching them."""
+    return (draw(st.sampled_from([1, 2])),
+            draw(st.sampled_from(["cone", "affine", "bumps"])),
+            draw(st.integers(0, 2**32 - 1)),
+            draw(st.sampled_from([0.25, 0.5, 1.0])),
+            draw(st.sampled_from([0.015625, 0.0625, 0.125])),
+            draw(st.integers(3, 6)),
+            draw(st.sampled_from([0, 1, 2, 5])),
+            draw(st.sampled_from(["spread", "clustered", "nodes", "faces"])),
+            draw(st.integers(1, 6)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(window_cases())
+# box margin 0 at a short t: the core is the whole grid, or all but one face
+@example((1, "cone", 0, 1.0, 0.015625, 3, 0, "spread", 3))
+@example((2, "bumps", 1, 1.0, 0.015625, 3, 0, "faces", 4))
+def test_fd_oracle_window_matches_reference_loop(case):
+    # the oracle updates only the nodes that can still reach the targets'
+    # cells; the reference updates every node at every step
+    d, family, seed, eps, t, points_per_eps, margin_steps, layout, count = case
+    rng = np.random.default_rng(seed)
+    spec = random_spec(rng, d)
+    u0 = random_u0(rng, d, family)
+    h = eps / points_per_eps
+    box_margin = margin_steps * h
+    targets = rng.uniform(-0.5, 0.5, size=(count, d))
+    if layout == "clustered":
+        targets = targets[0] + rng.uniform(0.0, 2 * h, size=(count, d))
+    elif layout != "spread" and count > 2:
+        # two corners fix the box; the others move to nodes inside it, on
+        # every axis ("nodes") or on the first only, a cell face ("faces")
+        targets[:2] = targets.min(axis=0), targets.max(axis=0)
+        _, axes = reference_grid(u0, spec, eps, t, targets, points_per_eps, box_margin)
+        for ax in range(d if layout == "nodes" else 1):
+            inside = axes[ax][(axes[ax] >= targets[0, ax]) & (axes[ax] <= targets[1, ax])]
+            if len(inside):
+                targets[2:, ax] = rng.choice(inside, size=count - 2)
+    got = solve_fd_oracle(u0, spec, eps, t, targets, points_per_eps=points_per_eps,
+                          box_margin=box_margin)
+    want = reference_fd(u0, spec, eps, t, targets, points_per_eps, box_margin)
+    assert got.values.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("core, shape, n_steps", [
+    (((4, 6),), (12,), 9),              # the window shrinks from both faces
+    (((4, 6),), (12,), 3),              # fewer steps than the reach to a face
+    (((0, 3),), (10,), 6),              # the core touches the lower face
+    (((2, 9),), (10,), 4),              # ... and the upper face
+    (((5, 5),), (11,), 1),              # one step: the core alone
+    (((0, 1),), (2,), 5),               # the core is the whole grid
+    (((3, 4), (0, 7)), (9, 8), 7),      # d = 2, one axis whole throughout
+    (((1, 2), (6, 8)), (7, 11), 5),
+])
+def test_fd_schedule_covers_each_later_window_widened_by_one(core, shape, n_steps):
+    windows = [win for win, steps in _fd_schedule(core, shape, n_steps)
+               for _ in range(steps)]
+    assert len(windows) == n_steps
+    # a step updates every node that can still reach the core, and no other
+    for k, win in enumerate(windows):
+        r = n_steps - 1 - k
+        assert win == tuple((max(first - r, 0), min(last + r, n - 1) + 1)
+                            for (first, last), n in zip(core, shape))
+    # so each step's neighbours were all updated at the step before
+    for before, after in zip(windows, windows[1:]):
+        for (b0, b1), (a0, a1), n in zip(before, after, shape):
+            assert b0 <= max(a0 - 1, 0) and min(a1 + 1, n) <= b1
 
 
 @pytest.mark.parametrize("seed, d, dt, dx, vmax", [

@@ -45,6 +45,20 @@ def test_invalid_inputs_rejected():
         fit_rate([0.25, 0.125], [0.1, 0.0])  # nonpositive error
 
 
+@pytest.mark.parametrize("eps, errors, message", [
+    ([0.5, 0.25], [np.nan, 0.1], "finite"),
+    ([0.5, 0.25], [0.2, np.inf], "finite"),
+    ([np.nan, 0.25], [0.2, 0.1], "finite"),
+    ([0.5, -np.inf], [0.2, 0.1], "finite"),
+    ([0.5, 0.0], [0.2, 0.1], "positive"),
+])
+def test_non_finite_or_nonpositive_inputs_rejected(eps, errors, message):
+    # a nan error used to fit beta = nan silently, and a nan eps to raise
+    # LinAlgError from LAPACK
+    with pytest.raises(DomainError, match=message):
+        fit_rate(eps, errors)
+
+
 def test_csv_and_plot_data(tmp_path):
     report = fit_rate([0.25, 0.125], [0.3, 0.15])
     csv = tmp_path / "rate.csv"

@@ -10,6 +10,7 @@ from hjhom import (
     normalize,
 )
 from hjhom.effective import build_effective_model
+from hjhom.harness import target_set
 from hjhom.solver import (
     InitialData,
     affine_data,
@@ -173,6 +174,22 @@ def test_fd_oracle_rejects_eps_and_t_outside_the_domain(eps, t):
     with pytest.raises(DomainError, match=message):
         solve_fd_oracle(zero_data(1), cosine_spec(1, 1.0), eps=eps, t=t,
                         targets=[[0.0]], points_per_eps=8)
+
+
+@pytest.mark.parametrize("points_per_eps, box_margin, message", [
+    (0, 1.0, "points_per_eps"), (-4, 1.0, "points_per_eps"),
+    (np.nan, 1.0, "points_per_eps"), (np.inf, 1.0, "points_per_eps"),
+    (8, -5.0, "box_margin"), (8, -0.01, "box_margin"),
+    (8, np.nan, "box_margin"), (8, np.inf, "box_margin"),
+])
+def test_fd_oracle_rejects_grid_arguments_outside_their_range(points_per_eps, box_margin,
+                                                             message):
+    # 0 used to raise ZeroDivisionError, -4 and a margin of -5 IndexError,
+    # and a small negative margin shrank the box silently
+    with pytest.raises(ConfigurationError, match=message):
+        solve_fd_oracle(zero_data(1), cosine_spec(1, 1.0), eps=0.25, t=0.5,
+                        targets=[[0.0]], points_per_eps=points_per_eps,
+                        box_margin=box_margin)
 
 
 def test_fd_oracle_non_finite_state_raises():
@@ -383,6 +400,26 @@ def test_oscillatory_is_the_brute_force_lattice_minimum(d):
             got = solve_oscillatory(u0, lagr, eps, t, ys, table=table).values
             want = brute_oscillatory(u0, lagr, eps, t, ys, table)
             assert np.array_equal(got, want), (u0.family, eps, t)
+
+
+@pytest.mark.parametrize("d, a0, terms, dt, dx, vmax, eps_list, count", [
+    # the rate-1d and rate-2d benchmark workloads' lattices, sweeps and targets
+    (1, 2.0, [(1.0, (1,))], 0.03125, 0.0078125, 4.0, (0.25, 0.125, 0.0625), 17),
+    (2, 3.0, [(1.0, (1, 0)), (1.0, (0, 1))], 0.125, 0.125, 4.0, (0.5, 0.25, 0.125), 9),
+])
+def test_stage_two_is_the_whole_layer_minimum_at_rate_sweep_size(d, a0, terms, dt, dx,
+                                                                  vmax, eps_list, count):
+    # stage 2 searches one unit per axis around the stage-1 minimizer; on the
+    # rate sweeps' own tables it must find the minimum over the whole layer
+    lagr = build_lagrangian(normalize(cosine_spec(d, a0, *terms))[0])
+    t = 1.0
+    table = compute_metric_table(lagr, horizon=t / min(eps_list), dt=dt, dx=dx,
+                                 vmax=vmax, keep="integers")
+    ys = target_set(d, count, 2.0 * t, dx)
+    for eps in eps_list:
+        got = solve_oscillatory(cone_data(d), lagr, eps, t, ys, table=table).values
+        want = brute_oscillatory(cone_data(d), lagr, eps, t, ys, table)
+        assert np.array_equal(got, want), eps
 
 
 def test_oscillatory_matches_the_reference_dp_from_each_source():
