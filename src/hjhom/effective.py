@@ -37,7 +37,7 @@ class EffectiveModel:
         |k| <= half per axis, read exactly; any other v raises DomainError."""
         axis = self.lagrangian_table.axes[0]
         half = len(axis) // 2
-        k = np.atleast_1d(np.asarray(v, dtype=float)) / (axis[1] - axis[0] if half else 1.0)
+        k = np.atleast_1d(np.asarray(v, dtype=float)) / (axis[1] - axis[0])
         if k.shape != (self.lagrangian_table.dimension,) or not (
                 is_whole(k) & (np.abs(k) <= half + 1e-9)).all():
             raise DomainError(f"v = {v} is not a node of the Lbar grid {axis}")
@@ -89,8 +89,8 @@ def build_effective_model(lagrangian: LagrangianField,
     (2 g_last - g_prev) / b, or g_last / b when the ray has one level, which
     is flagged in the diagnostics.  A ray the table does not reach raises
     UnreachableError; a v_step without such a q raises HorizonError, and a
-    v_box_half that is no whole multiple of v_step ConfigurationError, before
-    the table is built.
+    v_box_half below v_step (a grid of fewer than three nodes per axis) or
+    no whole multiple of it ConfigurationError, before the table is built.
 
     table: an already built table on this lattice to read the rays from
     instead of building one.  Rays read only integer layers n <= n_max, so
@@ -99,6 +99,9 @@ def build_effective_model(lagrangian: LagrangianField,
     threads: the thread count of the table built when none is given.
     """
     d = lagrangian.dimension
+    if not 0 < v_step <= v_box_half:
+        raise ConfigurationError(f"the Lbar grid needs 0 < v_step = {v_step} <= "
+                                 f"v_box_half = {v_box_half}")
     q = next((b for b in range(1, int(n_max) + 1) if is_whole(b * v_step)), None)
     if q is None:
         raise HorizonError(f"v_step = {v_step} has no denominator b <= n_max = "
@@ -165,6 +168,8 @@ def cell_problem_oracle(lagrangian: LagrangianField, p, t_long: float = 128.0,
     p = np.atleast_1d(np.asarray(p, dtype=float))
     if p.shape != (d,):
         raise DomainError(f"p must have {d} components")
+    if not np.isfinite(p).all():
+        raise DomainError(f"p = {p} must be finite")
     big_m = as_int_exact(1.0 / dx, "1/dx")
     check_reach(vmax, dt, dx)   # with only the zero step it would return -V(0)
     n_steps = as_int_exact(t_long / dt, "t_long / dt")
@@ -215,11 +220,13 @@ def effective_hamiltonian_quadrature_1d(potential, p: float) -> float:
 
     Below the flat-piece radius the answer is -min V.  The integrand is
     smooth and periodic for h > -min V, so the uniform-grid mean converges
-    rapidly.
+    rapidly.  A non-finite p raises DomainError.
     """
+    p_abs = abs(float(p))
+    if not math.isfinite(p_abs):
+        raise DomainError(f"p = {p} must be finite")
     vals = _torus_values(potential)
     vmin = float(vals.min())
-    p_abs = abs(float(p))
 
     def phi(h):
         return float(np.mean(np.sqrt(np.maximum(h + vals, 0.0))))

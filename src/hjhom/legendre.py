@@ -58,7 +58,7 @@ class ConvexFunctionTable:
 
 def conjugate(table: ConvexFunctionTable, points) -> np.ndarray:
     """g(p) = max over the table's nodes v of p . v - f(v), at each row p of
-    points (n, d).
+    points (n, d), which must be finite (else DomainError).
 
     Rows are maximized one at a time, so each value is that of a one-point
     call; a matrix product over all rows at once may round differently.
@@ -66,6 +66,8 @@ def conjugate(table: ConvexFunctionTable, points) -> np.ndarray:
     nodes = grid_points(table.axes)
     values = table.values.ravel()
     pts = np.asarray(points, dtype=float).reshape(-1, table.dimension)
+    if not np.isfinite(pts).all():
+        raise DomainError("p must be finite")
     return np.array([np.max(nodes @ p - values) for p in pts])
 
 

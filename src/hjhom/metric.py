@@ -194,7 +194,10 @@ class MetricTable:
 
 
 def check_reach(vmax: float, dt: float, dx: float) -> None:
-    """vmax dt >= dx, so that one step reaches the lattice neighbours."""
+    """vmax finite and > 0, and vmax dt >= dx, so that one step reaches the
+    lattice neighbours."""
+    if not (np.isfinite(vmax) and vmax > 0):
+        raise ConfigurationError(f"vmax = {vmax} must be finite and > 0")
     if vmax * dt < dx - 1e-12:
         raise ConfigurationError(
             f"vmax*dt = {vmax * dt} < dx = {dx}: neighbors unreachable")
@@ -309,13 +312,14 @@ def compute_metric_table(lagrangian: LagrangianField, horizon: float, *,
 
     keep: "all" stores every layer (needed for path backtracking);
     "integers" stores only integer-time layers (long-horizon memory saver).
-    threads: the bands of the rows z1 >= 0 of each layer with at least
-    BAND_MIN_CELLS frame cells; the layers are the same bytes for any count.
+    threads: an integer >= 1, the bands of the rows z1 >= 0 of each layer
+    with at least BAND_MIN_CELLS frame cells; the layers are the same bytes
+    for any count.
     """
     if keep not in ("all", "integers"):
         raise ConfigurationError(f"keep must be 'all' or 'integers', not {keep!r}")
-    if threads < 1:
-        raise ConfigurationError(f"threads must be at least 1, not {threads}")
+    if not isinstance(threads, (int, np.integer)) or threads < 1:
+        raise ConfigurationError(f"threads must be an integer at least 1, not {threads!r}")
     d = lagrangian.dimension
     check_reach(vmax, dt, dx)
     big_m = as_int_exact(1.0 / dx, "1/dx")

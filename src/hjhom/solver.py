@@ -9,8 +9,8 @@ them).  The effective solution is the inf-convolution with
 t Lbar((y - x)/t) over the Lbar grid, refined for all targets at once by an
 array golden search, each target bitwise its one-target search.  Both re-add
 the normalization shift t * a.  The Lax-Friedrichs oracle solves the
-oscillatory PDE directly on a grid that resolves the eps-scale; it is a
-cross-check only and never feeds the rate measurements.
+one-dimensional oscillatory PDE directly on a grid that resolves the
+eps-scale; it is a cross-check only and never feeds the rate measurements.
 """
 
 from __future__ import annotations
@@ -81,12 +81,17 @@ class SolutionField:
     provenance: dict = field(default_factory=dict)
 
 
+def _check_t(t: float) -> None:
+    """The solvers' time domain: 0 < t < inf (no nan)."""
+    if not (t > 0 and np.isfinite(t)):
+        raise DomainError("t must be positive and finite")
+
+
 def _check_eps_t(eps: float, t: float) -> None:
-    """The oscillatory problems' domain: 0 < eps <= 1 and t > 0 (no nan)."""
+    """The oscillatory problems' domain: 0 < eps <= 1 and 0 < t < inf (no nan)."""
     if not 0 < eps <= 1:
         raise DomainError("eps must lie in (0, 1]")
-    if not t > 0:
-        raise DomainError("t must be positive")
+    _check_t(t)
 
 
 def solve_oscillatory(u0: InitialData, lagrangian: LagrangianField,
@@ -157,8 +162,7 @@ def _golden_refine(objective, x0, best, axes):
 def solve_effective(u0: InitialData, model: EffectiveModel, t: float,
                     targets) -> SolutionField:
     """Inf-convolution u-bar(t, y) = min_x u0(x) + t Lbar((y - x)/t)."""
-    if t <= 0:
-        raise DomainError("t must be positive")
+    _check_t(t)
     ltab = model.lagrangian_table
     d = ltab.dimension
     vgrid = grid_points(ltab.axes)
@@ -175,30 +179,25 @@ def solve_effective(u0: InitialData, model: EffectiveModel, t: float,
     return SolutionField(values)
 
 
-def _fd_schedule(core, shape, n_steps):
-    """The nodes each Lax-Friedrichs step updates, as (window, steps) runs.  A
-    step with r steps after it updates, per axis, the node range [start, stop)
-    within r nodes of the core (a (first, last) node pair per axis), clipped to
-    the grid: nothing farther can reach the core.  That is the whole grid while
-    r reaches past every face, then a window one node narrower per step."""
-    def window(r):
-        return tuple((max(first - r, 0), min(last + r, n - 1) + 1)
-                     for (first, last), n in zip(core, shape))
-
-    full = min(n_steps - 1, max(max(first, n - 1 - last)
-                                for (first, last), n in zip(core, shape)))
-    yield window(full), n_steps - full
-    for r in range(full - 1, -1, -1):
-        yield window(r), 1
+def _fd_schedule(first, last, n, n_steps):
+    """The nodes each Lax-Friedrichs step updates, as (start, stop, steps) runs
+    on an n-node axis.  A step with r steps after it updates the nodes
+    [start, stop) within r of the core nodes first..last, clipped to the
+    axis: nothing farther can reach the core.  That is the whole axis while r
+    reaches past both ends, then a window one node narrower per step."""
+    full = min(n_steps - 1, max(first, n - 1 - last))
+    for r in range(full, -1, -1):
+        yield max(first - r, 0), min(last + r, n - 1) + 1, n_steps - full if r == full else 1
 
 
 def solve_fd_oracle(u0: InitialData, spec, eps: float, t: float, targets,
                     points_per_eps: int = 64,
                     box_margin: float = 1.0) -> SolutionField:
-    """Monotone Lax-Friedrichs solution of the oscillatory problem (oracle).
+    """Monotone Lax-Friedrichs solution of the oscillatory problem in d = 1
+    (oracle); another dimension raises ConfigurationError, as no caller runs one.
 
-    Central Hamiltonian evaluation H = |grad u|^2 - V(x/eps) with artificial
-    viscosity alpha = max |D_p H| per axis; CFL number 0.45 keeps the scheme
+    Central Hamiltonian evaluation H = u_x^2 - V(x/eps) with artificial
+    viscosity alpha = max |D_p H|; CFL number 0.45 keeps the scheme
     monotone.  The box reaches speed * t + box_margin beyond the targets.
     That bounds the PDE's characteristics, not the 3-point stencil, which
     moves information one node per step: the edge-copied boundary feeds the
@@ -207,92 +206,64 @@ def solve_fd_oracle(u0: InitialData, spec, eps: float, t: float, targets,
     that ``util.interpolate`` reads at the targets (a node at weight 0
     included); the others keep their last value and are never read again.
     V is evaluated once at the nodes; u lives inside one buffer with an
-    edge-copied ghost layer, copied only on the faces the window touches, and
-    each step writes through views of five preallocated buffers.  A computed
-    node that turns non-finite stays non-finite, so one check of the whole
-    grid after the loop raises DomainError; only node-steps outside the
-    targets' domain of dependence are not computed.
+    edge-copied ghost node at each end, and each step writes through views of
+    four preallocated buffers.  A computed node that turns non-finite stays
+    non-finite, so one check of the whole axis after the loop raises
+    DomainError; only node-steps outside the targets' domain of dependence
+    are not computed.  An empty target set gives no values.
     """
     _check_eps_t(eps, t)
     if not (np.isfinite(points_per_eps) and points_per_eps > 0):
         raise ConfigurationError(f"points_per_eps = {points_per_eps} must be finite and > 0")
     if not (np.isfinite(box_margin) and box_margin >= 0):
         raise ConfigurationError(f"box_margin = {box_margin} must be finite and >= 0")
-    d = spec.dimension
-    if d > 2:
-        raise ConfigurationError("FD oracle supports d <= 2")
-    targets = np.asarray(targets, dtype=float).reshape(-1, d)
+    if spec.dimension != 1:
+        raise ConfigurationError(f"FD oracle supports d = 1 only, not d = {spec.dimension}")
+    ys = np.asarray(targets, dtype=float).reshape(-1)
     # gradient bound for the viscosity solution: |Du|^2 <= Lip^2 + osc(V)
     dv = spec.potential.upper_bound() - spec.potential.coefficient_lower_bound()
-    pmax = np.sqrt(u0.lipschitz**2 + max(dv, 0.0)) + 0.2
-    alpha = 2.0 * pmax
-    speed = alpha * d + 1.0
+    alpha = 2.0 * (np.sqrt(u0.lipschitz**2 + max(dv, 0.0)) + 0.2)
     h = eps / points_per_eps
-    lo = targets.min(axis=0) - speed * t - box_margin
-    hi = targets.max(axis=0) + speed * t + box_margin
-    axes = [np.arange(l, hh + h, h) for l, hh in zip(lo, hi)]
-    nodes = grid_points(axes)
-    shape = tuple(len(a) for a in axes)
-    dt_fd = 0.45 * h / (alpha * d)
-    n_steps = int(np.ceil(t / dt_fd))
+    n_steps = int(np.ceil(t / (0.45 * h / alpha)))
     dt_fd = t / n_steps
-    if dt_fd > 0.45 * h / (alpha * d) + 1e-15:
+    if dt_fd > 0.45 * h / alpha + 1e-15:
         raise ConfigurationError("CFL violation after rounding to the horizon")
-    v_nodes = spec.potential(np.mod(nodes / eps, 1.0)).reshape(shape)
+    provenance = {"h": h, "dt_fd": dt_fd, "alpha": alpha}
+    if not len(ys):
+        return SolutionField(np.empty(0), provenance)
+    speed = alpha + 1.0
+    x = np.arange(ys.min() - speed * t - box_margin, ys.max() + speed * t + box_margin + h, h)
+    n = len(x)
+    v_nodes = spec.potential(np.mod(x[:, None] / eps, 1.0)).reshape(n)
     # the nodes interpolate reads: the targets' cells and the node above each,
     # also where its weight is 0, since 0 * inf is nan
-    cells = [grid_cell(a, x)[0] for a, x in zip(axes, targets.T)]
-    core = [(int(c.min()), min(int(c.max()) + 1, n - 1)) for c, n in zip(cells, shape)]
+    cells = grid_cell(x, ys)[0]
+    first, last = int(cells.min()), min(int(cells.max()) + 1, n - 1)
 
-    up = np.empty(tuple(n + 2 for n in shape))
-    grid = up[(slice(1, -1),) * d]
-    grid[...] = u0(nodes).reshape(shape)
-    buffers = [np.empty(grid.size) for _ in range(5)]
-
-    def views(win):
-        """A step's operands on the window win: u, V, the (forward, backward)
-        neighbours per axis, the (ghost, edge) index pairs of the faces the
-        window touches, and the five buffers' leading cells."""
-        inner = [slice(a + 1, b + 1) for a, b in win]
-        u = up[tuple(inner)]
-        stencil, ghosts = [], []
-        for ax, (a, b) in enumerate(win):
-            before, after = inner[:ax], inner[ax + 1:]
-            stencil.append((up[tuple(before + [slice(a + 2, b + 2)] + after)],
-                            up[tuple(before + [slice(a, b)] + after)]))
-            if a == 0:
-                ghosts.append((tuple(before + [0] + after), tuple(before + [1] + after)))
-            if b == shape[ax]:
-                ghosts.append((tuple(before + [b + 1] + after),
-                               tuple(before + [b] + after)))
-        return (u, v_nodes[tuple(slice(a, b) for a, b in win)], stencil, ghosts,
-                [buf[:u.size].reshape(u.shape) for buf in buffers])
-
-    for win, steps in _fd_schedule(core, shape, n_steps):
-        u, v_win, stencil, ghosts, (two_u, grad, ham, visc, tmp) = views(win)
+    up = np.empty(n + 2)
+    up[1:-1] = u0(x[:, None]).reshape(n)
+    buffers = [np.empty(n) for _ in range(4)]
+    for a, b, steps in _fd_schedule(first, last, n, n_steps):
+        u, fwd, bwd, v_win = up[a + 1:b + 1], up[a + 2:b + 2], up[a:b], v_nodes[a:b]
+        two_u, grad, ham, visc = (buf[:b - a] for buf in buffers)
         for _ in range(steps):
-            for ghost, edge in ghosts:
-                up[ghost] = up[edge]
+            # a ghost node is read only while the window holds its edge node
+            up[0], up[-1] = up[1], up[-2]
             np.multiply(2, u, out=two_u)
-            for ax, (fwd, bwd) in enumerate(stencil):
-                np.subtract(fwd, bwd, out=grad)
-                np.divide(grad, 2 * h, out=grad)
-                if ax == 0:
-                    np.multiply(grad, grad, out=ham)
-                else:
-                    np.multiply(grad, grad, out=grad)
-                    np.add(ham, grad, out=ham)
-                np.subtract(fwd, two_u, out=tmp)
-                np.add(tmp, bwd, out=tmp)
-                np.divide(tmp, 2 * h, out=tmp)
-                # the viscosity sum starts from +0.0, which turns a -0.0 term into +0.0
-                np.add(visc if ax else 0.0, tmp, out=visc)
+            np.subtract(fwd, bwd, out=grad)
+            np.divide(grad, 2 * h, out=grad)
+            np.multiply(grad, grad, out=ham)
+            np.subtract(fwd, two_u, out=visc)
+            np.add(visc, bwd, out=visc)
+            np.divide(visc, 2 * h, out=visc)
+            # +0.0 turns a -0.0 term into +0.0, as a sum started from 0.0 does
+            np.add(0.0, visc, out=visc)
             np.subtract(ham, v_win, out=ham)
             np.multiply(dt_fd, ham, out=ham)
             np.subtract(u, ham, out=ham)
             np.multiply(dt_fd * alpha, visc, out=visc)
             np.add(ham, visc, out=u)
-    if not np.isfinite(grid).all():
+    if not np.isfinite(up[1:-1]).all():
         raise DomainError("non-finite x or p")
-    vals = interpolate(axes, grid, targets) + t * spec.normalization_shift
-    return SolutionField(vals, {"h": h, "dt_fd": dt_fd, "alpha": alpha})
+    vals = interpolate([x], up[1:-1], ys[:, None]) + t * spec.normalization_shift
+    return SolutionField(vals, provenance)

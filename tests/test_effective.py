@@ -75,7 +75,7 @@ def test_unreached_ray_raises():
 
 
 def test_oscillatory_gap_sequence_decays():
-    model = build_effective_model(OSC, v_box_half=0.0, v_step=1.0, n_max=16,
+    model = build_effective_model(OSC, v_box_half=1.0, v_step=1.0, n_max=16,
                                   dt=0.125, dx=0.0625, vmax=5.0)
     rec = _ray(model, [0.0])
     assert rec["ns"] == [1, 2, 4, 8, 16]
@@ -213,6 +213,34 @@ def test_velocity_box_off_the_step_raises_before_the_table(monkeypatch):
     with pytest.raises(ConfigurationError, match=r"v_box_half/v_step = 6\.2 is not an integer"):
         build_effective_model(FREE, v_box_half=3.1, v_step=0.5, n_max=8,
                               dt=0.25, dx=0.25, vmax=4.0)
+
+
+@pytest.mark.parametrize("v_box_half, v_step", [(0.0, 1.0), (0.5, 1.0), (-1.0, 0.5),
+                                                (1.0, 0.0), (1.0, -0.5), (1.0, np.nan)])
+def test_velocity_grid_of_fewer_than_three_nodes_raises_before_the_table(
+        v_box_half, v_step, monkeypatch):
+    # v_box_half = 0 built a one-node table, on which solve_effective raised
+    # IndexError; v_step = 0 raised ZeroDivisionError
+    def no_table(*args, **kwargs):
+        raise AssertionError("the table was built")
+
+    monkeypatch.setattr("hjhom.effective.compute_metric_table", no_table)
+    with pytest.raises(ConfigurationError, match="the Lbar grid needs 0 < v_step"):
+        build_effective_model(FREE, v_box_half=v_box_half, v_step=v_step, n_max=8,
+                              dt=0.25, dx=0.25, vmax=4.0)
+
+
+@pytest.mark.parametrize("p", [np.nan, np.inf, -np.inf])
+def test_hbar_estimates_reject_a_non_finite_momentum(p):
+    # each returned nan, or the quadrature inf at p = inf
+    model = build_effective_model(FREE, v_box_half=1.0, v_step=0.5, n_max=2,
+                                  dt=0.25, dx=0.125, vmax=4.0)
+    with pytest.raises(DomainError, match="must be finite"):
+        model.hamiltonian_bar([p])
+    with pytest.raises(DomainError, match="must be finite"):
+        cell_problem_oracle(FREE, [p], t_long=4.0, dt=0.25, dx=0.125, vmax=4.0)
+    with pytest.raises(DomainError, match="must be finite"):
+        effective_hamiltonian_quadrature_1d(OSC_POT, p)
 
 
 def test_lagrangian_bar_reads_grid_nodes_only():

@@ -13,6 +13,7 @@ from hjhom import (
     cosine_spec,
     extract_minimizing_path,
 )
+from hjhom.effective import cell_problem_oracle
 from hjhom.metric import _aligned_empty as aligned_empty
 from hjhom.metric import path_cost
 from hjhom.util import grid_points
@@ -406,6 +407,25 @@ def test_random_cosine_potentials_give_even_tables(d, big_m, s, n_steps, a0, ter
 def test_threads_rejects_fewer_than_one():
     with pytest.raises(ConfigurationError, match="threads"):
         compute_metric_table(FREE, horizon=1.0, dt=0.25, dx=0.25, vmax=4.0, threads=0)
+
+
+@pytest.mark.parametrize("threads", [2.0, 1.5])
+def test_threads_rejects_a_count_that_is_not_an_integer(threads):
+    # 2.0 used to pass the check and fail with TypeError in the band loop,
+    # once a frame reached BAND_MIN_CELLS
+    with pytest.raises(ConfigurationError, match="integer"):
+        compute_metric_table(FREE, horizon=1.0, dt=0.25, dx=0.25, vmax=4.0,
+                             threads=threads)
+
+
+@pytest.mark.parametrize("vmax", [np.nan, np.inf, -np.inf, 0.0])
+def test_speed_cap_must_be_finite_and_positive(vmax):
+    # nan used to pass the reach check, and then the table and the cell
+    # oracle failed with a bare ValueError; inf failed with OverflowError
+    with pytest.raises(ConfigurationError, match="vmax"):
+        compute_metric_table(FREE, horizon=1.0, dt=0.25, dx=0.25, vmax=vmax)
+    with pytest.raises(ConfigurationError, match="vmax"):
+        cell_problem_oracle(FREE, [0.0], t_long=4.0, dt=0.25, dx=0.25, vmax=vmax)
 
 
 def test_banded_table_equals_serial_under_thread_switches(monkeypatch):

@@ -167,7 +167,8 @@ def test_fd_oracle_zero_data():
 
 
 @pytest.mark.parametrize("eps, t", [(0.0, 0.5), (-0.25, 0.5), (2.0, 0.5), (np.nan, 0.5),
-                                    (0.25, 0.0), (0.25, -1.0), (0.25, np.nan)])
+                                    (0.25, 0.0), (0.25, -1.0), (0.25, np.nan),
+                                    (0.25, np.inf)])
 def test_fd_oracle_rejects_eps_and_t_outside_the_domain(eps, t):
     # solve_oscillatory's domain and messages, checked before the box is sized
     message = "t must be positive" if 0 < eps <= 1 else r"eps must lie in \(0, 1\]"
@@ -192,6 +193,13 @@ def test_fd_oracle_rejects_grid_arguments_outside_their_range(points_per_eps, bo
                         box_margin=box_margin)
 
 
+def test_fd_oracle_rejects_a_spec_of_dimension_two():
+    # the oracle is one-dimensional: its only callers run d = 1
+    with pytest.raises(ConfigurationError, match="d = 1 only"):
+        solve_fd_oracle(zero_data(2), cosine_spec(2, 1.0), eps=0.25, t=0.5,
+                        targets=[[0.0, 0.0]], points_per_eps=4)
+
+
 def test_fd_oracle_non_finite_state_raises():
     # +inf on x > 0.3: the state goes non-finite and stays so, whenever the
     # solver checks it
@@ -201,6 +209,15 @@ def test_fd_oracle_non_finite_state_raises():
         with pytest.raises(DomainError, match="non-finite"):
             solve_fd_oracle(inf_right, cosine_spec(1, 1.0), eps=0.5, t=0.25,
                             targets=[[0.0]], points_per_eps=8)
+
+
+@pytest.mark.parametrize("t", [np.nan, np.inf, 0.0, -1.0])
+def test_effective_solver_rejects_t_outside_the_domain(t):
+    # t = nan used to return [nan]: t <= 0 is false for nan
+    model = build_effective_model(FREE, v_box_half=1.0, v_step=0.5, n_max=2,
+                                  dt=0.25, dx=0.125, vmax=4.0)
+    with pytest.raises(DomainError, match="t must be positive and finite"):
+        solve_effective(zero_data(1), model, t, [[0.0]])
 
 
 def test_fd_vs_representation_small():
@@ -487,3 +504,5 @@ def test_solvers_accept_an_empty_target_set():
     empty = np.zeros((0, 1))
     assert solve_oscillatory(data[0], lagr, 0.25, 1.0, empty, table=table).values.shape == (0,)
     assert solve_effective(data[0], model, 1.0, empty).values.shape == (0,)
+    # the oracle used to raise a bare ValueError while sizing its box
+    assert solve_fd_oracle(data[0], lagr.spec, 0.25, 1.0, empty).values.shape == (0,)
