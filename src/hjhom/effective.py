@@ -44,7 +44,11 @@ class EffectiveModel:
         return float(self.lagrangian_table.values[tuple(np.round(k).astype(int) + half)])
 
     def hamiltonian_bar(self, p) -> float:
-        """Exact grid conjugate max_v p . v - Lbar(v) at an arbitrary p."""
+        """Exact grid conjugate max_v p . v - Lbar(v) at a finite p of d
+        components; any other p raises DomainError."""
+        d = self.lagrangian_table.dimension
+        if np.atleast_1d(np.asarray(p, dtype=float)).shape != (d,):
+            raise DomainError(f"p must have {d} components")
         return float(conjugate(self.lagrangian_table, p)[0])
 
     def flat_piece_radius_estimate(self) -> float:
@@ -170,8 +174,8 @@ def cell_problem_oracle(lagrangian: LagrangianField, p, t_long: float = 128.0,
         raise DomainError(f"p must have {d} components")
     if not np.isfinite(p).all():
         raise DomainError(f"p = {p} must be finite")
-    big_m = as_int_exact(1.0 / dx, "1/dx")
     check_reach(vmax, dt, dx)   # with only the zero step it would return -V(0)
+    big_m = as_int_exact(1.0 / dx, "1/dx")
     n_steps = as_int_exact(t_long / dt, "t_long / dt")
     if n_steps < 4:
         raise ConfigurationError("t_long too small for the torus iteration")

@@ -13,36 +13,50 @@ must divide 1 so that integer space-time points are lattice points; the
 per-step cost then depends on the source node only through its residue class
 mod 1, which makes the cost arrays small periodic tiles.
 
-Each layer is relaxed without gathers: the previous layer is copied into a
-+inf-padded frame that starts on a multiple of M = 1/dx, so a frame index's
-residue mod M is its position inside a block of M cells.  The frame rows a
-band reads are viewed as (blocks, M, R), R the frame cells per first-axis
-row (1 in d = 1).  Each offset's M^d cost tile, tiled along the last d - 1
-axes into an (M, R) row tile, is added by one broadcast add into a reused
-64-byte-aligned buffer, whose inner loop runs over a whole frame row, and
-the window of that buffer holding the real sources is min-ed into the
-target slice.  These are the same offsets, the same additions and the same
-minima as adding a gathered cost array to the layer, so every layer is
-bitwise-identical to the gather form (tests/test_metric.py keeps it as the
-reference).
+Each layer is relaxed without gathers, by one of two kernels.  Both make
+the same offsets' additions as adding a gathered cost array to the layer,
+and the same minima: the values are never nan and never -0.0, so a minimum
+is exact and order-free.  Every layer is therefore bitwise-identical to the
+gather form (tests/test_metric.py keeps it as the reference).
+
+d = 1, the chunk kernel.  The sources w >= -s that the targets j >= 0 read
+(s the largest step) are copied into a +inf frame, and a sliding-window view
+of it holds in row o the source j - c_o of every target j, c_o the o-th step.
+Each step's tile is re-indexed by target residue and tiled to a chunk of L
+cells, a whole number of blocks of M = 1/dx with at most CHUNK_CELLS sums,
+so for a chunk that starts on a multiple of M one add of the window and the
+chunk tiles into a reused 64-byte-aligned buffer gives every sum of the
+chunk, and one min-reduce over the steps gives its targets.
+
+d >= 2, the band kernel.  The previous layer is copied into a +inf-padded
+frame that starts on a multiple of M, so a frame index's residue mod M is
+its position inside a block of M cells.  The frame rows a band reads are
+viewed as (blocks, M, R), R the frame cells per first-axis row.  Each
+offset's M^d cost tile, tiled along the last d - 1 axes into an (M, R) row
+tile, is added by one broadcast add into a reused 64-byte-aligned buffer,
+whose inner loop runs over a whole frame row, and the window of that buffer
+holding the real sources is min-ed into the target slice.  d >= 2 keeps
+bands because its target-residue tiles would hold offsets x M x R cells per
+table: about 7 MB on the properties-2d lattice (317 steps, M = 8, R = 344).
 
 Only half of each layer is relaxed.  Every supported V is a cosine series,
 hence even, so a step from w to w + o costs what the step from -w to -w - o
 costs.  _cost_tiles makes that bitwise (the tile of -o at residue (-r) mod M
 is the tile of o at r; cos 2 pi (1 - y) is not bitwise cos 2 pi y), so a
 layer equal to its flip (reversed on every axis) gives a next layer equal to
-its flip: a minimum is exact and order-free.  The kernel relaxes the rows
-z1 >= 0 and copies their flip into the rows z1 < 0, which gives the bytes of
-the full-frame DP, m(t, 0, z) = m(t, 0, -z) bitwise.  A potential that is
-not even would break this premise.
+its flip.  The kernels relax the rows z1 >= 0 and copy their flip into the
+rows z1 < 0, which gives the bytes of the full-frame DP,
+m(t, 0, z) = m(t, 0, -z) bitwise.  A potential that is not even would break
+this premise.
 
-With threads > 1, the rows z1 >= 0 of a large layer are split into bands
-(first axis), one per thread.  Each band adds every offset's tile to the frame
-block rows it reads, in a buffer of its own, and mins the sums into its own
-rows, offsets in the usual order.  The bands are disjoint, so no cell is
-written by two threads, and each cell gets the same sums and the same minima
-in the same order as on one thread: every layer is byte-identical for any
-thread count.  One thread is the one-band case of the same loop.
+With threads > 1, the rows z1 >= 0 of a layer of at least BAND_MIN_CELLS
+cells are split, one part per thread: in d = 1 its chunks into runs, each
+with a sums buffer of its own, in d >= 2 its rows into bands, each adding
+every offset's tile to the frame block rows it reads in a buffer of its own.
+The parts are disjoint, so no cell is written by two threads, and each cell
+gets the same sums and the same minima as on one thread: every layer is
+byte-identical for any thread count.  One thread is the one-part case of
+the same loop.
 
 Entries are +inf where k steps of the stencil do not reach, and the finite
 entries are the table's only domain.  The table keeps every layer (for
@@ -56,16 +70,22 @@ import contextlib
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigurationError, UnreachableError
 from .legendre import LagrangianField
 from .util import as_int_exact, format_float, grid_points, is_whole, write_rows
 
 
-# A layer whose frame has at least this many cells is relaxed in row bands,
-# one per thread; on a smaller frame the hand-off to a pool thread costs
-# more than its band saves (measured per layer, see CHANGES.md).
+# A layer with at least this many cells is relaxed in parts, one per thread;
+# on a smaller layer the hand-off to a pool thread costs more than its part
+# saves (measured per layer, see CHANGES.md).
 BAND_MIN_CELLS = 40000
+
+# A d = 1 chunk holds at most this many sums (steps x target cells), or one
+# block of M cells when a block holds more: its tiles and its sums buffer
+# then take 256 KB each.
+CHUNK_CELLS = 32768
 
 
 def default_speed_cap(lagrangian: LagrangianField, max_ratio: float) -> float:
@@ -194,10 +214,11 @@ class MetricTable:
 
 
 def check_reach(vmax: float, dt: float, dx: float) -> None:
-    """vmax finite and > 0, and vmax dt >= dx, so that one step reaches the
-    lattice neighbours."""
-    if not (np.isfinite(vmax) and vmax > 0):
-        raise ConfigurationError(f"vmax = {vmax} must be finite and > 0")
+    """vmax, dt and dx finite and > 0, and vmax dt >= dx, so that one step
+    reaches the lattice neighbours."""
+    for name, value in (("vmax", vmax), ("dt", dt), ("dx", dx)):
+        if not (np.isfinite(value) and value > 0):
+            raise ConfigurationError(f"{name} = {value} must be finite and > 0")
     if vmax * dt < dx - 1e-12:
         raise ConfigurationError(
             f"vmax*dt = {vmax * dt} < dx = {dx}: neighbors unreachable")
@@ -234,9 +255,66 @@ def _cost_tiles(lagrangian: LagrangianField, offsets: np.ndarray,
     return tiles + [tile[flip] for tile in reversed(tiles[:-1])]
 
 
+def _chunk_tiles(offsets: np.ndarray, tiles: list, big_m: int) -> np.ndarray:
+    """The d = 1 steps' tiles by target residue, tiled to one chunk.
+
+    Row o, cell i holds the cost of step c = offsets[o] into a target of
+    residue i mod M, tiles[o][(i - c) mod M].  The chunk has L cells, a whole
+    number of blocks of M, with len(offsets) L <= CHUNK_CELLS or one block.
+    """
+    n_off = len(offsets)
+    cells = big_m * max(1, CHUNK_CELLS // (n_off * big_m))
+    chunk = _aligned_empty(n_off * cells).reshape(n_off, cells)
+    residues = np.arange(big_m)
+    for (c,), tile, row in zip(offsets, tiles, chunk):
+        row.reshape(-1, big_m)[:] = tile[(residues - c) % big_m]
+    return chunk
+
+
+def _relax_chunks(half: np.ndarray, windows: np.ndarray, chunk: np.ndarray,
+                  sums: np.ndarray, starts: range) -> None:
+    """Min every step's sums into the chunks of `half` that begin at
+    `starts`, multiples of M: windows[o, j] is the source of target j by step
+    o and chunk[o] its cost, so one add into the run's own sums buffer and
+    one min-reduce over the steps relax a whole chunk."""
+    cells = chunk.shape[1]
+    for j0 in starts:
+        n = min(cells, len(half) - j0)
+        np.add(windows[:, j0:j0 + n], chunk[:, :n], out=sums[:, :n])
+        np.minimum.reduce(sums[:, :n], axis=0, out=half[j0:j0 + n])
+
+
+def _chunk_layer(prev: np.ndarray, s_max: int, chunk: np.ndarray, sums: list,
+                 pool) -> np.ndarray:
+    """The d = 1 layer after `prev`: its targets j >= 0 in chunks, split into
+    one run per sums buffer when the layer has BAND_MIN_CELLS cells, then
+    mirrored."""
+    prev_reach = len(prev) // 2
+    reach = prev_reach + s_max
+    new = np.empty(2 * reach + 1)
+    half = new[reach:]
+    # frame cell i holds source w = i - s_max: the targets j >= 0 read w >= -s_max
+    frame = np.full(len(half) + 2 * s_max, np.inf)
+    lo = max(prev_reach - s_max, 0)
+    frame[s_max - prev_reach + lo:s_max + prev_reach + 1] = prev[lo:]
+    # row o starts at frame cell 2 s_max - o, so it reads source j - offsets[o]
+    windows = sliding_window_view(frame, len(half))[::-1]
+    starts = range(0, len(half), chunk.shape[1])
+    runs = len(sums) if len(new) >= BAND_MIN_CELLS else 1
+    parts = [starts[len(starts) * i // runs:len(starts) * (i + 1) // runs]
+             for i in range(runs)]
+    jobs = [pool.submit(_relax_chunks, half, windows, chunk, buf, part)
+            for buf, part in zip(sums[1:], parts[1:])]
+    _relax_chunks(half, windows, chunk, sums[0], parts[0])
+    for job in jobs:
+        job.result()
+    new[:reach] = np.flip(new)[:reach]
+    return new
+
+
 def _band_plan(lo: int, hi: int, a: int, n: int, s_max: int, big_m: int,
                steps: list, block_tiles: list) -> tuple:
-    """One band of a layer's relaxation: target rows [lo, hi) of `new`.
+    """One band of a d >= 2 layer's relaxation: target rows [lo, hi) of `new`.
 
     Target row T takes first-axis step c from frame row a + T - s_max - c, so
     the band reads frame rows [a + lo - 2 s_max, a + hi) of the window
@@ -274,29 +352,56 @@ def _relax(new: np.ndarray, frame: np.ndarray, big_m: int, plan: tuple) -> None:
     the band reads plus each tile, in an aligned buffer of the band's own.
 
     The band is viewed as (b1 - b0, M, R), R the frame cells per first-axis
-    row, so each add is one (M, R) row tile over whole frame rows.  In d = 1,
-    R = 1 and the planned tile is that row tile; in d >= 2 it is copied,
-    tiled along the last d - 1 axes, into the band's row buffer first.
+    row, so each add is one (M, R) row tile over whole frame rows; each
+    offset's tile is copied, tiled along the last d - 1 axes, into the band's
+    row buffer first.
     """
     b0, b1, pairs = plan
     src = frame[b0 * big_m:b1 * big_m]
     width = src[0].size
     buf = _aligned_empty(src.size).reshape(src.shape)
     src_r, buf_r = (f.reshape(b1 - b0, big_m, width) for f in (src, buf))
-    if frame.ndim > 1:
-        row = _aligned_empty(big_m * width).reshape(big_m, width)
-        row_blocks = row.reshape((big_m,) + (frame.shape[0] // big_m, big_m)
-                                 * (frame.ndim - 1) + (1,))
+    row = _aligned_empty(big_m * width).reshape(big_m, width)
+    row_blocks = row.reshape((big_m,) + (frame.shape[0] // big_m, big_m)
+                             * (frame.ndim - 1) + (1,))
     for tile, target, source in pairs:
-        if frame.ndim > 1:
-            np.copyto(row_blocks, tile)
-            tile = row
-        np.add(src_r, tile, out=buf_r)
+        np.copyto(row_blocks, tile)
+        np.add(src_r, row, out=buf_r)
         np.minimum(new[target], buf[source], out=new[target])
 
 
+def _band_layer(prev: np.ndarray, s_max: int, big_m: int, steps: list,
+                block_tiles: list, threads: int, pool) -> np.ndarray:
+    """The d >= 2 layer after `prev`: its rows z1 >= 0 in bands, one per
+    thread when the frame has BAND_MIN_CELLS cells, then mirrored."""
+    d = prev.ndim
+    prev_reach = prev.shape[0] // 2
+    n = 2 * prev_reach + 1
+    reach = prev_reach + s_max
+    rows = 2 * reach + 1
+    new = np.full((rows,) * d, np.inf)
+    # frame cell i holds source j = i - a - prev_reach; a + prev_reach
+    # is a multiple of M, so j mod M is i's place in its block of M
+    # cells.  The +inf padding lies outside every source slice.
+    a = -prev_reach % big_m
+    blocks = -(-(a + n) // big_m)
+    frame = np.full((blocks * big_m,) * d, np.inf)
+    frame[(slice(a, a + n),) * d] = prev
+    bands = threads if frame.size >= BAND_MIN_CELLS else 1
+    half = rows - reach
+    plans = [_band_plan(reach + half * i // bands, reach + half * (i + 1) // bands,
+                        a, n, s_max, big_m, steps, block_tiles)
+             for i in range(bands)]
+    jobs = [pool.submit(_relax, new, frame, big_m, plan) for plan in plans[1:]]
+    _relax(new, frame, big_m, plans[0])
+    for job in jobs:
+        job.result()
+    new[:reach] = np.flip(new)[:reach]
+    return new
+
+
 def _band_pool(threads: int):
-    """A pool of threads - 1 workers for the bands past the first, which the
+    """A pool of threads - 1 workers for the parts past the first, which the
     calling thread relaxes.  One thread needs none: a serial build neither
     imports concurrent.futures (and its logging) nor starts a thread."""
     if threads == 1:
@@ -312,9 +417,10 @@ def compute_metric_table(lagrangian: LagrangianField, horizon: float, *,
 
     keep: "all" stores every layer (needed for path backtracking);
     "integers" stores only integer-time layers (long-horizon memory saver).
-    threads: an integer >= 1, the bands of the rows z1 >= 0 of each layer
-    with at least BAND_MIN_CELLS frame cells; the layers are the same bytes
-    for any count.
+    threads: an integer >= 1.  The rows z1 >= 0 of each layer with at least
+    BAND_MIN_CELLS cells are split into that many parts, runs of chunks in
+    d = 1 and row bands in d >= 2; the layers are the same bytes for any
+    count.
     """
     if keep not in ("all", "integers"):
         raise ConfigurationError(f"keep must be 'all' or 'integers', not {keep!r}")
@@ -333,47 +439,30 @@ def compute_metric_table(lagrangian: LagrangianField, horizon: float, *,
         raise ConfigurationError("empty reachable set: enlarge vmax*dt/dx")
     tiles = _cost_tiles(lagrangian, offsets, big_m, dx, dt)
     s_max = int(np.max(np.abs(offsets)))
-    steps = [(int(o[0]) + s_max, tuple(int(c) + s_max for c in o[1:])) for o in offsets]
-    # (M, 1) in d = 1, _relax's row tile itself; in d >= 2 the shape that
-    # broadcasts along the frame blocks of a row (see _relax)
-    block_tiles = [tile.reshape((big_m,) + (1, big_m) * (d - 1) + (1,)) for tile in tiles]
+    if d == 1:
+        chunk = _chunk_tiles(offsets, tiles, big_m)
+        sums = [_aligned_empty(chunk.size).reshape(chunk.shape) for _ in range(threads)]
+    else:
+        steps = [(int(o[0]) + s_max, tuple(int(c) + s_max for c in o[1:])) for o in offsets]
+        # the shape that broadcasts along the frame blocks of a row (see _relax)
+        block_tiles = [tile.reshape((big_m,) + (1, big_m) * (d - 1) + (1,))
+                       for tile in tiles]
 
     keep_all = keep == "all"
     layer_times = [0]
     layers = [np.zeros((1,) * d)]
 
     prev = layers[0]
-    prev_reach = 0
     with _band_pool(threads) as pool:
         for k in range(1, n_layers + 1):
-            n = 2 * prev_reach + 1
-            new_reach = prev_reach + s_max
-            rows = 2 * new_reach + 1
-            new = np.full((rows,) * d, np.inf)
-            # frame cell i holds source j = i - a - prev_reach; a + prev_reach
-            # is a multiple of M, so j mod M is i's place in its block of M
-            # cells.  The +inf padding lies outside every source slice.
-            a = -prev_reach % big_m
-            blocks = -(-(a + n) // big_m)
-            frame = np.full((blocks * big_m,) * d, np.inf)
-            frame[(slice(a, a + n),) * d] = prev
-            # bands of the rows z1 >= 0; the layer is even, so the rows
-            # z1 < 0 are its flip
-            bands = threads if frame.size >= BAND_MIN_CELLS else 1
-            half = rows - new_reach
-            plans = [_band_plan(new_reach + half * i // bands,
-                                new_reach + half * (i + 1) // bands, a, n,
-                                s_max, big_m, steps, block_tiles)
-                     for i in range(bands)]
-            jobs = [pool.submit(_relax, new, frame, big_m, plan) for plan in plans[1:]]
-            _relax(new, frame, big_m, plans[0])
-            for job in jobs:
-                job.result()
-            new[:new_reach] = np.flip(new)[:new_reach]
+            if d == 1:
+                new = _chunk_layer(prev, s_max, chunk, sums, pool)
+            else:
+                new = _band_layer(prev, s_max, big_m, steps, block_tiles, threads, pool)
             if keep_all or (k % per_unit == 0) or k == n_layers:
                 layer_times.append(k)
                 layers.append(new)
-            prev, prev_reach = new, new_reach
+            prev = new
 
     return MetricTable(
         dt=dt, dx=dx, vmax=vmax, dimension=d,

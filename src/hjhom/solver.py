@@ -256,8 +256,11 @@ def solve_fd_oracle(u0: InitialData, spec, eps: float, t: float, targets,
             np.subtract(fwd, two_u, out=visc)
             np.add(visc, bwd, out=visc)
             np.divide(visc, 2 * h, out=visc)
-            # +0.0 turns a -0.0 term into +0.0, as a sum started from 0.0 does
-            np.add(0.0, visc, out=visc)
+            # visc may be -0.0: a signed zero in u never changes a nonzero
+            # value (it meets only 2 u, differences, a square, sums and
+            # scalings by positive constants), so it reaches an output only
+            # as an exact zero, which + t * shift below makes +0.0 unless
+            # that product is -0.0
             np.subtract(ham, v_win, out=ham)
             np.multiply(dt_fd, ham, out=ham)
             np.subtract(u, ham, out=ham)

@@ -243,6 +243,19 @@ def test_hbar_estimates_reject_a_non_finite_momentum(p):
         effective_hamiltonian_quadrature_1d(OSC_POT, p)
 
 
+@pytest.mark.parametrize("p", [[0.5, 0.5, 9.0, 9.0], [0.5], 0.5, [[0.5, 0.5]]])
+def test_hbar_rejects_a_momentum_without_d_components(p):
+    # on a d = 2 model [0.5, 0.5, 9, 9] returned the value at (0.5, 0.5) and
+    # [0.5] raised a bare ValueError; the cell oracle already rejected both
+    model = build_effective_model(OSC2, v_box_half=1.0, v_step=0.5, n_max=4,
+                                  dt=0.25, dx=0.25, vmax=4.0)
+    with pytest.raises(DomainError, match="p must have 2 components"):
+        model.hamiltonian_bar(p)
+    with pytest.raises(DomainError, match="p must have 2 components"):
+        cell_problem_oracle(OSC2, p, t_long=4.0, dt=0.25, dx=0.25, vmax=4.0)
+    assert model.hamiltonian_bar([0.5, 0.5]) == model.hamiltonian_bar(np.array([0.5, 0.5]))
+
+
 def test_lagrangian_bar_reads_grid_nodes_only():
     model = build_effective_model(OSC2, v_box_half=1.0, v_step=0.5, n_max=4,
                                   dt=0.25, dx=0.25, vmax=4.0)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from hjhom import (
     ConfigurationError,
     UnreachableError,
+    build_effective_model,
     build_lagrangian,
     compute_metric_table,
     cosine_spec,
@@ -297,14 +298,23 @@ EQUIVALENCE_CASES = [
     (2, 2, 3.0, 4, "integers"), (2, 3, 4.5, 4, "all"),
     (2, 6, 7.0, 4, "integers"), (2, 8, 9.0, 4, "all"),
     (3, 2, 1.5, 6, "all"), (3, 2, 1.5, 6, "integers"), (3, 2, 2.0, 4, "all"),
+    (1, 3, 1.0, 24, "all"), (1, 7, 5.0, 8, "integers"),
 ]
+
+# the d = 1 chunk budget in the equivalence test: chunks of L = 20 (M = 2,
+# s = 1) and 21 (M = 3, s = 1) cells meet a half of L - 1, L and L + 1
+# cells; every d = 1 case ends with several chunks per layer, and M = 6, 7
+# and 8 at s >= 5 hold more sums per block than the budget (one-block chunks)
+SMALL_CHUNK_CELLS = 64
 
 
 @pytest.mark.parametrize("d,big_m,s,n_layers,keep", EQUIVALENCE_CASES)
 def test_frame_kernel_bitwise_equals_gather_kernel(monkeypatch, d, big_m, s, n_layers,
                                                    keep):
-    # every layer in row bands: the first ones have fewer rows than threads
+    # every layer in parts, one per thread: the first ones have fewer rows
+    # (or chunks) than threads
     monkeypatch.setattr("hjhom.metric.BAND_MIN_CELLS", 0)
+    monkeypatch.setattr("hjhom.metric.CHUNK_CELLS", SMALL_CHUNK_CELLS)
     lagr = OSC_BY_DIMENSION[d]
     dt, dx = 0.25, 1.0 / big_m
     tables = [compute_metric_table(lagr, horizon=n_layers * dt, dt=dt, dx=dx,
@@ -315,6 +325,9 @@ def test_frame_kernel_bitwise_equals_gather_kernel(monkeypatch, d, big_m, s, n_l
         assert table.layer_times.tolist() == times
         assert [layer.shape[0] // 2 for layer in table.layers] == reaches
         assert reaches[-1] >= 3 * big_m
+        if d == 1:
+            cells = big_m * max(1, SMALL_CHUNK_CELLS // (len(table.offsets) * big_m))
+            assert reaches[-1] + 1 > cells
         for got, ref in zip(table.layers, layers):
             assert got.tobytes() == ref.tobytes()
             assert got.tobytes() == np.flip(got).tobytes()
@@ -323,7 +336,7 @@ def test_frame_kernel_bitwise_equals_gather_kernel(monkeypatch, d, big_m, s, n_l
 @pytest.mark.parametrize("d, big_m, s", [(1, 6, 2.0), (2, 6, 2.5)])
 @pytest.mark.parametrize("threads", [1, 3])
 def test_band_buffers_are_cache_line_aligned(monkeypatch, d, big_m, s, threads):
-    # every buffer a band adds into starts on a 64-byte boundary, whatever
+    # every buffer a kernel adds into starts on a 64-byte boundary, whatever
     # offset malloc gave the allocation under it
     monkeypatch.setattr("hjhom.metric.BAND_MIN_CELLS", 0)
     buffers = []
@@ -336,8 +349,9 @@ def test_band_buffers_are_cache_line_aligned(monkeypatch, d, big_m, s, threads):
     monkeypatch.setattr("hjhom.metric._aligned_empty", recorded)
     compute_metric_table(OSC_BY_DIMENSION[d], horizon=2.0, dt=0.25, dx=1.0 / big_m,
                          vmax=s / big_m / 0.25, threads=threads)
-    # 8 layers of `threads` bands, each with a sum buffer, and in d = 2 a row buffer
-    assert len(buffers) == 8 * threads * d
+    # d = 1: the chunk tiles and one sums buffer per thread, once per table;
+    # d = 2: 8 layers of `threads` bands, each with a sum and a row buffer
+    assert len(buffers) == (1 + threads if d == 1 else 8 * threads * 2)
     assert all(buf.ctypes.data % 64 == 0 for buf in buffers)
 
 
@@ -428,6 +442,21 @@ def test_speed_cap_must_be_finite_and_positive(vmax):
         cell_problem_oracle(FREE, [0.0], t_long=4.0, dt=0.25, dx=0.25, vmax=vmax)
 
 
+@pytest.mark.parametrize("dt, dx", [(0.25, 0.0), (0.25, -0.25), (0.25, np.nan),
+                                    (0.25, np.inf), (0.0, 0.25), (-0.25, 0.25),
+                                    (np.nan, 0.25)])
+def test_grid_steps_must_be_finite_and_positive(dt, dx):
+    # dx = 0 raised a bare ZeroDivisionError in all three; dx < 0 raised
+    # ValueError in the cell oracle and "empty reachable set" in the others
+    with pytest.raises(ConfigurationError, match=r"d[tx] = \S+ must be finite and > 0"):
+        compute_metric_table(FREE, horizon=1.0, dt=dt, dx=dx, vmax=4.0)
+    with pytest.raises(ConfigurationError, match=r"d[tx] = \S+ must be finite and > 0"):
+        cell_problem_oracle(FREE, [0.0], t_long=4.0, dt=dt, dx=dx, vmax=4.0)
+    with pytest.raises(ConfigurationError, match=r"d[tx] = \S+ must be finite and > 0"):
+        build_effective_model(FREE, v_box_half=1.0, v_step=0.5, n_max=2, dt=dt, dx=dx,
+                              vmax=4.0)
+
+
 def test_banded_table_equals_serial_under_thread_switches(monkeypatch):
     # more threads than cores, switching every microsecond: a lost or
     # doubled write into a shared layer would change its bytes
@@ -446,6 +475,23 @@ def test_banded_table_equals_serial_under_thread_switches(monkeypatch):
         got = extract_minimizing_path(banded, t, x)
         assert np.array_equal(got.nodes, want.nodes)
         assert got.cost == want.cost
+
+
+def test_chunk_runs_equal_serial_under_thread_switches(monkeypatch):
+    # the d = 1 runs share the layer they write and the chunk tiles they
+    # read: more threads than cores, switching every microsecond, many
+    # small chunks per run
+    monkeypatch.setattr("hjhom.metric.BAND_MIN_CELLS", 0)
+    monkeypatch.setattr("hjhom.metric.CHUNK_CELLS", SMALL_CHUNK_CELLS)
+    kw = dict(horizon=4.0, dt=0.125, dx=0.125, vmax=3.0, keep="all")
+    serial = compute_metric_table(OSC, **kw)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        runs = compute_metric_table(OSC, threads=5, **kw)
+    finally:
+        sys.setswitchinterval(interval)
+    assert [a.tobytes() for a in runs.layers] == [a.tobytes() for a in serial.layers]
 
 
 def loop_backtrack(table, t, x):
