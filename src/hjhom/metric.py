@@ -49,14 +49,15 @@ rows z1 < 0, which gives the bytes of the full-frame DP,
 m(t, 0, z) = m(t, 0, -z) bitwise.  A potential that is not even would break
 this premise.
 
-With threads > 1, the rows z1 >= 0 of a layer of at least BAND_MIN_CELLS
-cells are split, one part per thread: in d = 1 its chunks into runs, each
-with a sums buffer of its own, in d >= 2 its rows into bands, each adding
-every offset's tile to the frame block rows it reads in a buffer of its own.
-The parts are disjoint, so no cell is written by two threads, and each cell
-gets the same sums and the same minima as on one thread: every layer is
-byte-identical for any thread count.  One thread is the one-part case of
-the same loop.
+Threads are a d >= 2 matter.  With threads > 1, the rows z1 >= 0 of a
+d >= 2 layer of at least BAND_MIN_CELLS cells are split into bands, one per
+thread, each adding every offset's tile to the frame block rows it reads in
+a buffer of its own.  The bands are disjoint, so no cell is written by two
+threads, and each cell gets the same sums and the same minima as on one
+thread: every layer is byte-identical for any thread count.  One thread is
+the one-band case of the same loop.  A d = 1 table is built on one thread:
+splitting its chunks between two threads was measured no faster on the
+rate sweep's d = 1 tables, and slower in most runs (see CHANGES.md).
 
 Entries are +inf where k steps of the stencil do not reach, and the finite
 entries are the table's only domain.  The table keeps every layer (for
@@ -72,14 +73,14 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import ConfigurationError, UnreachableError
+from .errors import ConfigurationError, DomainError, UnreachableError
 from .legendre import LagrangianField
 from .util import as_int_exact, format_float, grid_points, is_whole, write_rows
 
 
-# A layer with at least this many cells is relaxed in parts, one per thread;
-# on a smaller layer the hand-off to a pool thread costs more than its part
-# saves (measured per layer, see CHANGES.md).
+# A d >= 2 layer whose frame has at least this many cells is relaxed in row
+# bands, one per thread; on a smaller layer the hand-off to a pool thread
+# costs more than its band saves (measured per layer, see CHANGES.md).
 BAND_MIN_CELLS = 40000
 
 # A d = 1 chunk holds at most this many sums (steps x target cells), or one
@@ -156,8 +157,11 @@ class MetricTable:
         point, a (d,) vector or a scalar in d = 1, at a scalar t gives a
         float; points (n, d) give an (n,) array, at one time t or a time per
         point, t (n,).  A point beyond the reach reads +inf; a time not
-        stored or a point off the lattice raises ConfigurationError."""
+        stored or a point off the lattice raises ConfigurationError, and
+        points whose last axis is not d DomainError."""
         z = np.asarray(z, dtype=float)
+        if z.ndim > 2 or np.atleast_2d(z).shape[1] != self.dimension:
+            raise DomainError(f"points of shape {z.shape} on a d = {self.dimension} table")
         j = as_int_exact(np.atleast_2d(z) / self.dx, "z/dx")
         ks = np.broadcast_to(as_int_exact(np.asarray(t, dtype=float) / self.dt, "t/dt"), len(j))
         values = np.empty(len(j))
@@ -271,24 +275,11 @@ def _chunk_tiles(offsets: np.ndarray, tiles: list, big_m: int) -> np.ndarray:
     return chunk
 
 
-def _relax_chunks(half: np.ndarray, windows: np.ndarray, chunk: np.ndarray,
-                  sums: np.ndarray, starts: range) -> None:
-    """Min every step's sums into the chunks of `half` that begin at
-    `starts`, multiples of M: windows[o, j] is the source of target j by step
-    o and chunk[o] its cost, so one add into the run's own sums buffer and
-    one min-reduce over the steps relax a whole chunk."""
-    cells = chunk.shape[1]
-    for j0 in starts:
-        n = min(cells, len(half) - j0)
-        np.add(windows[:, j0:j0 + n], chunk[:, :n], out=sums[:, :n])
-        np.minimum.reduce(sums[:, :n], axis=0, out=half[j0:j0 + n])
-
-
-def _chunk_layer(prev: np.ndarray, s_max: int, chunk: np.ndarray, sums: list,
-                 pool) -> np.ndarray:
-    """The d = 1 layer after `prev`: its targets j >= 0 in chunks, split into
-    one run per sums buffer when the layer has BAND_MIN_CELLS cells, then
-    mirrored."""
+def _chunk_layer(prev: np.ndarray, s_max: int, chunk: np.ndarray,
+                 sums: np.ndarray) -> np.ndarray:
+    """The d = 1 layer after `prev`: its targets j >= 0 in chunks that begin
+    on multiples of M, each relaxed by one add of its windows and the chunk
+    tiles into `sums` and one min-reduce over the steps, then mirrored."""
     prev_reach = len(prev) // 2
     reach = prev_reach + s_max
     new = np.empty(2 * reach + 1)
@@ -299,15 +290,11 @@ def _chunk_layer(prev: np.ndarray, s_max: int, chunk: np.ndarray, sums: list,
     frame[s_max - prev_reach + lo:s_max + prev_reach + 1] = prev[lo:]
     # row o starts at frame cell 2 s_max - o, so it reads source j - offsets[o]
     windows = sliding_window_view(frame, len(half))[::-1]
-    starts = range(0, len(half), chunk.shape[1])
-    runs = len(sums) if len(new) >= BAND_MIN_CELLS else 1
-    parts = [starts[len(starts) * i // runs:len(starts) * (i + 1) // runs]
-             for i in range(runs)]
-    jobs = [pool.submit(_relax_chunks, half, windows, chunk, buf, part)
-            for buf, part in zip(sums[1:], parts[1:])]
-    _relax_chunks(half, windows, chunk, sums[0], parts[0])
-    for job in jobs:
-        job.result()
+    cells = chunk.shape[1]
+    for j0 in range(0, len(half), cells):
+        n = min(cells, len(half) - j0)
+        np.add(windows[:, j0:j0 + n], chunk[:, :n], out=sums[:, :n])
+        np.minimum.reduce(sums[:, :n], axis=0, out=half[j0:j0 + n])
     new[:reach] = np.flip(new)[:reach]
     return new
 
@@ -401,7 +388,7 @@ def _band_layer(prev: np.ndarray, s_max: int, big_m: int, steps: list,
 
 
 def _band_pool(threads: int):
-    """A pool of threads - 1 workers for the parts past the first, which the
+    """A pool of threads - 1 workers for the bands past the first, which the
     calling thread relaxes.  One thread needs none: a serial build neither
     imports concurrent.futures (and its logging) nor starts a thread."""
     if threads == 1:
@@ -417,16 +404,17 @@ def compute_metric_table(lagrangian: LagrangianField, horizon: float, *,
 
     keep: "all" stores every layer (needed for path backtracking);
     "integers" stores only integer-time layers (long-horizon memory saver).
-    threads: an integer >= 1.  The rows z1 >= 0 of each layer with at least
-    BAND_MIN_CELLS cells are split into that many parts, runs of chunks in
-    d = 1 and row bands in d >= 2; the layers are the same bytes for any
-    count.
+    threads: an integer >= 1, and 1 in d = 1.  In d >= 2 the rows z1 >= 0
+    of each layer whose frame has at least BAND_MIN_CELLS cells are split
+    into that many row bands; the layers are the same bytes for any count.
     """
     if keep not in ("all", "integers"):
         raise ConfigurationError(f"keep must be 'all' or 'integers', not {keep!r}")
     if not isinstance(threads, (int, np.integer)) or threads < 1:
         raise ConfigurationError(f"threads must be an integer at least 1, not {threads!r}")
     d = lagrangian.dimension
+    if d == 1 and threads > 1:
+        raise ConfigurationError(f"threads = {threads}: a d = 1 table takes one thread")
     check_reach(vmax, dt, dx)
     big_m = as_int_exact(1.0 / dx, "1/dx")
     per_unit = as_int_exact(1.0 / dt, "1/dt")
@@ -441,7 +429,7 @@ def compute_metric_table(lagrangian: LagrangianField, horizon: float, *,
     s_max = int(np.max(np.abs(offsets)))
     if d == 1:
         chunk = _chunk_tiles(offsets, tiles, big_m)
-        sums = [_aligned_empty(chunk.size).reshape(chunk.shape) for _ in range(threads)]
+        sums = _aligned_empty(chunk.size).reshape(chunk.shape)
     else:
         steps = [(int(o[0]) + s_max, tuple(int(c) + s_max for c in o[1:])) for o in offsets]
         # the shape that broadcasts along the frame blocks of a row (see _relax)
@@ -456,7 +444,7 @@ def compute_metric_table(lagrangian: LagrangianField, horizon: float, *,
     with _band_pool(threads) as pool:
         for k in range(1, n_layers + 1):
             if d == 1:
-                new = _chunk_layer(prev, s_max, chunk, sums, pool)
+                new = _chunk_layer(prev, s_max, chunk, sums)
             else:
                 new = _band_layer(prev, s_max, big_m, steps, block_tiles, threads, pool)
             if keep_all or (k % per_unit == 0) or k == n_layers:

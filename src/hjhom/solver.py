@@ -87,6 +87,16 @@ def _check_t(t: float) -> None:
         raise DomainError("t must be positive and finite")
 
 
+def _points(targets, d: int) -> np.ndarray:
+    """Targets as rows (n, d): points (n, d), one point (d,) or, in d = 1, an
+    (n,) vector; points whose last axis is not d raise DomainError."""
+    pts = np.asarray(targets, dtype=float)
+    pts = pts.reshape(-1, 1) if d == 1 and pts.ndim < 2 else np.atleast_2d(pts)
+    if pts.ndim != 2 or pts.shape[1] != d:
+        raise DomainError(f"targets of shape {np.shape(targets)} in d = {d}")
+    return pts
+
+
 def _check_eps_t(eps: float, t: float) -> None:
     """The oscillatory problems' domain: 0 < eps <= 1 and 0 < t < inf (no nan)."""
     if not 0 < eps <= 1:
@@ -114,7 +124,7 @@ def solve_oscillatory(u0: InitialData, lagrangian: LagrangianField,
         raise ConfigurationError(
             f"metric table horizon {table.horizon} insufficient: need T = {big_t}")
     d = table.dimension
-    targets = np.asarray(targets, dtype=float).reshape(-1, d)
+    targets = _points(targets, d)
     layer, reach = table.layer(big_t)
     big_m = as_int_exact(1.0 / table.dx, "1/dx")
 
@@ -166,7 +176,7 @@ def solve_effective(u0: InitialData, model: EffectiveModel, t: float,
     ltab = model.lagrangian_table
     d = ltab.dimension
     vgrid = grid_points(ltab.axes)
-    targets = np.asarray(targets, dtype=float).reshape(-1, d)
+    targets = _points(targets, d)
     obj = u0((targets[:, None, :] - t * vgrid).reshape(-1, d)).reshape(-1, len(vgrid))
     obj += t * ltab.values.ravel()
     k = np.argmin(obj, axis=1)
@@ -219,7 +229,7 @@ def solve_fd_oracle(u0: InitialData, spec, eps: float, t: float, targets,
         raise ConfigurationError(f"box_margin = {box_margin} must be finite and >= 0")
     if spec.dimension != 1:
         raise ConfigurationError(f"FD oracle supports d = 1 only, not d = {spec.dimension}")
-    ys = np.asarray(targets, dtype=float).reshape(-1)
+    ys = _points(targets, 1)[:, 0]
     # gradient bound for the viscosity solution: |Du|^2 <= Lip^2 + osc(V)
     dv = spec.potential.upper_bound() - spec.potential.coefficient_lower_bound()
     alpha = 2.0 * (np.sqrt(u0.lipschitz**2 + max(dv, 0.0)) + 0.2)

@@ -741,16 +741,24 @@ effective.n_max = 2
 """
 
 
-@pytest.mark.parametrize("command, threads", [
-    ("rate", "0"), ("rate", "-2"), ("metric", "0"),
-    ("effective", "2"), ("properties", "2"), ("metric", "4"),
+RATE_1D_CFG = (pathlib.Path(__file__).resolve().parents[1] / "configs/rate_1d.cfg").read_text()
+
+
+@pytest.mark.parametrize("command, threads, text, message", [
+    pytest.param(command, threads, METRIC_CFG, f"--threads {threads}", id=f"{command}-{threads}")
+    for command, threads in [("rate", "0"), ("rate", "-2"), ("metric", "0"),
+                             ("effective", "2"), ("properties", "2"), ("metric", "4")]
+] + [
+    # a d = 1 table takes one thread: the rate sweep's first build refuses two
+    pytest.param("rate", "2", RATE_1D_CFG, "threads = 2", id="rate-2-rate_1d.cfg"),
 ])
-def test_cli_rejects_threads_it_would_ignore(tmp_path, capsys, command, threads):
-    cfg = _write(tmp_path, "t.cfg", METRIC_CFG)
+def test_cli_rejects_threads_it_would_ignore(tmp_path, capsys, command, threads, text,
+                                             message):
+    cfg = _write(tmp_path, "t.cfg", text)
     out = tmp_path / "out"
     assert main([command, "--config", cfg, "--out", str(out),
                  "--threads", threads]) == EXIT_CONFIG
-    assert f"--threads {threads}" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -87,8 +87,8 @@ seed = 0
 
 
 def test_rate_sweep_threads_match_serial(tmp_path, monkeypatch):
-    # every layer of all three builds in two row bands: twice the band
-    # relaxations of the serial run
+    # every layer of all three d = 2 builds in two row bands: twice the band
+    # relaxations of the serial run, and the same output bytes
     monkeypatch.setattr(metric, "BAND_MIN_CELLS", 0)
     bands = []
     relax = metric._relax
@@ -98,24 +98,25 @@ def test_rate_sweep_threads_match_serial(tmp_path, monkeypatch):
         relax(*args)
     monkeypatch.setattr(metric, "_relax", counted)
     cfg_text = """
-dimension = 1
-potential.a0 = 2.0
-potential.terms = 1.0,1
-grid.dt = 0.125
-grid.dx = 0.0625
+dimension = 2
+potential.a0 = 3.0
+potential.terms = 1.0,1,0; 1.0,0,1
+grid.dt = 0.25
+grid.dx = 0.25
 grid.vmax = 4.0
-sweep.eps = 0.25,0.125
+sweep.eps = 0.5,0.25
 sweep.t = 1.0
 targets.count = 9
-effective.v_box = 3.0
-effective.v_step = 0.25
-effective.n_max = 4
-probe.eps = 0.25
+effective.v_box = 2.0
+effective.v_step = 0.5
+effective.n_max = 2
+probe.eps = 0.5
 seed = 0
 """
     cfg = parse_config_text(cfg_text)
     r1 = run_rate_sweep(cfg, str(tmp_path / "a"), threads=1)
     serial_bands = len(bands)
+    assert serial_bands > 0
     bands.clear()
     r2 = run_rate_sweep(cfg, str(tmp_path / "b"), threads=2)
     assert len(bands) == 2 * serial_bands

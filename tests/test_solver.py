@@ -423,6 +423,10 @@ def test_oscillatory_is_the_brute_force_lattice_minimum(d):
     # the rate-1d and rate-2d benchmark workloads' lattices, sweeps and targets
     (1, 2.0, [(1.0, (1,))], 0.03125, 0.0078125, 4.0, (0.25, 0.125, 0.0625), 17),
     (2, 3.0, [(1.0, (1, 0)), (1.0, (0, 1))], 0.125, 0.125, 4.0, (0.5, 0.25, 0.125), 9),
+    # configs/rate_1d.cfg: its lattice, its whole sweep down to eps = 1/64
+    # and its 33 targets
+    (1, 2.0, [(1.0, (1,))], 0.03125, 0.0078125, 4.0,
+     (0.25, 0.125, 0.0625, 0.03125, 0.015625), 33),
 ])
 def test_stage_two_is_the_whole_layer_minimum_at_rate_sweep_size(d, a0, terms, dt, dx,
                                                                   vmax, eps_list, count):
@@ -495,6 +499,42 @@ def test_batched_effective_matches_per_target_loop(d):
             got = solve_effective(u0, model, t, ys).values
             want = reference_effective(u0, model, t, ys)
             assert np.array_equal(got, want), (u0.family, t)
+
+
+@pytest.mark.parametrize("targets", [[[1.0, 0.0, 0.5, 0.5]], [1.0, 0.0, 0.5],
+                                     [0.5], 0.5, [[[0.5, 0.5]]]])
+def test_solvers_reject_targets_of_another_width(targets):
+    # on a d = 2 problem a (1, 4) target used to be read as two targets and
+    # a (3,) target raised a bare ValueError
+    lagr, table, data = _oscillatory_cases(2)
+    model = build_effective_model(lagr, v_box_half=1.5, v_step=0.5, n_max=2,
+                                  dt=0.25, dx=0.125, vmax=3.0)
+    with pytest.raises(DomainError, match="targets of shape .* in d = 2"):
+        solve_oscillatory(data[0], lagr, 0.25, 1.0, targets, table=table)
+    with pytest.raises(DomainError, match="targets of shape .* in d = 2"):
+        solve_effective(data[0], model, 1.0, targets)
+    # one (d,) point is one target
+    point = [0.5, 0.25]
+    assert solve_oscillatory(data[0], lagr, 0.25, 1.0, point, table=table).values.tolist() \
+        == solve_oscillatory(data[0], lagr, 0.25, 1.0, [point], table=table).values.tolist()
+    assert solve_effective(data[0], model, 1.0, point).values.tolist() \
+        == solve_effective(data[0], model, 1.0, [point]).values.tolist()
+
+
+def test_one_dimensional_solvers_take_a_vector_of_targets_not_pairs():
+    # in d = 1 an (n,) vector is n targets; (n, 2) points are refused
+    lagr, table, data = _oscillatory_cases(1)
+    model = build_effective_model(FREE, v_box_half=1.0, v_step=0.5, n_max=2,
+                                  dt=0.25, dx=0.125, vmax=4.0)
+    ys = np.array([-0.5, 0.0, 0.75])
+    calls = [lambda y: solve_oscillatory(data[0], lagr, 0.25, 1.0, y, table=table),
+             lambda y: solve_effective(data[0], model, 1.0, y),
+             lambda y: solve_fd_oracle(data[0], lagr.spec, 0.25, 1.0, y,
+                                       points_per_eps=8)]
+    for solve in calls:
+        assert solve(ys).values.tolist() == solve(ys[:, None]).values.tolist()
+        with pytest.raises(DomainError, match="targets of shape \\(1, 2\\) in d = 1"):
+            solve([[0.0, 0.5]])
 
 
 def test_solvers_accept_an_empty_target_set():
