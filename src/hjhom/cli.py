@@ -31,7 +31,7 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--config", required=True, help="key=value config file")
         sub.add_argument("--out", required=True, help="output directory")
         sub.add_argument("--threads", type=int, default=1,
-                         help="row-band threads of the rate command's d >= 2 metric DP; "
+                         help="row-block threads of the rate command's d >= 2 metric DP; "
                               "d = 1 and the other commands take 1")
         sub.add_argument("--verbose", action="store_true")
     return parser

@@ -3,8 +3,9 @@
 Each run_* function takes a parsed Config and an output directory and writes
 versioned CSV files plus gnuplot-ready two-column .dat files.  Identical
 configurations (including seeds) produce byte-identical outputs.  The rate
-sweep's ``threads`` split its d >= 2 metric DP builds into row bands, the
-same bytes for any count; d = 1 takes one, as a split measured no faster.
+sweep's ``threads`` split the large layers of its d >= 2 metric DP builds
+into runs of row blocks, the same bytes for any count; d = 1 takes one, as a
+split measured no faster.
 """
 
 from __future__ import annotations

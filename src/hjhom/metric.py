@@ -13,11 +13,12 @@ must divide 1 so that integer space-time points are lattice points; the
 per-step cost then depends on the source node only through its residue class
 mod 1, which makes the cost arrays small periodic tiles.
 
-Each layer is relaxed without gathers, by one of two kernels.  Both make
-the same offsets' additions as adding a gathered cost array to the layer,
-and the same minima: the values are never nan and never -0.0, so a minimum
-is exact and order-free.  Every layer is therefore bitwise-identical to the
-gather form (tests/test_metric.py keeps it as the reference).
+Each layer is relaxed without a gathered cost array per step, by one of two
+kernels.  Both make the same offsets' additions as adding a gathered cost
+array to the layer, and the same minima: the values are never nan and never
+-0.0, so a minimum is exact and order-free.  Every layer is therefore
+bitwise-identical to the gather form (tests/test_metric.py keeps it as the
+reference).
 
 d = 1, the chunk kernel.  The sources w >= -s that the targets j >= 0 read
 (s the largest step) are copied into a +inf frame, and a sliding-window view
@@ -28,16 +29,20 @@ so for a chunk that starts on a multiple of M one add of the window and the
 chunk tiles into a reused 64-byte-aligned buffer gives every sum of the
 chunk, and one min-reduce over the steps gives its targets.
 
-d >= 2, the band kernel.  The previous layer is copied into a +inf-padded
-frame that starts on a multiple of M, so a frame index's residue mod M is
-its position inside a block of M cells.  The frame rows a band reads are
-viewed as (blocks, M, R), R the frame cells per first-axis row.  Each
-offset's M^d cost tile, tiled along the last d - 1 axes into an (M, R) row
-tile, is added by one broadcast add into a reused 64-byte-aligned buffer,
-whose inner loop runs over a whole frame row, and the window of that buffer
-holding the real sources is min-ed into the target slice.  d >= 2 keeps
-bands because its target-residue tiles would hold offsets x M x R cells per
-table: about 7 MB on the properties-2d lattice (317 steps, M = 8, R = 344).
+d >= 2, the group kernel.  The steps are grouped by their leading
+components (in d = 2 by the first-axis step c0); a group's last components
+run over one range [-w, w], because the steps are a lattice ball.  The
+previous layer is copied into a +inf frame whose last-axis sliding-window
+view holds in window q the source of every target by the last step s - q.
+Per table, each group's tile is re-indexed by target residue, an
+(M, steps, M) array in d = 2, and per layer one take widens it to the
+layer's columns.  The target rows z1 >= 0 are relaxed in blocks of M rows
+that start on multiples of M, so row i of a block has residue i: per group
+and block, one add of the group's windows and the widened tile into a
+reused 64-byte-aligned buffer gives every sum of the block, and one
+min-reduce over the group's steps gives its minima, written into the
+target rows for the first group and min-ed into them through scratch rows
+for the others.  One group's widened tile is held at a time.
 
 Only half of each layer is relaxed.  Every supported V is a cosine series,
 hence even, so a step from w to w + o costs what the step from -w to -w - o
@@ -49,13 +54,13 @@ rows z1 < 0, which gives the bytes of the full-frame DP,
 m(t, 0, z) = m(t, 0, -z) bitwise.  A potential that is not even would break
 this premise.
 
-Threads are a d >= 2 matter.  With threads > 1, the rows z1 >= 0 of a
-d >= 2 layer of at least BAND_MIN_CELLS cells are split into bands, one per
-thread, each adding every offset's tile to the frame block rows it reads in
-a buffer of its own.  The bands are disjoint, so no cell is written by two
-threads, and each cell gets the same sums and the same minima as on one
+Threads are a d >= 2 matter.  With threads > 1, the row blocks of a d >= 2
+layer whose rows z1 >= 0 hold at least SPLIT_MIN_CELLS cells are split into
+contiguous runs, one per thread, each relaxing every group over its rows
+with buffers of its own.  The runs are disjoint, so no cell is written by
+two threads, and each cell gets the same sums and the same minima as on one
 thread: every layer is byte-identical for any thread count.  One thread is
-the one-band case of the same loop.  A d = 1 table is built on one thread:
+the one-run case of the same loop.  A d = 1 table is built on one thread:
 splitting its chunks between two threads was measured no faster on the
 rate sweep's d = 1 tables, and slower in most runs (see CHANGES.md).
 
@@ -78,10 +83,12 @@ from .legendre import LagrangianField
 from .util import as_int_exact, format_float, grid_points, is_whole, write_rows
 
 
-# A d >= 2 layer whose frame has at least this many cells is relaxed in row
-# bands, one per thread; on a smaller layer the hand-off to a pool thread
-# costs more than its band saves (measured per layer, see CHANGES.md).
-BAND_MIN_CELLS = 40000
+# A d >= 2 layer whose rows z1 >= 0 hold at least this many cells is split
+# into runs of row blocks, one per thread.  Each run makes a few small numpy
+# calls per block, and the threads pass the interpreter lock back and forth
+# between them: on two threads a smaller layer took longer than on one
+# (measured per layer on the rate_2d.cfg main table, see CHANGES.md).
+SPLIT_MIN_CELLS = 200000
 
 # A d = 1 chunk holds at most this many sums (steps x target cells), or one
 # block of M cells when a block holds more: its tiles and its sums buffer
@@ -158,12 +165,16 @@ class MetricTable:
         float; points (n, d) give an (n,) array, at one time t or a time per
         point, t (n,).  A point beyond the reach reads +inf; a time not
         stored or a point off the lattice raises ConfigurationError, and
-        points whose last axis is not d DomainError."""
-        z = np.asarray(z, dtype=float)
-        if z.ndim > 2 or np.atleast_2d(z).shape[1] != self.dimension:
-            raise DomainError(f"points of shape {z.shape} on a d = {self.dimension} table")
-        j = as_int_exact(np.atleast_2d(z) / self.dx, "z/dx")
-        ks = np.broadcast_to(as_int_exact(np.asarray(t, dtype=float) / self.dt, "t/dt"), len(j))
+        points whose last axis is not d, or times neither one nor one per
+        point, DomainError."""
+        z, t = np.asarray(z, dtype=float), np.asarray(t, dtype=float)
+        points = np.atleast_2d(z)
+        if (z.ndim > 2 or points.shape[1] != self.dimension or t.ndim > 1
+                or t.size not in (1, len(points))):
+            raise DomainError(f"times of shape {t.shape} for points of shape {z.shape} "
+                              f"on a d = {self.dimension} table")
+        j = as_int_exact(points / self.dx, "z/dx")
+        ks = np.broadcast_to(as_int_exact(t / self.dt, "t/dt"), len(j))
         values = np.empty(len(j))
         # one read per stored layer: a set of times, not np.unique, whose
         # first call imports numpy.ma (1.2 MB of peak RSS)
@@ -299,32 +310,6 @@ def _chunk_layer(prev: np.ndarray, s_max: int, chunk: np.ndarray,
     return new
 
 
-def _band_plan(lo: int, hi: int, a: int, n: int, s_max: int, big_m: int,
-               steps: list, block_tiles: list) -> tuple:
-    """One band of a d >= 2 layer's relaxation: target rows [lo, hi) of `new`.
-
-    Target row T takes first-axis step c from frame row a + T - s_max - c, so
-    the band reads frame rows [a + lo - 2 s_max, a + hi) of the window
-    [a, a + n): frame block rows [b0, b1).  steps holds each offset as
-    (c0 + s_max, (c1 + s_max, ...)).  Returns b0, b1 and, for each offset
-    that reaches the band, in offset order, its block tile with the target
-    slice of `new` and the source slice of the band's buffer.
-    """
-    b0 = max(a + lo - 2 * s_max, a) // big_m
-    b1 = -(-min(a + hi, a + n) // big_m)
-    base = a - s_max - b0 * big_m
-    spans = [slice(i, i + n) for i in range(2 * s_max + 1)]
-    rows = []
-    for c in range(-s_max, s_max + 1):
-        t0, t1 = max(lo, s_max + c), min(hi, s_max + c + n)
-        rows.append((slice(t0, t1), slice(base + t0 - c, base + t1 - c))
-                    if t0 < t1 else None)
-    window = (slice(a, a + n),) * len(steps[0][1])
-    return b0, b1, [(tile, (rows[i][0],) + tuple(map(spans.__getitem__, rest)),
-                     (rows[i][1],) + window)
-                    for (i, rest), tile in zip(steps, block_tiles) if rows[i]]
-
-
 def _aligned_empty(n: int) -> np.ndarray:
     """An uninitialized float array of n cells whose data starts on a 64-byte
     (cache-line) boundary.  malloc aligns only to 16 bytes, and an add into a
@@ -334,63 +319,108 @@ def _aligned_empty(n: int) -> np.ndarray:
     return raw[-raw.ctypes.data % 64 // raw.itemsize:][:n]
 
 
-def _relax(new: np.ndarray, frame: np.ndarray, big_m: int, plan: tuple) -> None:
-    """Min every offset's sums into one band of `new`: the frame block rows
-    the band reads plus each tile, in an aligned buffer of the band's own.
+def _step_groups(offsets: np.ndarray, tiles: list, big_m: int) -> list:
+    """The d >= 2 steps grouped by their leading components, the largest first.
 
-    The band is viewed as (b1 - b0, M, R), R the frame cells per first-axis
-    row, so each add is one (M, R) row tile over whole frame rows; each
-    offset's tile is copied, tiled along the last d - 1 axes, into the band's
-    row buffer first.
+    The steps are a lattice ball, so the last components of a group's steps
+    run over one range [-w, w].  Each group is (lead, w, tile) with its tile
+    by target residue, of shape (M,) * (d - 1) + (2 w + 1, M): step k is
+    (lead, w - k), and cell (r, k, r_d) holds its cost into a target of
+    residue (r, r_d), tiles[o][(r - lead, r_d - w + k) mod M].
     """
-    b0, b1, pairs = plan
-    src = frame[b0 * big_m:b1 * big_m]
-    width = src[0].size
-    buf = _aligned_empty(src.size).reshape(src.shape)
-    src_r, buf_r = (f.reshape(b1 - b0, big_m, width) for f in (src, buf))
-    row = _aligned_empty(big_m * width).reshape(big_m, width)
-    row_blocks = row.reshape((big_m,) + (frame.shape[0] // big_m, big_m)
-                             * (frame.ndim - 1) + (1,))
-    for tile, target, source in pairs:
-        np.copyto(row_blocks, tile)
-        np.add(src_r, row, out=buf_r)
-        np.minimum(new[target], buf[source], out=new[target])
+    n, d = offsets.shape
+    index = [np.arange(n).reshape((n,) + (1,) * d)]
+    for axis in range(d):
+        shape = [n] + [1] * d
+        shape[axis + 1] = big_m
+        index.append(((np.arange(big_m) - offsets[:, axis:axis + 1]) % big_m).reshape(shape))
+    costs = np.stack(tiles)[tuple(index)]
+    # offsets are lexicographic, so each group is one run of them
+    leads = [tuple(o[:-1]) for o in offsets.tolist()]
+    starts = [i for i in range(n) if i == 0 or leads[i] != leads[i - 1]] + [n]
+    return [(leads[i], (j - i) // 2, np.moveaxis(costs[i:j][::-1], 0, -2).copy())
+            for i, j in zip(starts, starts[1:])][::-1]
 
 
-def _band_layer(prev: np.ndarray, s_max: int, big_m: int, steps: list,
-                block_tiles: list, threads: int, pool) -> np.ndarray:
-    """The d >= 2 layer after `prev`: its rows z1 >= 0 in bands, one per
-    thread when the frame has BAND_MIN_CELLS cells, then mirrored."""
+def _relax_rows(half: np.ndarray, windows: np.ndarray, s_max: int, big_m: int,
+                groups: list, rows: tuple, bufs: tuple) -> None:
+    """Relax the rows [rows[0], rows[1]) of `half` (row z1 at index z1) group
+    by group, in blocks of M rows that start on multiples of M.  The first
+    group reaches every row and writes its minima; the others min theirs in
+    on the rows their sources hold."""
+    t0, t1 = rows
+    d = half.ndim
+    width = half.shape[-1]
+    reach = width // 2
+    prev_reach = reach - s_max
+    cols = (np.arange(width) - reach) % big_m
+    sums_buf, scratch_buf, wide_buf = bufs
+    for g, (lead, w, tile) in enumerate(groups):
+        c0 = lead[0]
+        lo, hi = (t0, t1) if g == 0 else (max(t0, c0 - prev_reach),
+                                          min(t1, c0 + prev_reach + 1))
+        if lo >= hi:
+            continue
+        for axis in range(1, d - 1):
+            tile = np.take(tile, cols, axis=axis)
+        shape = tile.shape[:-1] + (width,)
+        # "clip": cols are in range, and "raise" would take through a temporary
+        wide = np.take(tile, cols, axis=-1, mode="clip",
+                       out=wide_buf[:int(np.prod(shape))].reshape(shape))
+        src = windows[(slice(s_max - c0, None),)
+                      + tuple(slice(s_max - c, s_max - c + width) for c in lead[1:])
+                      + (slice(s_max - w, s_max + w + 1),)]
+        for b in range(lo - lo % big_m, hi, big_m):
+            a, e = max(b, lo), min(b + big_m, hi)
+            sums = sums_buf[:(e - a) * wide[0].size].reshape((e - a,) + shape[1:])
+            np.add(src[a:e], wide[a - b:e - b], out=sums)
+            if g == 0:
+                np.minimum.reduce(sums, axis=-2, out=half[a:e])
+            else:
+                part = scratch_buf[:half[a:e].size].reshape(half[a:e].shape)
+                np.minimum.reduce(sums, axis=-2, out=part)
+                np.minimum(half[a:e], part, out=half[a:e])
+
+
+def _group_layer(prev: np.ndarray, s_max: int, big_m: int, groups: list, bufs: list,
+                 pool) -> np.ndarray:
+    """The d >= 2 layer after `prev`: its rows z1 >= 0 group by group, in one
+    run of row blocks per thread when they hold SPLIT_MIN_CELLS cells, then
+    mirrored."""
     d = prev.ndim
     prev_reach = prev.shape[0] // 2
     n = 2 * prev_reach + 1
     reach = prev_reach + s_max
-    rows = 2 * reach + 1
-    new = np.full((rows,) * d, np.inf)
-    # frame cell i holds source j = i - a - prev_reach; a + prev_reach
-    # is a multiple of M, so j mod M is i's place in its block of M
-    # cells.  The +inf padding lies outside every source slice.
-    a = -prev_reach % big_m
-    blocks = -(-(a + n) // big_m)
-    frame = np.full((blocks * big_m,) * d, np.inf)
-    frame[(slice(a, a + n),) * d] = prev
-    bands = threads if frame.size >= BAND_MIN_CELLS else 1
-    half = rows - reach
-    plans = [_band_plan(reach + half * i // bands, reach + half * (i + 1) // bands,
-                        a, n, s_max, big_m, steps, block_tiles)
-             for i in range(bands)]
-    jobs = [pool.submit(_relax, new, frame, big_m, plan) for plan in plans[1:]]
-    _relax(new, frame, big_m, plans[0])
+    width = 2 * reach + 1
+    new = np.empty((width,) * d)
+    half = new[reach:]
+    # frame row i holds source row i - s_max, as the rows z1 >= 0 read the
+    # source rows from -s_max on; frame cell i of the other axes holds source
+    # i - reach - s_max, so window q of the last axis holds in its cell x the
+    # source of target x - reach by the last step s_max - q
+    frame = np.full((reach + 1,) + (width + 2 * s_max,) * (d - 1), np.inf)
+    lo = max(prev_reach - s_max, 0)
+    frame[(slice(s_max - prev_reach + lo, None),)
+          + (slice(2 * s_max, 2 * s_max + n),) * (d - 1)] = prev[lo:]
+    windows = sliding_window_view(frame, width, axis=-1)
+    parts = len(bufs) if half.size >= SPLIT_MIN_CELLS else 1
+    blocks = -(-len(half) // big_m)
+    runs = [(big_m * (blocks * i // parts), min(len(half), big_m * (blocks * (i + 1) // parts)))
+            for i in range(parts)]
+    jobs = [pool.submit(_relax_rows, half, windows, s_max, big_m, groups, run, buf)
+            for run, buf in zip(runs[1:], bufs[1:])]
+    _relax_rows(half, windows, s_max, big_m, groups, runs[0], bufs[0])
     for job in jobs:
         job.result()
     new[:reach] = np.flip(new)[:reach]
     return new
 
 
-def _band_pool(threads: int):
-    """A pool of threads - 1 workers for the bands past the first, which the
-    calling thread relaxes.  One thread needs none: a serial build neither
-    imports concurrent.futures (and its logging) nor starts a thread."""
+def _split_pool(threads: int):
+    """A pool of threads - 1 workers for the row runs past the first, which
+    the calling thread relaxes.  One thread needs none: a serial build
+    neither imports concurrent.futures (and its logging) nor starts a
+    thread."""
     if threads == 1:
         return contextlib.nullcontext()
     from concurrent.futures import ThreadPoolExecutor
@@ -404,9 +434,9 @@ def compute_metric_table(lagrangian: LagrangianField, horizon: float, *,
 
     keep: "all" stores every layer (needed for path backtracking);
     "integers" stores only integer-time layers (long-horizon memory saver).
-    threads: an integer >= 1, and 1 in d = 1.  In d >= 2 the rows z1 >= 0
-    of each layer whose frame has at least BAND_MIN_CELLS cells are split
-    into that many row bands; the layers are the same bytes for any count.
+    threads: an integer >= 1, and 1 in d = 1.  In d >= 2 the row blocks of
+    each layer whose rows z1 >= 0 hold at least SPLIT_MIN_CELLS cells are
+    split into that many runs; the layers are the same bytes for any count.
     """
     if keep not in ("all", "integers"):
         raise ConfigurationError(f"keep must be 'all' or 'integers', not {keep!r}")
@@ -431,22 +461,25 @@ def compute_metric_table(lagrangian: LagrangianField, horizon: float, *,
         chunk = _chunk_tiles(offsets, tiles, big_m)
         sums = _aligned_empty(chunk.size).reshape(chunk.shape)
     else:
-        steps = [(int(o[0]) + s_max, tuple(int(c) + s_max for c in o[1:])) for o in offsets]
-        # the shape that broadcasts along the frame blocks of a row (see _relax)
-        block_tiles = [tile.reshape((big_m,) + (1, big_m) * (d - 1) + (1,))
-                       for tile in tiles]
+        groups = _step_groups(offsets, tiles, big_m)
+        # per thread, sums and a widened tile of a block of M rows of the
+        # last layer, and the block's scratch rows
+        rows = big_m * (2 * s_max * n_layers + 1) ** (d - 1)
+        steps = 2 * max(w for _, w, _ in groups) + 1
+        bufs = [(_aligned_empty(rows * steps), _aligned_empty(rows),
+                 _aligned_empty(rows * steps)) for _ in range(threads)]
 
     keep_all = keep == "all"
     layer_times = [0]
     layers = [np.zeros((1,) * d)]
 
     prev = layers[0]
-    with _band_pool(threads) as pool:
+    with _split_pool(threads) as pool:
         for k in range(1, n_layers + 1):
             if d == 1:
                 new = _chunk_layer(prev, s_max, chunk, sums)
             else:
-                new = _band_layer(prev, s_max, big_m, steps, block_tiles, threads, pool)
+                new = _group_layer(prev, s_max, big_m, groups, bufs, pool)
             if keep_all or (k % per_unit == 0) or k == n_layers:
                 layer_times.append(k)
                 layers.append(new)

@@ -87,16 +87,16 @@ seed = 0
 
 
 def test_rate_sweep_threads_match_serial(tmp_path, monkeypatch):
-    # every layer of all three d = 2 builds in two row bands: twice the band
-    # relaxations of the serial run, and the same output bytes
-    monkeypatch.setattr(metric, "BAND_MIN_CELLS", 0)
-    bands = []
-    relax = metric._relax
+    # every layer of all three d = 2 builds in two runs of row blocks: twice
+    # the row runs of the serial run, and the same output bytes
+    monkeypatch.setattr(metric, "SPLIT_MIN_CELLS", 0)
+    runs = []
+    relax = metric._relax_rows
 
     def counted(*args):
-        bands.append(args[-1])
+        runs.append(args[-2])
         relax(*args)
-    monkeypatch.setattr(metric, "_relax", counted)
+    monkeypatch.setattr(metric, "_relax_rows", counted)
     cfg_text = """
 dimension = 2
 potential.a0 = 3.0
@@ -115,11 +115,11 @@ seed = 0
 """
     cfg = parse_config_text(cfg_text)
     r1 = run_rate_sweep(cfg, str(tmp_path / "a"), threads=1)
-    serial_bands = len(bands)
-    assert serial_bands > 0
-    bands.clear()
+    serial_runs = len(runs)
+    assert serial_runs > 0
+    runs.clear()
     r2 = run_rate_sweep(cfg, str(tmp_path / "b"), threads=2)
-    assert len(bands) == 2 * serial_bands
+    assert len(runs) == 2 * serial_runs
     np.testing.assert_array_equal(r1.errors, r2.errors)
     assert (tmp_path / "a" / "rate.csv").read_bytes() == \
         (tmp_path / "b" / "rate.csv").read_bytes()

@@ -270,6 +270,19 @@ def test_value_at_rejects_points_of_another_width(d, z):
     assert table.value_at(1.0, np.zeros((0, d))).shape == (0,)
 
 
+@pytest.mark.parametrize("t, z", [
+    ([1.0, 2.0], np.zeros((3, 1))), ([1.0, 2.0], 0.5), ([[1.0, 2.0]], np.zeros((2, 1))),
+])
+def test_value_at_rejects_times_of_another_length(t, z):
+    # a time per point or one time: these raised a bare numpy ValueError
+    table = compute_metric_table(OSC, horizon=2.0, dt=0.25, dx=0.25, vmax=2.0)
+    with pytest.raises(DomainError, match=r"times of shape .* for points of shape"):
+        table.value_at(t, z)
+    assert table.value_at([1.0, 2.0], np.zeros((2, 1))).tobytes() == np.array(
+        [table.value_at(1.0, 0.0), table.value_at(2.0, 0.0)]).tobytes()
+    assert table.value_at([1.0], np.zeros((3, 1))).shape == (3,)
+
+
 def test_keep_rejects_other_modes_and_options_are_keywords():
     # any keep but "all" used to store integer layers silently
     with pytest.raises(ConfigurationError, match="keep"):
@@ -325,14 +338,14 @@ EQUIVALENCE_CASES = [
 SMALL_CHUNK_CELLS = 64
 
 
-@pytest.mark.parametrize("d,big_m,s,n_layers,keep", EQUIVALENCE_CASES)
-def test_frame_kernel_bitwise_equals_gather_kernel(monkeypatch, d, big_m, s, n_layers,
-                                                   keep):
-    # d >= 2: every layer in bands, one per thread, the first ones with fewer
-    # rows than threads; a d = 1 table takes one thread
-    monkeypatch.setattr("hjhom.metric.BAND_MIN_CELLS", 0)
+def assert_equals_gather_kernel(monkeypatch, lagr, big_m, s, n_layers, keep):
+    """Every layer of the table at threads 1, 2 and 3 (one in d = 1) is the
+    gather form's and its own flip, bitwise; returns the reaches."""
+    # d >= 2: every layer in runs of row blocks, one per thread, the first
+    # ones with fewer blocks than threads; a d = 1 table takes one thread
+    monkeypatch.setattr("hjhom.metric.SPLIT_MIN_CELLS", 0)
     monkeypatch.setattr("hjhom.metric.CHUNK_CELLS", SMALL_CHUNK_CELLS)
-    lagr = OSC_BY_DIMENSION[d]
+    d = lagr.dimension
     dt, dx = 0.25, 1.0 / big_m
     tables = [compute_metric_table(lagr, horizon=n_layers * dt, dt=dt, dx=dx,
                                    vmax=s * dx / dt, keep=keep, threads=threads)
@@ -341,13 +354,64 @@ def test_frame_kernel_bitwise_equals_gather_kernel(monkeypatch, d, big_m, s, n_l
     for table in tables:
         assert table.layer_times.tolist() == times
         assert [layer.shape[0] // 2 for layer in table.layers] == reaches
-        assert reaches[-1] >= 3 * big_m
-        if d == 1:
-            cells = big_m * max(1, SMALL_CHUNK_CELLS // (len(table.offsets) * big_m))
-            assert reaches[-1] + 1 > cells
         for got, ref in zip(table.layers, layers):
             assert got.tobytes() == ref.tobytes()
             assert got.tobytes() == np.flip(got).tobytes()
+    return reaches
+
+
+@pytest.mark.parametrize("d,big_m,s,n_layers,keep", EQUIVALENCE_CASES)
+def test_frame_kernel_bitwise_equals_gather_kernel(monkeypatch, d, big_m, s, n_layers,
+                                                   keep):
+    reaches = assert_equals_gather_kernel(monkeypatch, OSC_BY_DIMENSION[d], big_m, s,
+                                          n_layers, keep)
+    assert reaches[-1] >= 3 * big_m
+    if d == 1:
+        n_steps = 2 * int(s) + 1
+        cells = big_m * max(1, SMALL_CHUNK_CELLS // (n_steps * big_m))
+        assert reaches[-1] + 1 > cells
+
+
+# V = 4 + cos 2 pi x1 + cos 2 pi x2 + cos 2 pi (x1 + x2): its tiles are not
+# sums of per-axis tiles
+NON_SEPARABLE = build_lagrangian(cosine_spec(2, 4.0, (1.0, (1, 0)), (1.0, (0, 1)),
+                                             (1.0, (1, 1))))
+
+# (M, s, layers, keep) in d = 2: integer s, where the groups c0 = +-s hold
+# one step each, and s between lattice radii; the last layer's rows z1 >= 0
+# are never a whole number of blocks of M
+NON_SEPARABLE_CASES = [
+    (4, 3.0, 8, "all"), (8, 2.0, 14, "integers"), (6, 2.5, 10, "all"),
+    (3, 4.0, 6, "integers"), (8, 9.0, 4, "all"), (2, 1.0, 20, "all"),
+]
+
+
+@pytest.mark.parametrize("big_m,s,n_layers,keep", NON_SEPARABLE_CASES)
+def test_group_kernel_bitwise_equals_gather_kernel_off_the_separable_family(
+        monkeypatch, big_m, s, n_layers, keep):
+    reaches = assert_equals_gather_kernel(monkeypatch, NON_SEPARABLE, big_m, s, n_layers,
+                                          keep)
+    assert reaches[-1] >= 3 * big_m
+    assert (reaches[-1] + 1) % big_m != 0
+
+
+@settings(max_examples=20, deadline=None)
+@given(big_m=st.sampled_from([2, 3, 4, 6, 8]), s=st.sampled_from([1.0, 1.5, 2.0, 2.5, 3.0]),
+       amplitudes=st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3),
+       threads=st.sampled_from([1, 2, 3]))
+def test_group_kernel_equals_gather_kernel_on_drawn_potentials(big_m, s, amplitudes,
+                                                                threads):
+    # enough layers that the rows z1 >= 0 span at least two blocks of M
+    waves = [(1, 0), (0, 1), (1, 1)]
+    lagr = build_lagrangian(cosine_spec(2, 4.0, *zip(amplitudes, waves)))
+    n_layers = -(-2 * big_m // int(s)) + 1
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("hjhom.metric.SPLIT_MIN_CELLS", 0)
+        table = compute_metric_table(lagr, horizon=n_layers * 0.25, dt=0.25,
+                                     dx=1.0 / big_m, vmax=s * 4.0 / big_m, threads=threads)
+    _, layers, _ = gather_kernel_layers(table, n_layers, "all")
+    for got, ref in zip(table.layers, layers):
+        assert got.tobytes() == ref.tobytes()
 
 
 @pytest.mark.parametrize("threads, d, big_m, s", [(1, 1, 6, 2.0), (1, 2, 6, 2.5),
@@ -355,7 +419,7 @@ def test_frame_kernel_bitwise_equals_gather_kernel(monkeypatch, d, big_m, s, n_l
 def test_band_buffers_are_cache_line_aligned(monkeypatch, d, big_m, s, threads):
     # every buffer a kernel adds into starts on a 64-byte boundary, whatever
     # offset malloc gave the allocation under it
-    monkeypatch.setattr("hjhom.metric.BAND_MIN_CELLS", 0)
+    monkeypatch.setattr("hjhom.metric.SPLIT_MIN_CELLS", 0)
     buffers = []
 
     def recorded(n):
@@ -367,8 +431,9 @@ def test_band_buffers_are_cache_line_aligned(monkeypatch, d, big_m, s, threads):
     compute_metric_table(OSC_BY_DIMENSION[d], horizon=2.0, dt=0.25, dx=1.0 / big_m,
                          vmax=s / big_m / 0.25, threads=threads)
     # d = 1: the chunk tiles and one sums buffer, once per table;
-    # d = 2: 8 layers of `threads` bands, each with a sum and a row buffer
-    assert len(buffers) == (2 if d == 1 else 8 * threads * 2)
+    # d = 2: per thread, a sums, a scratch-row and a widened-tile buffer,
+    # once per table
+    assert len(buffers) == (2 if d == 1 else 3 * threads)
     assert all(buf.ctypes.data % 64 == 0 for buf in buffers)
 
 
@@ -484,7 +549,7 @@ def test_grid_steps_must_be_finite_and_positive(dt, dx):
 def test_banded_table_equals_serial_under_thread_switches(monkeypatch):
     # more threads than cores, switching every microsecond: a lost or
     # doubled write into a shared layer would change its bytes
-    monkeypatch.setattr("hjhom.metric.BAND_MIN_CELLS", 0)
+    monkeypatch.setattr("hjhom.metric.SPLIT_MIN_CELLS", 0)
     kw = dict(horizon=2.0, dt=0.25, dx=0.125, vmax=4.0, keep="all")
     serial = compute_metric_table(OSC2, **kw)
     interval = sys.getswitchinterval()

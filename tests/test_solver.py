@@ -427,6 +427,9 @@ def test_oscillatory_is_the_brute_force_lattice_minimum(d):
     # and its 33 targets
     (1, 2.0, [(1.0, (1,))], 0.03125, 0.0078125, 4.0,
      (0.25, 0.125, 0.0625, 0.03125, 0.015625), 33),
+    # configs/rate_2d.cfg: its lattice, its whole sweep down to eps = 1/16
+    # and its 9 targets
+    (2, 3.0, [(1.0, (1, 0)), (1.0, (0, 1))], 0.125, 0.125, 4.0, (0.25, 0.125, 0.0625), 9),
 ])
 def test_stage_two_is_the_whole_layer_minimum_at_rate_sweep_size(d, a0, terms, dt, dx,
                                                                   vmax, eps_list, count):
