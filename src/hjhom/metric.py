@@ -20,29 +20,33 @@ array to the layer, and the same minima: the values are never nan and never
 bitwise-identical to the gather form (tests/test_metric.py keeps it as the
 reference).
 
-d = 1, the chunk kernel.  The sources w >= -s that the targets j >= 0 read
-(s the largest step) are copied into a +inf frame, and a sliding-window view
-of it holds in row o the source j - c_o of every target j, c_o the o-th step.
-Each step's tile is re-indexed by target residue and tiled to a chunk of L
-cells, a whole number of blocks of M = 1/dx with at most CHUNK_CELLS sums,
-so for a chunk that starts on a multiple of M one add of the window and the
-chunk tiles into a reused 64-byte-aligned buffer gives every sum of the
-chunk, and one min-reduce over the steps gives its targets.
+d = 1, the chunk kernel.  Two +inf frames of n s + 1 + 2 s cells per table
+(n layers, s the largest step) hold the sources w >= -s of alternate layers,
+and a reversed sliding-window view of each holds in row o the source j - c_o
+of every target j, c_o the o-th step.  Each step's tile is re-indexed by
+target residue and tiled to a chunk of L cells, a whole number of blocks of
+M = 1/dx with at most CHUNK_CELLS sums, so for a chunk that starts on a
+multiple of M one add of the window and the chunk tiles into a reused
+64-byte-aligned buffer gives every sum of the chunk, and one min-reduce over
+the steps writes its targets into the other frame, whose cells -s..-1 then
+mirror 1..s.  A layer allocates only its full array, and only if stored.
 
 d >= 2, the group kernel.  The steps are grouped by their leading
 components (in d = 2 by the first-axis step c0); a group's last components
 run over one range [-w, w], because the steps are a lattice ball.  The
 previous layer is copied into a +inf frame whose last-axis sliding-window
-view holds in window q the source of every target by the last step s - q.
-Per table, each group's tile is re-indexed by target residue, an
-(M, steps, M) array in d = 2, and per layer one take widens it to the
-layer's columns.  The target rows z1 >= 0 are relaxed in blocks of M rows
-that start on multiples of M, so row i of a block has residue i: per group
-and block, one add of the group's windows and the widened tile into a
-reused 64-byte-aligned buffer gives every sum of the block, and one
-min-reduce over the group's steps gives its minima, written into the
-target rows for the first group and min-ed into them through scratch rows
-for the others.  One group's widened tile is held at a time.
+view holds in window q the source of every target by the last step s - q,
+over pitch = 8 ceil(width / 8) cells, width = 2 reach + 1: the pad targets
+read only +inf and are dropped, and every row of the reused buffers starts
+on a 64-byte boundary.  Per table, each group's tile is re-indexed by
+target residue, an (M, steps, M) array in d = 2, and per layer one take
+widens it to the pitch.  The target rows z1 >= 0 are relaxed in blocks of M
+rows that start on multiples of M, so row i of a block has residue i: per
+group and block, one add of the group's windows and the widened tile into a
+sums buffer gives every sum of the block, and one min-reduce over the
+group's steps into scratch rows gives its minima, copied into the target
+rows for the first group and min-ed into them for the others.  A layer
+allocates its frame and its array.
 
 Only half of each layer is relaxed.  Every supported V is a cosine series,
 hence even, so a step from w to w + o costs what the step from -w to -w - o
@@ -286,28 +290,20 @@ def _chunk_tiles(offsets: np.ndarray, tiles: list, big_m: int) -> np.ndarray:
     return chunk
 
 
-def _chunk_layer(prev: np.ndarray, s_max: int, chunk: np.ndarray,
-                 sums: np.ndarray) -> np.ndarray:
-    """The d = 1 layer after `prev`: its targets j >= 0 in chunks that begin
-    on multiples of M, each relaxed by one add of its windows and the chunk
-    tiles into `sums` and one min-reduce over the steps, then mirrored."""
-    prev_reach = len(prev) // 2
-    reach = prev_reach + s_max
-    new = np.empty(2 * reach + 1)
-    half = new[reach:]
-    # frame cell i holds source w = i - s_max: the targets j >= 0 read w >= -s_max
-    frame = np.full(len(half) + 2 * s_max, np.inf)
-    lo = max(prev_reach - s_max, 0)
-    frame[s_max - prev_reach + lo:s_max + prev_reach + 1] = prev[lo:]
-    # row o starts at frame cell 2 s_max - o, so it reads source j - offsets[o]
-    windows = sliding_window_view(frame, len(half))[::-1]
+def _relax_chunks(windows: np.ndarray, frame: np.ndarray, reach: int, s_max: int,
+                  chunk: np.ndarray, sums: np.ndarray) -> np.ndarray:
+    """Relax the d = 1 targets j in [0, reach] from the previous layer's
+    `windows` into `frame` cell s_max + j, in chunks that begin on multiples
+    of M, each by one add of its windows and the chunk tiles into `sums` and
+    one min-reduce over the steps; mirror 1..s_max into -1..-s_max."""
+    half = frame[s_max:s_max + reach + 1]
     cells = chunk.shape[1]
     for j0 in range(0, len(half), cells):
         n = min(cells, len(half) - j0)
         np.add(windows[:, j0:j0 + n], chunk[:, :n], out=sums[:, :n])
         np.minimum.reduce(sums[:, :n], axis=0, out=half[j0:j0 + n])
-    new[:reach] = np.flip(new)[:reach]
-    return new
+    frame[:s_max] = frame[2 * s_max:s_max:-1]
+    return half
 
 
 def _aligned_empty(n: int) -> np.ndarray:
@@ -345,15 +341,17 @@ def _step_groups(offsets: np.ndarray, tiles: list, big_m: int) -> list:
 def _relax_rows(half: np.ndarray, windows: np.ndarray, s_max: int, big_m: int,
                 groups: list, rows: tuple, bufs: tuple) -> None:
     """Relax the rows [rows[0], rows[1]) of `half` (row z1 at index z1) group
-    by group, in blocks of M rows that start on multiples of M.  The first
-    group reaches every row and writes its minima; the others min theirs in
+    by group, in blocks of M rows that start on multiples of M, over the
+    windows' pitch of last-axis cells.  Each group reduces into the scratch
+    rows, which the first group copies into every row and the others min in
     on the rows their sources hold."""
     t0, t1 = rows
     d = half.ndim
     width = half.shape[-1]
+    pitch = windows.shape[-1]
     reach = width // 2
     prev_reach = reach - s_max
-    cols = (np.arange(width) - reach) % big_m
+    cols = (np.arange(pitch) - reach) % big_m
     sums_buf, scratch_buf, wide_buf = bufs
     for g, (lead, w, tile) in enumerate(groups):
         c0 = lead[0]
@@ -362,8 +360,8 @@ def _relax_rows(half: np.ndarray, windows: np.ndarray, s_max: int, big_m: int,
         if lo >= hi:
             continue
         for axis in range(1, d - 1):
-            tile = np.take(tile, cols, axis=axis)
-        shape = tile.shape[:-1] + (width,)
+            tile = np.take(tile, cols[:width], axis=axis)
+        shape = tile.shape[:-1] + (pitch,)
         # "clip": cols are in range, and "raise" would take through a temporary
         wide = np.take(tile, cols, axis=-1, mode="clip",
                        out=wide_buf[:int(np.prod(shape))].reshape(shape))
@@ -374,12 +372,12 @@ def _relax_rows(half: np.ndarray, windows: np.ndarray, s_max: int, big_m: int,
             a, e = max(b, lo), min(b + big_m, hi)
             sums = sums_buf[:(e - a) * wide[0].size].reshape((e - a,) + shape[1:])
             np.add(src[a:e], wide[a - b:e - b], out=sums)
+            part = scratch_buf[:sums.size // (2 * w + 1)].reshape(sums.shape[:-2] + (pitch,))
+            np.minimum.reduce(sums, axis=-2, out=part)
             if g == 0:
-                np.minimum.reduce(sums, axis=-2, out=half[a:e])
+                half[a:e] = part[..., :width]
             else:
-                part = scratch_buf[:half[a:e].size].reshape(half[a:e].shape)
-                np.minimum.reduce(sums, axis=-2, out=part)
-                np.minimum(half[a:e], part, out=half[a:e])
+                np.minimum(half[a:e], part[..., :width], out=half[a:e])
 
 
 def _group_layer(prev: np.ndarray, s_max: int, big_m: int, groups: list, bufs: list,
@@ -392,17 +390,20 @@ def _group_layer(prev: np.ndarray, s_max: int, big_m: int, groups: list, bufs: l
     n = 2 * prev_reach + 1
     reach = prev_reach + s_max
     width = 2 * reach + 1
+    pitch = -(-width // 8) * 8
     new = np.empty((width,) * d)
     half = new[reach:]
     # frame row i holds source row i - s_max, as the rows z1 >= 0 read the
     # source rows from -s_max on; frame cell i of the other axes holds source
     # i - reach - s_max, so window q of the last axis holds in its cell x the
-    # source of target x - reach by the last step s_max - q
-    frame = np.full((reach + 1,) + (width + 2 * s_max,) * (d - 1), np.inf)
+    # source of target x - reach by the last step s_max - q; the last axis
+    # has pitch - width more +inf cells, read only by the pad targets
+    frame = np.full((reach + 1,) + (width + 2 * s_max,) * (d - 2) + (pitch + 2 * s_max,),
+                    np.inf)
     lo = max(prev_reach - s_max, 0)
     frame[(slice(s_max - prev_reach + lo, None),)
           + (slice(2 * s_max, 2 * s_max + n),) * (d - 1)] = prev[lo:]
-    windows = sliding_window_view(frame, width, axis=-1)
+    windows = sliding_window_view(frame, pitch, axis=-1)
     parts = len(bufs) if half.size >= SPLIT_MIN_CELLS else 1
     blocks = -(-len(half) // big_m)
     runs = [(big_m * (blocks * i // parts), min(len(half), big_m * (blocks * (i + 1) // parts)))
@@ -460,11 +461,19 @@ def compute_metric_table(lagrangian: LagrangianField, horizon: float, *,
     if d == 1:
         chunk = _chunk_tiles(offsets, tiles, big_m)
         sums = _aligned_empty(chunk.size).reshape(chunk.shape)
+        # layer k is relaxed from frame (k - 1) % 2 into frame k % 2, where
+        # cell i holds source w = i - s_max; cells past a layer's reach stay
+        # +inf, as reaches only grow.  Row o of a reversed window view starts
+        # at frame cell 2 s_max - o, so it reads source j - offsets[o]
+        frames = np.full((2, (n_layers + 2) * s_max + 1), np.inf)
+        frames[0, s_max] = 0.0
+        windows = [sliding_window_view(frame, n_layers * s_max + 1)[::-1] for frame in frames]
     else:
         groups = _step_groups(offsets, tiles, big_m)
         # per thread, sums and a widened tile of a block of M rows of the
-        # last layer, and the block's scratch rows
-        rows = big_m * (2 * s_max * n_layers + 1) ** (d - 1)
+        # last layer, and the block's scratch rows, each row a pitch of cells
+        width = 2 * s_max * n_layers + 1
+        rows = big_m * width ** (d - 2) * -(-width // 8) * 8
         steps = 2 * max(w for _, w, _ in groups) + 1
         bufs = [(_aligned_empty(rows * steps), _aligned_empty(rows),
                  _aligned_empty(rows * steps)) for _ in range(threads)]
@@ -477,13 +486,14 @@ def compute_metric_table(lagrangian: LagrangianField, horizon: float, *,
     with _split_pool(threads) as pool:
         for k in range(1, n_layers + 1):
             if d == 1:
-                new = _chunk_layer(prev, s_max, chunk, sums)
+                half = _relax_chunks(windows[(k - 1) % 2], frames[k % 2], k * s_max, s_max,
+                                     chunk, sums)
             else:
-                new = _group_layer(prev, s_max, big_m, groups, bufs, pool)
+                prev = _group_layer(prev, s_max, big_m, groups, bufs, pool)
             if keep_all or (k % per_unit == 0) or k == n_layers:
                 layer_times.append(k)
-                layers.append(new)
-            prev = new
+                # a d = 1 layer is built from its half only when stored
+                layers.append(np.concatenate((half[:0:-1], half)) if d == 1 else prev)
 
     return MetricTable(
         dt=dt, dx=dx, vmax=vmax, dimension=d,

@@ -317,7 +317,11 @@ def test_csv_export_roundtrip(tmp_path):
 
 
 # (d, M = 1/dx, step radius s = vmax dt / dx, layers at dt = 1/4, keep):
-# s below and above M; reaches from under M (first layers) to many times M
+# s below and above M; reaches from under M (first layers) to many times M.
+# A d >= 2 layer is relaxed over rows of pitch = 8 ceil(width / 8) cells; the
+# width 2 reach + 1 is odd, and the last d = 2 layers' reach mod 8 takes each
+# value 0..7 over these cases and NON_SEPARABLE_CASES, so their width mod 8
+# takes each of 1, 3, 5, 7 (7, 5, 3, 1 pad cells)
 EQUIVALENCE_CASES = [
     (1, 2, 1.0, 24, "all"), (1, 3, 2.0, 24, "integers"),
     (1, 6, 2.0, 24, "all"), (1, 8, 3.0, 24, "integers"),
@@ -329,6 +333,8 @@ EQUIVALENCE_CASES = [
     (2, 6, 7.0, 4, "integers"), (2, 8, 9.0, 4, "all"),
     (3, 2, 1.5, 6, "all"), (3, 2, 1.5, 6, "integers"), (3, 2, 2.0, 4, "all"),
     (1, 3, 1.0, 24, "all"), (1, 7, 5.0, 8, "integers"),
+    (2, 4, 1.5, 13, "all"), (2, 3, 2.0, 9, "integers"), (2, 2, 3.5, 5, "all"),
+    (3, 2, 1.5, 7, "all"),
 ]
 
 # the d = 1 chunk budget in the equivalence test: chunks of L = 20 (M = 2,
@@ -340,7 +346,8 @@ SMALL_CHUNK_CELLS = 64
 
 def assert_equals_gather_kernel(monkeypatch, lagr, big_m, s, n_layers, keep):
     """Every layer of the table at threads 1, 2 and 3 (one in d = 1) is the
-    gather form's and its own flip, bitwise; returns the reaches."""
+    gather form's and its own flip, bitwise, and a C-contiguous array of
+    shape (2 reach + 1,)^d; returns the reaches."""
     # d >= 2: every layer in runs of row blocks, one per thread, the first
     # ones with fewer blocks than threads; a d = 1 table takes one thread
     monkeypatch.setattr("hjhom.metric.SPLIT_MIN_CELLS", 0)
@@ -354,7 +361,8 @@ def assert_equals_gather_kernel(monkeypatch, lagr, big_m, s, n_layers, keep):
     for table in tables:
         assert table.layer_times.tolist() == times
         assert [layer.shape[0] // 2 for layer in table.layers] == reaches
-        for got, ref in zip(table.layers, layers):
+        for got, ref, reach in zip(table.layers, layers, reaches):
+            assert got.shape == (2 * reach + 1,) * d and got.flags.c_contiguous
             assert got.tobytes() == ref.tobytes()
             assert got.tobytes() == np.flip(got).tobytes()
     return reaches
@@ -383,6 +391,7 @@ NON_SEPARABLE = build_lagrangian(cosine_spec(2, 4.0, (1.0, (1, 0)), (1.0, (0, 1)
 NON_SEPARABLE_CASES = [
     (4, 3.0, 8, "all"), (8, 2.0, 14, "integers"), (6, 2.5, 10, "all"),
     (3, 4.0, 6, "integers"), (8, 9.0, 4, "all"), (2, 1.0, 20, "all"),
+    (4, 1.5, 17, "integers"), (3, 2.5, 11, "all"), (5, 3.0, 9, "integers"),
 ]
 
 
@@ -393,6 +402,16 @@ def test_group_kernel_bitwise_equals_gather_kernel_off_the_separable_family(
                                           keep)
     assert reaches[-1] >= 3 * big_m
     assert (reaches[-1] + 1) % big_m != 0
+
+
+# V = 4 - 3 cos 2 pi x, a deep well at the origin: targets j > 0 of most
+# layers at M = 8, s = 3 take their minimum from a source w < 0, which the
+# d = 1 kernel reads from the frame cells that mirror the sources -w > 0
+DEEP_WELL = build_lagrangian(cosine_spec(1, 4.0, (-3.0, (1,))))
+
+
+def test_chunk_kernel_reads_sources_across_the_origin(monkeypatch):
+    assert_equals_gather_kernel(monkeypatch, DEEP_WELL, 8, 3.0, 12, "all")
 
 
 @settings(max_examples=20, deadline=None)
@@ -414,9 +433,44 @@ def test_group_kernel_equals_gather_kernel_on_drawn_potentials(big_m, s, amplitu
         assert got.tobytes() == ref.tobytes()
 
 
+class RecordingNumpy:
+    """numpy as hjhom.metric sees it, recording the arrays its np.empty and
+    np.full calls make and the `out` of its np.add and np.minimum.reduce calls."""
+
+    def __init__(self):
+        self.made, self.outs = [], []
+        self.minimum = RecordingNumpy.Minimum(self.outs)
+
+    class Minimum:
+        def __init__(self, outs):
+            self.outs = outs
+
+        def __call__(self, *args, **kwargs):
+            return np.minimum(*args, **kwargs)
+
+        def reduce(self, *args, **kwargs):
+            self.outs.append(kwargs.get("out"))
+            return np.minimum.reduce(*args, **kwargs)
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def empty(self, *args, **kwargs):
+        self.made.append(np.empty(*args, **kwargs))
+        return self.made[-1]
+
+    def full(self, *args, **kwargs):
+        self.made.append(np.full(*args, **kwargs))
+        return self.made[-1]
+
+    def add(self, *args, **kwargs):
+        self.outs.append(kwargs.get("out"))
+        return np.add(*args, **kwargs)
+
+
 @pytest.mark.parametrize("threads, d, big_m, s", [(1, 1, 6, 2.0), (1, 2, 6, 2.5),
-                                                 (3, 2, 6, 2.5)])
-def test_band_buffers_are_cache_line_aligned(monkeypatch, d, big_m, s, threads):
+                                                 (3, 2, 6, 2.5), (2, 3, 2, 1.5)])
+def test_kernel_buffers_are_cache_line_aligned(monkeypatch, d, big_m, s, threads):
     # every buffer a kernel adds into starts on a 64-byte boundary, whatever
     # offset malloc gave the allocation under it
     monkeypatch.setattr("hjhom.metric.SPLIT_MIN_CELLS", 0)
@@ -427,14 +481,31 @@ def test_band_buffers_are_cache_line_aligned(monkeypatch, d, big_m, s, threads):
         buffers.append(buf)
         return buf
 
+    def build(horizon):
+        recording = RecordingNumpy()
+        with monkeypatch.context() as patch:
+            patch.setattr("hjhom.metric.np", recording)
+            compute_metric_table(OSC_BY_DIMENSION[d], horizon=horizon, dt=0.25,
+                                 dx=1.0 / big_m, vmax=s / big_m / 0.25, threads=threads)
+        return recording
+
     monkeypatch.setattr("hjhom.metric._aligned_empty", recorded)
-    compute_metric_table(OSC_BY_DIMENSION[d], horizon=2.0, dt=0.25, dx=1.0 / big_m,
-                         vmax=s / big_m / 0.25, threads=threads)
+    recording = build(2.0)
     # d = 1: the chunk tiles and one sums buffer, once per table;
-    # d = 2: per thread, a sums, a scratch-row and a widened-tile buffer,
+    # d >= 2: per thread, a sums, a scratch-row and a widened-tile buffer,
     # once per table
     assert len(buffers) == (2 if d == 1 else 3 * threads)
     assert all(buf.ctypes.data % 64 == 0 for buf in buffers)
+    if d == 1:
+        # two frames per table, not one per layer: 2 layers allocate as much as 16
+        assert len(build(0.5).made) == len(build(4.0).made)
+    else:
+        # every row added into or reduced into starts on a 64-byte boundary:
+        # the last axis holds a multiple of 8 cells, and the widths 2 reach + 1
+        # of the layers are odd
+        assert recording.outs
+        assert all(out.ctypes.data % 64 == 0 and all(st % 64 == 0 for st in out.strides[:-1])
+                   for out in recording.outs)
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 7, 8, 9, 1000])
@@ -507,8 +578,8 @@ def test_threads_rejects_fewer_than_one():
 
 @pytest.mark.parametrize("threads", [2.0, 1.5])
 def test_threads_rejects_a_count_that_is_not_an_integer(threads):
-    # 2.0 used to pass the check and fail with TypeError in the band loop,
-    # once a frame reached BAND_MIN_CELLS
+    # 2.0 used to pass the check and fail with TypeError once a layer was
+    # split between threads
     with pytest.raises(ConfigurationError, match="integer"):
         compute_metric_table(FREE, horizon=1.0, dt=0.25, dx=0.25, vmax=4.0,
                              threads=threads)
@@ -546,22 +617,23 @@ def test_grid_steps_must_be_finite_and_positive(dt, dx):
                               vmax=4.0)
 
 
-def test_banded_table_equals_serial_under_thread_switches(monkeypatch):
+def test_split_table_equals_serial_under_thread_switches(monkeypatch):
     # more threads than cores, switching every microsecond: a lost or
-    # doubled write into a shared layer would change its bytes
+    # doubled write into a shared layer would change its bytes; the last
+    # layer's width 2 * 49 + 1 = 99 leaves 5 pad cells in each row's pitch
     monkeypatch.setattr("hjhom.metric.SPLIT_MIN_CELLS", 0)
-    kw = dict(horizon=2.0, dt=0.25, dx=0.125, vmax=4.0, keep="all")
+    kw = dict(horizon=1.75, dt=0.25, dx=0.125, vmax=3.5, keep="all")
     serial = compute_metric_table(OSC2, **kw)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        banded = compute_metric_table(OSC2, threads=5, **kw)
+        split = compute_metric_table(OSC2, threads=5, **kw)
     finally:
         sys.setswitchinterval(interval)
-    assert [a.tobytes() for a in banded.layers] == [a.tobytes() for a in serial.layers]
-    for t, x in [(1.0, (1.0, -0.5)), (2.0, (2.5, 1.25)), (1.5, (-0.625, 0.0))]:
+    assert [a.tobytes() for a in split.layers] == [a.tobytes() for a in serial.layers]
+    for t, x in [(1.0, (1.0, -0.5)), (1.75, (2.5, 1.25)), (1.5, (-0.625, 0.0))]:
         want = extract_minimizing_path(serial, t, x)
-        got = extract_minimizing_path(banded, t, x)
+        got = extract_minimizing_path(split, t, x)
         assert np.array_equal(got.nodes, want.nodes)
         assert got.cost == want.cost
 
