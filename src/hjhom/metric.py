@@ -48,6 +48,20 @@ group's steps into scratch rows gives its minima, copied into the target
 rows for the first group and min-ed into them for the others.  A layer
 allocates its frame and its array.
 
+Ufunc buffers.  numpy's ufunc iterator buffers np.getbufsize() cells
+(8192 by default).  When the buffer holds two or more rows of an operand
+whose rows cannot be joined into one strided run, such as a sliding-window
+view, numpy (2.4 measured) copies the operand into it; below two rows it
+reads the operand in place.  A d = 1 table runs its layer loop with the
+buffer shrunk to one chunk row (_row_buffer), so the window is never
+copied, and gives the caller's size back on return or raise.  The size is
+per thread (a context variable from numpy 2.0, a thread-local before), so
+a pool thread starts with the default.  The d >= 2 kernel keeps the
+caller's size: one row of it slowed the min-reduces more than it sped the
+adds.  The adds and minima are elementwise and a minimum is order-free, so
+the layers are the same bytes at any buffer size; the cost tiles, whose
+float sums could regroup with it, are built outside the sized loop.
+
 Only half of each layer is relaxed.  Every supported V is a cosine series,
 hence even, so a step from w to w + o costs what the step from -w to -w - o
 costs.  _cost_tiles makes that bitwise (the tile of -o at residue (-r) mod M
@@ -96,8 +110,10 @@ SPLIT_MIN_CELLS = 200000
 
 # A d = 1 chunk holds at most this many sums (steps x target cells), or one
 # block of M cells when a block holds more: its tiles and its sums buffer
-# then take 256 KB each.
-CHUNK_CELLS = 32768
+# then take 512 KB each.  With the window read in place (_row_buffer), this
+# size was faster than half of it on all three rate_1d.cfg tables, and
+# larger sizes were no faster (see CHANGES.md).
+CHUNK_CELLS = 65536
 
 
 def default_speed_cap(lagrangian: LagrangianField, max_ratio: float) -> float:
@@ -306,6 +322,20 @@ def _relax_chunks(windows: np.ndarray, frame: np.ndarray, reach: int, s_max: int
     return half
 
 
+@contextlib.contextmanager
+def _row_buffer(row: int):
+    """numpy's ufunc buffer on this thread shrunk to one row of `row` cells,
+    rounded up to a multiple of 16 (numpy takes no other size), and restored
+    on exit: below two rows the iterator reads a window operand in place
+    instead of copying it (see the module docstring).  The buffer is never
+    grown, so a long row keeps the caller's size."""
+    old = np.setbufsize(min(np.getbufsize(), max(16, -(-row // 16) * 16)))
+    try:
+        yield
+    finally:
+        np.setbufsize(old)
+
+
 def _aligned_empty(n: int) -> np.ndarray:
     """An uninitialized float array of n cells whose data starts on a 64-byte
     (cache-line) boundary.  malloc aligns only to 16 bytes, and an add into a
@@ -468,6 +498,7 @@ def compute_metric_table(lagrangian: LagrangianField, horizon: float, *,
         frames = np.full((2, (n_layers + 2) * s_max + 1), np.inf)
         frames[0, s_max] = 0.0
         windows = [sliding_window_view(frame, n_layers * s_max + 1)[::-1] for frame in frames]
+        buffer = _row_buffer(chunk.shape[1])
     else:
         groups = _step_groups(offsets, tiles, big_m)
         # per thread, sums and a widened tile of a block of M rows of the
@@ -477,13 +508,16 @@ def compute_metric_table(lagrangian: LagrangianField, horizon: float, *,
         steps = 2 * max(w for _, w, _ in groups) + 1
         bufs = [(_aligned_empty(rows * steps), _aligned_empty(rows),
                  _aligned_empty(rows * steps)) for _ in range(threads)]
+        # a d >= 2 layer keeps numpy's buffer: one row of it made the
+        # min-reduces slower than the adds got faster (see CHANGES.md)
+        buffer = contextlib.nullcontext()
 
     keep_all = keep == "all"
     layer_times = [0]
     layers = [np.zeros((1,) * d)]
 
     prev = layers[0]
-    with _split_pool(threads) as pool:
+    with _split_pool(threads) as pool, buffer:
         for k in range(1, n_layers + 1):
             if d == 1:
                 half = _relax_chunks(windows[(k - 1) % 2], frames[k % 2], k * s_max, s_max,

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hamiltonian_reference import hamiltonian
 from hjhom import (
@@ -164,3 +166,59 @@ def test_lagrangian_lower_bound_after_normalization():
     vs = np.linspace(-4.0, 4.0, 33)[None, :, None]
     assert lagr(xs, vs).min() >= 1.0 - 1e-12
 
+
+def chord_slopes(x, f):
+    """Every slope (f_j - f_i) / (x_j - x_i), i < j, sorted and distinct."""
+    i, j = np.triu_indices(len(x), 1)
+    return np.unique((f[j] - f[i]) / (x[j] - x[i]))
+
+
+def lower_envelope(x, f):
+    """The lower convex envelope of the points (x_i, f_i) at the nodes, by
+    brute force: at node i, the least chord value over nodes j <= i <= k."""
+    out = f.copy()
+    for i in range(len(x)):
+        for j in range(i):
+            for k in range(i + 1, len(x)):
+                w = (x[i] - x[j]) / (x[k] - x[j])
+                out[i] = min(out[i], (1 - w) * f[j] + w * f[k])
+    return out
+
+
+def biconjugate(x, f):
+    """Conjugate f on the nodes x at every chord slope, and that conjugate
+    back at the nodes."""
+    p = chord_slopes(x, f)
+    dual = ConvexFunctionTable((p,), conjugate(ConvexFunctionTable((x,), f, VELOCITY_DOMAIN),
+                                               p[:, None]), MOMENTUM_DOMAIN)
+    return conjugate(dual, x[:, None])
+
+
+GRID = dict(x0=st.integers(-8, 8), h=st.sampled_from([0.125, 0.25, 0.5, 1.0]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(slopes=st.lists(st.integers(-12, 12), min_size=1, max_size=10),
+       f0=st.integers(-5, 5), **GRID)
+def test_biconjugate_gives_back_convex_data_at_its_nodes(slopes, f0, x0, h):
+    # convex data on a uniform grid: slopes that never decrease
+    x = x0 + h * np.arange(len(slopes) + 1)
+    f = f0 + h * np.concatenate(([0], np.cumsum(np.sort(slopes))))
+    np.testing.assert_allclose(biconjugate(x, f), f, rtol=0, atol=1e-9)
+
+
+@settings(max_examples=60, deadline=None)
+@given(amplitudes=st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=3),
+       n=st.integers(2, 12), **GRID)
+def test_biconjugate_of_cosine_data_is_its_convex_envelope(amplitudes, n, x0, h):
+    # a small random cosine series at the nodes, convex or not: the double
+    # conjugate is the lower convex envelope, so it lies below the data and
+    # equals it at the envelope's vertices
+    x = x0 + h * np.arange(n)
+    f = sum(a * np.cos(2 * np.pi * (k + 1) * x / (n * h)) for k, a in enumerate(amplitudes))
+    got, hull = biconjugate(x, f), lower_envelope(x, f)
+    np.testing.assert_allclose(got, hull, rtol=0, atol=1e-9)
+    assert np.all(got <= f + 1e-9)
+    vertex = np.abs(hull - f) <= 1e-12
+    assert vertex[0] and vertex[-1]
+    np.testing.assert_allclose(got[vertex], f[vertex], rtol=0, atol=1e-9)

@@ -1,3 +1,4 @@
+import contextlib
 import sys
 
 import numpy as np
@@ -16,7 +17,9 @@ from hjhom import (
     extract_minimizing_path,
 )
 from hjhom.effective import cell_problem_oracle
+import hjhom.metric as metric
 from hjhom.metric import _aligned_empty as aligned_empty
+from hjhom.metric import _row_buffer as row_buffer
 from hjhom.metric import path_cost
 from hjhom.util import grid_points
 from metric_reference import brute_metric
@@ -335,13 +338,25 @@ EQUIVALENCE_CASES = [
     (1, 3, 1.0, 24, "all"), (1, 7, 5.0, 8, "integers"),
     (2, 4, 1.5, 13, "all"), (2, 3, 2.0, 9, "integers"), (2, 2, 3.5, 5, "all"),
     (3, 2, 1.5, 7, "all"),
+    (1, 5, 1.0, 24, "all"), (1, 6, 1.0, 24, "integers"), (1, 5, 2.0, 24, "integers"),
+    (1, 3, 3.0, 24, "all"),
 ]
 
 # the d = 1 chunk budget in the equivalence test: chunks of L = 20 (M = 2,
 # s = 1) and 21 (M = 3, s = 1) cells meet a half of L - 1, L and L + 1
 # cells; every d = 1 case ends with several chunks per layer, and M = 6, 7
-# and 8 at s >= 5 hold more sums per block than the budget (one-block chunks)
+# and 8 at s >= 5 hold more sums per block than the budget (one-block
+# chunks).  The ufunc buffer is sized from L, which numpy takes only in
+# multiples of 16: L is 20 (M = 5, s = 1), 18 (M = 6, s = 1), 10 (M = 5,
+# s = 2) and 9 (M = 3, s = 3) cells in the last four d = 1 cases
 SMALL_CHUNK_CELLS = 64
+
+
+def chunk_width(big_m, s, budget):
+    """L, the cells of a d = 1 chunk at M = 1/dx, step radius s and a budget
+    of `budget` sums."""
+    n_steps = 2 * int(s) + 1
+    return big_m * max(1, budget // (n_steps * big_m))
 
 
 def assert_equals_gather_kernel(monkeypatch, lagr, big_m, s, n_layers, keep):
@@ -375,9 +390,7 @@ def test_frame_kernel_bitwise_equals_gather_kernel(monkeypatch, d, big_m, s, n_l
                                           n_layers, keep)
     assert reaches[-1] >= 3 * big_m
     if d == 1:
-        n_steps = 2 * int(s) + 1
-        cells = big_m * max(1, SMALL_CHUNK_CELLS // (n_steps * big_m))
-        assert reaches[-1] + 1 > cells
+        assert reaches[-1] + 1 > chunk_width(big_m, s, SMALL_CHUNK_CELLS)
 
 
 # V = 4 + cos 2 pi x1 + cos 2 pi x2 + cos 2 pi (x1 + x2): its tiles are not
@@ -435,10 +448,11 @@ def test_group_kernel_equals_gather_kernel_on_drawn_potentials(big_m, s, amplitu
 
 class RecordingNumpy:
     """numpy as hjhom.metric sees it, recording the arrays its np.empty and
-    np.full calls make and the `out` of its np.add and np.minimum.reduce calls."""
+    np.full calls make, the `out` of its np.add and np.minimum.reduce calls,
+    and the ufunc buffer size at each np.add."""
 
     def __init__(self):
-        self.made, self.outs = [], []
+        self.made, self.outs, self.bufsizes = [], [], []
         self.minimum = RecordingNumpy.Minimum(self.outs)
 
     class Minimum:
@@ -465,6 +479,7 @@ class RecordingNumpy:
 
     def add(self, *args, **kwargs):
         self.outs.append(kwargs.get("out"))
+        self.bufsizes.append(np.getbufsize())
         return np.add(*args, **kwargs)
 
 
@@ -506,6 +521,81 @@ def test_kernel_buffers_are_cache_line_aligned(monkeypatch, d, big_m, s, threads
         assert recording.outs
         assert all(out.ctypes.data % 64 == 0 and all(st % 64 == 0 for st in out.strides[:-1])
                    for out in recording.outs)
+
+
+# (M, s, chunk budget, layers): chunks of L = 1920 cells (M = 128, s = 16,
+# the default budget, as on the rate sweep's main table: numpy's default
+# buffer of 8192 cells holds two of its rows), of 144, of 21 and 18 (not
+# multiples of 16), of 10 and 9 (below 16) and of 8 cells
+@pytest.mark.parametrize("big_m, s, budget, n_layers", [
+    (128, 16.0, None, 160), (8, 3.0, 1024, 64), (3, 1.0, 64, 24), (6, 1.0, 64, 24),
+    (5, 2.0, 64, 24), (3, 3.0, 64, 24), (8, 11.0, 64, 8)])
+def test_chunk_kernel_reads_its_window_in_place(monkeypatch, big_m, s, budget, n_layers):
+    # every d = 1 kernel add runs with a ufunc buffer below two rows of its
+    # window operand, so numpy does not copy the window into the buffer;
+    # 16 cells, the least numpy takes, is two rows of a chunk of 8
+    if budget is not None:
+        monkeypatch.setattr("hjhom.metric.CHUNK_CELLS", budget)
+    cells = chunk_width(big_m, s, metric.CHUNK_CELLS)
+    recording = RecordingNumpy()
+    monkeypatch.setattr("hjhom.metric.np", recording)
+    caller = np.getbufsize()
+    compute_metric_table(OSC, horizon=n_layers * 0.25, dt=0.25, dx=1.0 / big_m,
+                         vmax=s / big_m / 0.25, keep="integers")
+    assert np.getbufsize() == caller
+    assert len(recording.bufsizes) > n_layers
+    assert all(size < 2 * cells or size == 16 == 2 * cells for size in recording.bufsizes)
+
+
+class KernelFault(Exception):
+    pass
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("fail", [False, True])
+def test_table_gives_back_the_callers_buffer_size(monkeypatch, d, fail):
+    # after the table, or after a kernel raises at layer 2, the caller has
+    # its own ufunc buffer size back (saved and set again explicitly: numpy
+    # before 2.0 keeps no context for it)
+    kernel = "_relax_chunks" if d == 1 else "_group_layer"
+    relax = getattr(metric, kernel)
+    seen = []
+
+    def layer(*args):
+        seen.append(np.getbufsize())
+        if fail and len(seen) == 2:
+            raise KernelFault
+        return relax(*args)
+
+    monkeypatch.setattr(f"hjhom.metric.{kernel}", layer)
+    # d = 1 chunks of 90 cells: the table shrinks the buffer to 96
+    monkeypatch.setattr("hjhom.metric.CHUNK_CELLS", 1024)
+    old = np.setbufsize(4096)
+    try:
+        with pytest.raises(KernelFault) if fail else contextlib.nullcontext():
+            compute_metric_table(OSC_BY_DIMENSION[d], horizon=2.0, dt=0.25, dx=1.0 / 6,
+                                 vmax=2.5 * 6 / 4)
+        assert np.getbufsize() == 4096
+    finally:
+        np.setbufsize(old)
+    assert len(seen) == (2 if fail else 8)
+    # a d = 1 kernel raised inside the sized scope; d >= 2 keeps the caller's
+    assert all(size == (96 if d == 1 else 4096) for size in seen)
+
+
+@pytest.mark.parametrize("row, size", [(1, 16), (8, 16), (9, 16), (16, 16), (17, 32),
+                                       (1920, 1920), (1930, 1936), (4100, 4096),
+                                       (10 ** 8, 4096)])
+def test_row_buffer_rounds_up_to_sixteen_and_never_grows(row, size):
+    # numpy takes only multiples of 16 (ValueError otherwise), and at most
+    # 10**7 cells: a row past the caller's size keeps the caller's size
+    old = np.setbufsize(4096)
+    try:
+        with row_buffer(row):
+            assert np.getbufsize() == size
+        assert np.getbufsize() == 4096
+    finally:
+        np.setbufsize(old)
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 7, 8, 9, 1000])

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hjhom import (
     DomainError,
@@ -55,6 +57,26 @@ def test_cyclic_shift_preserves_increment_multiset():
     # start and endpoint displacement unchanged
     np.testing.assert_array_equal(out[0], path[0])
     np.testing.assert_allclose(out[-1] - out[0], path[-1] - path[0], atol=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(steps=st.lists(st.tuples(st.integers(-8, 8), st.integers(-8, 8)), min_size=1,
+                      max_size=24),
+       start=st.tuples(st.integers(-16, 16), st.integers(-16, 16)),
+       dx=st.sampled_from([0.125, 0.25, 0.5]), data=st.data())
+def test_cyclic_shift_keeps_start_end_and_increments(steps, start, dx, data):
+    # a lattice path (steps of whole multiples of dx, so every sum is exact):
+    # any shift keeps the start and the end bitwise, and its increments are
+    # the path's increments rotated left by m, so the same multiset
+    nodes = dx * np.vstack([start, np.add(start, np.cumsum(steps, axis=0))])
+    m = data.draw(st.integers(0, len(steps)))
+    out = _shifted(nodes, m)
+    assert out.shape == nodes.shape
+    assert out[0].tobytes() == nodes[0].tobytes()
+    assert out[-1].tobytes() == nodes[-1].tobytes()
+    incs = np.diff(nodes, axis=0)
+    np.testing.assert_array_equal(np.diff(out, axis=0), np.roll(incs, -m, axis=0))
+    assert sorted(map(tuple, np.diff(out, axis=0))) == sorted(map(tuple, incs))
 
 
 def test_find_crossing_symmetric_straight_lines():
