@@ -10,43 +10,47 @@ is computed on a space-time lattice (time step dt, spatial spacing dx) by
 
 i.e. midpoint rule in space, left endpoint in time.  dx must divide 1 and dt
 must divide 1 so that integer space-time points are lattice points; the
-per-step cost then depends on the source node only through its residue class
-mod 1, which makes the cost arrays small periodic tiles.
+cost of a step then depends on its target node only through its residue
+class mod 1, so the step costs are one small periodic array, costs[o][r]
+for the o-th step into a target of residue r in [0, M)^d, M = 1/dx.
 
 Each layer is relaxed without a gathered cost array per step, by one of two
-kernels.  Both make the same offsets' additions as adding a gathered cost
-array to the layer, and the same minima: the values are never nan and never
--0.0, so a minimum is exact and order-free.  Every layer is therefore
-bitwise-identical to the gather form (tests/test_metric.py keeps it as the
-reference).
+kernels.  Both make the same offsets' additions as adding the gathered cost
+array costs[o][j mod M] at the targets j to the layer, and the same minima:
+the values are never nan and never -0.0, so a minimum is exact and
+order-free.  Every layer is therefore bitwise-identical to the gather form
+(tests/test_metric.py keeps it as the reference).
 
-d = 1, the chunk kernel.  Two +inf frames of n s + 1 + 2 s cells per table
-(n layers, s the largest step) hold the sources w >= -s of alternate layers,
-and a reversed sliding-window view of each holds in row o the source j - c_o
-of every target j, c_o the o-th step.  Each step's tile is re-indexed by
-target residue and tiled to a chunk of L cells, a whole number of blocks of
-M = 1/dx with at most CHUNK_CELLS sums, so for a chunk that starts on a
-multiple of M one add of the window and the chunk tiles into a reused
-64-byte-aligned buffer gives every sum of the chunk, and one min-reduce over
-the steps writes its targets into the other frame, whose cells -s..-1 then
-mirror 1..s.  A layer allocates only its full array, and only if stored.
+Frames.  Layer k is relaxed from one of two +inf frames, made once per
+table, into the other.  Frame row i holds the row z1 = i - s (s the largest
+step); in d >= 2 the other axes hold, around a fixed centre cell, the last
+layer, the s cells past it and the pitch pad below.  Cells past a layer's
+reach stay +inf, as reaches only grow, and a table allocates per layer only
+the full layer of a stored time.
+
+d = 1, the chunk kernel.  A reversed sliding-window view of each frame
+holds in row o the source j - c_o of every target j, c_o the o-th step.
+The costs are tiled to a chunk of L cells, a whole number of blocks of M
+with at most CHUNK_CELLS sums, so for a chunk that starts on a multiple of M
+one add of the window and the chunk costs into a reused 64-byte-aligned
+buffer gives every sum of the chunk, and one min-reduce over the steps
+writes its targets into the other frame.
 
 d >= 2, the group kernel.  The steps are grouped by their leading
 components (in d = 2 by the first-axis step c0); a group's last components
 run over one range [-w, w], because the steps are a lattice ball.  The
-previous layer is copied into a +inf frame whose last-axis sliding-window
-view holds in window q the source of every target by the last step s - q,
-over pitch = 8 ceil(width / 8) cells, width = 2 reach + 1: the pad targets
-read only +inf and are dropped, and every row of the reused buffers starts
-on a 64-byte boundary.  Per table, each group's tile is re-indexed by
-target residue, an (M, steps, M) array in d = 2, and per layer one take
-widens it to the pitch.  The target rows z1 >= 0 are relaxed in blocks of M
-rows that start on multiples of M, so row i of a block has residue i: per
-group and block, one add of the group's windows and the widened tile into a
-sums buffer gives every sum of the block, and one min-reduce over the
-group's steps into scratch rows gives its minima, copied into the target
-rows for the first group and min-ed into them for the others.  A layer
-allocates its frame and its array.
+source frame's last-axis sliding-window view holds in window q the source
+of every target by the last step s - q, over pitch = 8 ceil(width / 8)
+cells, width = 2 reach + 1: the pad targets read only +inf and are dropped,
+and every row of the reused buffers starts on a 64-byte boundary.  Per
+table, each group's costs are an (M, steps, M) array in d = 2, and per
+layer one take widens them to the pitch.  The target rows z1 >= 0 are
+relaxed in blocks of M rows that start on multiples of M, so row i of a
+block has residue i: per group and block, one add of the group's windows
+and the widened costs into a sums buffer gives every sum of the block, and
+one min-reduce over the group's steps into scratch rows gives its minima,
+copied into the target rows for the first group and min-ed into them for
+the others.
 
 Ufunc buffers.  numpy's ufunc iterator buffers np.getbufsize() cells
 (8192 by default).  When the buffer holds two or more rows of an operand
@@ -59,16 +63,17 @@ per thread (a context variable from numpy 2.0, a thread-local before), so
 a pool thread starts with the default.  The d >= 2 kernel keeps the
 caller's size: one row of it slowed the min-reduces more than it sped the
 adds.  The adds and minima are elementwise and a minimum is order-free, so
-the layers are the same bytes at any buffer size; the cost tiles, whose
-float sums could regroup with it, are built outside the sized loop.
+the layers are the same bytes at any buffer size; the costs, whose float
+sums could regroup with it, are built outside the sized loop.
 
 Only half of each layer is relaxed.  Every supported V is a cosine series,
 hence even, so a step from w to w + o costs what the step from -w to -w - o
-costs.  _cost_tiles makes that bitwise (the tile of -o at residue (-r) mod M
-is the tile of o at r; cos 2 pi (1 - y) is not bitwise cos 2 pi y), so a
+costs.  _cost_tiles makes that bitwise (the cost of -o at residue (-r) mod
+M is the cost of o at r; cos 2 pi (1 - y) is not bitwise cos 2 pi y), so a
 layer equal to its flip (reversed on every axis) gives a next layer equal to
-its flip.  The kernels relax the rows z1 >= 0 and copy their flip into the
-rows z1 < 0, which gives the bytes of the full-frame DP,
+its flip.  The kernels relax the rows z1 >= 0; the frame rows -s..-1 are
+the flip of the rows 1..s, and a stored layer the flip of its rows z1 >= 1
+joined to its rows z1 >= 0.  This gives the bytes of the full-frame DP,
 m(t, 0, z) = m(t, 0, -z) bitwise.  A potential that is not even would break
 this premise.
 
@@ -109,7 +114,7 @@ from .util import as_int_exact, format_float, grid_points, is_whole, write_rows
 SPLIT_MIN_CELLS = 200000
 
 # A d = 1 chunk holds at most this many sums (steps x target cells), or one
-# block of M cells when a block holds more: its tiles and its sums buffer
+# block of M cells when a block holds more: its costs and its sums buffer
 # then take 512 KB each.  With the window read in place (_row_buffer), this
 # size was faster than half of it on all three rate_1d.cfg tables, and
 # larger sizes were no faster (see CHANGES.md).
@@ -161,7 +166,7 @@ class MetricTable:
     layers: list
     lagrangian: LagrangianField
     offsets: np.ndarray          # (n, d) lattice steps, lexicographic
-    tiles: list                  # per-offset cost over source residues mod M
+    costs: np.ndarray            # (n_steps,) + (M,) * d step costs by target residue
 
     # -- lookups ---------------------------------------------------------
 
@@ -268,58 +273,39 @@ def _offsets(dimension: int, step_radius: float) -> np.ndarray:
 
 
 def _cost_tiles(lagrangian: LagrangianField, offsets: np.ndarray,
-                big_m: int, dx: float, dt: float) -> list:
-    """Per-offset cost tile over source residues r in [0, M)^d.
+                big_m: int, dx: float, dt: float) -> np.ndarray:
+    """The steps' costs by target residue, an (n_steps,) + (M,) * d array.
 
-    tile[r] = dt * L( ((2 r + o) mod 2M) / (2M), o dx / dt ); the midpoint of
-    the step from source w (residue r) to w + o dx.  The tiles are centrally
-    symmetric bitwise: the tile of -o at (-r) mod M is the tile of o at r.
+    Cell (o, r) = dt * L( ((2 r - o) mod 2M) / (2M), o dx / dt ); the midpoint
+    of the step o into a target of residue r.  The costs are centrally
+    symmetric bitwise: the cost of -o at (-r) mod M is the cost of o at r.
     """
     n, d = offsets.shape
     res = grid_points([np.arange(big_m)] * d).reshape((big_m,) * d + (d,))
-    tiles = []
-    for o in offsets[:n // 2 + 1]:
-        mid = np.mod((2 * res + o) , 2 * big_m) / (2.0 * big_m)
-        v = o * dx / dt
-        tiles.append(dt * lagrangian(mid, np.broadcast_to(v, mid.shape)))
-    # offsets[n - 1 - i] = -offsets[i]; V is even, so its tile is tiles[i] at
-    # the residues (-r) mod M, and the zero offset, its own partner, keeps
+    costs = np.empty((n,) + (big_m,) * d)
+    for o, cost in zip(offsets[:n // 2 + 1], costs):
+        mid = np.mod(2 * res - o, 2 * big_m) / (2.0 * big_m)
+        cost[...] = dt * lagrangian(mid, np.broadcast_to(o * dx / dt, mid.shape))
+    # offsets[n - 1 - i] = -offsets[i]; V is even, so its costs are those of i
+    # at the residues (-r) mod M, and the zero offset, its own partner, keeps
     # the lesser of its two roundings at r and (-r) mod M
     flip = np.ix_(*[-np.arange(big_m) % big_m] * d)
-    tiles[-1] = np.minimum(tiles[-1], tiles[-1][flip])
-    return tiles + [tile[flip] for tile in reversed(tiles[:-1])]
+    costs[n // 2] = np.minimum(costs[n // 2], costs[n // 2][flip])
+    costs[n // 2 + 1:] = costs[n // 2 - 1::-1][(slice(None),) + flip]
+    return costs
 
 
-def _chunk_tiles(offsets: np.ndarray, tiles: list, big_m: int) -> np.ndarray:
-    """The d = 1 steps' tiles by target residue, tiled to one chunk.
-
-    Row o, cell i holds the cost of step c = offsets[o] into a target of
-    residue i mod M, tiles[o][(i - c) mod M].  The chunk has L cells, a whole
-    number of blocks of M, with len(offsets) L <= CHUNK_CELLS or one block.
-    """
-    n_off = len(offsets)
-    cells = big_m * max(1, CHUNK_CELLS // (n_off * big_m))
-    chunk = _aligned_empty(n_off * cells).reshape(n_off, cells)
-    residues = np.arange(big_m)
-    for (c,), tile, row in zip(offsets, tiles, chunk):
-        row.reshape(-1, big_m)[:] = tile[(residues - c) % big_m]
-    return chunk
-
-
-def _relax_chunks(windows: np.ndarray, frame: np.ndarray, reach: int, s_max: int,
-                  chunk: np.ndarray, sums: np.ndarray) -> np.ndarray:
-    """Relax the d = 1 targets j in [0, reach] from the previous layer's
-    `windows` into `frame` cell s_max + j, in chunks that begin on multiples
-    of M, each by one add of its windows and the chunk tiles into `sums` and
-    one min-reduce over the steps; mirror 1..s_max into -1..-s_max."""
-    half = frame[s_max:s_max + reach + 1]
+def _relax_chunks(windows: np.ndarray, half: np.ndarray, chunk: np.ndarray,
+                  sums: np.ndarray) -> None:
+    """Relax the d = 1 targets j in [0, reach] into `half` from the previous
+    layer's `windows`, in chunks that begin on multiples of M, each by one add
+    of its windows and the chunk costs into `sums` and one min-reduce over the
+    steps."""
     cells = chunk.shape[1]
     for j0 in range(0, len(half), cells):
         n = min(cells, len(half) - j0)
         np.add(windows[:, j0:j0 + n], chunk[:, :n], out=sums[:, :n])
         np.minimum.reduce(sums[:, :n], axis=0, out=half[j0:j0 + n])
-    frame[:s_max] = frame[2 * s_max:s_max:-1]
-    return half
 
 
 @contextlib.contextmanager
@@ -345,24 +331,17 @@ def _aligned_empty(n: int) -> np.ndarray:
     return raw[-raw.ctypes.data % 64 // raw.itemsize:][:n]
 
 
-def _step_groups(offsets: np.ndarray, tiles: list, big_m: int) -> list:
+def _step_groups(offsets: np.ndarray, costs: np.ndarray) -> list:
     """The d >= 2 steps grouped by their leading components, the largest first.
 
     The steps are a lattice ball, so the last components of a group's steps
-    run over one range [-w, w].  Each group is (lead, w, tile) with its tile
-    by target residue, of shape (M,) * (d - 1) + (2 w + 1, M): step k is
-    (lead, w - k), and cell (r, k, r_d) holds its cost into a target of
-    residue (r, r_d), tiles[o][(r - lead, r_d - w + k) mod M].
+    run over one range [-w, w].  Each group is (lead, w, tile), its tile of
+    costs of shape (M,) * (d - 1) + (2 w + 1, M): step k is (lead, w - k),
+    and cell (r, k, r_d) holds its cost into a target of residue (r, r_d).
     """
-    n, d = offsets.shape
-    index = [np.arange(n).reshape((n,) + (1,) * d)]
-    for axis in range(d):
-        shape = [n] + [1] * d
-        shape[axis + 1] = big_m
-        index.append(((np.arange(big_m) - offsets[:, axis:axis + 1]) % big_m).reshape(shape))
-    costs = np.stack(tiles)[tuple(index)]
     # offsets are lexicographic, so each group is one run of them
     leads = [tuple(o[:-1]) for o in offsets.tolist()]
+    n = len(leads)
     starts = [i for i in range(n) if i == 0 or leads[i] != leads[i - 1]] + [n]
     return [(leads[i], (j - i) // 2, np.moveaxis(costs[i:j][::-1], 0, -2).copy())
             for i, j in zip(starts, starts[1:])][::-1]
@@ -410,30 +389,15 @@ def _relax_rows(half: np.ndarray, windows: np.ndarray, s_max: int, big_m: int,
                 np.minimum(half[a:e], part[..., :width], out=half[a:e])
 
 
-def _group_layer(prev: np.ndarray, s_max: int, big_m: int, groups: list, bufs: list,
-                 pool) -> np.ndarray:
-    """The d >= 2 layer after `prev`: its rows z1 >= 0 group by group, in one
-    run of row blocks per thread when they hold SPLIT_MIN_CELLS cells, then
-    mirrored."""
-    d = prev.ndim
-    prev_reach = prev.shape[0] // 2
-    n = 2 * prev_reach + 1
-    reach = prev_reach + s_max
-    width = 2 * reach + 1
-    pitch = -(-width // 8) * 8
-    new = np.empty((width,) * d)
-    half = new[reach:]
-    # frame row i holds source row i - s_max, as the rows z1 >= 0 read the
-    # source rows from -s_max on; frame cell i of the other axes holds source
-    # i - reach - s_max, so window q of the last axis holds in its cell x the
-    # source of target x - reach by the last step s_max - q; the last axis
-    # has pitch - width more +inf cells, read only by the pad targets
-    frame = np.full((reach + 1,) + (width + 2 * s_max,) * (d - 2) + (pitch + 2 * s_max,),
-                    np.inf)
-    lo = max(prev_reach - s_max, 0)
-    frame[(slice(s_max - prev_reach + lo, None),)
-          + (slice(2 * s_max, 2 * s_max + n),) * (d - 1)] = prev[lo:]
-    windows = sliding_window_view(frame, pitch, axis=-1)
+def _group_layer(source: np.ndarray, half: np.ndarray, s_max: int, big_m: int,
+                 groups: list, bufs: list, pool) -> None:
+    """Relax the d >= 2 rows z1 >= 0 into `half` from the previous layer in
+    `source`, group by group, in one run of row blocks per thread when they
+    hold SPLIT_MIN_CELLS cells."""
+    # window q of the last axis holds in its cell x the source of target
+    # x - reach by the last step s_max - q, over a pitch of cells: the pad
+    # targets past the width read only +inf, and their minima are dropped
+    windows = sliding_window_view(source, -(-half.shape[-1] // 8) * 8, axis=-1)
     parts = len(bufs) if half.size >= SPLIT_MIN_CELLS else 1
     blocks = -(-len(half) // big_m)
     runs = [(big_m * (blocks * i // parts), min(len(half), big_m * (blocks * (i + 1) // parts)))
@@ -443,8 +407,6 @@ def _group_layer(prev: np.ndarray, s_max: int, big_m: int, groups: list, bufs: l
     _relax_rows(half, windows, s_max, big_m, groups, runs[0], bufs[0])
     for job in jobs:
         job.result()
-    new[:reach] = np.flip(new)[:reach]
-    return new
 
 
 def _split_pool(threads: int):
@@ -486,21 +448,27 @@ def compute_metric_table(lagrangian: LagrangianField, horizon: float, *,
     offsets = _offsets(d, vmax * dt / dx)
     if len(offsets) <= 1:
         raise ConfigurationError("empty reachable set: enlarge vmax*dt/dx")
-    tiles = _cost_tiles(lagrangian, offsets, big_m, dx, dt)
+    costs = _cost_tiles(lagrangian, offsets, big_m, dx, dt)
     s_max = int(np.max(np.abs(offsets)))
+    # layer k is relaxed from frame (k - 1) % 2 into frame k % 2, whose row i
+    # holds the row z1 = i - s_max, and cell centre + i of its other axes the
+    # column i: they span the last layer, the steps past it and the pitch
+    # pad.  Cells past a layer's reach stay +inf, as reaches only grow
+    centre = (n_layers + 1) * s_max
+    frames = np.full((2, centre + s_max + 1) + (2 * centre + 8,) * (d - 1), np.inf)
+    frames[(0, s_max) + (centre,) * (d - 1)] = 0.0
     if d == 1:
-        chunk = _chunk_tiles(offsets, tiles, big_m)
+        # row o of the chunk holds costs[o] once per block of M of its cells
+        cells = big_m * max(1, CHUNK_CELLS // (len(costs) * big_m))
+        chunk = _aligned_empty(len(costs) * cells).reshape(len(costs), cells)
+        chunk.reshape(len(costs), -1, big_m)[:] = costs[:, None]
         sums = _aligned_empty(chunk.size).reshape(chunk.shape)
-        # layer k is relaxed from frame (k - 1) % 2 into frame k % 2, where
-        # cell i holds source w = i - s_max; cells past a layer's reach stay
-        # +inf, as reaches only grow.  Row o of a reversed window view starts
-        # at frame cell 2 s_max - o, so it reads source j - offsets[o]
-        frames = np.full((2, (n_layers + 2) * s_max + 1), np.inf)
-        frames[0, s_max] = 0.0
+        # row o of a reversed window view starts at frame cell 2 s_max - o,
+        # so it reads source j - offsets[o]
         windows = [sliding_window_view(frame, n_layers * s_max + 1)[::-1] for frame in frames]
-        buffer = _row_buffer(chunk.shape[1])
+        buffer = _row_buffer(cells)
     else:
-        groups = _step_groups(offsets, tiles, big_m)
+        groups = _step_groups(offsets, costs)
         # per thread, sums and a widened tile of a block of M rows of the
         # last layer, and the block's scratch rows, each row a pitch of cells
         width = 2 * s_max * n_layers + 1
@@ -515,24 +483,28 @@ def compute_metric_table(lagrangian: LagrangianField, horizon: float, *,
     keep_all = keep == "all"
     layer_times = [0]
     layers = [np.zeros((1,) * d)]
-
-    prev = layers[0]
     with _split_pool(threads) as pool, buffer:
         for k in range(1, n_layers + 1):
+            reach = k * s_max
+            layer = frames[k % 2][(slice(None),)
+                                  + (slice(centre - reach, centre + reach + 1),) * (d - 1)]
+            half = layer[s_max:s_max + reach + 1]
             if d == 1:
-                half = _relax_chunks(windows[(k - 1) % 2], frames[k % 2], k * s_max, s_max,
-                                     chunk, sums)
+                _relax_chunks(windows[(k - 1) % 2], half, chunk, sums)
             else:
-                prev = _group_layer(prev, s_max, big_m, groups, bufs, pool)
+                # cell i of the source's other axes holds column i - reach - s_max
+                source = frames[(k - 1) % 2][(slice(None),)
+                                             + (slice(centre - reach - s_max, None),) * (d - 1)]
+                _group_layer(source, half, s_max, big_m, groups, bufs, pool)
+            layer[:s_max] = np.flip(layer[s_max + 1:2 * s_max + 1])
             if keep_all or (k % per_unit == 0) or k == n_layers:
                 layer_times.append(k)
-                # a d = 1 layer is built from its half only when stored
-                layers.append(np.concatenate((half[:0:-1], half)) if d == 1 else prev)
+                layers.append(np.concatenate((np.flip(half[1:]), half)))
 
     return MetricTable(
         dt=dt, dx=dx, vmax=vmax, dimension=d,
         layer_times=np.asarray(layer_times), layers=layers,
-        lagrangian=lagrangian, offsets=offsets, tiles=tiles)
+        lagrangian=lagrangian, offsets=offsets, costs=costs)
 
 
 def extract_minimizing_path(table: MetricTable, t: float, x) -> DiscretePath:
@@ -552,14 +524,11 @@ def extract_minimizing_path(table: MetricTable, t: float, x) -> DiscretePath:
     # cand holds the sums the DP min-ed into the target, so the table value
     # is their first minimum: the lexicographically smallest such increment
     big_m = as_int_exact(1.0 / table.dx, "1/dx")
-    offsets = table.offsets
-    tiles = np.stack(table.tiles)
-    rows = np.arange(len(offsets))
     nodes = [j]
     cur = j
     for k in range(k_final, 0, -1):
-        src = cur - offsets
-        cand = table._values(k - 1, src) + tiles[(rows,) + tuple(np.mod(src, big_m).T)]
+        src = cur - table.offsets
+        cand = table._values(k - 1, src) + table.costs[(slice(None), *np.mod(cur, big_m))]
         best = int(np.argmin(cand))
         if not np.isfinite(cand[best]):
             raise UnreachableError("backtracking found no predecessor")

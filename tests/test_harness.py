@@ -260,6 +260,20 @@ properties.surgery_t = 1.0,2.0
 """
 
 
+def test_lemma_gap_row_does_not_depend_on_the_surgery_sample(tmp_path):
+    # lemma_gap_max is a maximum over every end point of a layer, so neither
+    # the seed nor the number of surgery samples moves it
+    rows = set()
+    for seed, samples in [(0, 1), (207, 1), (0, 5), (207, 5)]:
+        text = ROWS_2D.replace("seed = 0", f"seed = {seed}").replace(
+            "properties.surgery_samples = 2", f"properties.surgery_samples = {samples}")
+        assert f"seed = {seed}\n" in text and f"surgery_samples = {samples}\n" in text
+        checks = run_property_suite(parse_config_text(text), str(tmp_path))
+        (row,) = [c for c in checks if c.name == "lemma_gap_max"]
+        rows.add((row.value, row.threshold, row.passed))
+    assert len(rows) == 1
+
+
 @pytest.mark.parametrize("text, dimension", [(ROWS_1D, 1), (ROWS_2D, 2)], ids=["d1", "d2"])
 @pytest.mark.parametrize("corrupt", [False, True], ids=["exact", "corrupted"])
 def test_property_rows_gate_at_a_finite_threshold(tmp_path, monkeypatch, text, dimension,

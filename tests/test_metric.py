@@ -32,10 +32,10 @@ def max_speed(path):
 def gather_kernel_layers(table, n_layers, keep):
     """The gather form of the metric DP, kept as the bitwise reference.
 
-    Every layer gathers a full cost array from the residue tiles, adds it to
-    the previous layer and min-es it into the shifted target slice.  Returns
-    the stored (layer_times, layers) as compute_metric_table keeps them, and
-    the reach each layer was built with.
+    Every layer gathers, per step o, a full cost array costs[o][j mod M] at
+    the targets j, adds it to the previous layer and min-es it into the
+    shifted target slice.  Returns the stored (layer_times, layers) as
+    compute_metric_table keeps them, and the reach each layer was built with.
     """
     d = table.dimension
     big_m = round(1.0 / table.dx)
@@ -47,10 +47,10 @@ def gather_kernel_layers(table, n_layers, keep):
     for k in range(1, n_layers + 1):
         new_reach = min(prev_reach + s_max, reach_final)
         new = np.full((2 * new_reach + 1,) * d, np.inf)
-        ax_idx = [np.mod(np.arange(-prev_reach, prev_reach + 1), big_m)] * d
-        for o, tile in zip(table.offsets, table.tiles):
-            cost = tile[np.ix_(*ax_idx)] if d > 1 else tile[ax_idx[0]]
-            cand = prev + cost
+        for o, costs in zip(table.offsets, table.costs):
+            # the targets j = w + o of the sources w in [-prev_reach, prev_reach]
+            ax_idx = [np.mod(np.arange(-prev_reach, prev_reach + 1) + c, big_m) for c in o]
+            cand = prev + costs[np.ix_(*ax_idx)]
             sl = tuple(
                 slice(new_reach - prev_reach + o[ax], new_reach + prev_reach + o[ax] + 1)
                 for ax in range(d))
@@ -506,15 +506,14 @@ def test_kernel_buffers_are_cache_line_aligned(monkeypatch, d, big_m, s, threads
 
     monkeypatch.setattr("hjhom.metric._aligned_empty", recorded)
     recording = build(2.0)
-    # d = 1: the chunk tiles and one sums buffer, once per table;
+    # d = 1: the chunk costs and one sums buffer, once per table;
     # d >= 2: per thread, a sums, a scratch-row and a widened-tile buffer,
     # once per table
     assert len(buffers) == (2 if d == 1 else 3 * threads)
     assert all(buf.ctypes.data % 64 == 0 for buf in buffers)
-    if d == 1:
-        # two frames per table, not one per layer: 2 layers allocate as much as 16
-        assert len(build(0.5).made) == len(build(4.0).made)
-    else:
+    # two frames per table, not one per layer: 2 layers allocate as much as 16
+    assert len(build(0.5).made) == len(build(4.0).made)
+    if d >= 2:
         # every row added into or reduced into starts on a 64-byte boundary:
         # the last axis holds a multiple of 8 cells, and the widths 2 reach + 1
         # of the layers are odd
@@ -610,21 +609,37 @@ def test_aligned_empty_shape_and_alignment(n):
         assert buf.sum() == n
 
 
-def _plain_tiles(lagrangian, offsets, big_m, dx, dt):
-    """Every offset's tile from its own midpoints, with no mirror: cos 2 pi (1 - y)
-    is not bitwise cos 2 pi y, so the tiles of o and -o are not each other's flip."""
+def _plain_costs(lagrangian, offsets, big_m, dx, dt):
+    """Every offset's costs by target residue from their own midpoints, with no
+    mirror: cos 2 pi (1 - y) is not bitwise cos 2 pi y, so the costs of o and
+    -o are not each other's flip."""
     d = offsets.shape[1]
     res = grid_points([np.arange(big_m)] * d).reshape((big_m,) * d + (d,))
-    return [dt * lagrangian(np.mod(2 * res + o, 2 * big_m) / (2.0 * big_m),
-                            np.broadcast_to(o * dx / dt, res.shape))
-            for o in offsets]
+    return np.stack([dt * lagrangian(np.mod(2 * res - o, 2 * big_m) / (2.0 * big_m),
+                                     np.broadcast_to(o * dx / dt, res.shape))
+                     for o in offsets])
+
+
+@pytest.mark.parametrize("d, big_m, s", [(1, 6, 2.0), (2, 5, 1.5), (3, 4, 1.5)])
+def test_costs_are_the_target_midpoint_formula(d, big_m, s):
+    # cell (o, r) of the first half of the steps is dt L(((2 r - o) mod 2M)
+    # / (2M), o dx / dt) bitwise, and the zero step keeps the lesser of its
+    # values at r and (-r) mod M; the mirror test below covers the others
+    table = compute_metric_table(OSC_BY_DIMENSION[d], horizon=0.25, dt=0.25,
+                                 dx=1.0 / big_m, vmax=s / big_m / 0.25)
+    plain = _plain_costs(table.lagrangian, table.offsets, big_m, table.dx, table.dt)
+    half = len(plain) // 2
+    assert table.costs[:half].tobytes() == plain[:half].tobytes()
+    zero = plain[half]
+    assert table.costs[half].tobytes() == \
+        np.minimum(zero, zero[np.ix_(*[-np.arange(big_m) % big_m] * d)]).tobytes()
 
 
 @pytest.mark.parametrize("d, big_m, s", [(1, 6, 2.0), (2, 6, 2.5)])
 def test_half_frame_needs_the_mirrored_tiles(monkeypatch, d, big_m, s):
-    # the half-frame layers equal the full gather DP only because the tiles
-    # mirror: with plain tiles the flipped half differs from the full DP
-    monkeypatch.setattr("hjhom.metric._cost_tiles", _plain_tiles)
+    # the half-frame layers equal the full gather DP only because the costs
+    # mirror: with plain costs the flipped half differs from the full DP
+    monkeypatch.setattr("hjhom.metric._cost_tiles", _plain_costs)
     lagr = OSC if d == 1 else OSC2
     table = compute_metric_table(lagr, horizon=2.0, dt=0.25, dx=1.0 / big_m,
                                  vmax=s / big_m / 0.25)
@@ -643,15 +658,17 @@ WAVES = st.lists(st.integers(-2, 2), min_size=2, max_size=2)
        terms=st.lists(st.tuples(st.floats(-1.0, 1.0), WAVES), min_size=1, max_size=2))
 def test_random_cosine_potentials_give_even_tables(d, big_m, s, n_steps, a0, terms):
     # every cosine series V is even, non-separable wave vectors such as
-    # (1, 1) included: the tiles of o and -o mirror bitwise, every layer
-    # equals its flip bitwise, and the table is the reference DP
+    # (1, 1) included: the costs of o and -o mirror bitwise by target residue,
+    # costs[-o][(-r) mod M] = costs[o][r], every layer equals its flip
+    # bitwise, and the table is the reference DP
     lagr = build_lagrangian(cosine_spec(d, a0, *[(amp, k[:d]) for amp, k in terms]))
     dt, dx = 0.25, 1.0 / big_m
     vmax = s * dx / dt
     table = compute_metric_table(lagr, horizon=n_steps * dt, dt=dt, dx=dx, vmax=vmax)
     flip = np.ix_(*[-np.arange(big_m) % big_m] * d)
-    for tile, partner in zip(table.tiles, reversed(table.tiles)):
-        assert tile.tobytes() == partner[flip].tobytes()
+    assert table.costs.shape == (len(table.offsets),) + (big_m,) * d
+    for costs, partner in zip(table.costs, table.costs[::-1]):
+        assert costs.tobytes() == partner[flip].tobytes()
     for layer in table.layers:
         assert layer.tobytes() == np.flip(layer).tobytes()
     ref = brute_metric(lagr, n_steps, dt, dx, vmax)
@@ -741,14 +758,14 @@ def loop_backtrack(table, t, x):
         reach_prev = arr_prev.shape[0] // 2
         target_val = table.layers[k][tuple(cur + table.layers[k].shape[0] // 2)]
         best = best_off = None
-        for o, tile in zip(table.offsets, table.tiles):
+        for o, costs in zip(table.offsets, table.costs):
             src = cur - o
             if np.any(np.abs(src) > reach_prev):
                 continue
             pv = arr_prev[tuple(src + reach_prev)]
             if not np.isfinite(pv):
                 continue
-            cand = pv + tile[tuple(np.mod(src, big_m))]
+            cand = pv + costs[tuple(np.mod(cur, big_m))]
             if cand == target_val:
                 best_off = o
                 break
