@@ -42,29 +42,31 @@ run over one range [-w, w], because the steps are a lattice ball.  The
 source frame's last-axis sliding-window view holds in window q the source
 of every target by the last step s - q, over pitch = 8 ceil(width / 8)
 cells, width = 2 reach + 1: the pad targets read only +inf and are dropped,
-and every row of the reused buffers starts on a 64-byte boundary.  Per
-table, each group's costs are an (M, steps, M) array in d = 2, and per
-layer one take widens them to the pitch.  The target rows z1 >= 0 are
-relaxed in blocks of M rows that start on multiples of M, so row i of a
-block has residue i: per group and block, one add of the group's windows
-and the widened costs into a sums buffer gives every sum of the block, and
-one min-reduce over the group's steps into scratch rows gives its minima,
-copied into the target rows for the first group and min-ed into them for
-the others.
+and every row of the reused buffers starts on a 64-byte boundary.  All is
+step-major: a group's costs are costs[i:j][::-1], (steps, M, M) in d = 2,
+widened to the pitch by one take per layer, and its windows are read with
+the step axis first.  The target rows z1 >= 0 are relaxed in blocks of M
+rows that start on multiples of M, so row i of a block has residue i: per
+group and block, one add of the windows and the widened costs into sums of
+shape (steps, rows, pitch), and one min-reduce over axis 0 into scratch
+rows, copied into the target rows for the first group and min-ed into them
+for the others.
 
 Ufunc buffers.  numpy's ufunc iterator buffers np.getbufsize() cells
 (8192 by default).  When the buffer holds two or more rows of an operand
 whose rows cannot be joined into one strided run, such as a sliding-window
 view, numpy (2.4 measured) copies the operand into it; below two rows it
-reads the operand in place.  A d = 1 table runs its layer loop with the
-buffer shrunk to one chunk row (_row_buffer), so the window is never
-copied, and gives the caller's size back on return or raise.  The size is
-per thread (a context variable from numpy 2.0, a thread-local before), so
-a pool thread starts with the default.  The d >= 2 kernel keeps the
-caller's size: one row of it slowed the min-reduces more than it sped the
-adds.  The adds and minima are elementwise and a minimum is order-free, so
-the layers are the same bytes at any buffer size; the costs, whose float
-sums could regroup with it, are built outside the sized loop.
+reads the operand in place.  So every kernel runs with its thread's buffer
+at one row of its window (_row_buffer), and gives the caller's size back on
+return or raise: a d = 1 table once, at the chunk width, and _relax_rows
+per layer and thread, at the pitch.  The size is per thread (a context
+variable from numpy 2.0, a thread-local before), and a pool thread starts
+with the default.  In d >= 2 the step-major sums make the one row pay: a
+reduce over axis 0 loses little at one row, where one over a step axis
+second to last lost more than the add gained (see CHANGES.md).  The adds
+and minima are elementwise and a minimum is order-free, so the layers are
+the same bytes at any buffer size; the costs, whose float sums could
+regroup with it, are built outside the sized scopes.
 
 Only half of each layer is relaxed.  Every supported V is a cosine series,
 hence even, so a step from w to w + o costs what the step from -w to -w - o
@@ -335,15 +337,16 @@ def _step_groups(offsets: np.ndarray, costs: np.ndarray) -> list:
     """The d >= 2 steps grouped by their leading components, the largest first.
 
     The steps are a lattice ball, so the last components of a group's steps
-    run over one range [-w, w].  Each group is (lead, w, tile), its tile of
-    costs of shape (M,) * (d - 1) + (2 w + 1, M): step k is (lead, w - k),
-    and cell (r, k, r_d) holds its cost into a target of residue (r, r_d).
+    run over one range [-w, w].  Each group is (lead, w, tile), its tile the
+    view costs[i:j][::-1] of its run of steps, of shape (2 w + 1,) + (M,) * d:
+    step k is (lead, w - k), and cell (k, r) holds its cost into a target of
+    residue r.
     """
     # offsets are lexicographic, so each group is one run of them
     leads = [tuple(o[:-1]) for o in offsets.tolist()]
     n = len(leads)
     starts = [i for i in range(n) if i == 0 or leads[i] != leads[i - 1]] + [n]
-    return [(leads[i], (j - i) // 2, np.moveaxis(costs[i:j][::-1], 0, -2).copy())
+    return [(leads[i], (j - i) // 2, costs[i:j][::-1])
             for i, j in zip(starts, starts[1:])][::-1]
 
 
@@ -351,9 +354,10 @@ def _relax_rows(half: np.ndarray, windows: np.ndarray, s_max: int, big_m: int,
                 groups: list, rows: tuple, bufs: tuple) -> None:
     """Relax the rows [rows[0], rows[1]) of `half` (row z1 at index z1) group
     by group, in blocks of M rows that start on multiples of M, over the
-    windows' pitch of last-axis cells.  Each group reduces into the scratch
-    rows, which the first group copies into every row and the others min in
-    on the rows their sources hold."""
+    windows' pitch of last-axis cells, with this thread's ufunc buffer at one
+    pitch.  Each group's sums (2 w + 1, rows, ..., pitch) reduce over axis 0
+    into the scratch rows, which the first group copies into every row and
+    the others min in on the rows their sources hold."""
     t0, t1 = rows
     d = half.ndim
     width = half.shape[-1]
@@ -362,31 +366,35 @@ def _relax_rows(half: np.ndarray, windows: np.ndarray, s_max: int, big_m: int,
     prev_reach = reach - s_max
     cols = (np.arange(pitch) - reach) % big_m
     sums_buf, scratch_buf, wide_buf = bufs
-    for g, (lead, w, tile) in enumerate(groups):
-        c0 = lead[0]
-        lo, hi = (t0, t1) if g == 0 else (max(t0, c0 - prev_reach),
-                                          min(t1, c0 + prev_reach + 1))
-        if lo >= hi:
-            continue
-        for axis in range(1, d - 1):
-            tile = np.take(tile, cols[:width], axis=axis)
-        shape = tile.shape[:-1] + (pitch,)
-        # "clip": cols are in range, and "raise" would take through a temporary
-        wide = np.take(tile, cols, axis=-1, mode="clip",
-                       out=wide_buf[:int(np.prod(shape))].reshape(shape))
-        src = windows[(slice(s_max - c0, None),)
-                      + tuple(slice(s_max - c, s_max - c + width) for c in lead[1:])
-                      + (slice(s_max - w, s_max + w + 1),)]
-        for b in range(lo - lo % big_m, hi, big_m):
-            a, e = max(b, lo), min(b + big_m, hi)
-            sums = sums_buf[:(e - a) * wide[0].size].reshape((e - a,) + shape[1:])
-            np.add(src[a:e], wide[a - b:e - b], out=sums)
-            part = scratch_buf[:sums.size // (2 * w + 1)].reshape(sums.shape[:-2] + (pitch,))
-            np.minimum.reduce(sums, axis=-2, out=part)
-            if g == 0:
-                half[a:e] = part[..., :width]
-            else:
-                np.minimum(half[a:e], part[..., :width], out=half[a:e])
+    with _row_buffer(pitch):
+        for g, (lead, w, tile) in enumerate(groups):
+            c0 = lead[0]
+            lo, hi = (t0, t1) if g == 0 else (max(t0, c0 - prev_reach),
+                                              min(t1, c0 + prev_reach + 1))
+            if lo >= hi:
+                continue
+            for axis in range(2, d):
+                tile = np.take(tile, cols[:width], axis=axis)
+            shape = tile.shape[:-1] + (pitch,)
+            # "clip": cols are in range, and "raise" would take through a temporary
+            wide = np.take(tile, cols, axis=-1, mode="clip",
+                           out=wide_buf[:int(np.prod(shape))].reshape(shape))
+            # step axis first: window q is the source by the last step s_max - q
+            src = np.moveaxis(windows[(slice(s_max - c0, None),)
+                                      + tuple(slice(s_max - c, s_max - c + width)
+                                              for c in lead[1:])
+                                      + (slice(s_max - w, s_max + w + 1),)], -2, 0)
+            for b in range(lo - lo % big_m, hi, big_m):
+                a, e = max(b, lo), min(b + big_m, hi)
+                sums = sums_buf[:(e - a) * wide[:, 0].size].reshape(
+                    (2 * w + 1, e - a) + shape[2:])
+                np.add(src[:, a:e], wide[:, a - b:e - b], out=sums)
+                part = scratch_buf[:sums[0].size].reshape(sums.shape[1:])
+                np.minimum.reduce(sums, axis=0, out=part)
+                if g == 0:
+                    half[a:e] = part[..., :width]
+                else:
+                    np.minimum(half[a:e], part[..., :width], out=half[a:e])
 
 
 def _group_layer(source: np.ndarray, half: np.ndarray, s_max: int, big_m: int,
@@ -466,7 +474,8 @@ def compute_metric_table(lagrangian: LagrangianField, horizon: float, *,
         # row o of a reversed window view starts at frame cell 2 s_max - o,
         # so it reads source j - offsets[o]
         windows = [sliding_window_view(frame, n_layers * s_max + 1)[::-1] for frame in frames]
-        buffer = _row_buffer(cells)
+        # one size for the table: every chunk row has L cells
+        scope = _row_buffer(cells)
     else:
         groups = _step_groups(offsets, costs)
         # per thread, sums and a widened tile of a block of M rows of the
@@ -476,14 +485,12 @@ def compute_metric_table(lagrangian: LagrangianField, horizon: float, *,
         steps = 2 * max(w for _, w, _ in groups) + 1
         bufs = [(_aligned_empty(rows * steps), _aligned_empty(rows),
                  _aligned_empty(rows * steps)) for _ in range(threads)]
-        # a d >= 2 layer keeps numpy's buffer: one row of it made the
-        # min-reduces slower than the adds got faster (see CHANGES.md)
-        buffer = contextlib.nullcontext()
+        scope = _split_pool(threads)
 
     keep_all = keep == "all"
     layer_times = [0]
     layers = [np.zeros((1,) * d)]
-    with _split_pool(threads) as pool, buffer:
+    with scope as pool:
         for k in range(1, n_layers + 1):
             reach = k * s_max
             layer = frames[k % 2][(slice(None),)

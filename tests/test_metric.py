@@ -1,5 +1,6 @@
 import contextlib
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -449,21 +450,35 @@ def test_group_kernel_equals_gather_kernel_on_drawn_potentials(big_m, s, amplitu
 class RecordingNumpy:
     """numpy as hjhom.metric sees it, recording the arrays its np.empty and
     np.full calls make, the `out` of its np.add and np.minimum.reduce calls,
-    and the ufunc buffer size at each np.add."""
+    and, at each np.add, np.minimum and np.minimum.reduce that writes into an
+    `out` (every kernel call does; the cost set-up does not), the calling
+    thread, the ufunc buffer size it runs with and the out's last-axis
+    cells."""
 
     def __init__(self):
-        self.made, self.outs, self.bufsizes = [], [], []
-        self.minimum = RecordingNumpy.Minimum(self.outs)
+        self.made, self.outs, self.sized = [], [], []
+        self.minimum = RecordingNumpy.Minimum(self)
+
+    @property
+    def bufsizes(self):
+        return [size for _, size, _ in self.sized]
+
+    def record_size(self, kind, out):
+        if out is not None:
+            self.sized.append(((kind, threading.get_ident()), np.getbufsize(),
+                               out.shape[-1]))
 
     class Minimum:
-        def __init__(self, outs):
-            self.outs = outs
+        def __init__(self, recording):
+            self.recording = recording
 
         def __call__(self, *args, **kwargs):
+            self.recording.record_size("minimum", kwargs.get("out"))
             return np.minimum(*args, **kwargs)
 
         def reduce(self, *args, **kwargs):
-            self.outs.append(kwargs.get("out"))
+            self.recording.outs.append(kwargs.get("out"))
+            self.recording.record_size("minimum.reduce", kwargs.get("out"))
             return np.minimum.reduce(*args, **kwargs)
 
     def __getattr__(self, name):
@@ -479,7 +494,7 @@ class RecordingNumpy:
 
     def add(self, *args, **kwargs):
         self.outs.append(kwargs.get("out"))
-        self.bufsizes.append(np.getbufsize())
+        self.record_size("add", kwargs.get("out"))
         return np.add(*args, **kwargs)
 
 
@@ -546,6 +561,40 @@ def test_chunk_kernel_reads_its_window_in_place(monkeypatch, big_m, s, budget, n
     assert all(size < 2 * cells or size == 16 == 2 * cells for size in recording.bufsizes)
 
 
+def row_buffer_size(cells):
+    """The ufunc buffer _row_buffer sets for rows of `cells` cells under a
+    caller's buffer of at least that size: numpy takes multiples of 16."""
+    return max(16, -(-cells // 16) * 16)
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+@pytest.mark.parametrize("d, big_m, s, n_layers", [(2, 6, 2.5, 12), (2, 8, 9.0, 4),
+                                                   (3, 2, 1.5, 6)])
+def test_group_kernel_reads_its_windows_in_place(monkeypatch, d, big_m, s, n_layers,
+                                                 threads):
+    # every d >= 2 kernel add, cross-group minimum and min-reduce, on the
+    # calling thread and on every pool thread, runs with a ufunc buffer below
+    # two rows of its layer's pitch, or at numpy's floor of 16 cells, so
+    # numpy reads the row-strided window operands in place; numpy's default
+    # of 8192 cells holds many rows of every layer here
+    monkeypatch.setattr("hjhom.metric.SPLIT_MIN_CELLS", 0)
+    recording = RecordingNumpy()
+    monkeypatch.setattr("hjhom.metric.np", recording)
+    caller = np.getbufsize()
+    compute_metric_table(OSC_BY_DIMENSION[d], horizon=n_layers * 0.25, dt=0.25,
+                         dx=1.0 / big_m, vmax=s / big_m / 0.25, threads=threads)
+    assert np.getbufsize() == caller
+    calls = {call for call, _, _ in recording.sized}
+    assert {kind for kind, _ in calls} == {"add", "minimum", "minimum.reduce"}
+    assert (len({thread for _, thread in calls}) > 1) == (threads > 1)
+    for _, size, cells in recording.sized:
+        # the add and the min-reduce write a pitch of cells per row, the
+        # minimum a layer's width, which the pitch rounds up to 8
+        pitch = -(-cells // 8) * 8
+        assert 2 * pitch < caller
+        assert size < 2 * pitch or size == 16
+
+
 class KernelFault(Exception):
     pass
 
@@ -553,33 +602,54 @@ class KernelFault(Exception):
 @pytest.mark.parametrize("d", [1, 2])
 @pytest.mark.parametrize("fail", [False, True])
 def test_table_gives_back_the_callers_buffer_size(monkeypatch, d, fail):
-    # after the table, or after a kernel raises at layer 2, the caller has
-    # its own ufunc buffer size back (saved and set again explicitly: numpy
-    # before 2.0 keeps no context for it)
+    # after the table, or after a kernel's min-reduce raises at layer 2 inside
+    # its sized scope, the calling thread has its own ufunc buffer size back
+    # (saved and set again explicitly: numpy before 2.0 keeps no context for
+    # it); every min-reduce ran at one row: of a chunk in d = 1, of its
+    # layer's pitch in d >= 2, on every thread
+    monkeypatch.setattr("hjhom.metric.SPLIT_MIN_CELLS", 0)
     kernel = "_relax_chunks" if d == 1 else "_group_layer"
     relax = getattr(metric, kernel)
-    seen = []
 
     def layer(*args):
-        seen.append(np.getbufsize())
-        if fail and len(seen) == 2:
-            raise KernelFault
+        layers.append(len(layers) + 1)
         return relax(*args)
+
+    def recording_with_fault():
+        recording = RecordingNumpy()
+        reduce = recording.minimum.reduce
+
+        def faulty_reduce(*args, **kwargs):
+            result = reduce(*args, **kwargs)
+            if fail and len(layers) == 2:
+                raise KernelFault
+            return result
+
+        recording.minimum.reduce = faulty_reduce
+        return recording
 
     monkeypatch.setattr(f"hjhom.metric.{kernel}", layer)
     # d = 1 chunks of 90 cells: the table shrinks the buffer to 96
     monkeypatch.setattr("hjhom.metric.CHUNK_CELLS", 1024)
-    old = np.setbufsize(4096)
-    try:
-        with pytest.raises(KernelFault) if fail else contextlib.nullcontext():
-            compute_metric_table(OSC_BY_DIMENSION[d], horizon=2.0, dt=0.25, dx=1.0 / 6,
-                                 vmax=2.5 * 6 / 4)
-        assert np.getbufsize() == 4096
-    finally:
-        np.setbufsize(old)
-    assert len(seen) == (2 if fail else 8)
-    # a d = 1 kernel raised inside the sized scope; d >= 2 keeps the caller's
-    assert all(size == (96 if d == 1 else 4096) for size in seen)
+    for threads in (1,) if d == 1 else (1, 2):
+        layers, recording = [], recording_with_fault()
+        monkeypatch.setattr("hjhom.metric.np", recording)
+        old = np.setbufsize(4096)
+        try:
+            with pytest.raises(KernelFault) if fail else contextlib.nullcontext():
+                compute_metric_table(OSC_BY_DIMENSION[d], horizon=2.0, dt=0.25, dx=1.0 / 6,
+                                     vmax=2.5 * 6 / 4, threads=threads)
+            assert np.getbufsize() == 4096
+        finally:
+            np.setbufsize(old)
+        assert len(layers) == (2 if fail else 8)
+        seen = [(size, cells) for (kind, _), size, cells in recording.sized
+                if kind == "minimum.reduce"]
+        # d >= 2: the min-reduce writes a pitch of cells per row, 16 at
+        # layer 1 up to 88 at layer 8
+        assert all(size == (96 if d == 1 else row_buffer_size(cells)) for size, cells in seen)
+        assert {size for size, _ in seen} == ({96} if d == 1 else
+                                              {16, 32} if fail else {16, 32, 48, 64, 80, 96})
 
 
 @pytest.mark.parametrize("row, size", [(1, 16), (8, 16), (9, 16), (16, 16), (17, 32),
