@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ConfigurationError, DomainError, HorizonError, UnreachableError
 from .legendre import VELOCITY_DOMAIN, ConvexFunctionTable, LagrangianField, conjugate
-from .metric import MetricTable, _offsets, check_reach, compute_metric_table
+from .metric import MetricTable, _step_graph, compute_metric_table
 from .util import as_int_exact, grid_points, is_whole, write_rows
 
 
@@ -161,12 +161,12 @@ def cell_problem_oracle(lagrangian: LagrangianField, p, t_long: float = 128.0,
 
     Solves w_t + H(x, p + D_x w) = 0, w(0, .) = 0 on the unit torus by value
     iteration (minimum over periodic lattice paths of cost minus p times
-    displacement) and returns -w(T, 0)/T.  Each step is one gather: node i
-    takes the minimum over offsets o of w + cost at its source node i - o
-    (mod 1), through a precomputed (offsets, nodes) source index and the
-    matching cost.  The torus lattice and this gather are deliberately
-    separate from the metric-table DP so the two routes stay independent;
-    only the offset enumeration and the reach check are shared.
+    displacement) and returns -w(T, 0)/T.  The torus is the metric table's
+    step graph (metric._step_graph) with each step's cost less p . o dx: each
+    step is one gather, node i taking the minimum over offsets o of w + cost
+    at its source node i - o (mod 1), through a precomputed (offsets, nodes)
+    source index.  The iteration to T on the torus, not the table's rays,
+    is the independent route.
     """
     d = lagrangian.dimension
     p = np.atleast_1d(np.asarray(p, dtype=float))
@@ -174,24 +174,16 @@ def cell_problem_oracle(lagrangian: LagrangianField, p, t_long: float = 128.0,
         raise DomainError(f"p must have {d} components")
     if not np.isfinite(p).all():
         raise DomainError(f"p = {p} must be finite")
-    check_reach(vmax, dt, dx)   # with only the zero step it would return -V(0)
-    big_m = as_int_exact(1.0 / dx, "1/dx")
+    offsets, costs = _step_graph(lagrangian, dt, dx, vmax)
+    big_m = costs.shape[-1]
     n_steps = as_int_exact(t_long / dt, "t_long / dt")
     if n_steps < 4:
         raise ConfigurationError("t_long too small for the torus iteration")
 
-    # per offset o and target node i: the cost dt L((r + o/2) dx mod 1, o dx/dt)
-    # - p . o dx of the step from the source node r = (i - o) mod M, r's index
-    offsets = _offsets(d, vmax * dt / dx)
-    step = offsets[:, None]
+    # per offset o and target node i: the cost of the step from the source
+    # node (i - o) mod M, less p . o dx, and that source's index
+    cost = costs.reshape(len(offsets), -1) - [[float(p @ (o * dx))] for o in offsets]
     nodes = grid_points([np.arange(big_m)] * d)
-    mid = np.subtract(nodes, step, dtype=float)
-    np.mod(mid, big_m, out=mid)
-    np.add(mid, step / 2.0, out=mid)
-    np.multiply(mid, dx, out=mid)
-    np.mod(mid, 1.0, out=mid)
-    cost = dt * lagrangian(mid, step * dx / dt) - [[float(p @ (o * dx))] for o in offsets]
-    del mid     # the index below reuses its memory
     src = np.ravel_multi_index(tuple(n - o[:, None] for n, o in zip(nodes.T, offsets.T)),
                                (big_m,) * d, mode="wrap")
 

@@ -330,6 +330,9 @@ def run_property_suite(cfg: Config, out_dir, verbose: bool = False):
     horizon = cfg.get("metric.horizon", 8.0)
     dt, dx, vmax = _grids(cfg, lagr, 3.0)
     _whole(cfg, horizon, dt, "metric.horizon", "grid.dt")
+    if horizon < 2:
+        raise _keyed(cfg, f"metric.horizon = {horizon} is below 2: subadditivity needs two "
+                     "reached integer times whose sum is at most the last", "metric.horizon")
     if p_sample:
         v_box, v_step = _velocity_box(cfg, 2.5, 0.5)
         model_vmax = _reachable(cfg, cfg.get("effective.vmax", vmax), dt, dx,

@@ -13,6 +13,7 @@ must divide 1 so that integer space-time points are lattice points; the
 cost of a step then depends on its target node only through its residue
 class mod 1, so the step costs are one small periodic array, costs[o][r]
 for the o-th step into a target of residue r in [0, M)^d, M = 1/dx.
+_step_graph builds them for the DP, backtracking and the torus oracle.
 
 Each layer is relaxed without a gathered cost array per step, by one of two
 kernels.  Both make the same offsets' additions as adding the gathered cost
@@ -225,7 +226,7 @@ class MetricTable:
         """Reached integer points (k, z) at integer times k >= 1 and the finite
         table values there, as arrays k (n,), z (n, d) and values (n,): layer
         by layer, z lexicographic within a layer."""
-        big_m = as_int_exact(1.0 / self.dx, "1/dx")
+        big_m = self.costs.shape[-1]
         parts = [(np.zeros(0, int), np.zeros((0, self.dimension), int), np.zeros(0))]
         for layer, k in zip(self.layers, self.layer_times):
             t = k * self.dt
@@ -284,10 +285,10 @@ def _cost_tiles(lagrangian: LagrangianField, offsets: np.ndarray,
     """
     n, d = offsets.shape
     res = grid_points([np.arange(big_m)] * d).reshape((big_m,) * d + (d,))
+    steps = offsets[:n // 2 + 1].reshape((-1,) + (1,) * d + (d,))
+    mid = np.mod(2 * res - steps, 2 * big_m) / (2.0 * big_m)
     costs = np.empty((n,) + (big_m,) * d)
-    for o, cost in zip(offsets[:n // 2 + 1], costs):
-        mid = np.mod(2 * res - o, 2 * big_m) / (2.0 * big_m)
-        cost[...] = dt * lagrangian(mid, np.broadcast_to(o * dx / dt, mid.shape))
+    costs[:n // 2 + 1] = dt * lagrangian(mid, np.broadcast_to(steps * dx / dt, mid.shape))
     # offsets[n - 1 - i] = -offsets[i]; V is even, so its costs are those of i
     # at the residues (-r) mod M, and the zero offset, its own partner, keeps
     # the lesser of its two roundings at r and (-r) mod M
@@ -295,6 +296,15 @@ def _cost_tiles(lagrangian: LagrangianField, offsets: np.ndarray,
     costs[n // 2] = np.minimum(costs[n // 2], costs[n // 2][flip])
     costs[n // 2 + 1:] = costs[n // 2 - 1::-1][(slice(None),) + flip]
     return costs
+
+
+def _step_graph(lagrangian: LagrangianField, dt: float, dx: float, vmax: float) -> tuple:
+    """The lattice's steps |o| <= vmax dt / dx and their costs (_cost_tiles)."""
+    check_reach(vmax, dt, dx)
+    offsets = _offsets(lagrangian.dimension, vmax * dt / dx)
+    if len(offsets) <= 1:
+        raise ConfigurationError("empty reachable set: enlarge vmax*dt/dx")
+    return offsets, _cost_tiles(lagrangian, offsets, as_int_exact(1.0 / dx, "1/dx"), dx, dt)
 
 
 def _relax_chunks(windows: np.ndarray, half: np.ndarray, chunk: np.ndarray,
@@ -446,17 +456,13 @@ def compute_metric_table(lagrangian: LagrangianField, horizon: float, *,
     d = lagrangian.dimension
     if d == 1 and threads > 1:
         raise ConfigurationError(f"threads = {threads}: a d = 1 table takes one thread")
-    check_reach(vmax, dt, dx)
-    big_m = as_int_exact(1.0 / dx, "1/dx")
+    offsets, costs = _step_graph(lagrangian, dt, dx, vmax)
+    big_m = costs.shape[-1]
     per_unit = as_int_exact(1.0 / dt, "1/dt")
     n_layers = as_int_exact(horizon / dt, "horizon/dt")
     if n_layers < 1:
         raise ConfigurationError("horizon must cover at least one time step")
 
-    offsets = _offsets(d, vmax * dt / dx)
-    if len(offsets) <= 1:
-        raise ConfigurationError("empty reachable set: enlarge vmax*dt/dx")
-    costs = _cost_tiles(lagrangian, offsets, big_m, dx, dt)
     s_max = int(np.max(np.abs(offsets)))
     # layer k is relaxed from frame (k - 1) % 2 into frame k % 2, whose row i
     # holds the row z1 = i - s_max, and cell centre + i of its other axes the
@@ -530,7 +536,7 @@ def extract_minimizing_path(table: MetricTable, t: float, x) -> DiscretePath:
 
     # cand holds the sums the DP min-ed into the target, so the table value
     # is their first minimum: the lexicographically smallest such increment
-    big_m = as_int_exact(1.0 / table.dx, "1/dx")
+    big_m = table.costs.shape[-1]
     nodes = [j]
     cur = j
     for k in range(k_final, 0, -1):

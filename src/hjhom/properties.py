@@ -18,7 +18,7 @@ import numpy as np
 from .effective import EffectiveModel
 from .errors import DomainError, UnreachableError
 from .metric import MetricTable, extract_minimizing_path
-from .util import as_int_exact, round_half_toward_zero
+from .util import as_int_exact, is_whole, round_half_toward_zero
 
 
 @dataclass
@@ -142,7 +142,7 @@ def gap_vs_log_envelope(table: MetricTable, model: EffectiveModel,
     """Measure f(s, s e) - s Lbar(e) along integer rays at s = 1, 2, 4, ...
     up to the table's last integer time."""
     dirs = [np.atleast_1d(np.asarray(e, dtype=float)) for e in directions]
-    top = int(table.integer_cone()[0].max(initial=0))   # the last integer time
+    top = max(round(float(t)) for t in table.layer_times * table.dt if is_whole(t))
     rays = [(e, 2**i, 2**i * model.lagrangian_bar(e))
             for e in dirs for i in range(top.bit_length())]
     fvals = table.value_at([s for _, s, _ in rays],

@@ -126,7 +126,7 @@ def solve_oscillatory(u0: InitialData, lagrangian: LagrangianField,
     d = table.dimension
     targets = _points(targets, d)
     layer, reach = table.layer(big_t)
-    big_m = as_int_exact(1.0 / table.dx, "1/dx")
+    big_m = table.costs.shape[-1]
 
     def node_min(y, window):
         """Minimum of u0(y - eps z) + eps m(T, 0, z) over the layer's nodes in

@@ -8,14 +8,17 @@ import pytest
 
 from hjhom import (
     ConfigError,
+    DomainError,
+    ResolutionError,
     build_effective_model,
     build_lagrangian,
     compute_metric_table,
     parse_config_text,
     spec_from_config,
 )
-from hjhom.cli import EXIT_CONFIG, EXIT_OK, EXIT_PROPERTY, main
+from hjhom.cli import EXIT_CONFIG, EXIT_OK, EXIT_OTHER, EXIT_PROPERTY, EXIT_RESOLUTION, main
 from hjhom.config import KEYS, KNOWN_KEYS
+from hjhom.surgery import path_surgery
 
 GOOD = """
 # oscillatory 1-d family
@@ -513,6 +516,10 @@ PROPERTIES_KEYS = {"dimension": "2", "potential.a0": "3.0",
     ("rate", {**RATE_KEYS, "u0.family": "zero"}, "u0.scale = 1.0"),
     ("rate", RATE_KEYS, "u0.family = bumps"),
     ("rate", {**RATE_KEYS, "u0.family": "bumps"}, "u0.bumps = "),
+    # subadditivity needs two reached integer times whose sum is at most the
+    # last: these used to build the table and exit 1
+    ("properties", PROPERTIES_KEYS, "metric.horizon = 0.5"),
+    ("properties", PROPERTIES_KEYS, "metric.horizon = 1.5"),
 ])
 def test_cli_bad_value_exits_at_its_line_before_any_table(tmp_path, capsys, monkeypatch,
                                                           command, keys, line):
@@ -535,6 +542,74 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["metric", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
     assert f"config error: {cfg}:1: dimension = '= 1'" in capsys.readouterr().err
+
+
+def test_cli_unreadable_config_exit_code(tmp_path, capsys):
+    cfg = str(tmp_path / "missing.cfg")
+    out = tmp_path / "out"
+    assert main(["metric", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    assert f"config error: cannot read config {cfg}: " in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_other_library_error_exit_code(tmp_path, capsys, monkeypatch):
+    # an HJHomError that is neither a configuration nor a resolution error
+    import hjhom.cli as cli
+
+    def fails(*args, **kwargs):
+        raise DomainError("no reached ray samples")
+
+    monkeypatch.setattr(cli, "run_metric", fails)
+    cfg = _write(tmp_path, "m.cfg", "dimension = 1\npotential.a0 = 1.0\n")
+    assert main(["metric", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_OTHER
+    assert capsys.readouterr().err == "error: no reached ray samples\n"
+
+
+def test_cli_rate_resolution_error_exit_code(tmp_path, capsys):
+    # at dt = dx = 1/2 the mesh-halving probe's discretization error is
+    # above half the smallest homogenization error: no rate is fitted
+    cfg = _write(tmp_path, "r.cfg", """dimension = 1
+potential.a0 = 2.0
+potential.terms = 1.0,1
+grid.dt = 0.5
+grid.dx = 0.5
+grid.vmax = 4.0
+sweep.eps = 0.5,0.25
+targets.count = 5
+effective.v_box = 3.0
+effective.v_step = 0.5
+effective.n_max = 4
+""")
+    out = tmp_path / "out"
+    assert main(["rate", "--config", cfg, "--out", str(out)]) == EXIT_RESOLUTION
+    assert re.match(r"resolution error: discretization error 0\.97\d* exceeds half the "
+                    r"smallest homogenization error 1\b", capsys.readouterr().err)
+    assert not (out / "rate.csv").exists()
+
+
+def test_cli_properties_failed_surgery_counts_against_the_success_rate(tmp_path, capsys,
+                                                                       monkeypatch):
+    # every second surgery raises ResolutionError: its sample is skipped, and
+    # the success rate reads the 3 of 6 samples that passed
+    import hjhom.harness as harness
+    calls = []
+
+    def every_second(gamma, table):
+        calls.append(gamma)
+        if len(calls) % 2 == 0:
+            raise ResolutionError("no cyclic shift closes the path")
+        return path_surgery(gamma, table)
+
+    monkeypatch.setattr(harness, "path_surgery", every_second)
+    cfg = _write(tmp_path, "s.cfg", LEMMA_CFG.format(0))
+    out = tmp_path / "out"
+    assert main(["properties", "--config", cfg, "--out", str(out)]) == EXIT_PROPERTY
+    assert capsys.readouterr().err == "property checks failed: surgery_success_rate\n"
+    rows = {r.split(",")[0]: r.split(",")[1:]
+            for r in (out / "properties.csv").read_text().splitlines()[2:]}
+    assert len(calls) == 6
+    assert rows["surgery_success_rate"] == ["0.5", "0.95", "0"]
+    assert len((out / "surgery.csv").read_text().splitlines()) == 3 + 2
 
 
 def test_cli_missing_key_exit_code(tmp_path, capsys):

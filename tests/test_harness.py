@@ -47,6 +47,10 @@ def test_u0_from_config_families():
     cfg = parse_config_text("u0.family = bumps\nu0.bumps = 1.0,0.0,0.5\n")
     u0 = u0_from_config(cfg, 1)
     assert u0(np.array([[0.0]])) == pytest.approx(1.0)
+    cfg = parse_config_text("u0.family = zero\n")
+    u0 = u0_from_config(cfg, 2)
+    assert (u0.family, u0.lipschitz, u0.dimension) == ("zero", 0.0, 2)
+    assert u0(np.array([[0.25, -1.5], [3.0, 0.5]])).tolist() == [0.0, 0.0]
 
 
 def test_free_case_sweep_errors_near_zero():

@@ -705,6 +705,37 @@ def test_costs_are_the_target_midpoint_formula(d, big_m, s):
         np.minimum(zero, zero[np.ix_(*[-np.arange(big_m) % big_m] * d)]).tobytes()
 
 
+def _loop_costs(lagrangian, offsets, big_m, dx, dt):
+    """The step costs as one L call per step up to the zero step, the others
+    mirrored: the loop that _cost_tiles's one broadcast call replaces."""
+    n, d = offsets.shape
+    res = grid_points([np.arange(big_m)] * d).reshape((big_m,) * d + (d,))
+    costs = np.empty((n,) + (big_m,) * d)
+    for o, cost in zip(offsets[:n // 2 + 1], costs):
+        mid = np.mod(2 * res - o, 2 * big_m) / (2.0 * big_m)
+        cost[...] = dt * lagrangian(mid, np.broadcast_to(o * dx / dt, mid.shape))
+    flip = np.ix_(*[-np.arange(big_m) % big_m] * d)
+    costs[n // 2] = np.minimum(costs[n // 2], costs[n // 2][flip])
+    costs[n // 2 + 1:] = costs[n // 2 - 1::-1][(slice(None),) + flip]
+    return costs
+
+
+@pytest.mark.parametrize("d, big_m", [(d, big_m) for d in (1, 2, 3)
+                                      for big_m in (2, 4, 6, 8, 12, 16, 128, 256)
+                                      if d < 3 or big_m <= 16])
+def test_broadcast_costs_equal_the_per_step_loop(d, big_m):
+    # random cosine series with wave components in [-2, 2], non-separable
+    # ones included, at step radii 1 to 3.5 and three time steps
+    rng = np.random.default_rng(100 * d + big_m)
+    for s, dt in [(1.0, 0.25), (2.5, 0.125), (3.5, 1 / 6)]:
+        waves = rng.integers(-2, 3, size=(3, d))
+        lagr = build_lagrangian(cosine_spec(d, rng.uniform(2.0, 4.0), *[
+            (amp, tuple(int(c) for c in k)) for amp, k in zip(rng.uniform(-1, 1, 3), waves)]))
+        dx = 1.0 / big_m
+        offsets, costs = metric._step_graph(lagr, dt, dx, s * dx / dt)
+        assert costs.tobytes() == _loop_costs(lagr, offsets, big_m, dx, dt).tobytes()
+
+
 @pytest.mark.parametrize("d, big_m, s", [(1, 6, 2.0), (2, 6, 2.5)])
 def test_half_frame_needs_the_mirrored_tiles(monkeypatch, d, big_m, s):
     # the half-frame layers equal the full gather DP only because the costs
